@@ -8,6 +8,7 @@ orthonormality, reconstruction, and norm checks exact instead of
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -20,13 +21,18 @@ def pow2_half(e: int) -> Fraction | "Rad2":
     return Rad2(0, Fraction(2) ** ((e - 1) // 2))
 
 
+_SQRT2 = 1.4142135623730951
+
+
+@functools.total_ordering
 @dataclass(frozen=True, eq=False)
 class Rad2:
     """Number a + b*sqrt(2), a and b rational.
 
     Closed under +, -, * and mixes freely with int/Fraction operands.
     Division and float operands are deliberately unsupported: anything
-    leaving the exact world should go through float() explicitly.
+    leaving the exact world should go through float() explicitly.  Signs
+    and order (``abs``, ``<``, ``<=``, ...) are decided exactly.
     """
 
     a: Fraction
@@ -75,8 +81,29 @@ class Rad2:
     def __neg__(self):
         return Rad2(-self.a, -self.b)
 
+    def _sign(self) -> int:
+        """-1, 0 or 1, decided exactly: a and b*sqrt(2) are compared through a^2 vs 2b^2."""
+        sa = (self.a > 0) - (self.a < 0)
+        sb = (self.b > 0) - (self.b < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        # a^2 == 2b^2 has no nonzero rational solution, so the comparison is strict.
+        return sa if self.a * self.a > 2 * self.b * self.b else sb
+
     def __abs__(self):
-        return self if float(self) >= 0 else -self
+        return -self if self._sign() < 0 else self
+
+    def __lt__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o)._sign() < 0
+
+    def __le__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o)._sign() <= 0
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -94,7 +121,12 @@ class Rad2:
         return self.a != 0 or self.b != 0
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 1.4142135623730951
+        if self.a * self.b >= 0:
+            return float(self.a) + float(self.b) * _SQRT2
+        # Opposite signs would cancel: use (a^2 - 2b^2) / (a - b*sqrt(2)), an
+        # exact numerator over a denominator whose two terms share a sign.
+        den = float(self.a) - float(self.b) * _SQRT2
+        return float((self.a * self.a - 2 * self.b * self.b) / Fraction(den))
 
     def __repr__(self) -> str:
         return f"Rad2({self.a!r}, {self.b!r})"

@@ -10,6 +10,7 @@ so the files are stable regression artifacts.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -17,13 +18,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, increments
 from .criteria import (
     build_report,
     holder_ratio_by_level,
     moment_scaling_fit,
 )
 from .dyadic import DyadicCube, Figure, figure_perimeter, morton_encode
+# cube_increments is unused here, but bench/tracer.py wraps this module's attribute.
 from .increments import GridSample, coefficient_table, cube_increments, increment_levels
 from .sampler import (
     HurstVector,
@@ -47,6 +49,14 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _check_int(name: str, value) -> None:
+    """Reject floats, bools and strings where the config wants an integer."""
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _fmt(x: float) -> str:
@@ -79,6 +89,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown subcommand {self.subcommand!r}; pick one of {sorted(SUBCOMMANDS)}"
             )
+        for name in ("d", "N", "M", "replicates", "pairs", "n", "p_max", "fit_min_gen"):
+            _check_int(name, getattr(self, name))
+        for name in ("seeds", "gens"):
+            for value in getattr(self, name) or ():
+                _check_int(name, value)
         if self.d < 1:
             raise ConfigError("d must be >= 1")
         if self.N < 1:
@@ -104,7 +119,14 @@ class ExperimentConfig:
         object.__setattr__(self, "q", tuple(float(x) for x in self.q))
         object.__setattr__(self, "gamma", tuple(float(x) for x in self.gamma))
         if self.gens is not None:
+            if not self.gens or not all(0 <= g <= self.N for g in self.gens):
+                raise ConfigError(f"gens must be nonempty and within 0..N={self.N}")
             object.__setattr__(self, "gens", tuple(int(g) for g in self.gens))
+        if self.subcommand == "fractional-criteria" and not 0 <= self.fit_min_gen <= m - 1:
+            raise ConfigError(
+                "fractional-criteria fits generations fit_min_gen..M, at least two: need "
+                f"0 <= fit_min_gen <= M-1, got fit_min_gen={self.fit_min_gen}, M={m}"
+            )
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
@@ -307,7 +329,7 @@ def run_fractional_criteria(cfg: ExperimentConfig, out: Path) -> list[Path]:
     with open(path, "w") as fh:
         fh.write("seed,n,stat_name,value\n")
         for seed in cfg.seeds:
-            f = next(iter(sample_sheet_ensemble(cfg.H, cfg.N, seed, 1)))
+            f = _sample_for(cfg, seed)
             rep = build_report(coefficient_table(f, cfg.M), hurst=cfg.H)
             for n, name, value in rep.rows():
                 fh.write(f"{seed},{n},{name},{_fmt(value)}\n")
@@ -346,8 +368,10 @@ def run_moment_scaling(cfg: ExperimentConfig, out: Path) -> list[Path]:
     seed = cfg.seeds[0]
     pooled: dict[int, list[np.ndarray]] = {n: [] for n in gens}
     for f in sample_sheet_ensemble(cfg.H, cfg.N, seed, cfg.replicates):
+        levels = increment_levels(f, max(gens))
         for n in gens:
-            pooled[n].append(np.asarray(cube_increments(f, n), dtype=float))
+            # Looked up on increments, the call site bench/tracer.py wraps.
+            pooled[n].append(np.asarray(increments.lex_to_morton(levels[n]), dtype=float))
     samples = {n: np.concatenate(chunks) for n, chunks in pooled.items()}
     path = out / "moment_scaling.csv"
     fits = {}

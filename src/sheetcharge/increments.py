@@ -208,13 +208,15 @@ def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
     by_gen = increment_levels(f, max_gen + 1)
     for n in range(max_gen + 1):
         child = lex_to_morton(by_gen[n + 1]).reshape(1 << (n * d), 1 << d)
+        by_gen[n + 1] = None  # consumed; the finest levels are as large as the grid
         if f.is_exact:
             full = np.dot(child, mat.astype(object))
             lam = full[:, 1:] * pow2_half(n * d)
         else:
-            full = child.astype(float) @ mat.astype(float)
+            full = np.asarray(child, dtype=float) @ mat.astype(float)
             lam = full[:, 1:] * 2.0 ** (n * d / 2.0)
         levels.append(lam)
+    del child, full  # not needed while CoefficientTable copies the levels
     return CoefficientTable(d, max_gen, f.corner_value(), tuple(levels))
 
 

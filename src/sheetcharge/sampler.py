@@ -14,6 +14,7 @@ reproducible across runs and thread counts.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -173,50 +174,43 @@ def _apply_factors(factors: Sequence[np.ndarray], noise: np.ndarray) -> np.ndarr
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _axis_factor(h: float, gen: int) -> tuple[np.ndarray, float]:
+    """``axis_cholesky(h, gen)`` factored once per (h, N) and shared read-only.
+
+    Four entries hold every distinct exponent of a d <= 3 sheet.
+    """
+    fac, jitter = axis_cholesky(h, gen)
+    fac.flags.writeable = False
+    return fac, jitter
+
+
 def sample_sheet(
     H: HurstVector | Sequence[float], gen: int, seed: int, replicate: int = 0
 ) -> GridSample:
     """One sheet sample with exact grid covariance, deterministic in (H, N, seed)."""
     H = HurstVector.of(H)
-    factors, jitters = [], []
-    for h in H.components:
-        fac, jit = axis_cholesky(h, gen)
-        factors.append(fac)
-        jitters.append(jit)
-    rng = replicate_rng(seed, replicate)
-    noise = rng.standard_normal((1 << gen,) * H.dim)
-    core = _apply_factors(factors, noise)
+    factors, jitters = zip(*(_axis_factor(h, gen) for h in H.components))
+    shape = (1 << gen,) * H.dim
+    # The noise gets no name here, so it is freed as soon as the mode products return.
+    core = _apply_factors(factors, replicate_rng(seed, replicate).standard_normal(shape))
     return GridSample(
         H.dim,
         gen,
         _embed_interior(core, H.dim, gen),
         hurst=H.components,
         seed=seed,
-        meta={"sampler": "kronecker-cholesky", "jitter": jitters, "replicate": replicate},
+        meta={"sampler": "kronecker-cholesky", "jitter": list(jitters), "replicate": replicate},
     )
 
 
 def sample_sheet_ensemble(
     H: HurstVector | Sequence[float], gen: int, seed: int, replicates: int
 ) -> Iterator[GridSample]:
-    """Replicate stream sharing the per-axis factors (computed once)."""
+    """Replicates 0..replicates-1 of :func:`sample_sheet`, drawn lazily."""
     H = HurstVector.of(H)
-    factors, jitters = [], []
-    for h in H.components:
-        fac, jit = axis_cholesky(h, gen)
-        factors.append(fac)
-        jitters.append(jit)
     for rep in range(replicates):
-        rng = replicate_rng(seed, rep)
-        core = _apply_factors(factors, rng.standard_normal((1 << gen,) * H.dim))
-        yield GridSample(
-            H.dim,
-            gen,
-            _embed_interior(core, H.dim, gen),
-            hurst=H.components,
-            seed=seed,
-            meta={"sampler": "kronecker-cholesky", "jitter": jitters, "replicate": rep},
-        )
+        yield sample_sheet(H, gen, seed, rep)
 
 
 def sample_standard_sheet(d: int, gen: int, seed: int, replicate: int = 0) -> GridSample:
@@ -282,10 +276,12 @@ def grid_to_csv(f: GridSample, path) -> None:
                 fh.write(f"{i},{format(i / denom, '.17g')},{format(float(v), '.17g')}\n")
         else:
             fh.write("i,j,x,y,value\n")
-            for i in range(f.values.shape[0]):
-                for j in range(f.values.shape[1]):
-                    fh.write(
-                        f"{i},{j},{format(i / denom, '.17g')},"
-                        f"{format(j / denom, '.17g')},"
-                        f"{format(float(f.values[i, j]), '.17g')}\n"
-                    )
+            coords = [format(i / denom, ".17g") for i in range(denom + 1)]
+            # One row at a time: a whole-grid tolist() would hold a Python
+            # float object per grid point.
+            for i, row in enumerate(np.asarray(f.values, dtype=float)):
+                x = coords[i]
+                fh.writelines(
+                    f"{i},{j},{x},{coords[j]},{format(v, '.17g')}\n"
+                    for j, v in enumerate(row.tolist())
+                )

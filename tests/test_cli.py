@@ -96,6 +96,38 @@ class TestCliContract:
         assert run_cli(["simulate", "--config", cfg]) == 2
         assert "invalid config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"N": 8.5},
+            {"N": 4.0},
+            {"d": True},
+            {"replicates": "3"},
+            {"M": 2.0},
+            {"seeds": [1.5]},
+            {"gens": [1, 2.0]},
+        ],
+    )
+    def test_non_integer_field_rejected(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, **{"d": 1, "N": 4, "seeds": [1], **bad})
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_fit_min_gen_beyond_fit_range_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, d=2, N=6, H=[0.9, 0.9], fit_min_gen=9, seeds=[0])
+        assert run_cli(["fractional-criteria", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "fit_min_gen" in capsys.readouterr().err
+
+    def test_fit_min_gen_checked_for_fractional_criteria_only(self, tmp_path):
+        # default fit_min_gen=3 exceeds M-1=1 here; other subcommands do not fit
+        cfg = write_config(tmp_path, d=1, N=3, seeds=[0], out=str(tmp_path / "out"))
+        assert run_cli(["brownian-dichotomy", "--config", cfg]) == 0
+
+    def test_gens_outside_grid_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, d=1, N=4, H=[0.7], gens=[-1, 2], seeds=[0])
+        assert run_cli(["moment-scaling", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "gens" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(["simulate", "--config", tmp_path / "nope.json"]) == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -61,3 +61,43 @@ def test_ring_axioms(x, y, z):
 def test_negation_and_zero(x):
     assert x + (-x) == Rad2(0, 0)
     assert not (x - x)
+
+
+def pell_convergent(k: int) -> tuple[int, int]:
+    """k-th convergent p/q of sqrt(2): p^2 - 2 q^2 = (-1)^(k+1)."""
+    p, q = 1, 1
+    for _ in range(k):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+def test_near_cancellation_regression():
+    x = Rad2(367296043199, -259717522849)  # 1 / (a - b sqrt 2) ~ 1.4e-12 in magnitude
+    assert x < 0 and x <= 0 and not x >= 0
+    assert float(x) < 0
+    assert abs(x) == -x and abs(x) > 0
+
+
+@given(
+    st.integers(1, 80),
+    st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=50).filter(bool),
+)
+def test_pell_convergents_exact_sign_and_float(k, scale):
+    p, q = pell_convergent(k)
+    norm = p * p - 2 * q * q  # +-1
+    x = Rad2(p, -q) * scale  # scale * norm / (p + q sqrt 2): tiny, with a known sign
+    sign = 1 if norm * scale > 0 else -1
+    assert (x > 0) == (sign > 0) and (x < 0) == (sign < 0)
+    assert (x <= Fraction(0)) == (sign < 0) and (Fraction(0) < x) == (sign > 0)
+    assert abs(x) == (x if sign > 0 else -x)
+    assert abs(x) >= 0 and -abs(x) <= 0
+    want = float(norm * scale) / (p + q * 2**0.5)
+    assert float(x) == pytest.approx(want, rel=1e-12)
+    assert float(-x) == -float(x)
+
+
+@given(rad2s, rad2s)
+def test_order_is_total_and_matches_difference(x, y):
+    assert (x < y) + (x == y) + (x > y) == 1
+    assert (x <= y) == (x < y or x == y)
+    assert (x < y) == (y - x > 0)

@@ -3,25 +3,57 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sheetcharge.dyadic import DyadicCube, Figure, Rectangle
-from sheetcharge.haar import haar_indices_up_to, haar_primitive_grid
+from sheetcharge.dyadic import DyadicCube, Figure, Rectangle, lex_to_morton
+from sheetcharge.exact import Rad2, pow2_half
+from sheetcharge.haar import haar_indices_up_to, haar_matrix, haar_primitive_grid
 from sheetcharge.increments import (
     CoefficientTable,
     GridSample,
     coefficient_table,
     cube_increments,
     figure_increment,
+    increment_levels,
     load_coefficients,
     rectangle_increment,
     save_coefficients,
 )
-from sheetcharge.sampler import sample_standard_sheet
+from sheetcharge.sampler import sample_sheet, sample_standard_sheet
 
 from helpers import product_grid, zero_grid
 
 
 def frac_rect(lo, hi):
     return Rectangle(tuple(Fraction(x) for x in lo), tuple(Fraction(x) for x in hi))
+
+
+def reference_coefficient_levels(f, max_gen):
+    """The per-level loop of coefficient_table with every array kept alive."""
+    d = f.dim
+    mat = haar_matrix(d)
+    levels = []
+    by_gen = increment_levels(f, max_gen + 1)
+    for n in range(max_gen + 1):
+        child = lex_to_morton(by_gen[n + 1]).reshape(1 << (n * d), 1 << d)
+        if f.is_exact:
+            full = np.dot(child, mat.astype(object))
+            lam = full[:, 1:] * pow2_half(n * d)
+        else:
+            full = child.astype(float) @ mat.astype(float)
+            lam = full[:, 1:] * 2.0 ** (n * d / 2.0)
+        levels.append(lam)
+    return levels
+
+
+def exact_random_grid(d, gen, seed, scalar):
+    """Grid with random integer cell increments, each times ``scalar`` (exact)."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(-9, 10, size=(1 << gen,) * d).astype(object) * scalar
+    core = cells
+    for axis in range(d):
+        core = np.cumsum(core, axis=axis)
+    full = np.full(((1 << gen) + 1,) * d, Fraction(0), dtype=object)
+    full[(slice(1, None),) * d] = core
+    return GridSample(d, gen, full)
 
 
 class TestGridSample:
@@ -210,3 +242,43 @@ class TestCoefficientTable:
     def test_shapes_validated(self):
         with pytest.raises(ValueError):
             CoefficientTable(2, 1, 0.0, (np.zeros((1, 3)), np.zeros((4, 2))))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            sample_standard_sheet(1, 7, seed=2),
+            sample_standard_sheet(2, 5, seed=3),
+            sample_sheet((0.6, 0.9), 5, seed=4),
+            sample_sheet((0.7, 0.8, 0.9), 3, seed=5),
+            GridSample(2, 2, np.multiply.outer(np.arange(5), np.arange(5))),
+        ],
+    )
+    def test_float_table_bit_identical_to_reference(self, f):
+        tab = coefficient_table(f, f.gen - 1)
+        for lev, want in zip(tab.levels, reference_coefficient_levels(f, f.gen - 1), strict=True):
+            assert lev.dtype == want.dtype and np.array_equal(lev, want)
+
+    @pytest.mark.parametrize("scalar", [Fraction(1, 3), Rad2(Fraction(1, 2), Fraction(-2, 3))])
+    @pytest.mark.parametrize("d,gen", [(1, 4), (2, 3), (3, 2)])
+    def test_exact_table_equals_reference(self, d, gen, scalar):
+        f = exact_random_grid(d, gen, seed=10 * d + gen, scalar=scalar)
+        tab = coefficient_table(f, gen - 1)
+        for lev, want in zip(tab.levels, reference_coefficient_levels(f, gen - 1), strict=True):
+            assert lev.dtype == object and np.array_equal(lev, want)
+
+
+class TestIncrementPyramid:
+    @pytest.mark.parametrize(
+        "f",
+        [
+            sample_standard_sheet(1, 6, seed=1),
+            sample_sheet((0.7, 0.9), 5, seed=2),
+            sample_standard_sheet(3, 3, seed=3),
+            exact_random_grid(2, 3, seed=4, scalar=Fraction(1, 7)),
+        ],
+    )
+    def test_one_pyramid_matches_cube_increments(self, f):
+        # moment-scaling reads every generation from one pyramid
+        levels = increment_levels(f, f.gen)
+        for n in range(f.gen + 1):
+            assert np.array_equal(lex_to_morton(levels[n]), cube_increments(f, n))

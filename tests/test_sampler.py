@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sheetcharge import sampler
 from sheetcharge.dyadic import Rectangle
 from sheetcharge.increments import cube_increments
 from sheetcharge.sampler import (
@@ -20,6 +22,8 @@ from sheetcharge.sampler import (
     save_grid,
     sheet_covariance,
 )
+
+from helpers import product_grid
 
 
 def frac_rect(lo, hi):
@@ -236,7 +240,89 @@ class TestSerialization:
         assert lines[0] == "i,j,x,y,value"
         assert len(lines) == 1 + 9
 
+    @staticmethod
+    def reference_csv_2d(f, path):
+        """Cell-by-cell d=2 export, the reference for grid_to_csv's row writer."""
+        denom = 1 << f.gen
+        with open(path, "w") as fh:
+            fh.write("i,j,x,y,value\n")
+            for i in range(f.values.shape[0]):
+                for j in range(f.values.shape[1]):
+                    fh.write(
+                        f"{i},{j},{format(i / denom, '.17g')},"
+                        f"{format(j / denom, '.17g')},"
+                        f"{format(float(f.values[i, j]), '.17g')}\n"
+                    )
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_csv_export_matches_reference_bytes(self, tmp_path, exact):
+        f = product_grid(2, 3, exact=True) if exact else sample_sheet((0.6, 0.8), 4, seed=1)
+        grid_to_csv(f, tmp_path / "fast.csv")
+        self.reference_csv_2d(f, tmp_path / "slow.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
     def test_csv_export_rejects_high_dim(self, tmp_path):
         f = sample_standard_sheet(3, 1, seed=3)
         with pytest.raises(ValueError):
             grid_to_csv(f, tmp_path / "x.csv")
+
+
+class TestAxisFactorCache:
+    """The cached factor path against factors built directly by axis_cholesky."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        sampler._axis_factor.cache_clear()
+        yield
+        sampler._axis_factor.cache_clear()
+
+    @staticmethod
+    def direct_sample(H, gen, seed, replicate):
+        factors = [axis_cholesky(h, gen)[0] for h in H]
+        noise = replicate_rng(seed, replicate).standard_normal((1 << gen,) * len(H))
+        core = sampler._apply_factors(factors, noise)
+        full = np.zeros(((1 << gen) + 1,) * len(H))
+        full[(slice(1, None),) * len(H)] = core
+        return full
+
+    @pytest.mark.parametrize(
+        "H,gen",
+        [
+            ((0.7,), 6),
+            ((0.8, 0.8), 4),
+            ((0.6, 0.9), 4),
+            ((0.7, 0.7, 0.7), 3),
+            ((0.55, 0.7, 0.9), 3),
+        ],
+    )
+    def test_matches_direct_factors(self, H, gen):
+        for seed in (0, 7):
+            for rep, f in enumerate(sample_sheet_ensemble(H, gen, seed, 3)):
+                assert np.array_equal(f.values, self.direct_sample(H, gen, seed, rep))
+                assert f.meta["jitter"] == [0.0] * len(H)
+            g = sample_sheet(H, gen, seed, replicate=5)
+            assert np.array_equal(g.values, self.direct_sample(H, gen, seed, 5))
+
+    def test_one_factorization_per_distinct_h_and_gen(self, monkeypatch):
+        calls = Counter()
+        real = sampler.axis_cholesky
+
+        def counting(h, gen):
+            calls[(h, gen)] += 1
+            return real(h, gen)
+
+        monkeypatch.setattr(sampler, "axis_cholesky", counting)
+        for seed in range(3):
+            for _ in sample_sheet_ensemble((0.7, 0.9, 0.7), 3, seed, 4):
+                pass
+            sample_sheet((0.9, 0.7), 3, seed, replicate=2)
+            sample_sheet((0.7,), 4, seed)
+        assert calls == {(0.7, 3): 1, (0.9, 3): 1, (0.7, 4): 1}
+
+    def test_cached_factor_is_read_only(self):
+        fac, jitter = sampler._axis_factor(0.8, 3)
+        assert not fac.flags.writeable
+        with pytest.raises(ValueError):
+            fac[0, 0] = 1.0
+        assert np.array_equal(fac, axis_cholesky(0.8, 3)[0])
+        assert jitter == 0.0
