@@ -60,13 +60,9 @@ def integrate_haar_over_figure(
     total_float = 0.0
     scale = pow2_half(n * dim) if exact else 2.0 ** (n * dim / 2.0)
     for cube in fig.cubes:
-        if cube.gen < n + 1:
-            continue  # support either outside or fully inside: integral 0
-        anc = cube.index >> (dim * (cube.gen - n))
-        if anc != k:
-            continue
-        child = (cube.index >> (dim * (cube.gen - n - 1))) & ((1 << dim) - 1)
-        sign = haar_matrix_entry(dim, r, child)
+        if cube.gen < n + 1 or cube.ancestor(n).index != k:
+            continue  # cube outside the support or swallowing it whole: integral 0
+        sign = haar_matrix_entry(dim, r, cube.ancestor(n + 1).child_digit())
         if exact:
             total_exact += sign * Fraction(1, 1 << (cube.gen * dim))
         else:
@@ -95,9 +91,8 @@ def schauder_partial_apply(tab: CoefficientTable, max_gen: int, fig: Figure):
     # group by Haar support: only ancestors of member cubes can contribute
     for cube in fig.cubes:
         for n in range(min(max_gen, cube.gen - 1) + 1):
-            k = cube.index >> (d * (cube.gen - n))
-            child = (cube.index >> (d * (cube.gen - n - 1))) & ((1 << d) - 1)
-            lam = tab.level(n)[k]
+            lam = tab.level(n)[cube.ancestor(n).index]
+            child = cube.ancestor(n + 1).child_digit()
             vol = (
                 Fraction(1, 1 << (cube.gen * d)) if exact else 2.0 ** (-cube.gen * d)
             )

@@ -39,13 +39,14 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"sheetcharge: cannot read config: {exc}", file=sys.stderr)
         return 2
-    if "config" in obj:
+    if isinstance(obj, dict) and "config" in obj:
         obj = obj["config"]
-    obj["subcommand"] = args.subcommand
-    if args.seed is not None:
-        obj["seeds"] = [args.seed]
-    if args.out is not None:
-        obj["out"] = args.out
+    if isinstance(obj, dict):  # from_json_obj rejects anything else
+        obj["subcommand"] = args.subcommand
+        if args.seed is not None:
+            obj["seeds"] = [args.seed]
+        if args.out is not None:
+            obj["out"] = args.out
     try:
         cfg = ExperimentConfig.from_json_obj(obj)
     except ConfigError as exc:

@@ -9,12 +9,15 @@ so the files are stable regression artifacts.
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,16 +54,46 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _check_int(name: str, value) -> None:
-    """Reject floats, bools and strings where the config wants an integer."""
+_NEEDS_H = ("covariance-check", "fractional-criteria", "moment-scaling")
+
+
+def _check(name: str, value, kind: type = numbers.Integral) -> None:
+    """Reject anything but a finite ``kind`` number, bools and strings included; None passes."""
     if value is None:
         return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, kind) or not -math.inf < value < math.inf:
+        what = "an integer" if kind is numbers.Integral else "a finite number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def _as_tuple(name: str, value) -> tuple:
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+@contextmanager
+def _csv(path: Path, header: str) -> Iterator[Callable[..., None]]:
+    """Open ``path``, write ``header`` and yield a writer of comma-joined rows.
+
+    Floats go through :func:`_fmt`, every other field through ``str``.
+    """
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        yield lambda *fields: fh.write(
+            ",".join(_fmt(x) if isinstance(x, (float, np.floating)) else str(x) for x in fields)
+            + "\n"
+        )
+
+
+def _write_json(path: Path, obj, **kw) -> Path:
+    """Write ``obj`` as indent-2 JSON plus a trailing newline."""
+    path.write_text(json.dumps(obj, indent=2, **kw) + "\n")
+    return path
 
 
 @dataclass(frozen=True)
@@ -90,10 +123,13 @@ class ExperimentConfig:
                 f"unknown subcommand {self.subcommand!r}; pick one of {sorted(SUBCOMMANDS)}"
             )
         for name in ("d", "N", "M", "replicates", "pairs", "n", "p_max", "fit_min_gen"):
-            _check_int(name, getattr(self, name))
-        for name in ("seeds", "gens"):
+            _check(name, getattr(self, name))
+        _check("hbar", self.hbar, numbers.Real)
+        for name in ("seeds", "gens", "H", "q", "gamma"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _as_tuple(name, getattr(self, name)))
             for value in getattr(self, name) or ():
-                _check_int(name, value)
+                _check(name, value, numbers.Integral if name in ("seeds", "gens") else numbers.Real)
         if self.d < 1:
             raise ConfigError("d must be >= 1")
         if self.N < 1:
@@ -102,22 +138,33 @@ class ExperimentConfig:
         if not 0 <= m <= self.N - 1:
             raise ConfigError(f"need 0 <= M <= N-1, got M={m}, N={self.N}")
         object.__setattr__(self, "M", m)
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be a nonempty list of integers >= 0, got {self.seeds}")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a directory name, got {self.out!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if self.H is None and self.subcommand in _NEEDS_H:
+            raise ConfigError(f"{self.subcommand} requires H")
         if self.H is not None:
-            hv = HurstVector(tuple(self.H))
+            try:
+                hv = HurstVector(self.H)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
             if hv.dim != self.d:
                 raise ConfigError("H must have one component per axis")
             object.__setattr__(self, "H", hv.components)
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         pm = self.p_max if self.p_max is not None else self.N - 1
-        if self.subcommand == "counterexample" and not self.n <= pm <= self.N - 1:
-            raise ConfigError(f"need n <= p_max <= N-1, got n={self.n}, p_max={pm}")
+        if self.subcommand == "counterexample" and not 0 <= self.n <= pm <= self.N - 1:
+            raise ConfigError(f"need 0 <= n <= p_max <= N-1, got n={self.n}, p_max={pm}")
         object.__setattr__(self, "p_max", pm)
         object.__setattr__(self, "q", tuple(float(x) for x in self.q))
         object.__setattr__(self, "gamma", tuple(float(x) for x in self.gamma))
+        if not all(x > 0 for x in self.q):
+            raise ConfigError(f"q must be positive, got {list(self.q)}")
+        if not all(0 < x <= 1 for x in self.gamma):
+            raise ConfigError(f"gamma must lie in (0, 1], got {list(self.gamma)}")
         if self.gens is not None:
             if not self.gens or not all(0 <= g <= self.N for g in self.gens):
                 raise ConfigError(f"gens must be nonempty and within 0..N={self.N}")
@@ -127,21 +174,31 @@ class ExperimentConfig:
                 "fractional-criteria fits generations fit_min_gen..M, at least two: need "
                 f"0 <= fit_min_gen <= M-1, got fit_min_gen={self.fit_min_gen}, M={m}"
             )
+        if self.subcommand == "moment-scaling":
+            # Generation n pools replicates * 2^(nd) increments (the shift is capped so a huge N
+            # stays cheap); the fit drops those below its min_count and needs two left.
+            min_count = inspect.signature(moment_scaling_fit).parameters["min_count"].default
+            counts = [self.replicates << min(n * self.d, 64) for n in set(self._moment_gens())]
+            if sum(c >= min_count for c in counts) < 2:
+                raise ConfigError(
+                    f"moment-scaling needs two generations with replicates * 2^(n*d) >= {min_count}"
+                )
+
+    def _moment_gens(self) -> tuple[int, ...]:
+        """Generations moment-scaling pools: ``gens``, or 2..M by default."""
+        return self.gens if self.gens is not None else tuple(range(2, self.M + 1))
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
-        if "config" in obj:  # manifest round-trip
+        if isinstance(obj, dict) and "config" in obj:  # manifest round-trip
             obj = obj["config"]
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        if not isinstance(obj, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(obj)
-        for key in ("H", "q", "gamma", "seeds", "gens"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
         try:
-            return cls(**kwargs)
+            return cls(**obj)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -237,11 +294,7 @@ def _write_manifest(cfg: ExperimentConfig, out: Path) -> Path:
         "subcommand": cfg.subcommand,
         "config": asdict(cfg),
     }
-    path = out / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return _write_json(out / "manifest.json", manifest, sort_keys=True)
 
 
 def run_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
@@ -259,8 +312,6 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def run_covariance_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    if cfg.H is None:
-        raise ConfigError("covariance-check requires H")
     seed = cfg.seeds[0]
     n_pts = 1 << cfg.N
     picker = replicate_rng(seed, 10**6)
@@ -274,44 +325,35 @@ def run_covariance_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
         for i, (s, t) in enumerate(pairs):
             sums[i] += f.values[s] * f.values[t]
     emp = sums / cfg.replicates
-    rows = []
-    for i, (s, t) in enumerate(pairs):
-        sp = tuple(j / n_pts for j in s)
-        tp = tuple(j / n_pts for j in t)
-        exact = sheet_covariance(cfg.H, sp, tp)
-        var = sheet_covariance(cfg.H, sp, sp) * sheet_covariance(cfg.H, tp, tp) + exact**2
-        se = (var / cfg.replicates) ** 0.5
-        z = (emp[i] - exact) / se if se > 0 else 0.0
-        rows.append((f"{s}|{t}", emp[i], exact, z))
     path = out / "covariance_check.csv"
-    with open(path, "w") as fh:
-        fh.write("pair,empirical,exact,z\n")
-        for name, e, x, z in rows:
-            fh.write(f"\"{name}\",{_fmt(e)},{_fmt(x)},{_fmt(z)}\n")
+    with _csv(path, "pair,empirical,exact,z") as row:
+        for i, (s, t) in enumerate(pairs):
+            sp = tuple(j / n_pts for j in s)
+            tp = tuple(j / n_pts for j in t)
+            exact = sheet_covariance(cfg.H, sp, tp)
+            var = sheet_covariance(cfg.H, sp, sp) * sheet_covariance(cfg.H, tp, tp) + exact**2
+            se = (var / cfg.replicates) ** 0.5
+            z = (emp[i] - exact) / se if se > 0 else 0.0
+            row(f'"{s}|{t}"', emp[i], exact, z)
     return [path]
 
 
 def run_brownian_dichotomy(cfg: ExperimentConfig, out: Path) -> list[Path]:
     path = out / "brownian_dichotomy.csv"
     means = np.zeros(cfg.M + 1)
-    with open(path, "w") as fh:
-        fh.write("seed,n,stat_name,value\n")
+    with _csv(path, "seed,n,stat_name,value") as row:
         for seed in cfg.seeds:
             f = sample_standard_sheet(cfg.d, cfg.N, seed)
             rep = build_report(coefficient_table(f, cfg.M), hurst=(0.5,) * cfg.d)
             for n, name, value in rep.rows():
-                fh.write(f"{seed},{n},{name},{_fmt(value)}\n")
+                row(seed, n, name, value)
             means += np.asarray(rep.t_stats)
     summary = {
         "mean_abs_by_gen": [m / len(cfg.seeds) for m in means],
         "half_normal_mean": float(np.sqrt(2.0 / np.pi)),
         "seeds": list(cfg.seeds),
     }
-    jpath = out / "brownian_dichotomy.json"
-    with open(jpath, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    return [path, jpath]
+    return [path, _write_json(out / "brownian_dichotomy.json", summary)]
 
 
 def _fit_b_slope(b_terms: Sequence[float], n_min: int) -> float:
@@ -322,17 +364,14 @@ def _fit_b_slope(b_terms: Sequence[float], n_min: int) -> float:
 
 
 def run_fractional_criteria(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    if cfg.H is None:
-        raise ConfigError("fractional-criteria requires H")
     path = out / "fractional_criteria.csv"
     slopes = []
-    with open(path, "w") as fh:
-        fh.write("seed,n,stat_name,value\n")
+    with _csv(path, "seed,n,stat_name,value") as row:
         for seed in cfg.seeds:
             f = _sample_for(cfg, seed)
             rep = build_report(coefficient_table(f, cfg.M), hurst=cfg.H)
             for n, name, value in rep.rows():
-                fh.write(f"{seed},{n},{name},{_fmt(value)}\n")
+                row(seed, n, name, value)
             slopes.append(_fit_b_slope(rep.b_terms, cfg.fit_min_gen))
     hbar = sum(cfg.H) / cfg.d
     summary = {
@@ -341,30 +380,23 @@ def run_fractional_criteria(cfg: ExperimentConfig, out: Path) -> list[Path]:
         "reference_rate": cfg.d - 1 - cfg.d * hbar,
         "seeds": list(cfg.seeds),
     }
-    jpath = out / "fractional_criteria.json"
-    with open(jpath, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    return [path, jpath]
+    return [path, _write_json(out / "fractional_criteria.json", summary)]
 
 
 def run_holder_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
     path = out / "holder_scan.csv"
-    with open(path, "w") as fh:
-        fh.write("seed,gamma,n,ratio\n")
+    with _csv(path, "seed,gamma,n,ratio") as row:
         for seed in cfg.seeds:
             f = _sample_for(cfg, seed)
             for gamma in cfg.gamma:
                 ratios = holder_ratio_by_level(f, gamma, cfg.M)
                 for n, r in enumerate(ratios):
-                    fh.write(f"{seed},{_fmt(gamma)},{n},{_fmt(r)}\n")
+                    row(seed, gamma, n, r)
     return [path]
 
 
 def run_moment_scaling(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    if cfg.H is None:
-        raise ConfigError("moment-scaling requires H")
-    gens = cfg.gens if cfg.gens is not None else tuple(range(2, cfg.M + 1))
+    gens = cfg._moment_gens()
     seed = cfg.seeds[0]
     pooled: dict[int, list[np.ndarray]] = {n: [] for n in gens}
     for f in sample_sheet_ensemble(cfg.H, cfg.N, seed, cfg.replicates):
@@ -375,13 +407,12 @@ def run_moment_scaling(cfg: ExperimentConfig, out: Path) -> list[Path]:
     samples = {n: np.concatenate(chunks) for n, chunks in pooled.items()}
     path = out / "moment_scaling.csv"
     fits = {}
-    with open(path, "w") as fh:
-        fh.write("q,n,log2_volume,log2_moment,count\n")
+    with _csv(path, "q,n,log2_volume,log2_moment,count") as row:
         for q in cfg.q:
             fit = moment_scaling_fit(samples, q, cfg.d)
             fits[q] = fit
-            for n, lv, lm, count in fit.points:
-                fh.write(f"{_fmt(q)},{n},{_fmt(lv)},{_fmt(lm)},{count}\n")
+            for point in fit.points:
+                row(q, *point)
     hbar = sum(cfg.H) / cfg.d
     summary = {
         "fits": [
@@ -397,11 +428,7 @@ def run_moment_scaling(cfg: ExperimentConfig, out: Path) -> list[Path]:
         "replicates": cfg.replicates,
         "seed": seed,
     }
-    jpath = out / "moment_scaling.json"
-    with open(jpath, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    return [path, jpath]
+    return [path, _write_json(out / "moment_scaling.json", summary)]
 
 
 def run_counterexample(cfg: ExperimentConfig, out: Path) -> list[Path]:
@@ -411,20 +438,17 @@ def run_counterexample(cfg: ExperimentConfig, out: Path) -> list[Path]:
     path = out / "counterexample.csv"
     coverages = []
     paths = [path]
-    with open(path, "w") as fh:
-        fh.write("seed,coverage,increment,threshold_sum,volume,perimeter,selected\n")
+    with _csv(path, "seed,coverage,increment,threshold_sum,volume,perimeter,selected") as row:
         for seed in cfg.seeds:
             f = _sample_for(cfg, seed)
             fig, rep = counterexample_figure(f, cfg.n, cfg.p_max, hbar)
             coverages.append(rep.coverage)
-            fh.write(
-                f"{seed},{_fmt(rep.coverage)},{_fmt(rep.increment)},"
-                f"{_fmt(rep.threshold_sum)},{_fmt(rep.volume)},"
-                f"{_fmt(rep.perimeter)},{sum(rep.selected_per_level)}\n"
+            row(
+                seed, rep.coverage, rep.increment, rep.threshold_sum, rep.volume,
+                rep.perimeter, sum(rep.selected_per_level),
             )
             fig_path = out / f"counterexample_figure_seed{seed}.json"
-            with open(fig_path, "w") as fj:
-                fj.write(fig.to_json() + "\n")
+            fig_path.write_text(fig.to_json() + "\n")
             paths.append(fig_path)
     summary = {
         "median_coverage": float(np.median(coverages)),
@@ -433,11 +457,7 @@ def run_counterexample(cfg: ExperimentConfig, out: Path) -> list[Path]:
         "max_gen": cfg.p_max,
         "seeds": list(cfg.seeds),
     }
-    jpath = out / "counterexample.json"
-    with open(jpath, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-    paths.append(jpath)
+    paths.append(_write_json(out / "counterexample.json", summary))
     return paths
 
 

@@ -150,27 +150,35 @@ class StepFunction:
         return Fraction(1, 1 << (self.gen * self.dim))
 
 
+def _integer_pattern(idx: HaarIndex, gen: int) -> tuple[np.ndarray, int]:
+    """Integer signs on the generation-``gen`` cells plus the half-exponent of the amplitude.
+
+    The one (ancestor, child digit, sign) rule: cell c takes row[child digit]
+    inside the support cube and 0 outside it.
+    """
+    d = idx.dim
+    n_cells = 1 << (gen * d)
+    if idx.is_exceptional:
+        return np.ones(n_cells, dtype=np.int64), 0
+    if gen < idx.gen + 1:
+        raise ValueError(f"generation {gen} cannot resolve Haar generation {idx.gen}")
+    row, e = haar_child_pattern(idx)
+    cells = np.arange(n_cells, dtype=np.int64)
+    anc = cells >> (d * (gen - idx.gen))
+    child = (cells >> (d * (gen - idx.gen - 1))) & ((1 << d) - 1)
+    return np.where(anc == idx.cube, row[child], 0), e
+
+
 def haar_step(idx: HaarIndex, gen: int, exact: bool = False) -> StepFunction:
     """Sample a Haar function as a StepFunction at generation ``gen`` >= n+1.
 
     With ``exact`` the values are Fraction/Rad2 objects, otherwise float64.
     """
-    d = idx.dim
-    n_cells = 1 << (gen * d)
-    if idx.is_exceptional:
-        one = Fraction(1) if exact else 1.0
-        return StepFunction(d, gen, np.full(n_cells, one, dtype=object if exact else float))
-    if gen < idx.gen + 1:
-        raise ValueError("sampling generation must exceed the Haar generation")
-    row, e = haar_child_pattern(idx)
-    cells = np.arange(n_cells, dtype=np.int64)
-    anc = cells >> (d * (gen - idx.gen))
-    child = (cells >> (d * (gen - idx.gen - 1))) & ((1 << d) - 1)
-    pattern = np.where(anc == idx.cube, row[child], 0)
+    pattern, e = _integer_pattern(idx, gen)
     if exact:
         scale = pow2_half(e)
-        return StepFunction(d, gen, np.array([int(p) * scale for p in pattern], dtype=object))
-    return StepFunction(d, gen, pattern.astype(float) * 2.0 ** (e / 2.0))
+        return StepFunction(idx.dim, gen, np.array([int(p) * scale for p in pattern], dtype=object))
+    return StepFunction(idx.dim, gen, pattern.astype(float) * 2.0 ** (e / 2.0))
 
 
 def integrate_haar_step(idx: HaarIndex, u: StepFunction) -> float | Fraction | Rad2:
@@ -181,21 +189,12 @@ def integrate_haar_step(idx: HaarIndex, u: StepFunction) -> float | Fraction | R
     """
     if u.dim != idx.dim:
         raise ValueError("dimension mismatch")
-    d = idx.dim
-    cell_vol = Fraction(1, 1 << (u.gen * d))
+    cell_vol = Fraction(1, 1 << (u.gen * idx.dim))
     if idx.is_exceptional:
         if u.values.dtype == object:
             return sum(u.values.tolist()) * cell_vol
         return float(np.sum(u.values)) * float(cell_vol)
-    if u.gen < idx.gen + 1:
-        raise ValueError(
-            f"step generation {u.gen} cannot resolve Haar generation {idx.gen}"
-        )
-    row, e = haar_child_pattern(idx)
-    cells = np.arange(u.values.shape[0], dtype=np.int64)
-    anc = cells >> (d * (u.gen - idx.gen))
-    child = (cells >> (d * (u.gen - idx.gen - 1))) & ((1 << d) - 1)
-    pattern = np.where(anc == idx.cube, row[child], 0)
+    pattern, e = _integer_pattern(idx, u.gen)
     if u.values.dtype == object:
         dot = sum((int(p) * v for p, v in zip(pattern, u.values) if p), Fraction(0))
         return pow2_half(e) * cell_vol * dot
@@ -212,19 +211,6 @@ def haar_inner_product(a: HaarIndex, b: HaarIndex) -> Fraction | Rad2:
     cell_vol = Fraction(1, 1 << (gen * a.dim))
     total = sum((x * y for x, y in zip(ua.values, ub.values)), Fraction(0))
     return total * cell_vol
-
-
-def _integer_pattern(idx: HaarIndex, gen: int) -> tuple[np.ndarray, int]:
-    """Cell signs at generation ``gen`` plus the half-exponent of the amplitude."""
-    d = idx.dim
-    n_cells = 1 << (gen * d)
-    if idx.is_exceptional:
-        return np.ones(n_cells, dtype=np.int64), 0
-    row, e = haar_child_pattern(idx)
-    cells = np.arange(n_cells, dtype=np.int64)
-    anc = cells >> (d * (gen - idx.gen))
-    child = (cells >> (d * (gen - idx.gen - 1))) & ((1 << d) - 1)
-    return np.where(anc == idx.cube, row[child], 0), e
 
 
 def haar_indices_up_to(d: int, max_gen: int) -> list[HaarIndex]:

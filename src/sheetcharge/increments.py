@@ -118,9 +118,7 @@ def increment_levels(f: GridSample, n_max: int | None = None) -> list[np.ndarray
     if n_max > f.gen:
         raise ValueError(f"generation {n_max} exceeds grid generation {f.gen}")
     levels: list[np.ndarray] = [finest_increments(f)]
-    for _ in range(f.gen - 0):
-        if levels[-1].shape[0] == 1:
-            break
+    for _ in range(f.gen):
         levels.append(_coarsen(levels[-1]))
     levels.reverse()  # levels[n] now holds generation n
     return levels[: n_max + 1]

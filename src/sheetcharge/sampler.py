@@ -219,8 +219,7 @@ def sample_standard_sheet(d: int, gen: int, seed: int, replicate: int = 0) -> Gr
     O(2^Nd) and exactly the H = (1/2, ..., 1/2) grid law.
     """
     rng = replicate_rng(seed, replicate)
-    cells = rng.standard_normal((1 << gen,) * d) * 2.0 ** (-gen * d / 2.0)
-    core = cells
+    core = rng.standard_normal((1 << gen,) * d) * 2.0 ** (-gen * d / 2.0)
     for axis in range(d):
         core = np.cumsum(core, axis=axis)
     return GridSample(

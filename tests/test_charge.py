@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -64,18 +65,25 @@ class TestHaarOverFigure:
     def test_matches_step_cell_sum(self, seed):
         # oracle: integrate by refining figure and Haar step to a common grid
         rng = np.random.default_rng(seed)
-        fig = random_dyadic_figure(rng, 2, 3, 6)
-        for idx in (HaarIndex(2, 0, 0, 2), HaarIndex(2, 1, 3, 1), HaarIndex(2, 2, 9, 3)):
-            g = haar_step(idx, 3, exact=True)
-            ind = np.zeros(64, dtype=object)
-            ind[...] = Fraction(0)
+        for d, exact in itertools.product((1, 2, 3), (True, False)):
+            gen = 3 if d < 3 else 2  # resolves every Haar child up to generation 1
+            fig = random_dyadic_figure(rng, d, gen, 6)
+            indices = haar_indices_up_to(d, 1)[1:]
+            if d == 2:
+                indices.append(HaarIndex(2, 2, 9, 3))  # one generation-2 function too
+            ind = np.zeros(1 << (gen * d), dtype=object if exact else float)
+            ind[...] = Fraction(0) if exact else 0.0
             for cube in fig.cubes:
-                scale = 3 - cube.gen
-                base = cube.index << (2 * scale)
-                for off in range(1 << (2 * scale)):
-                    ind[base + off] = Fraction(1)
-            u = StepFunction(2, 3, ind)
-            assert integrate_haar_over_figure(2, idx.gen, idx.cube, idx.type, fig, exact=True) == step_inner_product(g, u)
+                scale = gen - cube.gen
+                base = cube.index << (d * scale)
+                for off in range(1 << (d * scale)):
+                    ind[base + off] = Fraction(1) if exact else 1.0
+            u = StepFunction(d, gen, ind)
+            for idx in indices:
+                g = haar_step(idx, gen, exact=exact)
+                got = integrate_haar_over_figure(d, idx.gen, idx.cube, idx.type, fig, exact=exact)
+                want = step_inner_product(g, u)
+                assert got == (want if exact else pytest.approx(want, rel=1e-12, abs=1e-15))
 
     def test_coarse_member_swallows_support(self):
         fig = Figure(2, (DyadicCube(2, 0, 0),))

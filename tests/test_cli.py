@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from sheetcharge.cli import main
-from sheetcharge.sampler import load_grid
+from sheetcharge.criteria import build_report, holder_ratio_by_level, moment_scaling_fit
+from sheetcharge.experiment import counterexample_figure
+from sheetcharge.increments import coefficient_table, cube_increments
+from sheetcharge.sampler import (
+    load_grid,
+    replicate_rng,
+    sample_sheet,
+    sample_standard_sheet,
+    sheet_covariance,
+)
 
 
 def write_config(tmp_path, **kwargs):
@@ -161,3 +170,169 @@ class TestCliContract:
         a = (tmp_path / "a" / "counterexample.csv").read_bytes()
         b = (tmp_path / "b" / "counterexample.csv").read_bytes()
         assert a == b
+
+
+class TestConfigRejectedBeforeWriting:
+    """Malformed configs exit 2 with "invalid config" and leave no output directory."""
+
+    @pytest.mark.parametrize(
+        "subcommand, obj",
+        [
+            pytest.param("simulate", {"d": 1, "N": 3, "seeds": 5}, id="seeds-scalar"),
+            pytest.param("holder-scan", {"d": 1, "N": 3, "gamma": 5}, id="gamma-scalar"),
+            pytest.param("simulate", {"d": 1, "N": 3, "H": ["x"]}, id="H-word"),
+            pytest.param("simulate", {"d": 1, "N": 3, "H": ["0.7"]}, id="H-numeric-string"),
+            pytest.param("simulate", {"d": 1, "N": 3, "H": [1.5]}, id="H-above-1"),
+            pytest.param(
+                "moment-scaling", {"d": 1, "N": 6, "H": [0.7], "replicates": 50, "q": ["a"]},
+                id="q-word",
+            ),
+            pytest.param("counterexample", {"d": 2, "N": 4, "n": 1, "hbar": "x"}, id="hbar-word"),
+            pytest.param("holder-scan", {"d": 1, "N": 3, "gamma": [1.5]}, id="gamma-above-1"),
+            pytest.param("holder-scan", {"d": 1, "N": 3, "gamma": [0]}, id="gamma-zero"),
+            pytest.param(
+                "moment-scaling", {"d": 1, "N": 6, "H": [0.7], "replicates": 50, "q": [0]},
+                id="q-zero",
+            ),
+            pytest.param("covariance-check", {"d": 1, "N": 3}, id="covariance-no-H"),
+            pytest.param(
+                "fractional-criteria", {"d": 1, "N": 6, "fit_min_gen": 1}, id="criteria-no-H"
+            ),
+            pytest.param("moment-scaling", {"d": 1, "N": 6, "replicates": 50}, id="moments-no-H"),
+            pytest.param("moment-scaling", {"d": 1, "N": 3, "H": [0.7]}, id="moments-one-gen"),
+            pytest.param(  # 7 * 2^2 = 28 < 32 samples at generation 2
+                "moment-scaling", {"d": 1, "N": 4, "H": [0.7], "replicates": 7, "gens": [2, 3]},
+                id="moments-too-few",
+            ),
+            pytest.param("simulate", [1, 2], id="top-level-list"),
+            pytest.param("simulate", {"d": 1, "N": 3, "seeds": [-1]}, id="seed-negative"),
+            pytest.param("simulate", {"d": 1, "N": 3, "out": 5}, id="out-number"),
+            pytest.param("counterexample", {"d": 2, "N": 4, "n": -1}, id="n-negative"),
+            pytest.param(
+                "counterexample", {"d": 2, "N": 4, "n": 1, "hbar": float("nan")}, id="hbar-nan"
+            ),
+        ],
+    )
+    def test_rejected(self, tmp_path, monkeypatch, capsys, subcommand, obj):
+        monkeypatch.chdir(tmp_path)  # the default out directory would land here
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(obj))
+        assert run_cli([subcommand, "--config", cfg]) == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_moment_scaling_counts_pooled_samples(self, tmp_path):
+        # 8 * 2^2 = 32 and 8 * 2^3 = 64 samples: both generations reach the fit's 32
+        cfg = write_config(tmp_path, d=1, N=4, H=[0.7], replicates=8, gens=[2, 3], seeds=[0])
+        assert run_cli(["moment-scaling", "--config", cfg, "--out", tmp_path / "out"]) == 0
+
+
+def run_report(tmp_path, subcommand, **config):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **config)
+    assert run_cli([subcommand, "--config", cfg, "--out", out]) == 0
+    return out
+
+
+def text_of(header, rows):
+    return header + "\n" + "".join(row + "\n" for row in rows)
+
+
+class TestReportBytes:
+    """Each CSV rebuilt from the library calls with a plain f-string formatter."""
+
+    def test_brownian_dichotomy(self, tmp_path):
+        out = run_report(tmp_path, "brownian-dichotomy", d=2, N=5, M=4, seeds=[0, 3])
+        rows = []
+        for seed in (0, 3):
+            rep = build_report(coefficient_table(sample_standard_sheet(2, 5, seed), 4))
+            rows += [f"{seed},{n},{name},{value:.17g}" for n, name, value in rep.rows()]
+        want = text_of("seed,n,stat_name,value", rows)
+        assert (out / "brownian_dichotomy.csv").read_text() == want
+
+    def test_holder_scan(self, tmp_path):
+        out = run_report(
+            tmp_path, "holder-scan", d=2, N=4, H=[0.6, 0.8], gamma=[0.5, 1], seeds=[2, 5]
+        )
+        rows = []
+        for seed in (2, 5):
+            f = sample_sheet((0.6, 0.8), 4, seed)
+            for gamma in (0.5, 1.0):
+                ratios = holder_ratio_by_level(f, gamma, 3)
+                rows += [f"{seed},{gamma:.17g},{n},{r:.17g}" for n, r in enumerate(ratios)]
+        want = text_of("seed,gamma,n,ratio", rows)
+        assert (out / "holder_scan.csv").read_text() == want
+
+    def test_moment_scaling(self, tmp_path):
+        out = run_report(
+            tmp_path, "moment-scaling", d=2, N=4, H=[0.7, 0.7], q=[1, 2.5], replicates=3,
+            seeds=[4], gens=[1, 2, 3],
+        )
+        sheets = [sample_sheet((0.7, 0.7), 4, 4, rep) for rep in range(3)]
+        samples = {n: np.concatenate([cube_increments(f, n) for f in sheets]) for n in (1, 2, 3)}
+        rows = []
+        for q in (1.0, 2.5):
+            for n, lv, lm, count in moment_scaling_fit(samples, q, 2).points:
+                rows.append(f"{q:.17g},{n},{lv:.17g},{lm:.17g},{count}")
+        want = text_of("q,n,log2_volume,log2_moment,count", rows)
+        assert (out / "moment_scaling.csv").read_text() == want
+
+    def test_counterexample(self, tmp_path):
+        out = run_report(tmp_path, "counterexample", d=2, N=6, n=2, p_max=5, seeds=[1, 7])
+        rows = []
+        for seed in (1, 7):
+            fig, rep = counterexample_figure(sample_standard_sheet(2, 6, seed), 2, 5, 0.5)
+            rows.append(
+                f"{seed},{rep.coverage:.17g},{rep.increment:.17g},{rep.threshold_sum:.17g},"
+                f"{rep.volume:.17g},{rep.perimeter:.17g},{sum(rep.selected_per_level)}"
+            )
+            figure_text = (out / f"counterexample_figure_seed{seed}.json").read_text()
+            assert figure_text == fig.to_json() + "\n"
+        want = text_of("seed,coverage,increment,threshold_sum,volume,perimeter,selected", rows)
+        assert (out / "counterexample.csv").read_text() == want
+
+    def test_covariance_check(self, tmp_path):
+        H, N, reps = (0.8, 0.6), 3, 40
+        out = run_report(
+            tmp_path, "covariance-check", d=2, N=N, H=list(H), seeds=[3], replicates=reps,
+            pairs=4,
+        )
+        picker = replicate_rng(3, 10**6)
+        pairs = [
+            tuple(tuple(int(j) for j in picker.integers(1, 9, size=2)) for _ in "st")
+            for _ in range(4)
+        ]
+        emp = np.zeros(4)
+        for rep in range(reps):
+            f = sample_sheet(H, N, 3, rep)
+            emp += [f.values[s] * f.values[t] for s, t in pairs]
+        emp /= reps
+        rows = []
+        for e, (s, t) in zip(emp, pairs):
+            sp, tp = [j / 8 for j in s], [j / 8 for j in t]
+            exact = sheet_covariance(H, sp, tp)
+            var = sheet_covariance(H, sp, sp) * sheet_covariance(H, tp, tp) + exact**2
+            z = (e - exact) / (var / reps) ** 0.5
+            rows.append(f'"{s}|{t}",{e:.17g},{exact:.17g},{z:.17g}')
+        want = text_of("pair,empirical,exact,z", rows)
+        assert (out / "covariance_check.csv").read_text() == want
+
+
+class TestJsonReports:
+    @pytest.mark.parametrize(
+        "subcommand, config",
+        [
+            ("brownian-dichotomy", {"d": 1, "N": 4}),
+            ("fractional-criteria", {"d": 1, "N": 5, "H": [0.8], "fit_min_gen": 1}),
+            ("moment-scaling", {"d": 1, "N": 5, "H": [0.6], "replicates": 16}),
+            ("counterexample", {"d": 2, "N": 4, "n": 1}),
+        ],
+    )
+    def test_indent_two_with_trailing_newline(self, tmp_path, subcommand, config):
+        out = run_report(tmp_path, subcommand, seeds=[0, 1], **config)
+        reports = [p for p in out.glob("*.json") if not p.name.startswith("counterexample_fig")]
+        assert len(reports) == 2
+        for path in reports:
+            text = path.read_text()
+            sort_keys = path.name == "manifest.json"
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=sort_keys) + "\n"
