@@ -56,6 +56,8 @@ def integrate_haar_over_figure(
     single child of cube (n, k); a coarser member swallows the support
     whole and contributes zero.
     """
+    if fig.dim != dim:
+        raise ValueError("dimension mismatch")
     total_exact = Fraction(0)
     total_float = 0.0
     scale = pow2_half(n * dim) if exact else 2.0 ** (n * dim / 2.0)

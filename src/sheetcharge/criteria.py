@@ -197,17 +197,28 @@ class CriterionReport:
 def build_report(
     tab: CoefficientTable, hurst: Sequence[float] | None = None, **meta
 ) -> CriterionReport:
-    """All per-generation statistics of a coefficient table in one report."""
-    gens = range(tab.max_gen + 1)
-    ts = [dichotomy_statistics(tab, n) for n in gens]
+    """All per-generation statistics of a coefficient table in one report.
+
+    Takes |coeff| once per generation and reduces it as the per-statistic
+    functions above do, with the same float operations.
+    """
+    d = tab.dim
+    crit_a, b_terms, t_stats, s_stats = [], np.empty(tab.max_gen + 1), [], []
+    for n in range(tab.max_gen + 1):
+        lam = _level_abs(tab, n)
+        crit_a.append(2.0 ** (-n * (d / 2.0 + 1.0)) * float(lam.sum(axis=0).max()))
+        b_terms[n] = 2.0 ** (n * (d / 2.0 - 1.0)) * float(lam.max(initial=0.0))
+        t = float(lam[:, 0].sum()) / 2.0 ** (n * d)
+        t_stats.append(t)
+        s_stats.append(2.0 ** (n * (d / 2.0 - 1.0)) * t)
     return CriterionReport(
-        dim=tab.dim,
+        dim=d,
         max_gen=tab.max_gen,
-        criterion_a=tuple(criterion_a_statistic(tab, n) for n in gens),
-        b_terms=tuple(criterion_b_terms(tab)),
-        b_partial_sums=tuple(criterion_b_partial_sums(tab)),
-        t_stats=tuple(t for t, _ in ts),
-        s_stats=tuple(s for _, s in ts),
+        criterion_a=tuple(crit_a),
+        b_terms=tuple(b_terms),
+        b_partial_sums=tuple(np.cumsum(b_terms)),
+        t_stats=tuple(t_stats),
+        s_stats=tuple(s_stats),
         hurst=tuple(hurst) if hurst is not None else None,
         meta=dict(meta),
     )

@@ -289,10 +289,16 @@ def exposed_faces(fig: Figure) -> tuple[int, list[tuple[int, int, int, tuple[int
 def figure_perimeter(fig: Figure) -> Fraction:
     """(d-1)-dimensional boundary measure, exact.
 
-    Counts faces of the refined cell grid belonging to exactly one cell and
-    multiplies by the exact face area 2^(-h(d-1)).
+    Counts faces of the refined cell grid belonging to exactly one cell
+    (the faces :func:`exposed_faces` lists) and multiplies by the exact
+    face area 2^(-h(d-1)).
     """
     if not fig.cubes:
         return Fraction(0)
-    h, faces = exposed_faces(fig)
-    return len(faces) * Fraction(1, 1 << (h * (fig.dim - 1)))
+    occ, h = _occupancy(fig)
+    count = 0
+    for axis in range(fig.dim):
+        pad = [(0, 0)] * fig.dim
+        pad[axis] = (1, 1)
+        count += np.count_nonzero(np.diff(np.pad(occ, pad), axis=axis))
+    return count * Fraction(1, 1 << (h * (fig.dim - 1)))

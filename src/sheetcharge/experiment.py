@@ -155,6 +155,8 @@ class ExperimentConfig:
             object.__setattr__(self, "H", hv.components)
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        if self.pairs < 1:
+            raise ConfigError("pairs must be >= 1")
         pm = self.p_max if self.p_max is not None else self.N - 1
         if self.subcommand == "counterexample" and not 0 <= self.n <= pm <= self.N - 1:
             raise ConfigError(f"need 0 <= n <= p_max <= N-1, got n={self.n}, p_max={pm}")
@@ -236,8 +238,7 @@ def counterexample_figure(
     if not 0 <= n <= p_max <= f.gen - 1:
         raise ValueError(f"need 0 <= n <= p_max <= N-1, got n={n}, p_max={p_max}")
     levels = increment_levels(f, p_max)
-    trans_shape = (1 << p_max,) * (d - 1)
-    covered = np.zeros(trans_shape, dtype=bool)
+    taken = np.zeros((1,) * (d - 1), dtype=bool)  # bottom-face cells covered so far
     cubes: list[DyadicCube] = []
     per_level = []
     threshold_sum = 0.0
@@ -248,22 +249,20 @@ def counterexample_figure(
         if bottom.dtype == object:
             bottom = bottom.astype(float)
         threshold = 2.0 ** (-p * d * exponent)
-        count = 0
-        scale = 1 << (p_max - p)
-        for m in np.ndindex(*((1 << p,) * (d - 1))):
-            value = float(bottom[m])
-            if value < threshold:
-                continue
-            block = tuple(slice(mi * scale, (mi + 1) * scale) for mi in m)
-            if covered[block].any():
-                continue
-            covered[block] = True
-            index = morton_encode(tuple(m) + (0,), p)
-            cubes.append(DyadicCube(d, p, index))
-            count += 1
+        for axis in range(d - 1):
+            taken = taken.repeat(bottom.shape[axis] // taken.shape[axis], axis=axis)
+        # Cubes of one generation are disjoint, so only coarser picks can block
+        # one.  Not "bottom >= threshold": a NaN increment is picked, as a
+        # cube-by-cube scan that skips only "value < threshold" picks it.
+        picked = ~(bottom < threshold) & ~taken
+        taken |= picked
+        for m in np.argwhere(picked):  # lexicographic order
+            cubes.append(DyadicCube(d, p, morton_encode(tuple(int(x) for x in m) + (0,), p)))
+        for value in bottom[picked].tolist():
             threshold_sum += threshold
             increment_sum += value
-            coverage += Fraction(1, 1 << (p * (d - 1)))
+        count = int(np.count_nonzero(picked))
+        coverage += count * Fraction(1, 1 << (p * (d - 1)))
         per_level.append(count)
     fig = Figure(d, tuple(cubes))
     report = CounterexampleReport(

@@ -38,6 +38,19 @@ __all__ = [
 ]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is read-only and owns its data, else a read-only copy.
+
+    Such an array is handed over, as the sampler and ``coefficient_table``
+    hand theirs over; any other array may still change under a caller's
+    hands, so it is copied.
+    """
+    if a.flags.writeable or a.base is not None:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class GridSample:
     """Dyadic-grid sample of a function vanishing on the zero hyperfacets."""
@@ -60,9 +73,7 @@ class GridSample:
             face = np.take(vals, 0, axis=axis)
             if not np.all(face == 0):
                 raise ValueError(f"values must vanish on the x_{axis + 1} = 0 facet")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals))
         if self.hurst is not None:
             object.__setattr__(self, "hurst", tuple(float(h) for h in self.hurst))
 
@@ -102,13 +113,19 @@ def finest_increments(f: GridSample) -> np.ndarray:
 
 
 def _coarsen(cells: np.ndarray) -> np.ndarray:
-    """Sum sibling cells: one generation up along every axis."""
-    d = cells.ndim
-    half = cells.shape[0] // 2
-    shaped = cells.reshape(tuple(x for _ in range(d) for x in (half, 2)))
-    for axis in reversed(range(1, 2 * d, 2)):
-        shaped = shaped.sum(axis=axis)
-    return shaped
+    """Sum sibling cells: one generation up along every axis.
+
+    Strided sibling slices are added along the last axis first, then the
+    next to last and so on: the additions of a reshape-sum over the
+    sibling axes, in memory order.
+    """
+    for axis in reversed(range(cells.ndim)):
+        lead = (slice(None),) * axis
+        cells = cells[lead + (slice(0, None, 2),)] + cells[lead + (slice(1, None, 2),)]
+    if cells.dtype.kind == "f":
+        # A reduce-sum starts from +0.0, so it never returns -0.0; -0.0 + -0.0 does.
+        cells += 0.0
+    return cells
 
 
 def increment_levels(f: GridSample, n_max: int | None = None) -> list[np.ndarray]:
@@ -173,9 +190,7 @@ class CoefficientTable:
             want = (1 << (n * self.dim), (1 << self.dim) - 1)
             if lev.shape != want:
                 raise ValueError(f"level {n} must have shape {want}, got {lev.shape}")
-            lev = lev.copy()
-            lev.flags.writeable = False
-            frozen.append(lev)
+            frozen.append(_frozen(lev))
         object.__setattr__(self, "levels", tuple(frozen))
 
     def level(self, n: int) -> np.ndarray:
@@ -209,12 +224,14 @@ def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
         by_gen[n + 1] = None  # consumed; the finest levels are as large as the grid
         if f.is_exact:
             full = np.dot(child, mat.astype(object))
-            lam = full[:, 1:] * pow2_half(n * d)
+            scale = pow2_half(n * d)
         else:
             full = np.asarray(child, dtype=float) @ mat.astype(float)
-            lam = full[:, 1:] * 2.0 ** (n * d / 2.0)
+            scale = 2.0 ** (n * d / 2.0)
+        del child  # freed before lam is allocated: at the finest level it is grid-sized
+        lam = full[:, 1:] * scale
+        lam.flags.writeable = False  # CoefficientTable takes it over without a copy
         levels.append(lam)
-    del child, full  # not needed while CoefficientTable copies the levels
     return CoefficientTable(d, max_gen, f.corner_value(), tuple(levels))
 
 

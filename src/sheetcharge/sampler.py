@@ -15,6 +15,7 @@ reproducible across runs and thread counts.
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -160,9 +161,10 @@ def replicate_rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def _embed_interior(core: np.ndarray, d: int, gen: int) -> np.ndarray:
-    """Place interior values into the full grid, zero on the 0-facets."""
+    """Place interior values into a read-only full grid, zero on the 0-facets."""
     full = np.zeros(((1 << gen) + 1,) * d)
     full[(slice(1, None),) * d] = core
+    full.flags.writeable = False  # GridSample takes it over without a copy
     return full
 
 
@@ -216,16 +218,26 @@ def sample_sheet_ensemble(
 def sample_standard_sheet(d: int, gen: int, seed: int, replicate: int = 0) -> GridSample:
     """Standard sheet via iid N(0, 2^-Nd) cell increments and cumulative sums.
 
-    O(2^Nd) and exactly the H = (1/2, ..., 1/2) grid law.
+    O(2^Nd) and exactly the H = (1/2, ..., 1/2) grid law.  The sums run in
+    place on the interior of the zero-padded grid, axis 0 first; every axis
+    but the last is summed row by row, which makes the additions of
+    ``np.cumsum`` in memory order.
     """
-    rng = replicate_rng(seed, replicate)
-    core = rng.standard_normal((1 << gen,) * d) * 2.0 ** (-gen * d / 2.0)
-    for axis in range(d):
-        core = np.cumsum(core, axis=axis)
+    full = np.zeros(((1 << gen) + 1,) * d)
+    core = full[(slice(1, None),) * d]
+    noise = replicate_rng(seed, replicate).standard_normal((1 << gen,) * d)
+    np.multiply(noise, 2.0 ** (-gen * d / 2.0), out=core)
+    del noise  # not needed while the sums run
+    for axis in range(d - 1):
+        rows = np.moveaxis(core, axis, 0)
+        for i in range(1, rows.shape[0]):
+            rows[i] += rows[i - 1]
+    np.cumsum(core, axis=d - 1, out=core)
+    full.flags.writeable = False  # GridSample takes it over without a copy
     return GridSample(
         d,
         gen,
-        _embed_interior(core, d, gen),
+        full,
         hurst=(0.5,) * d,
         seed=seed,
         meta={"sampler": "white-noise-cumsum", "replicate": replicate},
@@ -246,18 +258,44 @@ def save_grid(f: GridSample, path) -> None:
 
 
 def load_grid(path) -> GridSample:
+    """Read a :func:`save_grid` file.
+
+    A header or payload whose length does not match the header, and
+    non-finite values, raise ``ValueError``; the sizes are checked against
+    the file's length before anything of that size is read.
+    """
     with open(path, "rb") as fh:
+        left = os.fstat(fh.fileno()).st_size
         if fh.read(8) != _GRID_MAGIC:
             raise ValueError("not a grid sample file")
+        if left < 24:
+            raise ValueError("grid file header is truncated")
         d, gen = struct.unpack("<qq", fh.read(16))
-        hurst = struct.unpack(f"<{d}d", fh.read(8 * d))
-        (seed,) = struct.unpack("<q", fh.read(8))
+        left -= 24 + 8 * d + 8
+        if d < 1 or not 0 <= gen < 63:
+            raise ValueError(f"grid file header has d={d}, N={gen}")
+        if left < 0:
+            raise ValueError("grid file header is truncated")
+        *hurst, seed = struct.unpack(f"<{d}dq", fh.read(8 * d + 8))
         n_pts = (1 << gen) + 1
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape((n_pts,) * d)
+        want = 8
+        for _ in range(d):
+            want *= n_pts
+            if want > left:
+                break
+        if want != left:
+            raise ValueError(
+                f"grid file payload has {left} bytes, not the 8 * {n_pts}^{d} "
+                f"of its header (d={d}, N={gen})"
+            )
+        values = np.frombuffer(fh.read(), dtype="<f8").reshape((n_pts,) * d).astype(float)
+    if not np.isfinite(values).all():
+        raise ValueError("grid file holds non-finite values")
+    values.flags.writeable = False  # GridSample takes it over without a copy
     return GridSample(
         d,
         gen,
-        values.astype(float),
+        values,
         hurst=None if all(np.isnan(h) for h in hurst) else hurst,
         seed=None if seed == -1 else seed,
     )

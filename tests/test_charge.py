@@ -89,6 +89,12 @@ class TestHaarOverFigure:
         fig = Figure(2, (DyadicCube(2, 0, 0),))
         assert integrate_haar_over_figure(2, 1, 2, 3, fig, exact=True) == 0
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_dimension_mismatch_rejected(self, exact):
+        fig = Figure(1, (DyadicCube(1, 2, 1),))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            integrate_haar_over_figure(2, 0, 0, 1, fig, exact=exact)
+
 
 class TestSchauderPartialApply:
     def test_unit_cube_gives_constant_term(self):

@@ -211,6 +211,12 @@ class TestConfigRejectedBeforeWriting:
             pytest.param(
                 "counterexample", {"d": 2, "N": 4, "n": 1, "hbar": float("nan")}, id="hbar-nan"
             ),
+            pytest.param(
+                "covariance-check", {"d": 1, "N": 3, "H": [0.6], "pairs": -2}, id="pairs-negative"
+            ),
+            pytest.param(
+                "covariance-check", {"d": 1, "N": 3, "H": [0.6], "pairs": 0}, id="pairs-zero"
+            ),
         ],
     )
     def test_rejected(self, tmp_path, monkeypatch, capsys, subcommand, obj):

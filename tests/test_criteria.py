@@ -14,7 +14,7 @@ from sheetcharge.criteria import (
 )
 from sheetcharge.haar import HaarIndex, haar_primitive_grid
 from sheetcharge.increments import CoefficientTable, GridSample, coefficient_table
-from sheetcharge.sampler import sample_standard_sheet
+from sheetcharge.sampler import sample_sheet, sample_standard_sheet
 
 from helpers import product_grid, zero_grid
 
@@ -229,3 +229,38 @@ class TestReport:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             CriterionReport(2, 2, (0.0,), (0.0,) * 3, (0.0,) * 3)
+
+    @staticmethod
+    def reference_report(tab):
+        """Every report field from the per-statistic functions, one call each."""
+        gens = range(tab.max_gen + 1)
+        ts = [dichotomy_statistics(tab, n) for n in gens]
+        return {
+            "criterion_a": tuple(criterion_a_statistic(tab, n) for n in gens),
+            "b_terms": tuple(criterion_b_terms(tab)),
+            "b_partial_sums": tuple(criterion_b_partial_sums(tab)),
+            "t_stats": tuple(t for t, _ in ts),
+            "s_stats": tuple(s for _, s in ts),
+        }
+
+    @pytest.mark.parametrize(
+        "tab",
+        [
+            coefficient_table(sample_standard_sheet(1, 9, seed=0), 8),
+            coefficient_table(sample_standard_sheet(2, 6, seed=1), 5),
+            coefficient_table(sample_standard_sheet(3, 4, seed=2), 3),
+            coefficient_table(sample_sheet((0.6, 0.9), 5, seed=3), 4),
+            coefficient_table(product_grid(2, 4, exact=True), 3),
+            table_from_levels(2, zero_levels(2, 3)),
+            table_from_levels(1, [np.array([[np.nan]]), np.array([[-0.0], [np.inf]])]),
+        ],
+        ids=["d1", "d2", "d3", "fractional", "exact", "zero", "nonfinite"],
+    )
+    def test_bit_identical_to_per_statistic_functions(self, tab):
+        rep = build_report(tab)
+        for name, want in self.reference_report(tab).items():
+            got = getattr(rep, name)
+            assert [type(x) for x in got] == [type(x) for x in want], name
+            assert np.array_equal(
+                np.array(got).view(np.int64), np.array(want).view(np.int64)
+            ), name

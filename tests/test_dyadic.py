@@ -18,7 +18,7 @@ from sheetcharge.dyadic import (
     morton_encode,
     morton_to_lex,
 )
-from helpers import brute_force_faces
+from helpers import brute_force_faces, random_dyadic_figure
 
 
 class TestAddressing:
@@ -171,6 +171,19 @@ class TestFigure:
         fig = Figure(2, tuple(DyadicCube(2, 2, int(k)) for k in picks))
         _, faces = exposed_faces(fig)
         assert set(faces) == brute_force_faces(fig)
+
+    @pytest.mark.parametrize("d,gen,count", [(1, 4, 5), (2, 3, 9), (2, 4, 40), (3, 2, 20)])
+    def test_perimeter_counts_exposed_faces(self, d, gen, count):
+        rng = np.random.default_rng(100 * d + gen)
+        for _ in range(5):
+            cubes = list(random_dyadic_figure(rng, d, gen, count).cubes)
+            # mixed generations: some children of one member replace it
+            kids = cubes.pop(int(rng.integers(len(cubes)))).children()
+            cubes += [k for k in kids if rng.random() < 0.5] or kids[:1]
+            fig = Figure(d, tuple(cubes))
+            h, faces = exposed_faces(fig)
+            assert figure_perimeter(fig) == len(faces) * Fraction(1, 1 << (h * (d - 1)))
+        assert figure_perimeter(Figure(d)) == 0
 
     def test_exposed_faces_oracle_3d(self):
         rng = np.random.default_rng(3)

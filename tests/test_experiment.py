@@ -1,16 +1,29 @@
+import math
+import struct
+from dataclasses import asdict
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from sheetcharge.dyadic import Figure, figure_perimeter, morton_decode
+from sheetcharge.dyadic import (
+    DyadicCube,
+    Figure,
+    exposed_faces,
+    figure_perimeter,
+    morton_decode,
+    morton_encode,
+)
 from sheetcharge.experiment import (
     ConfigError,
+    CounterexampleReport,
     ExperimentConfig,
     counterexample_figure,
 )
-from sheetcharge.increments import figure_increment
-from sheetcharge.sampler import sample_standard_sheet
+from sheetcharge.increments import GridSample, figure_increment, increment_levels
+from sheetcharge.sampler import sample_sheet, sample_standard_sheet
 
-from helpers import grid_from_cell_increments, zero_grid
+from helpers import grid_from_cell_increments, product_grid, zero_grid
 
 
 class TestCounterexampleFigure:
@@ -85,6 +98,103 @@ class TestCounterexampleFigure:
             counterexample_figure(f, 3, 2, 0.5)
         with pytest.raises(ValueError):
             counterexample_figure(f, 0, 4, 0.5)
+
+
+def reference_counterexample_figure(f, n, p_max, exponent):
+    """The cube-by-cube scan that counterexample_figure vectorises."""
+    d = f.dim
+    levels = increment_levels(f, p_max)
+    covered = np.zeros((1 << p_max,) * (d - 1), dtype=bool)
+    cubes, per_level = [], []
+    threshold_sum = increment_sum = 0.0
+    coverage = Fraction(0)
+    for p in range(n, p_max + 1):
+        bottom = np.asarray(levels[p][..., 0])
+        if bottom.dtype == object:
+            bottom = bottom.astype(float)
+        threshold = 2.0 ** (-p * d * exponent)
+        count = 0
+        scale = 1 << (p_max - p)
+        for m in np.ndindex(*((1 << p,) * (d - 1))):
+            value = float(bottom[m])
+            if value < threshold:
+                continue
+            block = tuple(slice(mi * scale, (mi + 1) * scale) for mi in m)
+            if covered[block].any():
+                continue
+            covered[block] = True
+            cubes.append(DyadicCube(d, p, morton_encode(tuple(m) + (0,), p)))
+            count += 1
+            threshold_sum += threshold
+            increment_sum += value
+            coverage += Fraction(1, 1 << (p * (d - 1)))
+        per_level.append(count)
+    fig = Figure(d, tuple(cubes))
+    h, faces = exposed_faces(fig)
+    report = CounterexampleReport(
+        start_gen=n,
+        max_gen=p_max,
+        exponent=exponent,
+        coverage=float(coverage),
+        increment=increment_sum,
+        threshold_sum=threshold_sum,
+        volume=float(fig.volume()),
+        perimeter=float(len(faces) * Fraction(1, 1 << (h * (d - 1)))) if cubes else 0.0,
+        selected_per_level=tuple(per_level),
+        low_coverage=coverage < Fraction(1, 2),
+    )
+    return fig, report
+
+
+def with_nan_cells(d, gen, seed):
+    """A standard sheet with NaN at a few grid points next to the bottom face."""
+    values = np.array(sample_standard_sheet(d, gen, seed).values)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        point = tuple(rng.integers(1, (1 << gen) + 1, size=d - 1)) + (1,)
+        values[point] = np.nan
+    return GridSample(d, gen, values)
+
+
+class TestVectorisedScan:
+    @pytest.mark.parametrize(
+        "f, n, p_max, exponent",
+        [
+            (sample_standard_sheet(1, 6, seed=0), 0, 5, 0.5),
+            (sample_standard_sheet(1, 6, seed=1), 2, 4, 0.9),
+            (sample_standard_sheet(2, 8, seed=2), 0, 7, 0.5),
+            (sample_standard_sheet(2, 8, seed=3), 3, 6, 0.3),
+            (sample_standard_sheet(3, 5, seed=4), 1, 4, 0.5),
+            (sample_standard_sheet(3, 5, seed=5), 2, 3, 0.2),
+            (sample_sheet((0.8, 0.8), 7, seed=6), 2, 6, 0.8),
+            (product_grid(2, 4, exact=True), 1, 3, 0.5),
+            (product_grid(3, 3), 0, 2, 0.5),
+            (zero_grid(2, 5), 1, 4, 0.5),
+            (with_nan_cells(2, 6, seed=7), 1, 5, 0.5),
+            (with_nan_cells(3, 4, seed=8), 0, 3, 0.5),
+        ],
+        ids=[
+            "d1", "d1-n2", "d2", "d2-n3", "d3", "d3-n2", "fractional", "exact", "product-d3",
+            "zero", "nan-d2", "nan-d3",
+        ],
+    )
+    def test_matches_cube_by_cube_scan(self, f, n, p_max, exponent):
+        fig, rep = counterexample_figure(f, n, p_max, exponent)
+        want_fig, want_rep = reference_counterexample_figure(f, n, p_max, exponent)
+        assert fig.to_json() == want_fig.to_json()
+        for name, want in asdict(want_rep).items():
+            got = getattr(rep, name)
+            assert type(got) is type(want), name
+            if isinstance(want, float):  # bit for bit, NaN included
+                assert struct.pack("<d", got) == struct.pack("<d", want), name
+            else:
+                assert got == want, name
+
+    def test_nan_increment_is_selected(self):
+        # "value < threshold" is false for NaN, so the scan picks a NaN cube
+        f = with_nan_cells(2, 6, seed=7)
+        _, rep = counterexample_figure(f, 1, 5, 0.5)
+        assert math.isnan(rep.increment)
 
 
 class TestConfig:

@@ -9,9 +9,11 @@ from sheetcharge.haar import haar_indices_up_to, haar_matrix, haar_primitive_gri
 from sheetcharge.increments import (
     CoefficientTable,
     GridSample,
+    _coarsen,
     coefficient_table,
     cube_increments,
     figure_increment,
+    finest_increments,
     increment_levels,
     load_coefficients,
     rectangle_increment,
@@ -70,6 +72,27 @@ class TestGridSample:
         f = zero_grid(2, 1)
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
+
+    def test_writeable_input_copied(self):
+        vals = np.multiply.outer(np.arange(5.0), np.arange(5.0))
+        f = GridSample(2, 2, vals)
+        vals[2, 2] = -1.0
+        assert f.values[2, 2] == 4.0 and f.values is not vals
+
+    def test_read_only_view_copied(self):
+        # read-only, but its base is writeable and may still change
+        base = np.multiply.outer(np.arange(5.0), np.arange(5.0))
+        view = base[:]
+        view.flags.writeable = False
+        f = GridSample(2, 2, view)
+        base[1, 1] = -1.0
+        assert f.values[1, 1] == 1.0
+        assert f.values.base is None and not f.values.flags.writeable
+
+    def test_read_only_owner_taken_over(self):
+        vals = np.multiply.outer(np.arange(5.0), np.arange(5.0))
+        vals.flags.writeable = False
+        assert GridSample(2, 2, vals).values is vals
 
 
 class TestRectangleIncrement:
@@ -243,6 +266,31 @@ class TestCoefficientTable:
         with pytest.raises(ValueError):
             CoefficientTable(2, 1, 0.0, (np.zeros((1, 3)), np.zeros((4, 2))))
 
+    def test_writeable_levels_copied(self):
+        levels = (np.ones((1, 3)), np.ones((4, 3)))
+        base = np.ones((8, 3))
+        tab = CoefficientTable(2, 2, 0.0, levels + (np.ones((16, 3)),))
+        view_tab = CoefficientTable(1, 2, 0.0, (base[:1, :1], base[:2, :1], base[:4, :1]))
+        levels[1][0, 0] = 5.0
+        base[0, 0] = 5.0
+        assert tab.level(1)[0, 0] == 1.0 and view_tab.level(2)[0, 0] == 1.0
+        for lev in tab.levels + view_tab.levels:
+            assert not lev.flags.writeable and lev.base is None
+
+    def test_read_only_owned_levels_taken_over(self):
+        levels = (np.ones((1, 1)), np.ones((2, 1)))
+        for lev in levels:
+            lev.flags.writeable = False
+        tab = CoefficientTable(1, 1, 0.0, levels)
+        assert all(a is b for a, b in zip(tab.levels, levels, strict=True))
+
+    @pytest.mark.parametrize(
+        "f", [sample_standard_sheet(2, 4, seed=1), exact_random_grid(2, 3, 2, Fraction(1, 3))]
+    )
+    def test_computed_levels_read_only(self, f):
+        for lev in coefficient_table(f, f.gen - 1).levels:
+            assert not lev.flags.writeable and lev.base is None
+
     @pytest.mark.parametrize(
         "f",
         [
@@ -265,6 +313,55 @@ class TestCoefficientTable:
         tab = coefficient_table(f, gen - 1)
         for lev, want in zip(tab.levels, reference_coefficient_levels(f, gen - 1), strict=True):
             assert lev.dtype == object and np.array_equal(lev, want)
+
+
+def reference_coarsen(cells):
+    """Sibling sums through a (half, 2)-per-axis reshape, last sibling axis first."""
+    d = cells.ndim
+    half = cells.shape[0] // 2
+    shaped = cells.reshape(tuple(x for _ in range(d) for x in (half, 2)))
+    for axis in reversed(range(1, 2 * d, 2)):
+        shaped = shaped.sum(axis=axis)
+    return shaped
+
+
+class TestCoarsen:
+    @pytest.mark.parametrize("d,gen", [(1, 1), (1, 6), (2, 1), (2, 5), (3, 1), (3, 3)])
+    def test_float_bit_identical_to_reshape_sum(self, d, gen):
+        rng = np.random.default_rng(10 * d + gen)
+        shape = (1 << gen,) * d
+        cells = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        # signed zeros, infinities and NaN keep their reshape-sum bits too
+        flat = cells.reshape(-1)
+        flat[: min(4, flat.size)] = [-0.0, -0.0, 0.0, np.inf][: min(4, flat.size)]
+        if flat.size > 8:
+            flat[5:8] = [np.nan, -np.inf, 1e308]
+        if flat.size > 16:  # two NaN payloads side by side
+            flat[12:14] = np.array([0x7FF8000000000001, 0xFFF8000000000002]).view(float)
+        got, want = _coarsen(cells), reference_coarsen(cells)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("d,gen", [(1, 3), (2, 2), (3, 2)])
+    def test_signed_zeros_bit_identical_to_reshape_sum(self, d, gen):
+        signs = np.random.default_rng(d).integers(0, 2, (1 << gen,) * d)
+        for cells in (np.full((1 << gen,) * d, -0.0), np.where(signs == 1, -0.0, 0.0)):
+            got, want = _coarsen(cells), reference_coarsen(cells)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("d,gen", [(1, 5), (2, 3), (3, 2)])
+    def test_int_identical_to_reshape_sum(self, d, gen):
+        cells = np.random.default_rng(d).integers(-(1 << 60), 1 << 60, (1 << gen,) * d)
+        got, want = _coarsen(cells), reference_coarsen(cells)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scalar", [Fraction(1, 3), Rad2(Fraction(1, 2), Fraction(-2, 3))])
+    @pytest.mark.parametrize("d,gen", [(1, 4), (2, 3), (3, 2)])
+    def test_exact_equal_to_reshape_sum(self, d, gen, scalar):
+        cells = finest_increments(exact_random_grid(d, gen, seed=d + gen, scalar=scalar))
+        got, want = _coarsen(cells), reference_coarsen(cells)
+        assert got.dtype == object and got.shape == want.shape
+        assert all(a == b and type(a) is type(b) for a, b in zip(got.flat, want.flat, strict=True))
 
 
 class TestIncrementPyramid:

@@ -1,3 +1,4 @@
+import struct
 from collections import Counter
 from fractions import Fraction
 
@@ -265,6 +266,75 @@ class TestSerialization:
         f = sample_standard_sheet(3, 1, seed=3)
         with pytest.raises(ValueError):
             grid_to_csv(f, tmp_path / "x.csv")
+
+    @staticmethod
+    def saved_bytes(tmp_path):
+        path = tmp_path / "sample.grid"
+        save_grid(sample_sheet((0.7, 0.9), 3, seed=23), path)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b[:-8], "payload has 640 bytes, not the 8 \\* 9\\^2"),
+            (lambda b: b + bytes(8), "payload has 656 bytes"),
+            (lambda b: b[:20], "header is truncated"),
+            (lambda b: b[:30], "header is truncated"),
+            # d = 2^40 claims a header longer than the file; nothing of that size is read
+            (lambda b: b[:8] + struct.pack("<qq", 1 << 40, 3) + b[24:], "header is truncated"),
+            (lambda b: b[:8] + struct.pack("<qq", 2, 62) + b[24:], "payload has 648 bytes"),
+            (lambda b: b[:8] + struct.pack("<qq", 0, 3) + b[24:], "header has d=0"),
+            (lambda b: b[:-8] + struct.pack("<d", float("nan")), "non-finite"),
+            (lambda b: b[:-8] + struct.pack("<d", -float("inf")), "non-finite"),
+        ],
+        ids=["short", "long", "head-16", "head-24", "huge-d", "huge-N", "zero-d", "nan", "inf"],
+    )
+    def test_load_rejects_malformed_file(self, tmp_path, edit, message):
+        path, data = self.saved_bytes(tmp_path)
+        path.write_bytes(edit(data))
+        with pytest.raises(ValueError, match=message):
+            load_grid(path)
+
+    def test_loaded_values_are_read_only(self, tmp_path):
+        path, _ = self.saved_bytes(tmp_path)
+        back = load_grid(path)
+        assert not back.values.flags.writeable
+
+
+def reference_standard_sheet(d, gen, seed, replicate=0):
+    """The standard sheet as np.cumsum along each axis of the scaled noise, embedded."""
+    core = replicate_rng(seed, replicate).standard_normal((1 << gen,) * d)
+    core = core * 2.0 ** (-gen * d / 2.0)
+    for axis in range(d):
+        core = np.cumsum(core, axis=axis)
+    full = np.zeros(((1 << gen) + 1,) * d)
+    full[(slice(1, None),) * d] = core
+    return full
+
+
+class TestStandardSheetInPlace:
+    @pytest.mark.parametrize("d,gens", [(1, (0, 1, 5, 10)), (2, (0, 1, 4, 7)), (3, (1, 2, 4))])
+    def test_bit_identical_to_cumsum(self, d, gens):
+        for gen in gens:
+            for seed in range(5):
+                got = sample_standard_sheet(d, gen, seed).values
+                want = reference_standard_sheet(d, gen, seed)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_replicate_stream(self):
+        got = sample_standard_sheet(2, 4, seed=3, replicate=2).values
+        want = reference_standard_sheet(2, 4, seed=3, replicate=2)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda: sample_standard_sheet(2, 3, seed=1), lambda: sample_sheet((0.7, 0.8), 3, seed=1)],
+    )
+    def test_values_read_only_and_owned(self, draw):
+        values = draw().values
+        assert not values.flags.writeable and values.base is None
+        with pytest.raises(ValueError):
+            values[1, 1] = 0.0
 
 
 class TestAxisFactorCache:
