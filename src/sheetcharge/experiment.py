@@ -237,7 +237,9 @@ def counterexample_figure(
     d = f.dim
     if not 0 <= n <= p_max <= f.gen - 1:
         raise ValueError(f"need 0 <= n <= p_max <= N-1, got n={n}, p_max={p_max}")
-    levels = increment_levels(f, p_max)
+    # Generation-p bottom cubes lie in the slab x_d <= 2^-p, so the pyramid of
+    # the slab x_d <= 2^-n holds all of them: levels[p - n][..., 0] is generation p.
+    levels = increments._pyramid(f.values[..., : (1 << (f.gen - n)) + 1], f.gen - n)
     taken = np.zeros((1,) * (d - 1), dtype=bool)  # bottom-face cells covered so far
     cubes: list[DyadicCube] = []
     per_level = []
@@ -245,7 +247,7 @@ def counterexample_figure(
     increment_sum = 0.0
     coverage = Fraction(0)
     for p in range(n, p_max + 1):
-        bottom = np.asarray(levels[p][..., 0])  # cubes touching x_d = 0
+        bottom = np.asarray(levels[p - n][..., 0])  # cubes touching x_d = 0
         if bottom.dtype == object:
             bottom = bottom.astype(float)
         threshold = 2.0 ** (-p * d * exponent)
@@ -307,6 +309,7 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
             csv_path = out / f"sample_seed{seed}.csv"
             grid_to_csv(f, csv_path)
             paths.append(csv_path)
+        del f  # not alive while the next seed's sheet is drawn
     return paths
 
 
@@ -344,6 +347,7 @@ def run_brownian_dichotomy(cfg: ExperimentConfig, out: Path) -> list[Path]:
         for seed in cfg.seeds:
             f = sample_standard_sheet(cfg.d, cfg.N, seed)
             rep = build_report(coefficient_table(f, cfg.M), hurst=(0.5,) * cfg.d)
+            del f  # not alive while the next seed's sheet is drawn
             for n, name, value in rep.rows():
                 row(seed, n, name, value)
             means += np.asarray(rep.t_stats)
@@ -369,6 +373,7 @@ def run_fractional_criteria(cfg: ExperimentConfig, out: Path) -> list[Path]:
         for seed in cfg.seeds:
             f = _sample_for(cfg, seed)
             rep = build_report(coefficient_table(f, cfg.M), hurst=cfg.H)
+            del f  # not alive while the next seed's sheet is drawn
             for n, name, value in rep.rows():
                 row(seed, n, name, value)
             slopes.append(_fit_b_slope(rep.b_terms, cfg.fit_min_gen))
@@ -391,6 +396,7 @@ def run_holder_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
                 ratios = holder_ratio_by_level(f, gamma, cfg.M)
                 for n, r in enumerate(ratios):
                     row(seed, gamma, n, r)
+            del f  # not alive while the next seed's sheet is drawn
     return [path]
 
 
@@ -441,6 +447,7 @@ def run_counterexample(cfg: ExperimentConfig, out: Path) -> list[Path]:
         for seed in cfg.seeds:
             f = _sample_for(cfg, seed)
             fig, rep = counterexample_figure(f, cfg.n, cfg.p_max, hbar)
+            del f  # not alive while the next seed's sheet is drawn
             coverages.append(rep.coverage)
             row(
                 seed, rep.coverage, rep.increment, rep.threshold_sum, rep.volume,

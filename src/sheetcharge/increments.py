@@ -106,10 +106,7 @@ def rectangle_increment(f: GridSample, rect: Rectangle):
 
 def finest_increments(f: GridSample) -> np.ndarray:
     """Increments over all finest-generation cells as a lexicographic array."""
-    diff = f.values
-    for axis in range(f.dim):
-        diff = np.diff(diff, axis=axis)
-    return diff
+    return _pyramid(f.values, 0)[0]
 
 
 def _coarsen(cells: np.ndarray) -> np.ndarray:
@@ -128,17 +125,28 @@ def _coarsen(cells: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _pyramid(values: np.ndarray, steps: int) -> list[np.ndarray]:
+    """Cell increments of the grid ``values`` and ``steps`` coarsenings, coarsest first.
+
+    ``values`` may be any box of grid points, such as the slab next to a facet.
+    """
+    cells = values
+    for axis in range(values.ndim):
+        cells = np.diff(cells, axis=axis)
+    levels = [cells]
+    for _ in range(steps):
+        levels.append(_coarsen(levels[-1]))
+    levels.reverse()
+    return levels
+
+
 def increment_levels(f: GridSample, n_max: int | None = None) -> list[np.ndarray]:
     """Lexicographic cube-increment arrays for generations 0..n_max (default N)."""
     if n_max is None:
         n_max = f.gen
     if n_max > f.gen:
         raise ValueError(f"generation {n_max} exceeds grid generation {f.gen}")
-    levels: list[np.ndarray] = [finest_increments(f)]
-    for _ in range(f.gen):
-        levels.append(_coarsen(levels[-1]))
-    levels.reverse()  # levels[n] now holds generation n
-    return levels[: n_max + 1]
+    return _pyramid(f.values, f.gen)[: n_max + 1]
 
 
 def cube_increments(f: GridSample, n: int) -> np.ndarray:

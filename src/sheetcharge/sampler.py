@@ -44,6 +44,7 @@ __all__ = [
 
 CHOLESKY_JITTER = 1e-12
 _GRID_MAGIC = b"SHEETGRD"
+_CSV_BLOCK = 1 << 10  # points per formatted block of a 1-D CSV
 
 
 class SamplerError(RuntimeError):
@@ -168,14 +169,6 @@ def _embed_interior(core: np.ndarray, d: int, gen: int) -> np.ndarray:
     return full
 
 
-def _apply_factors(factors: Sequence[np.ndarray], noise: np.ndarray) -> np.ndarray:
-    """Mode products L_i x_i noise along every axis."""
-    out = noise
-    for axis, fac in enumerate(factors):
-        out = np.moveaxis(np.tensordot(fac, out, axes=(1, axis)), 0, axis)
-    return out
-
-
 @functools.lru_cache(maxsize=4)
 def _axis_factor(h: float, gen: int) -> tuple[np.ndarray, float]:
     """``axis_cholesky(h, gen)`` factored once per (h, N) and shared read-only.
@@ -193,9 +186,11 @@ def sample_sheet(
     """One sheet sample with exact grid covariance, deterministic in (H, N, seed)."""
     H = HurstVector.of(H)
     factors, jitters = zip(*(_axis_factor(h, gen) for h in H.components))
-    shape = (1 << gen,) * H.dim
-    # The noise gets no name here, so it is freed as soon as the mode products return.
-    core = _apply_factors(factors, replicate_rng(seed, replicate).standard_normal(shape))
+    core = replicate_rng(seed, replicate).standard_normal((1 << gen,) * H.dim)
+    for axis, fac in enumerate(factors):
+        # Mode product L_axis x_axis core; each input is freed once its product exists.
+        # Not a helper taking the noise: before Python 3.11 the caller would hold it.
+        core = np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)
     return GridSample(
         H.dim,
         gen,
@@ -302,23 +297,34 @@ def load_grid(path) -> GridSample:
 
 
 def grid_to_csv(f: GridSample, path) -> None:
-    """Point-per-row CSV export, d <= 2 only."""
+    """Point-per-row CSV export, d <= 2 only.
+
+    Each grid row (d = 2), or block of at most 2^10 points (d = 1), is
+    written by one ``%``-template that already holds every index and
+    coordinate, so its values are formatted in one C-level call;
+    ``'%.17g' % v`` writes what ``format(v, '.17g')`` does.  Rows are
+    formatted one at a time: a whole-grid ``tolist()`` would hold a Python
+    float object per grid point.
+    """
     if f.dim > 2:
         raise ValueError("CSV export supports d <= 2")
     denom = 1 << f.gen
+    coords = [format(i / denom, ".17g") for i in range(denom + 1)]
+    values = np.asarray(f.values, dtype=float)
     with open(path, "w") as fh:
         if f.dim == 1:
             fh.write("i,x,value\n")
-            for i, v in enumerate(f.values):
-                fh.write(f"{i},{format(i / denom, '.17g')},{format(float(v), '.17g')}\n")
+            for start in range(0, denom + 1, _CSV_BLOCK):
+                block = values[start : start + _CSV_BLOCK].tolist()
+                tmpl = "".join(
+                    f"{i},{coords[i]},%.17g\n" for i in range(start, start + len(block))
+                )
+                fh.write(tmpl % tuple(block))
         else:
             fh.write("i,j,x,y,value\n")
-            coords = [format(i / denom, ".17g") for i in range(denom + 1)]
-            # One row at a time: a whole-grid tolist() would hold a Python
-            # float object per grid point.
-            for i, row in enumerate(np.asarray(f.values, dtype=float)):
-                x = coords[i]
-                fh.writelines(
-                    f"{i},{j},{x},{coords[j]},{format(v, '.17g')}\n"
-                    for j, v in enumerate(row.tolist())
-                )
+            # Each row puts its i and x in for "\0" and "\1", which no index or coordinate
+            # holds; str.replace costs less than str.format over 2^(N+1) fields.
+            tmpl = "".join(f"\0,{j},\1,{y},%.17g\n" for j, y in enumerate(coords))
+            for i, row in enumerate(values):
+                row_tmpl = tmpl.replace("\0", str(i)).replace("\1", coords[i])
+                fh.write(row_tmpl % tuple(row.tolist()))

@@ -146,6 +146,62 @@ def reference_counterexample_figure(f, n, p_max, exponent):
     return fig, report
 
 
+def full_pyramid_counterexample_figure(f, n, p_max, exponent):
+    """counterexample_figure as it was before it differenced only the bottom slab:
+    it reads the bottom layer of the whole increment pyramid."""
+    d = f.dim
+    levels = increment_levels(f, p_max)
+    taken = np.zeros((1,) * (d - 1), dtype=bool)
+    cubes, per_level = [], []
+    threshold_sum = 0.0
+    increment_sum = 0.0
+    coverage = Fraction(0)
+    for p in range(n, p_max + 1):
+        bottom = np.asarray(levels[p][..., 0])
+        if bottom.dtype == object:
+            bottom = bottom.astype(float)
+        threshold = 2.0 ** (-p * d * exponent)
+        for axis in range(d - 1):
+            taken = taken.repeat(bottom.shape[axis] // taken.shape[axis], axis=axis)
+        picked = ~(bottom < threshold) & ~taken
+        taken |= picked
+        for m in np.argwhere(picked):
+            cubes.append(DyadicCube(d, p, morton_encode(tuple(int(x) for x in m) + (0,), p)))
+        for value in bottom[picked].tolist():
+            threshold_sum += threshold
+            increment_sum += value
+        count = int(np.count_nonzero(picked))
+        coverage += count * Fraction(1, 1 << (p * (d - 1)))
+        per_level.append(count)
+    fig = Figure(d, tuple(cubes))
+    report = CounterexampleReport(
+        start_gen=n,
+        max_gen=p_max,
+        exponent=exponent,
+        coverage=float(coverage),
+        increment=increment_sum,
+        threshold_sum=threshold_sum,
+        volume=float(fig.volume()),
+        perimeter=float(figure_perimeter(fig)) if cubes else 0.0,
+        selected_per_level=tuple(per_level),
+        low_coverage=coverage < Fraction(1, 2),
+    )
+    return fig, report
+
+
+def assert_same_scan(got, want):
+    """Equal figure text and every report field equal bit for bit and type for type."""
+    (fig, rep), (want_fig, want_rep) = got, want
+    assert fig.to_json() == want_fig.to_json()
+    for name, value in asdict(want_rep).items():
+        got_value = getattr(rep, name)
+        assert type(got_value) is type(value), name
+        if isinstance(value, float):  # bit for bit, NaN included
+            assert struct.pack("<d", got_value) == struct.pack("<d", value), name
+        else:
+            assert got_value == value, name
+
+
 def with_nan_cells(d, gen, seed):
     """A standard sheet with NaN at a few grid points next to the bottom face."""
     values = np.array(sample_standard_sheet(d, gen, seed).values)
@@ -179,16 +235,39 @@ class TestVectorisedScan:
         ],
     )
     def test_matches_cube_by_cube_scan(self, f, n, p_max, exponent):
-        fig, rep = counterexample_figure(f, n, p_max, exponent)
-        want_fig, want_rep = reference_counterexample_figure(f, n, p_max, exponent)
-        assert fig.to_json() == want_fig.to_json()
-        for name, want in asdict(want_rep).items():
-            got = getattr(rep, name)
-            assert type(got) is type(want), name
-            if isinstance(want, float):  # bit for bit, NaN included
-                assert struct.pack("<d", got) == struct.pack("<d", want), name
-            else:
-                assert got == want, name
+        assert_same_scan(
+            counterexample_figure(f, n, p_max, exponent),
+            reference_counterexample_figure(f, n, p_max, exponent),
+        )
+
+    @pytest.mark.parametrize(
+        "f, exponent",
+        [
+            (sample_standard_sheet(1, 7, seed=10), 0.5),
+            (sample_sheet((0.8,), 7, seed=11), 0.8),
+            (product_grid(1, 5, exact=True), 1.0),
+            (with_nan_cells(1, 6, seed=12), 0.5),
+            (sample_standard_sheet(2, 6, seed=13), 0.5),
+            (sample_sheet((0.7, 0.9), 6, seed=14), 0.8),
+            (product_grid(2, 4, exact=True), 1.0),
+            (with_nan_cells(2, 5, seed=15), 0.5),
+            (sample_standard_sheet(3, 4, seed=16), 0.5),
+            (sample_sheet((0.6, 0.7, 0.8), 4, seed=17), 0.7),
+            (product_grid(3, 3, exact=True), 1.0),
+            (with_nan_cells(3, 4, seed=18), 0.5),
+        ],
+        ids=[
+            f"d{d}-{kind}" for d in (1, 2, 3)
+            for kind in ("standard", "fractional", "exact", "nan")
+        ],
+    )
+    def test_bottom_slab_matches_full_pyramid(self, f, exponent):
+        for p_max in range(f.gen):
+            for n in range(p_max + 1):
+                assert_same_scan(
+                    counterexample_figure(f, n, p_max, exponent),
+                    full_pyramid_counterexample_figure(f, n, p_max, exponent),
+                )
 
     def test_nan_increment_is_selected(self):
         # "value < threshold" is false for NaN, so the scan picks a NaN cube

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from sheetcharge import sampler
 from sheetcharge.dyadic import Rectangle
-from sheetcharge.increments import cube_increments
+from sheetcharge.increments import GridSample, cube_increments
 from sheetcharge.sampler import (
     HurstVector,
     axis_cholesky,
@@ -242,25 +243,62 @@ class TestSerialization:
         assert len(lines) == 1 + 9
 
     @staticmethod
-    def reference_csv_2d(f, path):
-        """Cell-by-cell d=2 export, the reference for grid_to_csv's row writer."""
+    def reference_csv(f, path):
+        """Cell-by-cell d <= 2 export, the reference for grid_to_csv's row templates."""
         denom = 1 << f.gen
         with open(path, "w") as fh:
-            fh.write("i,j,x,y,value\n")
-            for i in range(f.values.shape[0]):
-                for j in range(f.values.shape[1]):
-                    fh.write(
-                        f"{i},{j},{format(i / denom, '.17g')},"
-                        f"{format(j / denom, '.17g')},"
-                        f"{format(float(f.values[i, j]), '.17g')}\n"
-                    )
+            fh.write("i,x,value\n" if f.dim == 1 else "i,j,x,y,value\n")
+            for idx in np.ndindex(f.values.shape):
+                fields = [str(i) for i in idx] + [format(i / denom, ".17g") for i in idx]
+                fh.write(",".join(fields) + f",{format(float(f.values[idx]), '.17g')}\n")
+
+    @staticmethod
+    def with_specials(d, gen, seed):
+        """A fractional sheet whose first interior points hold the awkward floats."""
+        values = np.array(sample_sheet((0.6, 0.8)[:d], gen, seed=seed).values)
+        specials = [-0.0, 5e-324, 1e-5, 1e17, np.nan, np.inf, -np.inf, -1e-300, 1 / 3]
+        points = list(np.ndindex(((1 << gen),) * d))[: len(specials)]
+        for point, value in zip(points, specials):
+            values[tuple(i + 1 for i in point)] = value
+        return GridSample(d, gen, values)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sample_sheet((0.6,), 0, seed=1),
+            lambda: sample_sheet((0.6, 0.8), 0, seed=1),
+            lambda: product_grid(1, 3, exact=True),
+            lambda: sample_standard_sheet(2, 5, seed=2),
+            # 2^10 + 1 and 2^11 + 1 points: a full block plus one, and two plus one
+            lambda: sample_standard_sheet(1, 10, seed=3),
+            lambda: sample_sheet((0.7,), 11, seed=4),
+            lambda: TestSerialization.with_specials(1, 4, seed=5),
+            lambda: TestSerialization.with_specials(2, 3, seed=6),
+        ],
+        ids=[
+            "d1-N0", "d2-N0", "d1-exact", "d2-standard",
+            "d1-block-plus-one", "d1-two-blocks-plus-one", "d1-specials", "d2-specials",
+        ],
+    )
+    def test_csv_export_matches_cell_by_cell_bytes(self, tmp_path, make):
+        self.assert_reference_bytes(make(), tmp_path)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_csv_export_matches_reference_bytes(self, tmp_path, exact):
         f = product_grid(2, 3, exact=True) if exact else sample_sheet((0.6, 0.8), 4, seed=1)
+        self.assert_reference_bytes(f, tmp_path)
+
+    def assert_reference_bytes(self, f, tmp_path):
         grid_to_csv(f, tmp_path / "fast.csv")
-        self.reference_csv_2d(f, tmp_path / "slow.csv")
+        self.reference_csv(f, tmp_path / "slow.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+    def test_csv_specials_are_written(self, tmp_path):
+        grid_to_csv(self.with_specials(2, 3, seed=6), tmp_path / "x.csv")
+        values = [line.rsplit(",", 1)[1] for line in (tmp_path / "x.csv").read_text().splitlines()]
+        for text in ("-0", "4.9406564584124654e-324", "1.0000000000000001e-05", "1e+17",
+                     "nan", "inf", "-inf"):
+            assert text in values
 
     def test_csv_export_rejects_high_dim(self, tmp_path):
         f = sample_standard_sheet(3, 1, seed=3)
@@ -348,9 +386,10 @@ class TestAxisFactorCache:
 
     @staticmethod
     def direct_sample(H, gen, seed, replicate):
-        factors = [axis_cholesky(h, gen)[0] for h in H]
-        noise = replicate_rng(seed, replicate).standard_normal((1 << gen,) * len(H))
-        core = sampler._apply_factors(factors, noise)
+        core = replicate_rng(seed, replicate).standard_normal((1 << gen,) * len(H))
+        for axis, h in enumerate(H):  # mode product with each directly built factor
+            fac = axis_cholesky(h, gen)[0]
+            core = np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)
         full = np.zeros(((1 << gen) + 1,) * len(H))
         full[(slice(1, None),) * len(H)] = core
         return full
@@ -388,6 +427,18 @@ class TestAxisFactorCache:
             sample_sheet((0.9, 0.7), 3, seed, replicate=2)
             sample_sheet((0.7,), 4, seed)
         assert calls == {(0.7, 3): 1, (0.9, 3): 1, (0.7, 4): 1}
+
+    def test_peak_memory_with_cached_factor(self):
+        # At most two grid-sized arrays at once: a mode product's input and output,
+        # then the core and the zero-padded grid it is copied into.
+        sample_sheet((0.7, 0.9), 9, seed=0)  # factors both kernels
+        tracemalloc.start()
+        try:
+            f = sample_sheet((0.7, 0.9), 9, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * f.values.nbytes
 
     def test_cached_factor_is_read_only(self):
         fac, jitter = sampler._axis_factor(0.8, 3)
