@@ -15,7 +15,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .increments import CoefficientTable, GridSample, increment_levels
+from .increments import (
+    CoefficientTable,
+    GridSample,
+    _haar_products,
+    _morton_pyramid,
+    coefficient_table,
+    increment_levels,
+)
 
 __all__ = [
     "criterion_a_statistic",
@@ -194,6 +201,35 @@ class CriterionReport:
         return text
 
 
+def _level_stats(lam: np.ndarray, n: int, d: int) -> tuple[float, float, float, float]:
+    """(criterion A, b-term, T, S) of generation n from its |coefficients| ``lam``.
+
+    The whole level is reduced at once, as the per-statistic functions
+    above reduce it: ``sum(axis=0)`` adds the k rows one after another,
+    ``lam[:, 0].sum()`` sums pairwise.
+    """
+    a = 2.0 ** (-n * (d / 2.0 + 1.0)) * float(lam.sum(axis=0).max())
+    b = 2.0 ** (n * (d / 2.0 - 1.0)) * float(lam.max(initial=0.0))
+    t = float(lam[:, 0].sum()) / 2.0 ** (n * d)
+    return a, b, t, 2.0 ** (n * (d / 2.0 - 1.0)) * t
+
+
+def _report(d: int, max_gen: int, stats, hurst, meta: dict) -> CriterionReport:
+    """The report of the per-generation :func:`_level_stats`, generation 0 first."""
+    b_terms = np.array([s[1] for s in stats], dtype=float)
+    return CriterionReport(
+        dim=d,
+        max_gen=max_gen,
+        criterion_a=tuple(s[0] for s in stats),
+        b_terms=tuple(b_terms),
+        b_partial_sums=tuple(np.cumsum(b_terms)),
+        t_stats=tuple(s[2] for s in stats),
+        s_stats=tuple(s[3] for s in stats),
+        hurst=tuple(hurst) if hurst is not None else None,
+        meta=dict(meta),
+    )
+
+
 def build_report(
     tab: CoefficientTable, hurst: Sequence[float] | None = None, **meta
 ) -> CriterionReport:
@@ -202,23 +238,30 @@ def build_report(
     Takes |coeff| once per generation and reduces it as the per-statistic
     functions above do, with the same float operations.
     """
-    d = tab.dim
-    crit_a, b_terms, t_stats, s_stats = [], np.empty(tab.max_gen + 1), [], []
-    for n in range(tab.max_gen + 1):
-        lam = _level_abs(tab, n)
-        crit_a.append(2.0 ** (-n * (d / 2.0 + 1.0)) * float(lam.sum(axis=0).max()))
-        b_terms[n] = 2.0 ** (n * (d / 2.0 - 1.0)) * float(lam.max(initial=0.0))
-        t = float(lam[:, 0].sum()) / 2.0 ** (n * d)
-        t_stats.append(t)
-        s_stats.append(2.0 ** (n * (d / 2.0 - 1.0)) * t)
-    return CriterionReport(
-        dim=d,
-        max_gen=tab.max_gen,
-        criterion_a=tuple(crit_a),
-        b_terms=tuple(b_terms),
-        b_partial_sums=tuple(np.cumsum(b_terms)),
-        t_stats=tuple(t_stats),
-        s_stats=tuple(s_stats),
-        hurst=tuple(hurst) if hurst is not None else None,
-        meta=dict(meta),
-    )
+    stats = [_level_stats(_level_abs(tab, n), n, tab.dim) for n in range(tab.max_gen + 1)]
+    return _report(tab.dim, tab.max_gen, stats, hurst, meta)
+
+
+def _streamed_report(
+    f: GridSample, max_gen: int, hurst: Sequence[float] | None = None, **meta
+) -> CriterionReport:
+    """``build_report(coefficient_table(f, max_gen), hurst, **meta)`` without the table.
+
+    One pass over the Morton pyramid, finest generation first: once a
+    level has been summed into its parent, it is overwritten by the
+    |coefficients| of the generation above it (with the parent increment
+    in column 0), reduced and freed.  Grids that are not float64, and
+    horizons the grid cannot carry, take the table path.
+    """
+    if f.values.dtype != np.float64 or not 0 <= max_gen < f.gen:
+        return build_report(coefficient_table(f, max_gen), hurst, **meta)
+    stats = [None] * (max_gen + 1)
+    for m, cells in _morton_pyramid(f.values, 1):
+        n = m - 1
+        if n <= max_gen:
+            full = _haar_products(cells, n, f.dim)
+            np.abs(full, out=full)
+            stats[n] = _level_stats(full[:, 1:], n, f.dim)
+            del full
+        del cells  # the finest levels are as large as the grid
+    return _report(f.dim, max_gen, stats, hurst, meta)

@@ -22,14 +22,21 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__, increments
-from .criteria import (
+# build_report, coefficient_table and cube_increments are unused here, but
+# bench/tracer.py wraps these module attributes.
+from .criteria import (  # noqa: F401
+    _streamed_report,
     build_report,
     holder_ratio_by_level,
     moment_scaling_fit,
 )
 from .dyadic import DyadicCube, Figure, figure_perimeter, morton_encode
-# cube_increments is unused here, but bench/tracer.py wraps this module's attribute.
-from .increments import GridSample, coefficient_table, cube_increments, increment_levels
+from .increments import (  # noqa: F401
+    GridSample,
+    coefficient_table,
+    cube_increments,
+    increment_levels,
+)
 from .sampler import (
     HurstVector,
     replicate_rng,
@@ -346,7 +353,7 @@ def run_brownian_dichotomy(cfg: ExperimentConfig, out: Path) -> list[Path]:
     with _csv(path, "seed,n,stat_name,value") as row:
         for seed in cfg.seeds:
             f = sample_standard_sheet(cfg.d, cfg.N, seed)
-            rep = build_report(coefficient_table(f, cfg.M), hurst=(0.5,) * cfg.d)
+            rep = _streamed_report(f, cfg.M, hurst=(0.5,) * cfg.d)
             del f  # not alive while the next seed's sheet is drawn
             for n, name, value in rep.rows():
                 row(seed, n, name, value)
@@ -372,7 +379,7 @@ def run_fractional_criteria(cfg: ExperimentConfig, out: Path) -> list[Path]:
     with _csv(path, "seed,n,stat_name,value") as row:
         for seed in cfg.seeds:
             f = _sample_for(cfg, seed)
-            rep = build_report(coefficient_table(f, cfg.M), hurst=cfg.H)
+            rep = _streamed_report(f, cfg.M, hurst=cfg.H)
             del f  # not alive while the next seed's sheet is drawn
             for n, name, value in rep.rows():
                 row(seed, n, name, value)

@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
-from .dyadic import Figure, Rectangle, lex_to_morton
+# lex_to_morton is unused here, but moment-scaling looks it up through this module,
+# the call site bench/tracer.py wraps.
+from .dyadic import Figure, Rectangle, lex_to_morton  # noqa: F401
 from .exact import pow2_half
 from .haar import haar_matrix
 
@@ -36,6 +41,12 @@ __all__ = [
     "save_coefficients",
     "load_coefficients",
 ]
+
+
+# Sizes of the streamed pieces of one level: cells differenced per slab, as a
+# power of two, and Morton rows summed or multiplied per chunk.
+_SLAB_BITS = 15
+_CHUNK_ROWS = 1 << 14
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -153,10 +164,67 @@ def cube_increments(f: GridSample, n: int) -> np.ndarray:
     """Increments over all generation-``n`` cubes, Morton cube order."""
     if n > f.gen:
         raise ValueError(f"generation {n} exceeds grid generation {f.gen}")
-    cells = finest_increments(f)
-    for _ in range(f.gen - n):
-        cells = _coarsen(cells)
-    return lex_to_morton(cells)
+    for _, cells in _morton_pyramid(f.values, n):
+        pass
+    return cells
+
+
+def _morton_cells(values: np.ndarray, gen: int) -> np.ndarray:
+    """Cell increments of the 2^-gen grid ``values`` as one flat Morton-order array.
+
+    The grid is differenced one axis-0 slab at a time, and each slab is
+    written through the bit-axis view of the output that lex_to_morton
+    transposes, so the level never exists in lexicographic order too.
+    """
+    d = values.ndim
+    s = min(gen, max(0, _SLAB_BITS - gen * (d - 1)))  # the slab has 2^s rows
+    perm = [t * d + d - 1 - i for i in range(d) for t in range(gen)]
+    out = lex = None
+    for j in range(1 << (gen - s)):
+        slab = values[j << s : ((j + 1) << s) + 1]
+        for axis in range(d):
+            slab = np.diff(slab, axis=axis)
+        if out is None:
+            out = np.empty(1 << (gen * d), dtype=slab.dtype)
+            lex = out.reshape((2,) * (gen * d)).transpose(perm)  # axes: bits of axis 0, 1, ...
+        top = lex[tuple((j >> b) & 1 for b in reversed(range(gen - s))) + (...,)]
+        top[...] = slab.reshape(top.shape)
+    return out
+
+
+def _coarsen_morton(cells: np.ndarray, d: int) -> np.ndarray:
+    """Sum each contiguous block of 2^d siblings of a flat Morton-order level.
+
+    The first child axis of a block is the last lexicographic axis, so its
+    halves are added first, in the order of :func:`_coarsen`; the sums
+    run in row chunks.
+    """
+    blocks = cells.reshape((-1,) + (2,) * d)
+    parent = np.empty(blocks.shape[0], dtype=cells.dtype)
+    for lo in range(0, blocks.shape[0], _CHUNK_ROWS):
+        part = blocks[lo : lo + _CHUNK_ROWS]
+        for _ in range(d - 1):
+            part = part[:, 0] + part[:, 1]
+        out = parent[lo : lo + _CHUNK_ROWS]
+        np.add(part[:, 0], part[:, 1], out=out)
+        if out.dtype.kind == "f":
+            out += 0.0  # as in _coarsen: a reduce-sum never returns -0.0
+    return parent
+
+
+def _morton_pyramid(values: np.ndarray, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Flat Morton-order cell increments of the grid ``values``, finest generation first.
+
+    Yields ``(n, cells)`` for n = N down to ``stop``.  Generation n-1 is
+    summed before generation n is yielded, so a consumer may overwrite
+    ``cells``; it should drop ``cells`` before asking for the next level.
+    """
+    gen = (values.shape[0] - 1).bit_length() - 1
+    cells = _morton_cells(values, gen)
+    for n in range(gen, stop - 1, -1):
+        parent = _coarsen_morton(cells, values.ndim) if n > stop else None
+        yield n, cells
+        cells = parent
 
 
 def figure_increment(f: GridSample, fig: Figure):
@@ -212,6 +280,26 @@ class CoefficientTable:
         )
 
 
+def _haar_products(cells: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Sign-matrix products of the float Morton level n+1 ``cells``, times 2^(nd/2).
+
+    Row k of the (2^(nd), 2^d) result is the child block of generation-n
+    cube k times ``haar_matrix(d)``: column 0 holds the cube's increment,
+    columns 1.. its coefficients.  A level of more than ``_CHUNK_ROWS``
+    rows is overwritten in row chunks; a smaller one gets one product in
+    a new array.
+    """
+    mat = haar_matrix(d).astype(float)
+    full = cells.reshape(1 << (n * d), 1 << d)
+    if len(full) <= _CHUNK_ROWS:
+        full = full @ mat
+    else:
+        for lo in range(0, len(full), _CHUNK_ROWS):
+            full[lo : lo + _CHUNK_ROWS] = full[lo : lo + _CHUNK_ROWS] @ mat
+    full *= 2.0 ** (n * d / 2.0)
+    return full
+
+
 def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
     """Coefficients of ``f`` in the Haar-primitive system up to ``max_gen``.
 
@@ -224,22 +312,18 @@ def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
             f"need grid generation > {max_gen}, got {f.gen}"
         )
     d = f.dim
-    mat = haar_matrix(d)
-    levels = []
-    by_gen = increment_levels(f, max_gen + 1)
-    for n in range(max_gen + 1):
-        child = lex_to_morton(by_gen[n + 1]).reshape(1 << (n * d), 1 << d)
-        by_gen[n + 1] = None  # consumed; the finest levels are as large as the grid
-        if f.is_exact:
-            full = np.dot(child, mat.astype(object))
-            scale = pow2_half(n * d)
-        else:
-            full = np.asarray(child, dtype=float) @ mat.astype(float)
-            scale = 2.0 ** (n * d / 2.0)
-        del child  # freed before lam is allocated: at the finest level it is grid-sized
-        lam = full[:, 1:] * scale
-        lam.flags.writeable = False  # CoefficientTable takes it over without a copy
-        levels.append(lam)
+    levels = [None] * (max_gen + 1)
+    for m, cells in _morton_pyramid(f.values, 1):
+        n = m - 1
+        if n <= max_gen:
+            if f.is_exact:
+                full = np.dot(cells.reshape(1 << (n * d), 1 << d), haar_matrix(d).astype(object))
+                levels[n] = full[:, 1:] * pow2_half(n * d)
+                del full
+            else:
+                levels[n] = _haar_products(np.asarray(cells, dtype=float), n, d)[:, 1:].copy()
+            levels[n].flags.writeable = False  # CoefficientTable takes it over without a copy
+        del cells  # the finest levels are as large as the grid
     return CoefficientTable(d, max_gen, f.corner_value(), tuple(levels))
 
 
@@ -261,15 +345,40 @@ def save_coefficients(tab: CoefficientTable, csv_path, json_path) -> None:
 
 
 def load_coefficients(csv_path, json_path) -> CoefficientTable:
+    """Read a :func:`save_coefficients` pair.
+
+    Raises ``ValueError`` for a header with d < 1 or M < 0, for an n, k or r
+    out of range, a repeated or missing (n, k, r) row and a non-finite
+    lambda.  The header is checked against the CSV's length before any
+    level is allocated.
+    """
     with open(json_path) as fh:
         head = json.load(fh)
     d, max_gen = head["d"], head["M"]
-    levels = [
-        np.zeros((1 << (n * d), (1 << d) - 1)) for n in range(max_gen + 1)
-    ]
+    if not all(type(x) is int for x in (d, max_gen)) or not 1 <= d < 63 or max_gen < 0:
+        raise ValueError(f"coefficient header has d={d!r}, M={max_gen!r}")
+    types = (1 << d) - 1
+    size, want = os.path.getsize(csv_path), 0
+    for n in range(max_gen + 1):
+        want += types << (n * d)
+        if want * len("0,0,1,0\n") > size:
+            raise ValueError(
+                f"coefficient header d={d}, M={max_gen} needs more rows than the CSV holds"
+            )
+    # NaN marks an entry not read yet; a row must hold a finite lambda.
+    levels = [np.full((1 << (n * d), types), np.nan) for n in range(max_gen + 1)]
     with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        for line, row in enumerate(csv.DictReader(fh), start=2):
             n, k, r = int(row["n"]), int(row["k"]), int(row["r"])
-            levels[n][k, r - 1] = float(row["lambda"])
+            if not (0 <= n <= max_gen and 0 <= k < 1 << (n * d) and 1 <= r <= types):
+                raise ValueError(f"line {line}: (n, k, r) = ({n}, {k}, {r}) out of range")
+            value = float(row["lambda"])
+            if not math.isfinite(value):
+                raise ValueError(f"line {line}: non-finite lambda {row['lambda']!r}")
+            if not np.isnan(levels[n][k, r - 1]):
+                raise ValueError(f"line {line}: repeats (n, k, r) = ({n}, {k}, {r})")
+            levels[n][k, r - 1] = value
+    for n, lev in enumerate(levels):
+        if np.isnan(lev).any():
+            raise ValueError(f"generation {n} is missing {int(np.isnan(lev).sum())} rows")
     return CoefficientTable(d, max_gen, head["a_minus1"], tuple(levels))

@@ -249,7 +249,7 @@ def save_grid(f: GridSample, path) -> None:
         fh.write(struct.pack("<qq", f.dim, f.gen))
         fh.write(struct.pack(f"<{f.dim}d", *hurst))
         fh.write(struct.pack("<q", seed))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(f.values, dtype="<f8")))
 
 
 def load_grid(path) -> GridSample:

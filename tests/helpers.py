@@ -27,6 +27,19 @@ def zero_grid(d: int, gen: int) -> GridSample:
     return GridSample(d, gen, np.zeros(((1 << gen) + 1,) * d))
 
 
+def awkward_grid(d, gen, seed):
+    """Random grid whose first interior points hold -0.0, NaN, infinities and huge values."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(((1 << gen) + 1,) * d) * 10.0 ** rng.integers(-300, 300)
+    interior = values[(slice(1, None),) * d].reshape(-1)
+    specials = [-0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324]
+    interior[: len(specials)] = specials[: interior.size]
+    values[(slice(1, None),) * d] = interior.reshape((1 << gen,) * d)
+    for axis in range(d):
+        np.moveaxis(values, axis, 0)[0] = 0.0
+    return GridSample(d, gen, values)
+
+
 def grid_from_cell_increments(cells: np.ndarray) -> GridSample:
     """Build the grid sample whose finest-cell increments are ``cells``."""
     d = cells.ndim

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sheetcharge.criteria import (
     CriterionReport,
+    _streamed_report,
     build_report,
     criterion_a_statistic,
     criterion_b_partial_sums,
@@ -16,7 +19,7 @@ from sheetcharge.haar import HaarIndex, haar_primitive_grid
 from sheetcharge.increments import CoefficientTable, GridSample, coefficient_table
 from sheetcharge.sampler import sample_sheet, sample_standard_sheet
 
-from helpers import product_grid, zero_grid
+from helpers import awkward_grid, product_grid, zero_grid
 
 
 def table_from_levels(d, levels):
@@ -264,3 +267,65 @@ class TestReport:
             assert np.array_equal(
                 np.array(got).view(np.int64), np.array(want).view(np.int64)
             ), name
+
+
+REPORT_STATS = ("criterion_a", "b_terms", "b_partial_sums", "t_stats", "s_stats")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestStreamedReport:
+    """The one-pass report against build_report(coefficient_table(...)), bit for bit."""
+
+    @pytest.mark.parametrize(
+        "f, max_gen",
+        [
+            (sample_standard_sheet(1, 3, seed=0), 2),
+            # levels of 2^15 rows (row chunks) and of exactly 2^14 rows (one product)
+            (sample_standard_sheet(1, 16, seed=1), 15),
+            (sample_standard_sheet(1, 16, seed=2), 14),
+            (sample_standard_sheet(2, 9, seed=3), 8),
+            (sample_standard_sheet(2, 9, seed=4), 5),
+            (sample_sheet((0.6, 0.9), 9, seed=5), 8),
+            (sample_standard_sheet(3, 1, seed=6), 0),
+            (sample_standard_sheet(3, 6, seed=7), 5),
+            (sample_sheet((0.7, 0.8, 0.9), 5, seed=8), 3),
+            (zero_grid(2, 4), 3),
+            (zero_grid(3, 2), 1),
+            (awkward_grid(1, 6, seed=9), 5),
+            (awkward_grid(2, 4, seed=10), 3),
+            (awkward_grid(3, 3, seed=11), 1),
+            (product_grid(2, 3, exact=True), 2),
+            (GridSample(2, 2, np.multiply.outer(np.arange(5), np.arange(5))), 1),
+        ],
+        ids=[
+            "d1", "d1-chunked", "d1-one-product", "d2-chunked", "d2-M-below",
+            "d2-fractional", "d3-level-0", "d3-chunked", "d3-fractional", "d2-zero",
+            "d3-zero", "d1-nonfinite", "d2-nonfinite", "d3-nonfinite", "exact", "int",
+        ],
+    )
+    def test_bit_identical_to_table_report(self, f, max_gen):
+        got = _streamed_report(f, max_gen, hurst=f.hurst, label="x")
+        want = build_report(coefficient_table(f, max_gen), hurst=f.hurst, label="x")
+        for name in REPORT_STATS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert [type(x) for x in a] == [type(x) for x in b], name
+            assert np.array_equal(np.array(a).view(np.int64), np.array(b).view(np.int64)), name
+        assert (got.dim, got.max_gen, got.hurst, got.meta) == (
+            want.dim, want.max_gen, want.hurst, want.meta
+        )
+        assert got.to_json() == want.to_json()
+
+    def test_horizon_validated_as_the_table_is(self):
+        with pytest.raises(ValueError, match="need grid generation > 3"):
+            _streamed_report(zero_grid(2, 3), 3)
+
+    def test_peak_at_most_one_and_a_half_grids_above_the_grid(self):
+        f = sample_standard_sheet(2, 11, seed=0)
+        tracemalloc.start()
+        try:
+            _streamed_report(f, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * f.values.nbytes

@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,9 @@ from sheetcharge.increments import (
     CoefficientTable,
     GridSample,
     _coarsen,
+    _coarsen_morton,
+    _morton_cells,
+    _morton_pyramid,
     coefficient_table,
     cube_increments,
     figure_increment,
@@ -21,7 +26,7 @@ from sheetcharge.increments import (
 )
 from sheetcharge.sampler import sample_sheet, sample_standard_sheet
 
-from helpers import product_grid, zero_grid
+from helpers import awkward_grid, product_grid, zero_grid
 
 
 def frac_rect(lo, hi):
@@ -299,6 +304,12 @@ class TestCoefficientTable:
             sample_sheet((0.6, 0.9), 5, seed=4),
             sample_sheet((0.7, 0.8, 0.9), 3, seed=5),
             GridSample(2, 2, np.multiply.outer(np.arange(5), np.arange(5))),
+            # finest levels of 2^15 or 2^16 rows, more than one 2^14-row chunk;
+            # the d=1 and d=2 sheets also have a level of exactly 2^14 rows
+            sample_standard_sheet(1, 16, seed=6),
+            sample_standard_sheet(2, 9, seed=7),
+            sample_sheet((0.6, 0.9), 9, seed=8),
+            sample_standard_sheet(3, 6, seed=9),
         ],
     )
     def test_float_table_bit_identical_to_reference(self, f):
@@ -313,6 +324,77 @@ class TestCoefficientTable:
         tab = coefficient_table(f, gen - 1)
         for lev, want in zip(tab.levels, reference_coefficient_levels(f, gen - 1), strict=True):
             assert lev.dtype == object and np.array_equal(lev, want)
+
+
+class TestLoadCoefficients:
+    @staticmethod
+    def saved(tmp_path):
+        """The paths of a saved d=2, M=2 table: its CSV and its JSON header."""
+        csv_path, json_path = tmp_path / "table.csv", tmp_path / "table.json"
+        tab = coefficient_table(sample_standard_sheet(2, 3, seed=4), 2)
+        save_coefficients(tab, csv_path, json_path)
+        return csv_path, json_path
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: {**h, "d": 0}, "header has d=0"),
+            (lambda h: {**h, "M": -1}, "M=-1"),
+            (lambda h: {**h, "d": 2.0}, "header has d=2.0"),
+            (lambda h: {**h, "d": 70}, "header has d=70"),
+        ],
+        ids=["zero-d", "negative-M", "float-d", "huge-d"],
+    )
+    def test_rejects_bad_header(self, tmp_path, edit, message):
+        csv_path, json_path = self.saved(tmp_path)
+        json_path.write_text(json.dumps(edit(json.loads(json_path.read_text()))))
+        with pytest.raises(ValueError, match=message):
+            load_coefficients(csv_path, json_path)
+
+    def test_header_checked_before_levels_are_allocated(self, tmp_path):
+        csv_path, json_path = self.saved(tmp_path)
+        json_path.write_text(json.dumps({**json.loads(json_path.read_text()), "M": 8}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="needs more rows than the CSV holds"):
+                load_coefficients(csv_path, json_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 4**8 * 8 // 4  # a quarter of the generation-8 level
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,-1,1,0.5", "out of range"),
+            ("1,4,1,0.5", "out of range"),
+            ("3,0,1,0.5", "out of range"),
+            ("-1,0,1,0.5", "out of range"),
+            ("1,0,0,0.5", "out of range"),
+            ("1,0,4,0.5", "out of range"),
+            ("1,2,3,nan", "non-finite"),
+            ("1,2,3,-inf", "non-finite"),
+            ("1,2,3,0.5", "repeats"),
+        ],
+        ids=["k=-1", "k=4^n", "n=M+1", "n=-1", "r=0", "r=2^d", "nan", "inf", "duplicate"],
+    )
+    def test_rejects_bad_row(self, tmp_path, row, message):
+        csv_path, json_path = self.saved(tmp_path)
+        with open(csv_path, "a") as fh:
+            fh.write(row + "\n")
+        if message != "repeats":  # drop the row the bad one stands for, so only it is wrong
+            lines = csv_path.read_text().splitlines(keepends=True)
+            csv_path.write_text("".join(lines[:-2] + lines[-1:]))
+        with pytest.raises(ValueError, match=message):
+            load_coefficients(csv_path, json_path)
+
+    def test_rejects_missing_row(self, tmp_path):
+        csv_path, json_path = self.saved(tmp_path)
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:5] + lines[6:]))
+        with pytest.raises(ValueError, match="generation 1 is missing 1 rows"):
+            load_coefficients(csv_path, json_path)
+
 
 
 def reference_coarsen(cells):
@@ -379,3 +461,57 @@ class TestIncrementPyramid:
         levels = increment_levels(f, f.gen)
         for n in range(f.gen + 1):
             assert np.array_equal(lex_to_morton(levels[n]), cube_increments(f, n))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestMortonPyramid:
+    """The Morton pyramid against lex_to_morton of the lexicographic one, bit for bit."""
+
+    # 2^15-cell slabs: d1 N16 is two slabs, d2 N9 eight of 64 rows, d3 N5 one,
+    # d3 N6 eight of 8 rows; d2 N8's finest parent level is 2^14 rows, one chunk,
+    # and d2 N9's is four chunks
+    SIZES = [(1, 0), (1, 3), (1, 16), (2, 0), (2, 1), (2, 8), (2, 9), (3, 2), (3, 5), (3, 6)]
+
+    @staticmethod
+    def assert_bits(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if got.dtype == object:
+            assert all(a == b and type(a) is type(b) for a, b in zip(got, want, strict=True))
+        else:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("d,gen", SIZES)
+    def test_finest_level(self, d, gen):
+        f = awkward_grid(d, gen, seed=10 * d + gen)
+        self.assert_bits(_morton_cells(f.values, gen), lex_to_morton(finest_increments(f)))
+
+    @pytest.mark.parametrize(
+        "f",
+        [awkward_grid(d, gen, seed=d + gen) for d, gen in SIZES if d * gen <= 16]
+        + [
+            sample_sheet((0.6, 0.9), 6, seed=5),
+            exact_random_grid(2, 3, seed=6, scalar=Fraction(1, 7)),
+            exact_random_grid(3, 2, seed=7, scalar=Rad2(Fraction(1, 2), Fraction(-2, 3))),
+            GridSample(2, 3, np.multiply.outer(np.arange(9), np.arange(9))),
+        ],
+    )
+    def test_every_level_survives_an_overwritten_child(self, f):
+        want = [lex_to_morton(level) for level in increment_levels(f)]
+        seen = []
+        for n, cells in _morton_pyramid(f.values, 0):
+            self.assert_bits(cells, want[n])
+            seen.append(n)
+            cells[...] = 7  # the parent level was summed before this one was yielded
+        assert seen == list(range(f.gen, -1, -1))
+
+    @pytest.mark.parametrize("d,gen", [(1, 1), (1, 16), (2, 1), (2, 9), (3, 1), (3, 6)])
+    def test_sibling_sums_match_lexicographic_coarsening(self, d, gen):
+        # cells no grid produces: runs of -0.0 siblings, whose sum +0.0 settles
+        rng = np.random.default_rng(d * gen)
+        cells = rng.standard_normal((1 << gen,) * d)
+        cells[rng.integers(0, 2, cells.shape) == 1] = -0.0
+        specials = [-0.0] * 4 + [np.nan, np.inf, -np.inf, 1e308]
+        cells.reshape(-1)[: len(specials)] = specials[: cells.size]
+        got = _coarsen_morton(lex_to_morton(cells), d)
+        self.assert_bits(got, lex_to_morton(_coarsen(cells)))

@@ -234,6 +234,32 @@ class TestSerialization:
         assert back.hurst is None and back.seed is None
         assert np.array_equal(back.values, f.values)
 
+    @pytest.mark.parametrize(
+        "f",
+        [sample_sheet((0.7, 0.9), 3, seed=23), product_grid(2, 2, exact=True)],
+        ids=["float", "exact"],
+    )
+    def test_binary_bytes_match_header_and_tobytes(self, tmp_path, f):
+        save_grid(f, tmp_path / "sample.grid")
+        hurst = f.hurst if f.hurst is not None else (float("nan"),) * f.dim
+        seed = f.seed if f.seed is not None else -1
+        want = (
+            sampler._GRID_MAGIC
+            + struct.pack(f"<qq{f.dim}dq", f.dim, f.gen, *hurst, seed)
+            + np.asarray(f.values, dtype="<f8").tobytes()
+        )
+        assert (tmp_path / "sample.grid").read_bytes() == want
+
+    def test_binary_export_does_not_copy_the_grid(self, tmp_path):
+        f = sample_sheet((0.6, 0.8), 8, seed=1)
+        tracemalloc.start()
+        try:
+            save_grid(f, tmp_path / "sample.grid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= f.values.nbytes // 8
+
     def test_csv_export(self, tmp_path):
         f = sample_standard_sheet(2, 1, seed=3)
         path = tmp_path / "sample.csv"
