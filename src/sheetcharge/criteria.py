@@ -18,8 +18,7 @@ import numpy as np
 from .increments import (
     CoefficientTable,
     GridSample,
-    _haar_products,
-    _morton_pyramid,
+    _coefficient_levels,
     coefficient_table,
     increment_levels,
 )
@@ -256,12 +255,8 @@ def _streamed_report(
     if f.values.dtype != np.float64 or not 0 <= max_gen < f.gen:
         return build_report(coefficient_table(f, max_gen), hurst, **meta)
     stats = [None] * (max_gen + 1)
-    for m, cells in _morton_pyramid(f.values, 1):
-        n = m - 1
-        if n <= max_gen:
-            full = _haar_products(cells, n, f.dim)
-            np.abs(full, out=full)
-            stats[n] = _level_stats(full[:, 1:], n, f.dim)
-            del full
-        del cells  # the finest levels are as large as the grid
+    for n, full in _coefficient_levels(f, max_gen):
+        np.abs(full, out=full)
+        stats[n] = _level_stats(full[:, 1:], n, f.dim)
+        del full
     return _report(f.dim, max_gen, stats, hurst, meta)

@@ -285,19 +285,38 @@ def _haar_products(cells: np.ndarray, n: int, d: int) -> np.ndarray:
 
     Row k of the (2^(nd), 2^d) result is the child block of generation-n
     cube k times ``haar_matrix(d)``: column 0 holds the cube's increment,
-    columns 1.. its coefficients.  A level of more than ``_CHUNK_ROWS``
-    rows is overwritten in row chunks; a smaller one gets one product in
-    a new array.
+    columns 1.. its coefficients.  ``cells`` is overwritten by the result,
+    ``_CHUNK_ROWS`` rows at a time.
     """
     mat = haar_matrix(d).astype(float)
     full = cells.reshape(1 << (n * d), 1 << d)
-    if len(full) <= _CHUNK_ROWS:
-        full = full @ mat
-    else:
-        for lo in range(0, len(full), _CHUNK_ROWS):
-            full[lo : lo + _CHUNK_ROWS] = full[lo : lo + _CHUNK_ROWS] @ mat
+    for lo in range(0, len(full), _CHUNK_ROWS):
+        full[lo : lo + _CHUNK_ROWS] = full[lo : lo + _CHUNK_ROWS] @ mat
     full *= 2.0 ** (n * d / 2.0)
     return full
+
+
+def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The sign-matrix products of ``f`` for n = max_gen down to 0.
+
+    Yields ``(n, full)``: row k of the (2^(nd), 2^d) array ``full`` is the
+    child block of generation-n cube k times ``haar_matrix(d)`` and
+    2^(nd/2), so ``full[:, 1:]`` holds the level's coefficients.  A float
+    ``full`` overwrites its Morton level; a consumer may overwrite it too,
+    and should drop it before asking for the next level.
+    """
+    d = f.dim
+    for m, cells in _morton_pyramid(f.values, 1):
+        n = m - 1
+        if n <= max_gen:
+            if f.is_exact:
+                full = np.dot(cells.reshape(1 << (n * d), 1 << d), haar_matrix(d).astype(object))
+                full *= pow2_half(n * d)
+            else:
+                full = _haar_products(np.asarray(cells, dtype=float), n, d)
+            yield n, full
+            del full
+        del cells  # the finest levels are as large as the grid
 
 
 def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
@@ -311,20 +330,12 @@ def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
         raise ValueError(
             f"need grid generation > {max_gen}, got {f.gen}"
         )
-    d = f.dim
     levels = [None] * (max_gen + 1)
-    for m, cells in _morton_pyramid(f.values, 1):
-        n = m - 1
-        if n <= max_gen:
-            if f.is_exact:
-                full = np.dot(cells.reshape(1 << (n * d), 1 << d), haar_matrix(d).astype(object))
-                levels[n] = full[:, 1:] * pow2_half(n * d)
-                del full
-            else:
-                levels[n] = _haar_products(np.asarray(cells, dtype=float), n, d)[:, 1:].copy()
-            levels[n].flags.writeable = False  # CoefficientTable takes it over without a copy
-        del cells  # the finest levels are as large as the grid
-    return CoefficientTable(d, max_gen, f.corner_value(), tuple(levels))
+    for n, full in _coefficient_levels(f, max_gen):
+        levels[n] = full[:, 1:].copy()
+        levels[n].flags.writeable = False  # CoefficientTable takes it over without a copy
+        del full
+    return CoefficientTable(f.dim, max_gen, f.corner_value(), tuple(levels))
 
 
 def save_coefficients(tab: CoefficientTable, csv_path, json_path) -> None:
