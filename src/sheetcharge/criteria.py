@@ -80,19 +80,27 @@ def criterion_b_partial_sums(tab: CoefficientTable) -> np.ndarray:
     return np.cumsum(criterion_b_terms(tab))
 
 
-def holder_ratio_by_level(f: GridSample, gamma: float, max_gen: int) -> np.ndarray:
-    """Per-generation max_k |increment| / |cube|^gamma for n = 0..max_gen."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    levels = increment_levels(f, max_gen)
-    out = np.empty(max_gen + 1)
-    for n, cells in enumerate(levels):
+def _level_max_abs(f: GridSample, max_gen: int) -> list[float]:
+    """max_k |increment| over the generation-n cubes, for n = 0..max_gen."""
+    out = []
+    for cells in increment_levels(f, max_gen):
         flat = cells.reshape(-1)
         if flat.dtype == object:
             flat = flat.astype(float)
-        vol = 2.0 ** (-n * f.dim)
-        out[n] = float(np.abs(flat).max()) / vol**gamma
+        out.append(float(np.abs(flat).max()))
     return out
+
+
+def _holder_ratios(maxima: Sequence[float], dim: int, gamma: float) -> np.ndarray:
+    """``maxima[n] / |cube|^gamma`` per generation, from :func:`_level_max_abs`."""
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+    return np.array([m / (2.0 ** (-n * dim)) ** gamma for n, m in enumerate(maxima)])
+
+
+def holder_ratio_by_level(f: GridSample, gamma: float, max_gen: int) -> np.ndarray:
+    """Per-generation max_k |increment| / |cube|^gamma for n = 0..max_gen."""
+    return _holder_ratios(_level_max_abs(f, max_gen), f.dim, gamma)
 
 
 def holder_ratio(f: GridSample, gamma: float, max_gen: int) -> float:
@@ -131,7 +139,10 @@ def moment_scaling_fit(
         if arr.size < min_count:
             excluded.append(n)
             continue
-        moment = float(np.mean(np.abs(arr) ** q))
+        mag = np.abs(arr)
+        mag **= q  # the bits of np.abs(arr) ** q, with one temporary instead of two
+        moment = float(np.mean(mag))
+        del mag  # not alive while the next generation's is made
         points.append((n, -float(n * dim), float(np.log2(moment)), arr.size))
     if len(points) < 2:
         raise ValueError("need at least two generations with enough samples")

@@ -13,6 +13,7 @@ import inspect
 import json
 import math
 import numbers
+import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -25,9 +26,10 @@ from . import __version__, increments
 # build_report, coefficient_table and cube_increments are unused here, but
 # bench/tracer.py wraps these module attributes.
 from .criteria import (  # noqa: F401
+    _holder_ratios,
+    _level_max_abs,
     _streamed_report,
     build_report,
-    holder_ratio_by_level,
     moment_scaling_fit,
 )
 from .dyadic import DyadicCube, Figure, figure_perimeter, morton_encode
@@ -177,6 +179,8 @@ class ExperimentConfig:
         if self.gens is not None:
             if not self.gens or not all(0 <= g <= self.N for g in self.gens):
                 raise ConfigError(f"gens must be nonempty and within 0..N={self.N}")
+            if len(set(self.gens)) != len(self.gens):
+                raise ConfigError(f"gens must be distinct, got {list(self.gens)}")
             object.__setattr__(self, "gens", tuple(int(g) for g in self.gens))
         if self.subcommand == "fractional-criteria" and not 0 <= self.fit_min_gen <= m - 1:
             raise ConfigError(
@@ -187,11 +191,34 @@ class ExperimentConfig:
             # Generation n pools replicates * 2^(nd) increments (the shift is capped so a huge N
             # stays cheap); the fit drops those below its min_count and needs two left.
             min_count = inspect.signature(moment_scaling_fit).parameters["min_count"].default
-            counts = [self.replicates << min(n * self.d, 64) for n in set(self._moment_gens())]
+            counts = [self.replicates << min(n * self.d, 64) for n in self._moment_gens()]
             if sum(c >= min_count for c in counts) < 2:
                 raise ConfigError(
                     f"moment-scaling needs two generations with replicates * 2^(n*d) >= {min_count}"
                 )
+        need = self._memory_estimate()
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise ConfigError(
+                f"the run needs about {need / 2**30:.3g} GiB, more than the "
+                f"{have / 2**30:.3g} GiB of physical memory"
+            )
+
+    def _memory_estimate(self) -> int:
+        """Bytes of the largest arrays one run allocates, capped at 2^64.
+
+        The (2^N+1)^d grid; with H, the per-axis kernel factorisation, which
+        holds three 2^N x 2^N arrays at its peak; for moment-scaling, the
+        pooled samples.  N and d are capped at 64 so the integers stay small:
+        any capped estimate is already above 2^64 bytes.
+        """
+        gen, d = min(self.N, 64), min(self.d, 64)
+        need = 8 * ((1 << gen) + 1) ** d
+        if self.H is not None:
+            need += 3 * 8 * 4**gen
+        if self.subcommand == "moment-scaling":
+            need += 8 * self.replicates * sum(1 << min(n * d, 64) for n in self._moment_gens())
+        return min(need, 1 << 64)
 
     def _moment_gens(self) -> tuple[int, ...]:
         """Generations moment-scaling pools: ``gens``, or 2..M by default."""
@@ -399,24 +426,27 @@ def run_holder_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
     with _csv(path, "seed,gamma,n,ratio") as row:
         for seed in cfg.seeds:
             f = _sample_for(cfg, seed)
-            for gamma in cfg.gamma:
-                ratios = holder_ratio_by_level(f, gamma, cfg.M)
-                for n, r in enumerate(ratios):
-                    row(seed, gamma, n, r)
+            maxima = _level_max_abs(f, cfg.M)
             del f  # not alive while the next seed's sheet is drawn
+            for gamma in cfg.gamma:
+                for n, r in enumerate(_holder_ratios(maxima, cfg.d, gamma)):
+                    row(seed, gamma, n, r)
     return [path]
 
 
 def run_moment_scaling(cfg: ExperimentConfig, out: Path) -> list[Path]:
     gens = cfg._moment_gens()
     seed = cfg.seeds[0]
-    pooled: dict[int, list[np.ndarray]] = {n: [] for n in gens}
-    for f in sample_sheet_ensemble(cfg.H, cfg.N, seed, cfg.replicates):
+    # Replicate r's generation-n increments, in Morton order, are row r of samples[n].
+    samples = {n: np.empty((cfg.replicates, 1 << (n * cfg.d))) for n in gens}
+    for r, f in enumerate(sample_sheet_ensemble(cfg.H, cfg.N, seed, cfg.replicates)):
         levels = increment_levels(f, max(gens))
-        for n in gens:
+        del f
+        for n, rows in samples.items():
             # Looked up on increments, the call site bench/tracer.py wraps.
-            pooled[n].append(np.asarray(increments.lex_to_morton(levels[n]), dtype=float))
-    samples = {n: np.concatenate(chunks) for n, chunks in pooled.items()}
+            rows[r] = increments.lex_to_morton(levels[n])
+        del levels  # the sheet and its levels are not alive while the next sheet is drawn
+    samples = {n: rows.reshape(-1) for n, rows in samples.items()}
     path = out / "moment_scaling.csv"
     fits = {}
     with _csv(path, "q,n,log2_volume,log2_moment,count") as row:

@@ -204,6 +204,18 @@ class TestConfigRejectedBeforeWriting:
                 "moment-scaling", {"d": 1, "N": 4, "H": [0.7], "replicates": 7, "gens": [2, 3]},
                 id="moments-too-few",
             ),
+            pytest.param(  # one row per replicate: a repeated generation cannot pool twice
+                "moment-scaling",
+                {"d": 1, "N": 5, "H": [0.7], "replicates": 8, "gens": [3, 3, 4]},
+                id="gens-repeated",
+            ),
+            # Above any machine's physical memory: a 550 GB grid, a 3^40-point grid,
+            # and at d=1 a 128 KiB grid whose 2^17 x 2^17 axis kernel needs 128 GiB.
+            pytest.param("simulate", {"d": 3, "N": 12}, id="memory-grid-d3"),
+            pytest.param("simulate", {"d": 40, "N": 1}, id="memory-grid-d40"),
+            pytest.param(
+                "fractional-criteria", {"d": 1, "N": 17, "H": [0.7]}, id="memory-axis-kernel"
+            ),
             pytest.param("simulate", [1, 2], id="top-level-list"),
             pytest.param("simulate", {"d": 1, "N": 3, "seeds": [-1]}, id="seed-negative"),
             pytest.param("simulate", {"d": 1, "N": 3, "out": 5}, id="out-number"),

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -176,7 +177,28 @@ class TestHolderRatio:
                 assert 0.4 * predicted <= levels[n] <= 2.5 * predicted
 
 
+MOMENT_ORDERS = (0.25, 1 / 3, 0.5, 1, 1.5, 2, 2.5, 3, 7)
+
+
 class TestMomentScaling:
+    @pytest.mark.parametrize("q", MOMENT_ORDERS)
+    def test_moments_match_out_of_place_power_bit_for_bit(self, q):
+        tiny = np.finfo(float).smallest_subnormal
+        rng = np.random.default_rng(3)
+        samples = {
+            0: rng.standard_normal(1000) * 0.5,
+            1: np.array([0.0, -0.0, 0.0]),
+            2: np.array([-0.0, tiny, -tiny, 3 * tiny, 1e-310, -2.2e-308]),
+            3: np.array([1e300, -1e200, 2.0, np.finfo(float).max]),  # overflows for q > 1
+            4: np.concatenate([rng.standard_normal(257) * 1e-160, [-0.0, tiny, 1e160]]),
+        }
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # infinite moments leave the slope NaN
+            fit = moment_scaling_fit(samples, q, 1, min_count=1)
+            want = [np.log2(np.mean(np.abs(samples[n]) ** q)) for n in samples]
+        got = [log2_moment for _, _, log2_moment, _ in fit.points]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_deterministic_volume_increments(self):
         # increments exactly |K| at every generation: slope 1, no residual
         samples = {n: np.full(64, 2.0 ** (-2 * n)) for n in range(2, 6)}

@@ -1,16 +1,23 @@
+import functools
+import importlib.util
 import math
 import struct
+import sys
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sheetcharge import criteria, experiment
 from sheetcharge.dyadic import (
     DyadicCube,
     Figure,
     exposed_faces,
     figure_perimeter,
+    lex_to_morton,
     morton_decode,
     morton_encode,
 )
@@ -21,7 +28,7 @@ from sheetcharge.experiment import (
     counterexample_figure,
 )
 from sheetcharge.increments import GridSample, figure_increment, increment_levels
-from sheetcharge.sampler import sample_sheet, sample_standard_sheet
+from sheetcharge.sampler import sample_sheet, sample_sheet_ensemble, sample_standard_sheet
 
 from helpers import grid_from_cell_increments, product_grid, zero_grid
 
@@ -307,3 +314,106 @@ class TestConfig:
             {"config": {"subcommand": "simulate", "d": 1, "N": 3, "seeds": [7]}}
         )
         assert cfg.seeds == (7,)
+
+    def test_memory_estimate_counts_grid_kernel_and_samples(self):
+        cfg = ExperimentConfig(
+            subcommand="moment-scaling", d=2, N=8, H=(0.7, 0.7), replicates=200, q=(1, 2)
+        )
+        grid, kernel = 8 * 257**2, 3 * 8 * 4**8
+        samples = 8 * 200 * sum(4**n for n in range(2, 8))
+        assert cfg._memory_estimate() == grid + kernel + samples
+
+    def test_benchmark_configs_fit_in_memory(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+        spec.loader.exec_module(workloads)
+        for wl in workloads.WORKLOADS.values():
+            ExperimentConfig.from_json_obj({"subcommand": wl.subcommand, **wl.config_for(0)})
+
+
+def run_capturing_fit(monkeypatch, tmp_path, **config):
+    """Run moment-scaling: its config, the samples its first fit received and
+    the tracemalloc peak when that fit began (0 when tracemalloc is off)."""
+    calls = []
+    fit = experiment.moment_scaling_fit
+
+    @functools.wraps(fit)  # the config reads the fit's min_count from its signature
+    def spy(samples, q, dim, **kw):
+        calls.append((samples, tracemalloc.get_traced_memory()[1]))
+        return fit(samples, q, dim, **kw)
+
+    monkeypatch.setattr(experiment, "moment_scaling_fit", spy)
+    cfg = ExperimentConfig(subcommand="moment-scaling", out=str(tmp_path), **config)
+    experiment.run(cfg)
+    return (cfg, *calls[0])
+
+
+class TestMomentScalingRunner:
+    @pytest.mark.parametrize(
+        "d, N, H, replicates, gens",
+        [
+            (1, 6, (0.3,), 1, (0, 5, 6)),
+            (1, 7, (0.8,), 8, (6, 2, 0)),
+            (2, 4, (0.6, 0.8), 1, (0, 3, 4)),
+            (2, 5, (0.7, 0.7), 3, None),
+            (3, 3, (0.5, 0.6, 0.9), 2, (0, 2, 3)),
+        ],
+    )
+    def test_samples_match_concatenated_levels(
+        self, monkeypatch, tmp_path, d, N, H, replicates, gens
+    ):
+        cfg, samples, _ = run_capturing_fit(
+            monkeypatch, tmp_path, d=d, N=N, H=H, replicates=replicates, gens=gens, seeds=(5,)
+        )
+        gens = cfg._moment_gens()
+        sheets = list(sample_sheet_ensemble(H, N, 5, replicates))
+        assert list(samples) == list(gens)
+        for n in gens:
+            want = np.concatenate(
+                [
+                    np.asarray(lex_to_morton(increment_levels(f, max(gens))[n]), dtype=float)
+                    for f in sheets
+                ]
+            )
+            assert samples[n].dtype == want.dtype and samples[n].shape == want.shape
+            assert samples[n].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d, N", [(1, 10), (2, 8), (3, 4)])
+    def test_memory_within_samples_and_one_sheet(self, monkeypatch, tmp_path, d, N):
+        # Pooling holds the sample arrays, one sheet and the differencing of one
+        # pyramid (the finest level and the half-differenced grid); the fit then
+        # holds the samples and |x|^q of its largest generation.
+        H, reps = (0.7,) * d, 20
+        sample_sheet(H, N, 0)  # the cached axis factor is not the runner's
+        tracemalloc.start()
+        try:
+            cfg, _, pooled_peak = run_capturing_fit(
+                monkeypatch, tmp_path, d=d, N=N, H=H, replicates=reps, q=(1, 2)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gens = cfg._moment_gens()
+        samples = 8 * reps * sum(1 << (n * d) for n in gens)
+        largest = 8 * reps * (1 << (max(gens) * d))
+        sheet, level = 8 * ((1 << N) + 1) ** d, 8 << (N * d)
+        slack = 1 << 18
+        assert pooled_peak <= samples + sheet + 2 * level + slack
+        assert peak <= samples + max(sheet + 2 * level, largest) + slack
+
+
+class TestHolderScanRunner:
+    def test_one_pyramid_per_seed(self, monkeypatch, tmp_path):
+        calls = []
+        levels = criteria.increment_levels
+        monkeypatch.setattr(
+            criteria, "increment_levels", lambda f, n: calls.append(n) or levels(f, n)
+        )
+        cfg = ExperimentConfig(
+            subcommand="holder-scan", d=2, N=4, gamma=(0.5, 0.7, 1), seeds=(1, 2),
+            out=str(tmp_path),
+        )
+        experiment.run(cfg)
+        assert calls == [3, 3]
