@@ -134,6 +134,8 @@ class ExperimentConfig:
         for name in ("d", "N", "M", "replicates", "pairs", "n", "p_max", "fit_min_gen"):
             _check(name, getattr(self, name))
         _check("hbar", self.hbar, numbers.Real)
+        if self.hbar is not None and not 0 < self.hbar < 1:
+            raise ConfigError(f"hbar must lie in (0, 1), got {self.hbar}")
         for name in ("seeds", "gens", "H", "q", "gamma"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _as_tuple(name, getattr(self, name)))
@@ -271,9 +273,12 @@ def counterexample_figure(
     d = f.dim
     if not 0 <= n <= p_max <= f.gen - 1:
         raise ValueError(f"need 0 <= n <= p_max <= N-1, got n={n}, p_max={p_max}")
+    if not (math.isfinite(exponent) and exponent > 0):
+        raise ValueError(f"need a finite exponent > 0, got {exponent}")
     # Generation-p bottom cubes lie in the slab x_d <= 2^-p, so the pyramid of
-    # the slab x_d <= 2^-n holds all of them: levels[p - n][..., 0] is generation p.
-    levels = increments._pyramid(f.values[..., : (1 << (f.gen - n)) + 1], f.gen - n)
+    # the slab x_d <= 2^-n holds all of them: bottoms[p] is generation p's [..., 0].
+    pyramid = increments._pyramid(f.values[..., : (1 << (f.gen - n)) + 1], f.gen, n, morton=False)
+    bottoms = {p: cells[..., 0].copy() for p, cells in pyramid if p <= p_max}
     taken = np.zeros((1,) * (d - 1), dtype=bool)  # bottom-face cells covered so far
     cubes: list[DyadicCube] = []
     per_level = []
@@ -281,7 +286,7 @@ def counterexample_figure(
     increment_sum = 0.0
     coverage = Fraction(0)
     for p in range(n, p_max + 1):
-        bottom = np.asarray(levels[p - n][..., 0])  # cubes touching x_d = 0
+        bottom = bottoms[p]  # cubes touching x_d = 0
         if bottom.dtype == object:
             bottom = bottom.astype(float)
         threshold = 2.0 ** (-p * d * exponent)

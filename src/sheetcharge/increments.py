@@ -2,10 +2,14 @@
 coefficient tables in the Haar-primitive (Faber-Schauder) system.
 
 A GridSample holds values of a function on the (2^N+1)^d dyadic grid that
-vanishes whenever a coordinate is zero.  Increments over dyadic cubes are
-computed by first differencing along each axis once at the finest
-generation and then block-summing, which is O(d 2^(Nd)) overall; equality
-with the 2^d-corner alternating sum is a test, not an assumption.
+vanishes whenever a coordinate is zero.  Increments over dyadic cubes come
+from one pyramid engine, O(d 2^(Nd)) overall: :func:`_difference` turns
+the grid, or any box of it, into finest-cell increments one axis-0 slab at
+a time; :func:`_coarsen` sums the 2^d siblings of every parent in chunks;
+:func:`_pyramid` yields the levels finest first.  A level is either a
+lexicographic array or a flat Morton-order one, chosen by what the caller
+reads, and both layouts hold the same bits.  Equality with the 2^d-corner
+alternating sum is a test, not an assumption.
 
 Arrays may hold float64 or exact objects (Fraction / Rad2); every routine
 here is arithmetic-agnostic.
@@ -117,114 +121,111 @@ def rectangle_increment(f: GridSample, rect: Rectangle):
 
 def finest_increments(f: GridSample) -> np.ndarray:
     """Increments over all finest-generation cells as a lexicographic array."""
-    return _pyramid(f.values, 0)[0]
+    return _difference(f.values, morton=False)
 
 
-def _coarsen(cells: np.ndarray) -> np.ndarray:
-    """Sum sibling cells: one generation up along every axis.
+def _difference(values: np.ndarray, morton: bool) -> np.ndarray:
+    """Cell increments of the box of grid points ``values``, one axis-0 slab at a time.
 
-    Strided sibling slices are added along the last axis first, then the
-    next to last and so on: the additions of a reshape-sum over the
-    sibling axes, in memory order.
+    Each slab of at most 2^_SLAB_BITS cells is differenced along every axis
+    by ``np.diff`` and written into the output: a lexicographic array of the
+    box, or, for a cube grid and ``morton``, a flat Morton-order array
+    through the bit-axis view that lex_to_morton transposes, so the level
+    never exists in lexicographic order too.
     """
-    for axis in reversed(range(cells.ndim)):
-        lead = (slice(None),) * axis
-        cells = cells[lead + (slice(0, None, 2),)] + cells[lead + (slice(1, None, 2),)]
-    if cells.dtype.kind == "f":
-        # A reduce-sum starts from +0.0, so it never returns -0.0; -0.0 + -0.0 does.
-        cells += 0.0
-    return cells
+    d = values.ndim
+    shape = tuple(x - 1 for x in values.shape)
+    rows = min(shape[0], max(1, (1 << _SLAB_BITS) // math.prod(shape[1:])))
+    out = dest = None
+    for j, lo in enumerate(range(0, shape[0], rows)):
+        slab = values[lo : lo + rows + 1]
+        for axis in range(d):
+            slab = np.diff(slab, axis=axis)
+        if out is None:
+            out = dest = np.empty(math.prod(shape) if morton else shape, dtype=slab.dtype)
+            if morton:  # axes: the bits of axis 0, most significant first, then of axis 1, ...
+                gen, top_bits = shape[0].bit_length() - 1, (shape[0] // rows).bit_length() - 1
+                perm = [t * d + d - 1 - i for i in range(d) for t in range(gen)]
+                dest = out.reshape((2,) * (gen * d)).transpose(perm)
+        if morton:  # slab j fills the cells whose top bits of axis 0 spell j
+            top = dest[tuple((j >> b) & 1 for b in reversed(range(top_bits))) + (...,)]
+            top[...] = slab.reshape(top.shape)
+        else:
+            dest[lo : lo + rows] = slab
+    return out
 
 
-def _pyramid(values: np.ndarray, steps: int) -> list[np.ndarray]:
-    """Cell increments of the grid ``values`` and ``steps`` coarsenings, coarsest first.
+def _coarsen(cells: np.ndarray, d: int) -> np.ndarray:
+    """Sum the 2^d sibling cells of every parent: one generation up along every axis.
 
-    ``values`` may be any box of grid points, such as the slab next to a facet.
+    ``cells`` is a d-dimensional lexicographic level or a flat Morton-order
+    one (the two coincide at d = 1), seen as its parent axes followed by d
+    child axes in lexicographic order.  The halves of the last child axis
+    are added first, then those of the one before and so on, the additions
+    of a reshape-sum over the sibling axes, in chunks of about
+    _CHUNK_ROWS / 2^(d-1) parents, so a first partial sum holds about
+    _CHUNK_ROWS cells.
     """
-    cells = values
-    for axis in range(values.ndim):
-        cells = np.diff(cells, axis=axis)
-    levels = [cells]
-    for _ in range(steps):
-        levels.append(_coarsen(levels[-1]))
-    levels.reverse()
-    return levels
+    if cells.ndim == d:
+        kids = cells.reshape([x for m in cells.shape for x in (m // 2, 2)])
+        kids = kids.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
+    else:  # the first axis of a Morton child digit is lexicographic axis d-1
+        kids = cells.reshape((-1,) + (2,) * d).transpose(0, *range(d, 0, -1))
+    parent = np.empty(kids.shape[:-d], dtype=cells.dtype)
+    step = max(1, (_CHUNK_ROWS >> (d - 1)) // math.prod(parent.shape[1:]))
+    for lo in range(0, len(parent), step):
+        part = kids[lo : lo + step]
+        for _ in range(d - 1):
+            part = part[..., 0] + part[..., 1]
+        out = parent[lo : lo + step]
+        np.add(part[..., 0], part[..., 1], out=out)
+        if out.dtype.kind == "f":
+            # A reduce-sum starts from +0.0, so it never returns -0.0; -0.0 + -0.0 does.
+            out += 0.0
+    return parent
+
+
+def _pyramid(
+    values: np.ndarray, gen: int, stop: int, morton: bool
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Cell increments of the box of grid points ``values``, finest generation first.
+
+    The box's finest cells are of generation ``gen``; yields ``(n, cells)``
+    for n = gen down to ``stop``, in the layout :func:`_difference` writes.
+    Generation n-1 is summed before generation n is yielded, so a consumer
+    may overwrite ``cells``; it should drop ``cells`` before asking for the
+    next level.
+    """
+    cells = _difference(values, morton)
+    for n in range(gen, stop - 1, -1):
+        parent = _coarsen(cells, values.ndim) if n > stop else None
+        yield n, cells
+        cells = parent
+
+
+def _check_generation(n: int, gen: int) -> None:
+    if n < 0:
+        raise ValueError(f"generation {n} is below 0")
+    if n > gen:
+        raise ValueError(f"generation {n} exceeds grid generation {gen}")
 
 
 def increment_levels(f: GridSample, n_max: int | None = None) -> list[np.ndarray]:
     """Lexicographic cube-increment arrays for generations 0..n_max (default N)."""
     if n_max is None:
         n_max = f.gen
-    if n_max > f.gen:
-        raise ValueError(f"generation {n_max} exceeds grid generation {f.gen}")
-    return _pyramid(f.values, f.gen)[: n_max + 1]
+    _check_generation(n_max, f.gen)
+    levels = [cells for n, cells in _pyramid(f.values, f.gen, 0, morton=False) if n <= n_max]
+    levels.reverse()
+    return levels
 
 
 def cube_increments(f: GridSample, n: int) -> np.ndarray:
     """Increments over all generation-``n`` cubes, Morton cube order."""
-    if n > f.gen:
-        raise ValueError(f"generation {n} exceeds grid generation {f.gen}")
-    for _, cells in _morton_pyramid(f.values, n):
+    _check_generation(n, f.gen)
+    for _, cells in _pyramid(f.values, f.gen, n, morton=True):
         pass
     return cells
-
-
-def _morton_cells(values: np.ndarray, gen: int) -> np.ndarray:
-    """Cell increments of the 2^-gen grid ``values`` as one flat Morton-order array.
-
-    The grid is differenced one axis-0 slab at a time, and each slab is
-    written through the bit-axis view of the output that lex_to_morton
-    transposes, so the level never exists in lexicographic order too.
-    """
-    d = values.ndim
-    s = min(gen, max(0, _SLAB_BITS - gen * (d - 1)))  # the slab has 2^s rows
-    perm = [t * d + d - 1 - i for i in range(d) for t in range(gen)]
-    out = lex = None
-    for j in range(1 << (gen - s)):
-        slab = values[j << s : ((j + 1) << s) + 1]
-        for axis in range(d):
-            slab = np.diff(slab, axis=axis)
-        if out is None:
-            out = np.empty(1 << (gen * d), dtype=slab.dtype)
-            lex = out.reshape((2,) * (gen * d)).transpose(perm)  # axes: bits of axis 0, 1, ...
-        top = lex[tuple((j >> b) & 1 for b in reversed(range(gen - s))) + (...,)]
-        top[...] = slab.reshape(top.shape)
-    return out
-
-
-def _coarsen_morton(cells: np.ndarray, d: int) -> np.ndarray:
-    """Sum each contiguous block of 2^d siblings of a flat Morton-order level.
-
-    The first child axis of a block is the last lexicographic axis, so its
-    halves are added first, in the order of :func:`_coarsen`; the sums
-    run in row chunks.
-    """
-    blocks = cells.reshape((-1,) + (2,) * d)
-    parent = np.empty(blocks.shape[0], dtype=cells.dtype)
-    for lo in range(0, blocks.shape[0], _CHUNK_ROWS):
-        part = blocks[lo : lo + _CHUNK_ROWS]
-        for _ in range(d - 1):
-            part = part[:, 0] + part[:, 1]
-        out = parent[lo : lo + _CHUNK_ROWS]
-        np.add(part[:, 0], part[:, 1], out=out)
-        if out.dtype.kind == "f":
-            out += 0.0  # as in _coarsen: a reduce-sum never returns -0.0
-    return parent
-
-
-def _morton_pyramid(values: np.ndarray, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Flat Morton-order cell increments of the grid ``values``, finest generation first.
-
-    Yields ``(n, cells)`` for n = N down to ``stop``.  Generation n-1 is
-    summed before generation n is yielded, so a consumer may overwrite
-    ``cells``; it should drop ``cells`` before asking for the next level.
-    """
-    gen = (values.shape[0] - 1).bit_length() - 1
-    cells = _morton_cells(values, gen)
-    for n in range(gen, stop - 1, -1):
-        parent = _coarsen_morton(cells, values.ndim) if n > stop else None
-        yield n, cells
-        cells = parent
 
 
 def figure_increment(f: GridSample, fig: Figure):
@@ -280,40 +281,27 @@ class CoefficientTable:
         )
 
 
-def _haar_products(cells: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Sign-matrix products of the float Morton level n+1 ``cells``, times 2^(nd/2).
-
-    Row k of the (2^(nd), 2^d) result is the child block of generation-n
-    cube k times ``haar_matrix(d)``: column 0 holds the cube's increment,
-    columns 1.. its coefficients.  ``cells`` is overwritten by the result,
-    ``_CHUNK_ROWS`` rows at a time.
-    """
-    mat = haar_matrix(d).astype(float)
-    full = cells.reshape(1 << (n * d), 1 << d)
-    for lo in range(0, len(full), _CHUNK_ROWS):
-        full[lo : lo + _CHUNK_ROWS] = full[lo : lo + _CHUNK_ROWS] @ mat
-    full *= 2.0 ** (n * d / 2.0)
-    return full
-
-
 def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, np.ndarray]]:
     """The sign-matrix products of ``f`` for n = max_gen down to 0.
 
     Yields ``(n, full)``: row k of the (2^(nd), 2^d) array ``full`` is the
     child block of generation-n cube k times ``haar_matrix(d)`` and
-    2^(nd/2), so ``full[:, 1:]`` holds the level's coefficients.  A float
-    ``full`` overwrites its Morton level; a consumer may overwrite it too,
-    and should drop it before asking for the next level.
+    2^(nd/2), so ``full[:, 1:]`` holds the level's coefficients.  An exact
+    level is multiplied by the object matrix and pow2_half(nd), any other
+    as float64, ``_CHUNK_ROWS`` rows at a time and in place: ``full``
+    overwrites its Morton level (or that level's float64 copy).  A consumer
+    may overwrite ``full`` too, and should drop it before asking for the
+    next level.
     """
-    d = f.dim
-    for m, cells in _morton_pyramid(f.values, 1):
+    d, exact = f.dim, f.is_exact
+    mat = haar_matrix(d).astype(object if exact else float)
+    for m, cells in _pyramid(f.values, f.gen, 1, morton=True):
         n = m - 1
         if n <= max_gen:
-            if f.is_exact:
-                full = np.dot(cells.reshape(1 << (n * d), 1 << d), haar_matrix(d).astype(object))
-                full *= pow2_half(n * d)
-            else:
-                full = _haar_products(np.asarray(cells, dtype=float), n, d)
+            full = (cells if exact else np.asarray(cells, dtype=float)).reshape(-1, 1 << d)
+            for lo in range(0, len(full), _CHUNK_ROWS):
+                full[lo : lo + _CHUNK_ROWS] = full[lo : lo + _CHUNK_ROWS] @ mat
+            full *= pow2_half(n * d) if exact else 2.0 ** (n * d / 2.0)
             yield n, full
             del full
         del cells  # the finest levels are as large as the grid
@@ -326,6 +314,8 @@ def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
     with the sign-matrix rows and the amplitude 2^(nd/2); Morton ordering
     makes the children of cube k the contiguous block [2^d k, 2^d (k+1)).
     """
+    if max_gen < 0:
+        raise ValueError(f"generation {max_gen} is below 0")
     if max_gen > f.gen - 1:
         raise ValueError(
             f"need grid generation > {max_gen}, got {f.gen}"

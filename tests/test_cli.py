@@ -223,6 +223,10 @@ class TestConfigRejectedBeforeWriting:
             pytest.param(
                 "counterexample", {"d": 2, "N": 4, "n": 1, "hbar": float("nan")}, id="hbar-nan"
             ),
+            pytest.param(  # 2^(-p*d*hbar) would overflow
+                "counterexample", {"d": 2, "N": 4, "n": 0, "hbar": -1e6}, id="hbar-negative"
+            ),
+            pytest.param("counterexample", {"d": 2, "N": 4, "n": 0, "hbar": 1}, id="hbar-one"),
             pytest.param(
                 "covariance-check", {"d": 1, "N": 3, "H": [0.6], "pairs": -2}, id="pairs-negative"
             ),

@@ -106,6 +106,11 @@ class TestCounterexampleFigure:
         with pytest.raises(ValueError):
             counterexample_figure(f, 0, 4, 0.5)
 
+    @pytest.mark.parametrize("exponent", [0.0, -1e6, math.nan, math.inf])
+    def test_exponent_must_be_finite_and_positive(self, exponent):
+        with pytest.raises(ValueError, match="finite exponent > 0"):
+            counterexample_figure(zero_grid(2, 4), 0, 3, exponent)
+
 
 def reference_counterexample_figure(f, n, p_max, exponent):
     """The cube-by-cube scan that counterexample_figure vectorises."""

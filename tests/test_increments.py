@@ -12,9 +12,8 @@ from sheetcharge.increments import (
     CoefficientTable,
     GridSample,
     _coarsen,
-    _coarsen_morton,
-    _morton_cells,
-    _morton_pyramid,
+    _difference,
+    _pyramid,
     coefficient_table,
     cube_increments,
     figure_increment,
@@ -26,7 +25,7 @@ from sheetcharge.increments import (
 )
 from sheetcharge.sampler import sample_sheet, sample_standard_sheet
 
-from helpers import awkward_grid, product_grid, zero_grid
+from helpers import awkward_grid, product_grid, whole_grid_cells, zero_grid
 
 
 def frac_rect(lo, hi):
@@ -178,6 +177,10 @@ class TestCubeIncrements:
         with pytest.raises(ValueError):
             cube_increments(f, 3)
 
+    def test_negative_generation_rejected(self):
+        with pytest.raises(ValueError, match="generation -1 is below 0"):
+            cube_increments(zero_grid(2, 2), -1)
+
 
 class TestFigureIncrement:
     def test_unit_cube_is_corner_value(self):
@@ -254,6 +257,10 @@ class TestCoefficientTable:
         f = zero_grid(2, 3)
         with pytest.raises(ValueError):
             coefficient_table(f, 3)
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="generation -1 is below 0"):
+            coefficient_table(zero_grid(2, 3), -1)
 
     def test_csv_json_roundtrip(self, tmp_path):
         f = sample_standard_sheet(2, 4, seed=4)
@@ -420,7 +427,7 @@ class TestCoarsen:
             flat[5:8] = [np.nan, -np.inf, 1e308]
         if flat.size > 16:  # two NaN payloads side by side
             flat[12:14] = np.array([0x7FF8000000000001, 0xFFF8000000000002]).view(float)
-        got, want = _coarsen(cells), reference_coarsen(cells)
+        got, want = _coarsen(cells, d), reference_coarsen(cells)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -428,20 +435,20 @@ class TestCoarsen:
     def test_signed_zeros_bit_identical_to_reshape_sum(self, d, gen):
         signs = np.random.default_rng(d).integers(0, 2, (1 << gen,) * d)
         for cells in (np.full((1 << gen,) * d, -0.0), np.where(signs == 1, -0.0, 0.0)):
-            got, want = _coarsen(cells), reference_coarsen(cells)
+            got, want = _coarsen(cells, d), reference_coarsen(cells)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("d,gen", [(1, 5), (2, 3), (3, 2)])
     def test_int_identical_to_reshape_sum(self, d, gen):
         cells = np.random.default_rng(d).integers(-(1 << 60), 1 << 60, (1 << gen,) * d)
-        got, want = _coarsen(cells), reference_coarsen(cells)
+        got, want = _coarsen(cells, d), reference_coarsen(cells)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("scalar", [Fraction(1, 3), Rad2(Fraction(1, 2), Fraction(-2, 3))])
     @pytest.mark.parametrize("d,gen", [(1, 4), (2, 3), (3, 2)])
     def test_exact_equal_to_reshape_sum(self, d, gen, scalar):
         cells = finest_increments(exact_random_grid(d, gen, seed=d + gen, scalar=scalar))
-        got, want = _coarsen(cells), reference_coarsen(cells)
+        got, want = _coarsen(cells, d), reference_coarsen(cells)
         assert got.dtype == object and got.shape == want.shape
         assert all(a == b and type(a) is type(b) for a, b in zip(got.flat, want.flat, strict=True))
 
@@ -462,6 +469,78 @@ class TestIncrementPyramid:
         for n in range(f.gen + 1):
             assert np.array_equal(lex_to_morton(levels[n]), cube_increments(f, n))
 
+    def test_negative_generation_rejected(self):
+        with pytest.raises(ValueError, match="generation -1 is below 0"):
+            increment_levels(zero_grid(2, 2), -1)
+
+    def test_generation_beyond_grid_rejected(self):
+        with pytest.raises(ValueError, match="generation 3 exceeds grid generation 2"):
+            increment_levels(zero_grid(2, 2), 3)
+
+    def test_peak_memory_stays_near_the_levels(self):
+        # The levels themselves take 4/3 of the finest one; the grid is
+        # differenced one slab at a time, so no whole-grid temporary joins them.
+        f = sample_standard_sheet(2, 9, seed=0)
+        finest = 8 * 4**9
+        tracemalloc.start()
+        try:
+            levels = increment_levels(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert levels[-1].nbytes == finest
+        assert peak <= 1.5 * finest
+
+
+def int_grid(d, gen, seed):
+    """Grid of int64 values, zero on the x_i = 0 facets."""
+    values = np.random.default_rng(seed).integers(-(1 << 40), 1 << 40, ((1 << gen) + 1,) * d)
+    for axis in range(d):
+        np.moveaxis(values, axis, 0)[0] = 0
+    return GridSample(d, gen, values)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestDifference:
+    """The slab-wise differencer against np.diff of the whole box, bit for bit."""
+
+    # 2^15-cell slabs: d1 N16 and d2 N9 span several slabs, d3 N6 eight
+    GRIDS = [
+        *(
+            awkward_grid(d, gen, seed=d * gen)
+            for d, gen in [(1, 0), (1, 16), (2, 1), (2, 9), (3, 6)]
+        ),
+        int_grid(1, 16, seed=1),
+        int_grid(2, 9, seed=2),
+        int_grid(3, 3, seed=3),
+        exact_random_grid(2, 3, seed=4, scalar=Fraction(1, 7)),
+        exact_random_grid(3, 2, seed=5, scalar=Rad2(Fraction(1, 2), Fraction(-2, 3))),
+    ]
+
+    @staticmethod
+    def assert_bits(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if got.dtype == object:
+            assert all(
+                a == b and type(a) is type(b) for a, b in zip(got.flat, want.flat, strict=True)
+            )
+        else:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("f", GRIDS)
+    @pytest.mark.parametrize("morton", [False, True])
+    def test_cube_grid(self, f, morton):
+        want = whole_grid_cells(f.values)
+        self.assert_bits(_difference(f.values, morton), lex_to_morton(want) if morton else want)
+
+    @pytest.mark.parametrize("f", GRIDS)
+    def test_bottom_slab(self, f):
+        # the box x_d <= 2^-n the counterexample scan differences, for every n
+        for n in range(f.gen + 1):
+            box = f.values[..., : (1 << (f.gen - n)) + 1]
+            self.assert_bits(_difference(box, morton=False), whole_grid_cells(box))
+
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -469,8 +548,8 @@ class TestMortonPyramid:
     """The Morton pyramid against lex_to_morton of the lexicographic one, bit for bit."""
 
     # 2^15-cell slabs: d1 N16 is two slabs, d2 N9 eight of 64 rows, d3 N5 one,
-    # d3 N6 eight of 8 rows; d2 N8's finest parent level is 2^14 rows, one chunk,
-    # and d2 N9's is four chunks
+    # d3 N6 eight of 8 rows; at d=2 the sibling sums run in 2^13-parent chunks:
+    # d2 N8's finest parent level is two of them and d2 N9's eight
     SIZES = [(1, 0), (1, 3), (1, 16), (2, 0), (2, 1), (2, 8), (2, 9), (3, 2), (3, 5), (3, 6)]
 
     @staticmethod
@@ -484,7 +563,7 @@ class TestMortonPyramid:
     @pytest.mark.parametrize("d,gen", SIZES)
     def test_finest_level(self, d, gen):
         f = awkward_grid(d, gen, seed=10 * d + gen)
-        self.assert_bits(_morton_cells(f.values, gen), lex_to_morton(finest_increments(f)))
+        self.assert_bits(_difference(f.values, morton=True), lex_to_morton(finest_increments(f)))
 
     @pytest.mark.parametrize(
         "f",
@@ -499,7 +578,7 @@ class TestMortonPyramid:
     def test_every_level_survives_an_overwritten_child(self, f):
         want = [lex_to_morton(level) for level in increment_levels(f)]
         seen = []
-        for n, cells in _morton_pyramid(f.values, 0):
+        for n, cells in _pyramid(f.values, f.gen, 0, morton=True):
             self.assert_bits(cells, want[n])
             seen.append(n)
             cells[...] = 7  # the parent level was summed before this one was yielded
@@ -513,5 +592,5 @@ class TestMortonPyramid:
         cells[rng.integers(0, 2, cells.shape) == 1] = -0.0
         specials = [-0.0] * 4 + [np.nan, np.inf, -np.inf, 1e308]
         cells.reshape(-1)[: len(specials)] = specials[: cells.size]
-        got = _coarsen_morton(lex_to_morton(cells), d)
-        self.assert_bits(got, lex_to_morton(_coarsen(cells)))
+        got = _coarsen(lex_to_morton(cells), d)
+        self.assert_bits(got, lex_to_morton(_coarsen(cells, d)))
