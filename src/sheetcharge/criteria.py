@@ -260,14 +260,19 @@ def _streamed_report(
     One pass over the Morton pyramid, finest generation first: once a
     level has been summed into its parent, it is overwritten by the
     |coefficients| of the generation above it (with the parent increment
-    in column 0), reduced and freed.  Grids that are not float64, and
-    horizons the grid cannot carry, take the table path.
+    in column 0), reduced and freed.  A caller that passes the sheet as a
+    temporary lets its grid go once the finest level exists (from Python
+    3.11; a 3.10 caller holds its arguments until the call returns).
+    Grids that are not float64, and horizons the grid cannot carry, take
+    the table path.
     """
     if f.values.dtype != np.float64 or not 0 <= max_gen < f.gen:
         return build_report(coefficient_table(f, max_gen), hurst, **meta)
+    d, levels = f.dim, _coefficient_levels(f, max_gen)
+    del f  # a sheet handed over is freed once its finest level is differenced
     stats = [None] * (max_gen + 1)
-    for n, full in _coefficient_levels(f, max_gen):
+    for n, full in levels:
         np.abs(full, out=full)
-        stats[n] = _level_stats(full[:, 1:], n, f.dim)
+        stats[n] = _level_stats(full[:, 1:], n, d)
         del full
-    return _report(f.dim, max_gen, stats, hurst, meta)
+    return _report(d, max_gen, stats, hurst, meta)

@@ -384,9 +384,10 @@ def run_brownian_dichotomy(cfg: ExperimentConfig, out: Path) -> list[Path]:
     means = np.zeros(cfg.M + 1)
     with _csv(path, "seed,n,stat_name,value") as row:
         for seed in cfg.seeds:
-            f = sample_standard_sheet(cfg.d, cfg.N, seed)
-            rep = _streamed_report(f, cfg.M, hurst=(0.5,) * cfg.d)
-            del f  # not alive while the next seed's sheet is drawn
+            # The sheet is a temporary, so the pass frees it once its finest cells exist.
+            rep = _streamed_report(
+                sample_standard_sheet(cfg.d, cfg.N, seed), cfg.M, hurst=(0.5,) * cfg.d
+            )
             for n, name, value in rep.rows():
                 row(seed, n, name, value)
             means += np.asarray(rep.t_stats)
@@ -410,9 +411,8 @@ def run_fractional_criteria(cfg: ExperimentConfig, out: Path) -> list[Path]:
     slopes = []
     with _csv(path, "seed,n,stat_name,value") as row:
         for seed in cfg.seeds:
-            f = _sample_for(cfg, seed)
-            rep = _streamed_report(f, cfg.M, hurst=cfg.H)
-            del f  # not alive while the next seed's sheet is drawn
+            # The sheet is a temporary, so the pass frees it once its finest cells exist.
+            rep = _streamed_report(_sample_for(cfg, seed), cfg.M, hurst=cfg.H)
             for n, name, value in rep.rows():
                 row(seed, n, name, value)
             slopes.append(_fit_b_slope(rep.b_terms, cfg.fit_min_gen))

@@ -48,9 +48,13 @@ __all__ = [
 
 
 # Sizes of the streamed pieces of one level: cells differenced per slab, as a
-# power of two, and Morton rows summed or multiplied per chunk.
+# power of two, and Morton rows summed or multiplied per chunk.  A slab or a
+# sibling-sum chunk also holds at most 1/_LEVEL_SHARE of its level, because
+# numpy gives a strided ufunc call two buffers of up to 8192 values, so a
+# piece can cost about three times its size while it is worked on.
 _SLAB_BITS = 15
 _CHUNK_ROWS = 1 << 14
+_LEVEL_SHARE = 16
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -127,20 +131,25 @@ def finest_increments(f: GridSample) -> np.ndarray:
 def _difference(values: np.ndarray, morton: bool) -> np.ndarray:
     """Cell increments of the box of grid points ``values``, one axis-0 slab at a time.
 
-    Each slab of at most 2^_SLAB_BITS cells is differenced along every axis
-    by ``np.diff`` and written into the output: a lexicographic array of the
+    Each slab of at most 2^_SLAB_BITS cells and 1/_LEVEL_SHARE of the box
+    (or of one row, if a row is more) is differenced along every axis, as
+    ``np.diff`` does, and written into the output: a lexicographic array of the
     box, or, for a cube grid and ``morton``, a flat Morton-order array
     through the bit-axis view that lex_to_morton transposes, so the level
     never exists in lexicographic order too.
     """
     d = values.ndim
     shape = tuple(x - 1 for x in values.shape)
-    rows = min(shape[0], max(1, (1 << _SLAB_BITS) // math.prod(shape[1:])))
+    slab_cells = min(1 << _SLAB_BITS, math.prod(shape) // _LEVEL_SHARE)
+    rows = min(shape[0], max(1, slab_cells // math.prod(shape[1:])))
+    # np.diff's own slices: its per-call overhead is as large as a small slab's work.
+    ahead = [(slice(None),) * axis + (slice(1, None),) for axis in range(d)]
+    behind = [(slice(None),) * axis + (slice(None, -1),) for axis in range(d)]
     out = dest = None
     for j, lo in enumerate(range(0, shape[0], rows)):
         slab = values[lo : lo + rows + 1]
         for axis in range(d):
-            slab = np.diff(slab, axis=axis)
+            slab = slab[ahead[axis]] - slab[behind[axis]]
         if out is None:
             out = dest = np.empty(math.prod(shape) if morton else shape, dtype=slab.dtype)
             if morton:  # axes: the bits of axis 0, most significant first, then of axis 1, ...
@@ -164,7 +173,8 @@ def _coarsen(cells: np.ndarray, d: int) -> np.ndarray:
     are added first, then those of the one before and so on, the additions
     of a reshape-sum over the sibling axes, in chunks of about
     _CHUNK_ROWS / 2^(d-1) parents, so a first partial sum holds about
-    _CHUNK_ROWS cells.
+    _CHUNK_ROWS cells, and at most 1/_LEVEL_SHARE of a level of 2^16 cells
+    or more (a quarter of _CHUNK_ROWS in smaller ones).
     """
     if cells.ndim == d:
         kids = cells.reshape([x for m in cells.shape for x in (m // 2, 2)])
@@ -172,7 +182,8 @@ def _coarsen(cells: np.ndarray, d: int) -> np.ndarray:
     else:  # the first axis of a Morton child digit is lexicographic axis d-1
         kids = cells.reshape((-1,) + (2,) * d).transpose(0, *range(d, 0, -1))
     parent = np.empty(kids.shape[:-d], dtype=cells.dtype)
-    step = max(1, (_CHUNK_ROWS >> (d - 1)) // math.prod(parent.shape[1:]))
+    chunk_cells = min(_CHUNK_ROWS, max(_CHUNK_ROWS >> 2, cells.size // _LEVEL_SHARE))
+    step = max(1, (chunk_cells >> (d - 1)) // math.prod(parent.shape[1:]))
     for lo in range(0, len(parent), step):
         part = kids[lo : lo + step]
         for _ in range(d - 1):
@@ -196,9 +207,11 @@ def _pyramid(
     may overwrite ``cells``; it should drop ``cells`` before asking for the
     next level.
     """
+    d = values.ndim
     cells = _difference(values, morton)
+    del values  # a grid no caller holds is freed here
     for n in range(gen, stop - 1, -1):
-        parent = _coarsen(cells, values.ndim) if n > stop else None
+        parent = _coarsen(cells, d) if n > stop else None
         yield n, cells
         cells = parent
 
@@ -295,7 +308,9 @@ def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, np.n
     """
     d, exact = f.dim, f.is_exact
     mat = haar_matrix(d).astype(object if exact else float)
-    for m, cells in _pyramid(f.values, f.gen, 1, morton=True):
+    pyramid = _pyramid(f.values, f.gen, 1, morton=True)
+    del f  # the pyramid holds the grid until its finest level is differenced
+    for m, cells in pyramid:
         n = m - 1
         if n <= max_gen:
             full = (cells if exact else np.asarray(cells, dtype=float)).reshape(-1, 1 << d)

@@ -9,7 +9,11 @@ matches the target covariance on the grid to rounding error.
 
 Randomness comes from counter-based Philox streams keyed on
 (seed, replicate), so replicate ensembles are order-independent and
-reproducible across runs and thread counts.
+reproducible across runs.  Large mode products run on the cores in the
+process's CPU affinity, split into row blocks whose bits do not depend on
+how many there are, so a sample does not depend on the core count.  It
+does depend on the BLAS thread count: ``np.linalg.cholesky`` returns
+factors with other bits under ``OPENBLAS_NUM_THREADS=1`` and ``2`` for N >= 7.
 """
 
 from __future__ import annotations
@@ -45,6 +49,19 @@ __all__ = [
 CHOLESKY_JITTER = 1e-12
 _GRID_MAGIC = b"SHEETGRD"
 _CSV_BLOCK = 1 << 10  # points per formatted block of a 1-D CSV
+# Fewest factor rows per block of a split mode product.  Each thread that calls
+# BLAS keeps its own packing buffer, and smaller blocks changed bits in probes.
+_MIN_BLOCK_ROWS = 1 << 10
+_pool = None  # the worker threads of split products, made on the first split
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 class SamplerError(RuntimeError):
@@ -169,6 +186,52 @@ def _embed_interior(core: np.ndarray, d: int, gen: int) -> np.ndarray:
     return full
 
 
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _mode_product(fac: np.ndarray, core: np.ndarray, axis: int) -> np.ndarray:
+    """``np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)``, bit for bit.
+
+    The one ``fac @ cols`` product is split into a power-of-two number of
+    row blocks of ``fac``, at most one per core and each at least
+    _MIN_BLOCK_ROWS rows; the calling thread computes the first and a pool
+    the others.  OpenBLAS packs each block of the shared dimension the same
+    way whatever the number of rows, so every block has the bits of the
+    unsplit product.  With one block this is the unsplit call itself.
+    """
+    global _pool
+    moved = np.moveaxis(core, axis, 0)
+    n = fac.shape[0]
+    cols = moved.reshape(n, -1)  # a view wherever tensordot's is
+    parts, cores = 1, _cores()
+    while 2 * parts <= cores and n // (2 * parts) >= _MIN_BLOCK_ROWS:
+        parts *= 2
+    if parts == 1:
+        out = np.dot(fac, cols)
+    else:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(cores - 1, thread_name_prefix="mode-product")
+        out = np.empty((n, cols.shape[1]))
+        rows = n // parts
+        blocks = [
+            _pool.submit(np.dot, fac[lo : lo + rows], cols, out[lo : lo + rows])
+            for lo in range(rows, n, rows)
+        ]
+        try:
+            np.dot(fac[:rows], cols, out[:rows])
+        finally:  # no block may still write into ``out`` once this returns or raises
+            for block in blocks:
+                block.result()
+    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+
+
 @functools.lru_cache(maxsize=4)
 def _axis_factor(h: float, gen: int) -> tuple[np.ndarray, float]:
     """``axis_cholesky(h, gen)`` factored once per (h, N) and shared read-only.
@@ -190,7 +253,7 @@ def sample_sheet(
     for axis, fac in enumerate(factors):
         # Mode product L_axis x_axis core; each input is freed once its product exists.
         # Not a helper taking the noise: before Python 3.11 the caller would hold it.
-        core = np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)
+        core = _mode_product(fac, core, axis)
     return GridSample(
         H.dim,
         gen,

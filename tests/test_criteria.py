@@ -351,3 +351,16 @@ class TestStreamedReport:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * f.values.nbytes
+
+    def test_sheet_handed_over_is_freed_after_its_finest_level(self):
+        # Draw and pass together hold at most about two grids: the grid goes
+        # once the finest level exists, before any level is coarsened.
+        grid = 8 * ((1 << 11) + 1) ** 2
+        sample_sheet((0.9, 0.9), 11, seed=0)  # factors the kernel outside the trace
+        tracemalloc.start()
+        try:
+            _streamed_report(sample_sheet((0.9, 0.9), 11, seed=1), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * grid

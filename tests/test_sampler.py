@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -473,3 +476,113 @@ class TestAxisFactorCache:
             fac[0, 0] = 1.0
         assert np.array_equal(fac, axis_cholesky(0.8, 3)[0])
         assert jitter == 0.0
+
+
+def split_parts(n, cores):
+    """Row blocks the mode product should use: a power of two, each >= 1024 rows."""
+    parts = 1
+    while 2 * parts <= cores and n // (2 * parts) >= 1024:
+        parts *= 2
+    return parts
+
+
+class TestSplitModeProduct:
+    """The row-split product against the tensordot it replaced, bit for bit."""
+
+    @staticmethod
+    def lower_factor(n, seed):
+        fac = np.random.default_rng(seed).standard_normal((n, n))
+        fac[~np.tri(n, dtype=bool)] = 0.0
+        return fac
+
+    @pytest.mark.parametrize(
+        "d,gen",
+        [(1, g) for g in range(2, 13)]
+        + [(2, g) for g in range(2, 12)]
+        + [(3, g) for g in range(2, 8)],
+    )
+    def test_bit_equal_to_tensordot(self, monkeypatch, d, gen):
+        n = 1 << gen
+        fac = self.lower_factor(n, gen)
+        core = np.random.default_rng(gen + 1).standard_normal((n,) * d)
+        for axis in range(d):
+            want = np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)
+            for cores in (1, 2, 4, 8):
+                monkeypatch.setattr(sampler, "_cores", lambda: cores)
+                monkeypatch.setattr(sampler, "_pool", None)
+                got = sampler._mode_product(fac, core, axis)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (axis, cores)
+                assert (sampler._pool is not None) == (split_parts(n, cores) > 1)
+
+    def test_sheet_independent_of_core_count(self, monkeypatch):
+        # The fbs-criteria size, where two cores split both products in halves.
+        H = (0.3, 0.9)
+        monkeypatch.setattr(sampler, "_pool", None)
+        draws = []
+        for cores in (1, 2):
+            monkeypatch.setattr(sampler, "_cores", lambda: cores)
+            draws.append(sample_sheet(H, 11, seed=1).values)
+        assert np.array_equal(draws[0].view(np.int64), draws[1].view(np.int64))
+        core = replicate_rng(1, 0).standard_normal((1 << 11,) * 2)
+        for axis, h in enumerate(H):  # the tensordot mode products of the parent code
+            fac = sampler._axis_factor(h, 11)[0]
+            core = np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)
+        assert np.array_equal(draws[1][1:, 1:].view(np.int64), core.view(np.int64))
+
+    def test_split_draw_peak_memory(self, monkeypatch):
+        # The split product writes into one preallocated output, so the draw
+        # still holds at most two grid-sized arrays at once.
+        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+        monkeypatch.setattr(sampler, "_pool", None)
+        sample_sheet((0.9, 0.9), 11, seed=0)  # factors the kernel, starts the pool
+        tracemalloc.start()
+        try:
+            f = sample_sheet((0.9, 0.9), 11, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * f.values.nbytes
+
+    def test_no_pool_or_thread_below_the_split_size(self):
+        # The fbs-moments sheet (d=2, N=8): 256-row products never split, so
+        # concurrent.futures is not even imported, whatever the core count.
+        code = (
+            "import sys, threading\n"
+            "from sheetcharge import sampler\n"
+            "sampler._cores = lambda: 8\n"
+            "sampler.sample_sheet((0.7, 0.7), 8, seed=0)\n"
+            "assert sampler._pool is None\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "assert threading.active_count() == 1\n"
+        )
+        run_child(code)
+
+    def test_forked_child_makes_its_own_pool(self):
+        # A forked child inherits the pool object but none of its threads, so
+        # a split product there would wait for ever on the inherited pool.
+        code = (
+            "import os, signal\n"
+            "import numpy as np\n"
+            "from sheetcharge import sampler\n"
+            "sampler._cores = lambda: 2\n"
+            "fac, core = np.eye(2048), np.ones((2048, 4))\n"
+            "sampler._mode_product(fac, core, 0)\n"
+            "assert sampler._pool is not None\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(20)  # a hung child ends itself\n"
+            "    os._exit(0 if np.array_equal(sampler._mode_product(fac, core, 0), core) else 3)\n"
+            "assert os.waitpid(pid, 0)[1] == 0\n"
+        )
+        run_child(code)
+
+
+def run_child(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(sampler.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
