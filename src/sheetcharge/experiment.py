@@ -384,7 +384,7 @@ def run_brownian_dichotomy(cfg: ExperimentConfig, out: Path) -> list[Path]:
     means = np.zeros(cfg.M + 1)
     with _csv(path, "seed,n,stat_name,value") as row:
         for seed in cfg.seeds:
-            # The sheet is a temporary, so the pass frees it once its finest cells exist.
+            # A temporary: from Python 3.11 the pass frees it once its finest cells exist.
             rep = _streamed_report(
                 sample_standard_sheet(cfg.d, cfg.N, seed), cfg.M, hurst=(0.5,) * cfg.d
             )
@@ -411,7 +411,7 @@ def run_fractional_criteria(cfg: ExperimentConfig, out: Path) -> list[Path]:
     slopes = []
     with _csv(path, "seed,n,stat_name,value") as row:
         for seed in cfg.seeds:
-            # The sheet is a temporary, so the pass frees it once its finest cells exist.
+            # A temporary: from Python 3.11 the pass frees it once its finest cells exist.
             rep = _streamed_report(_sample_for(cfg, seed), cfg.M, hurst=cfg.H)
             for n, name, value in rep.rows():
                 row(seed, n, name, value)

@@ -49,12 +49,12 @@ __all__ = [
 
 # Sizes of the streamed pieces of one level: cells differenced per slab, as a
 # power of two, and Morton rows summed or multiplied per chunk.  A slab or a
-# sibling-sum chunk also holds at most 1/_LEVEL_SHARE of its level, because
-# numpy gives a strided ufunc call two buffers of up to 8192 values, so a
-# piece can cost about three times its size while it is worked on.
+# sibling-sum chunk also holds at most 1/_LEVEL_SHARE of its level and at
+# least _MIN_PIECE cells (see _piece_cells).
 _SLAB_BITS = 15
 _CHUNK_ROWS = 1 << 14
 _LEVEL_SHARE = 16
+_MIN_PIECE = 1 << 12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -128,28 +128,35 @@ def finest_increments(f: GridSample) -> np.ndarray:
     return _difference(f.values, morton=False)
 
 
+def _piece_cells(cap: int, level_cells: int) -> int:
+    """Cells in one streamed piece of a level: at most ``cap`` and 1/_LEVEL_SHARE of it.
+
+    numpy gives a strided ufunc call two buffers of up to 8192 values, so a
+    piece can cost about three times its size while it is worked on.  Below
+    _MIN_PIECE cells the calls' own overhead costs more than the memory saved.
+    """
+    return min(cap, max(_MIN_PIECE, level_cells // _LEVEL_SHARE))
+
+
 def _difference(values: np.ndarray, morton: bool) -> np.ndarray:
     """Cell increments of the box of grid points ``values``, one axis-0 slab at a time.
 
-    Each slab of at most 2^_SLAB_BITS cells and 1/_LEVEL_SHARE of the box
-    (or of one row, if a row is more) is differenced along every axis, as
-    ``np.diff`` does, and written into the output: a lexicographic array of the
+    Each slab of at most ``_piece_cells(2^_SLAB_BITS, cells of the box)``
+    cells (or of one row, if a row is more) is differenced along every axis by
+    ``np.diff`` and written into the output: a lexicographic array of the
     box, or, for a cube grid and ``morton``, a flat Morton-order array
     through the bit-axis view that lex_to_morton transposes, so the level
     never exists in lexicographic order too.
     """
     d = values.ndim
     shape = tuple(x - 1 for x in values.shape)
-    slab_cells = min(1 << _SLAB_BITS, math.prod(shape) // _LEVEL_SHARE)
+    slab_cells = _piece_cells(1 << _SLAB_BITS, math.prod(shape))
     rows = min(shape[0], max(1, slab_cells // math.prod(shape[1:])))
-    # np.diff's own slices: its per-call overhead is as large as a small slab's work.
-    ahead = [(slice(None),) * axis + (slice(1, None),) for axis in range(d)]
-    behind = [(slice(None),) * axis + (slice(None, -1),) for axis in range(d)]
     out = dest = None
     for j, lo in enumerate(range(0, shape[0], rows)):
         slab = values[lo : lo + rows + 1]
         for axis in range(d):
-            slab = slab[ahead[axis]] - slab[behind[axis]]
+            slab = np.diff(slab, axis=axis)
         if out is None:
             out = dest = np.empty(math.prod(shape) if morton else shape, dtype=slab.dtype)
             if morton:  # axes: the bits of axis 0, most significant first, then of axis 1, ...
@@ -173,8 +180,7 @@ def _coarsen(cells: np.ndarray, d: int) -> np.ndarray:
     are added first, then those of the one before and so on, the additions
     of a reshape-sum over the sibling axes, in chunks of about
     _CHUNK_ROWS / 2^(d-1) parents, so a first partial sum holds about
-    _CHUNK_ROWS cells, and at most 1/_LEVEL_SHARE of a level of 2^16 cells
-    or more (a quarter of _CHUNK_ROWS in smaller ones).
+    _CHUNK_ROWS cells and at most 1/_LEVEL_SHARE of a large level.
     """
     if cells.ndim == d:
         kids = cells.reshape([x for m in cells.shape for x in (m // 2, 2)])
@@ -182,7 +188,7 @@ def _coarsen(cells: np.ndarray, d: int) -> np.ndarray:
     else:  # the first axis of a Morton child digit is lexicographic axis d-1
         kids = cells.reshape((-1,) + (2,) * d).transpose(0, *range(d, 0, -1))
     parent = np.empty(kids.shape[:-d], dtype=cells.dtype)
-    chunk_cells = min(_CHUNK_ROWS, max(_CHUNK_ROWS >> 2, cells.size // _LEVEL_SHARE))
+    chunk_cells = _piece_cells(_CHUNK_ROWS, cells.size)
     step = max(1, (chunk_cells >> (d - 1)) // math.prod(parent.shape[1:]))
     for lo in range(0, len(parent), step):
         part = kids[lo : lo + step]

@@ -9,11 +9,14 @@ matches the target covariance on the grid to rounding error.
 
 Randomness comes from counter-based Philox streams keyed on
 (seed, replicate), so replicate ensembles are order-independent and
-reproducible across runs.  Large mode products run on the cores in the
-process's CPU affinity, split into row blocks whose bits do not depend on
-how many there are, so a sample does not depend on the core count.  It
-does depend on the BLAS thread count: ``np.linalg.cholesky`` returns
-factors with other bits under ``OPENBLAS_NUM_THREADS=1`` and ``2`` for N >= 7.
+reproducible across runs.  Where numpy's BLAS is OpenBLAS, large mode
+products run on the cores in the process's CPU affinity, split into row
+blocks that were checked to keep the bits of the unsplit product (with 1
+to 8 blocks, at one and at two BLAS threads), so a sample does not depend
+on the core count there; other BLAS libraries get the unsplit product.  A
+sample does depend on the BLAS thread count: ``np.linalg.cholesky``
+returns factors with other bits under ``OPENBLAS_NUM_THREADS=1`` and ``2``
+for N >= 7.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -52,16 +56,6 @@ _CSV_BLOCK = 1 << 10  # points per formatted block of a 1-D CSV
 # Fewest factor rows per block of a split mode product.  Each thread that calls
 # BLAS keeps its own packing buffer, and smaller blocks changed bits in probes.
 _MIN_BLOCK_ROWS = 1 << 10
-_pool = None  # the worker threads of split products, made on the first split
-
-
-def _forget_pool() -> None:
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 class SamplerError(RuntimeError):
@@ -186,8 +180,20 @@ def _embed_interior(core: np.ndarray, d: int, gen: int) -> np.ndarray:
     return full
 
 
+def _openblas() -> bool:
+    """Whether numpy's BLAS is OpenBLAS (unknown before numpy 1.26: no)."""
+    deps = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+    return "openblas" in str(deps.get("blas", {}).get("name", "")).lower()
+
+
 def _cores() -> int:
-    """CPUs this process may run on."""
+    """Row blocks a mode product may use: the CPUs this process may run on.
+
+    One where numpy's BLAS is not OpenBLAS: another library may pick a
+    kernel by the number of rows, so a row block may change bits.
+    """
+    if not _openblas():
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
@@ -199,12 +205,12 @@ def _mode_product(fac: np.ndarray, core: np.ndarray, axis: int) -> np.ndarray:
 
     The one ``fac @ cols`` product is split into a power-of-two number of
     row blocks of ``fac``, at most one per core and each at least
-    _MIN_BLOCK_ROWS rows; the calling thread computes the first and a pool
-    the others.  OpenBLAS packs each block of the shared dimension the same
-    way whatever the number of rows, so every block has the bits of the
-    unsplit product.  With one block this is the unsplit call itself.
+    _MIN_BLOCK_ROWS rows; the calling thread computes the first and one
+    thread started for this call each of the others.  OpenBLAS packs each
+    block of the shared dimension the same way whatever the number of rows,
+    so every block has the bits of the unsplit product.  With one block
+    this is the unsplit call itself.
     """
-    global _pool
     moved = np.moveaxis(core, axis, 0)
     n = fac.shape[0]
     cols = moved.reshape(n, -1)  # a view wherever tensordot's is
@@ -214,21 +220,26 @@ def _mode_product(fac: np.ndarray, core: np.ndarray, axis: int) -> np.ndarray:
     if parts == 1:
         out = np.dot(fac, cols)
     else:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(cores - 1, thread_name_prefix="mode-product")
         out = np.empty((n, cols.shape[1]))
-        rows = n // parts
-        blocks = [
-            _pool.submit(np.dot, fac[lo : lo + rows], cols, out[lo : lo + rows])
-            for lo in range(rows, n, rows)
-        ]
+        rows, errors, threads = n // parts, [], []
+
+        def block(lo: int) -> None:
+            try:
+                np.dot(fac[lo : lo + rows], cols, out[lo : lo + rows])
+            except BaseException as exc:  # raised again by the calling thread
+                errors.append(exc)
+
         try:
-            np.dot(fac[:rows], cols, out[:rows])
+            for lo in range(rows, n, rows):
+                thread = threading.Thread(target=block, args=(lo,), name="mode-product")
+                thread.start()
+                threads.append(thread)
+            block(0)
         finally:  # no block may still write into ``out`` once this returns or raises
-            for block in blocks:
-                block.result()
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
     return np.moveaxis(out.reshape(moved.shape), 0, axis)
 
 
@@ -252,7 +263,7 @@ def sample_sheet(
     core = replicate_rng(seed, replicate).standard_normal((1 << gen,) * H.dim)
     for axis, fac in enumerate(factors):
         # Mode product L_axis x_axis core; each input is freed once its product exists.
-        # Not a helper taking the noise: before Python 3.11 the caller would hold it.
+        # One product per call: a helper looping over every axis would hold the noise.
         core = _mode_product(fac, core, axis)
     return GridSample(
         H.dim,

@@ -1,7 +1,5 @@
-import os
 import struct
-import subprocess
-import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -486,6 +484,26 @@ def split_parts(n, cores):
     return parts
 
 
+class CountingThreads:
+    """Stands in for the ``threading`` module in ``sampler``; counts started threads."""
+
+    def __init__(self):
+        self.started = 0
+        counter = self
+
+        class Thread(threading.Thread):
+            def start(self):
+                counter.started += 1
+                super().start()
+
+        self.Thread = Thread
+
+
+openblas_only = pytest.mark.skipif(
+    not sampler._openblas(), reason="row blocks are bit-safe only under OpenBLAS"
+)
+
+
 class TestSplitModeProduct:
     """The row-split product against the tensordot it replaced, bit for bit."""
 
@@ -495,6 +513,7 @@ class TestSplitModeProduct:
         fac[~np.tri(n, dtype=bool)] = 0.0
         return fac
 
+    @openblas_only
     @pytest.mark.parametrize(
         "d,gen",
         [(1, g) for g in range(2, 13)]
@@ -508,17 +527,18 @@ class TestSplitModeProduct:
         for axis in range(d):
             want = np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)
             for cores in (1, 2, 4, 8):
+                threads = CountingThreads()
+                monkeypatch.setattr(sampler, "threading", threads)
                 monkeypatch.setattr(sampler, "_cores", lambda: cores)
-                monkeypatch.setattr(sampler, "_pool", None)
                 got = sampler._mode_product(fac, core, axis)
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (axis, cores)
-                assert (sampler._pool is not None) == (split_parts(n, cores) > 1)
+                assert threads.started == split_parts(n, cores) - 1
 
+    @openblas_only
     def test_sheet_independent_of_core_count(self, monkeypatch):
         # The fbs-criteria size, where two cores split both products in halves.
         H = (0.3, 0.9)
-        monkeypatch.setattr(sampler, "_pool", None)
         draws = []
         for cores in (1, 2):
             monkeypatch.setattr(sampler, "_cores", lambda: cores)
@@ -534,8 +554,7 @@ class TestSplitModeProduct:
         # The split product writes into one preallocated output, so the draw
         # still holds at most two grid-sized arrays at once.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
-        monkeypatch.setattr(sampler, "_pool", None)
-        sample_sheet((0.9, 0.9), 11, seed=0)  # factors the kernel, starts the pool
+        sample_sheet((0.9, 0.9), 11, seed=0)  # factors the kernel outside the trace
         tracemalloc.start()
         try:
             f = sample_sheet((0.9, 0.9), 11, seed=1)
@@ -544,45 +563,15 @@ class TestSplitModeProduct:
             tracemalloc.stop()
         assert peak <= 2.2 * f.values.nbytes
 
-    def test_no_pool_or_thread_below_the_split_size(self):
-        # The fbs-moments sheet (d=2, N=8): 256-row products never split, so
-        # concurrent.futures is not even imported, whatever the core count.
-        code = (
-            "import sys, threading\n"
-            "from sheetcharge import sampler\n"
-            "sampler._cores = lambda: 8\n"
-            "sampler.sample_sheet((0.7, 0.7), 8, seed=0)\n"
-            "assert sampler._pool is None\n"
-            "assert 'concurrent.futures' not in sys.modules\n"
-            "assert threading.active_count() == 1\n"
-        )
-        run_child(code)
+    def test_no_thread_below_the_split_size(self, monkeypatch):
+        # The fbs-moments sheet (d=2, N=8): 256-row products never split,
+        # whatever the core count.
+        threads = CountingThreads()
+        monkeypatch.setattr(sampler, "threading", threads)
+        monkeypatch.setattr(sampler, "_cores", lambda: 8)
+        sample_sheet((0.7, 0.7), 8, seed=0)
+        assert threads.started == 0
 
-    def test_forked_child_makes_its_own_pool(self):
-        # A forked child inherits the pool object but none of its threads, so
-        # a split product there would wait for ever on the inherited pool.
-        code = (
-            "import os, signal\n"
-            "import numpy as np\n"
-            "from sheetcharge import sampler\n"
-            "sampler._cores = lambda: 2\n"
-            "fac, core = np.eye(2048), np.ones((2048, 4))\n"
-            "sampler._mode_product(fac, core, 0)\n"
-            "assert sampler._pool is not None\n"
-            "pid = os.fork()\n"
-            "if pid == 0:\n"
-            "    signal.alarm(20)  # a hung child ends itself\n"
-            "    os._exit(0 if np.array_equal(sampler._mode_product(fac, core, 0), core) else 3)\n"
-            "assert os.waitpid(pid, 0)[1] == 0\n"
-        )
-        run_child(code)
-
-
-def run_child(code):
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
-    src = os.path.dirname(os.path.dirname(sampler.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
+    def test_one_block_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_openblas", lambda: False)
+        assert sampler._cores() == 1
