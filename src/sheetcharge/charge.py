@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dyadic import Figure, Rectangle, exposed_faces
-from .exact import pow2_half
-from .haar import StepFunction, haar_matrix_entry
+from .haar import HaarIndex, StepFunction, haar_amplitude, haar_cube_weight
 from .increments import CoefficientTable
 
 __all__ = [
@@ -58,18 +57,13 @@ def integrate_haar_over_figure(
     """
     if fig.dim != dim:
         raise ValueError("dimension mismatch")
-    total_exact = Fraction(0)
-    total_float = 0.0
-    scale = pow2_half(n * dim) if exact else 2.0 ** (n * dim / 2.0)
+    if HaarIndex(dim, n, k, r).is_exceptional:  # HaarIndex rejects an index out of range
+        raise ValueError("the exceptional function has no (n, k, r) index")
+    total = Fraction(0) if exact else 0.0
     for cube in fig.cubes:
-        if cube.gen < n + 1 or cube.ancestor(n).index != k:
-            continue  # cube outside the support or swallowing it whole: integral 0
-        sign = haar_matrix_entry(dim, r, cube.ancestor(n + 1).child_digit())
-        if exact:
-            total_exact += sign * Fraction(1, 1 << (cube.gen * dim))
-        else:
-            total_float += sign * 2.0 ** (-cube.gen * dim)
-    return scale * total_exact if exact else scale * total_float
+        if cube.gen > n and cube.ancestor(n).index == k:
+            total += haar_cube_weight(cube, n, r, exact)
+    return haar_amplitude(n * dim, exact) * total
 
 
 def schauder_partial_apply(tab: CoefficientTable, max_gen: int, fig: Figure):
@@ -94,16 +88,10 @@ def schauder_partial_apply(tab: CoefficientTable, max_gen: int, fig: Figure):
     for cube in fig.cubes:
         for n in range(min(max_gen, cube.gen - 1) + 1):
             lam = tab.level(n)[cube.ancestor(n).index]
-            child = cube.ancestor(n + 1).child_digit()
-            vol = (
-                Fraction(1, 1 << (cube.gen * d)) if exact else 2.0 ** (-cube.gen * d)
-            )
-            scale = pow2_half(n * d) if exact else 2.0 ** (n * d / 2.0)
+            scale = haar_amplitude(n * d, exact)
             for r in range(1, 1 << d):
-                coeff = lam[r - 1]
-                if not coeff:
-                    continue
-                total = total + coeff * haar_matrix_entry(d, r, child) * scale * vol
+                if lam[r - 1]:
+                    total = total + lam[r - 1] * scale * haar_cube_weight(cube, n, r, exact)
     return total
 
 

@@ -204,7 +204,7 @@ class CriterionReport:
             "scaled_mean_abs": list(self.s_stats) if self.s_stats else None,
             "meta": self.meta,
         }
-        text = json.dumps(obj, indent=2)
+        text = json.dumps(obj, indent=2, allow_nan=False)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text + "\n")

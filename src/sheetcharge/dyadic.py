@@ -10,6 +10,7 @@ denominators; floating point never enters this module.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,6 +57,21 @@ def morton_encode(coords: Sequence[int], gen: int) -> int:
     return k
 
 
+def _morton_axes(dim: int, n: int) -> list[int]:
+    """Morton bit axis of each lexicographic bit axis of a (2^n,)*dim cell array.
+
+    Bit t of axis i (most significant first), lexicographic bit axis i*n + t,
+    is Morton bit axis t*dim + dim-1-i, as child-digit bit i is axis i.
+    """
+    return [t * dim + dim - 1 - i for i in range(dim) for t in range(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _lex_axes(dim: int, n: int) -> tuple[int, ...]:
+    """Inverse of :func:`_morton_axes`, worked out once per (dim, n)."""
+    return tuple(sorted(range(n * dim), key=_morton_axes(dim, n).__getitem__))
+
+
 def lex_to_morton(arr: np.ndarray) -> np.ndarray:
     """Flatten a (2^n,)*d lexicographic cell array into Morton cube order.
 
@@ -65,15 +81,7 @@ def lex_to_morton(arr: np.ndarray) -> np.ndarray:
     n = (arr.shape[0]).bit_length() - 1
     if arr.shape != (1 << n,) * dim:
         raise ValueError(f"expected shape (2^n,)*{dim}, got {arr.shape}")
-    if n == 0:
-        return arr.reshape(-1)
-    bits = arr.reshape((2,) * (n * dim))
-    # source axis i*n + t (bit t of axis i, MSB first) goes to t*dim + (dim-1-i)
-    perm = [0] * (n * dim)
-    for i in range(dim):
-        for t in range(n):
-            perm[t * dim + (dim - 1 - i)] = i * n + t
-    return bits.transpose(perm).reshape(-1)
+    return arr.reshape((2,) * (n * dim)).transpose(_lex_axes(dim, n)).reshape(-1)
 
 
 def morton_to_lex(flat: np.ndarray, dim: int) -> np.ndarray:
@@ -82,14 +90,7 @@ def morton_to_lex(flat: np.ndarray, dim: int) -> np.ndarray:
     n = (size.bit_length() - 1) // dim
     if size != 1 << (n * dim):
         raise ValueError(f"length {size} is not 2^(n*{dim})")
-    if n == 0:
-        return flat.reshape((1,) * dim)
-    bits = flat.reshape((2,) * (n * dim))
-    perm = [0] * (n * dim)
-    for i in range(dim):
-        for t in range(n):
-            perm[i * n + t] = t * dim + (dim - 1 - i)
-    return bits.transpose(perm).reshape((1 << n,) * dim)
+    return flat.reshape((2,) * (n * dim)).transpose(_morton_axes(dim, n)).reshape((1 << n,) * dim)
 
 
 @dataclass(frozen=True)
@@ -257,6 +258,17 @@ def _occupancy(fig: Figure) -> tuple[np.ndarray, int]:
     return occ, h
 
 
+def _face_steps(occ: np.ndarray) -> Iterator[np.ndarray]:
+    """Per axis, the signed step of the zero-padded occupancy ``occ`` along it.
+
+    Entry ``plane`` is -1 on a face with outward normal +e_axis, +1 on one with -e_axis, else 0.
+    """
+    for axis in range(occ.ndim):
+        pad = [(0, 0)] * occ.ndim
+        pad[axis] = (1, 1)
+        yield np.diff(np.pad(occ.view(np.int8), pad), axis=axis)
+
+
 def exposed_faces(fig: Figure) -> tuple[int, list[tuple[int, int, int, tuple[int, ...]]]]:
     """Boundary faces of the figure at its finest generation.
 
@@ -264,25 +276,14 @@ def exposed_faces(fig: Figure) -> tuple[int, list[tuple[int, int, int, tuple[int
     the face lies in the hyperplane x_axis = plane / 2^h, spans the unit
     transverse cell with lower corner transverse / 2^h, and has outward
     normal sign * e_axis.  Interior faces shared by two cells never appear.
+    Faces come by axis, then plane, normal +e_axis first, then transverse.
     """
-    if not fig.cubes:
-        return 0, []
     occ, h = _occupancy(fig)
     faces: list[tuple[int, int, int, tuple[int, ...]]] = []
-    size = 1 << h
-    for axis in range(fig.dim):
-        occ_ax = np.moveaxis(occ, axis, 0)
-        padded = np.zeros((size + 2,) + occ_ax.shape[1:], dtype=bool)
-        padded[1:-1] = occ_ax
-        lower, upper = padded[:-1], padded[1:]
-        for plane in range(size + 1):
-            lo, up = lower[plane], upper[plane]
-            out_up = lo & ~up  # occupied below, empty above: normal +e_axis
-            out_dn = up & ~lo
-            for trans in np.argwhere(out_up):
-                faces.append((axis, 1, plane, tuple(int(t) for t in trans)))
-            for trans in np.argwhere(out_dn):
-                faces.append((axis, -1, plane, tuple(int(t) for t in trans)))
+    for axis, step in enumerate(_face_steps(occ)):
+        step = np.moveaxis(step, axis, 0)
+        hits = np.argwhere(np.stack([step < 0, step > 0], axis=1)).tolist()
+        faces += [(axis, 1 - 2 * s, plane, tuple(trans)) for plane, s, *trans in hits]
     return h, faces
 
 
@@ -293,12 +294,6 @@ def figure_perimeter(fig: Figure) -> Fraction:
     (the faces :func:`exposed_faces` lists) and multiplies by the exact
     face area 2^(-h(d-1)).
     """
-    if not fig.cubes:
-        return Fraction(0)
     occ, h = _occupancy(fig)
-    count = 0
-    for axis in range(fig.dim):
-        pad = [(0, 0)] * fig.dim
-        pad[axis] = (1, 1)
-        count += np.count_nonzero(np.diff(np.pad(occ, pad), axis=axis))
+    count = sum(np.count_nonzero(step) for step in _face_steps(occ))
     return count * Fraction(1, 1 << (h * (fig.dim - 1)))

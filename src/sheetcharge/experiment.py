@@ -100,9 +100,14 @@ def _csv(path: Path, header: str) -> Iterator[Callable[..., None]]:
 
 
 def _write_json(path: Path, obj, **kw) -> Path:
-    """Write ``obj`` as indent-2 JSON plus a trailing newline."""
-    path.write_text(json.dumps(obj, indent=2, **kw) + "\n")
+    """Write ``obj`` as strict indent-2 JSON plus a trailing newline; NaN raises."""
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False, **kw) + "\n")
     return path
+
+
+def _finite_or_none(x: float) -> float | None:
+    """``x``, or None (JSON null) for a NaN or infinity, which JSON cannot hold."""
+    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -417,11 +422,14 @@ def run_fractional_criteria(cfg: ExperimentConfig, out: Path) -> list[Path]:
                 row(seed, n, name, value)
             slopes.append(_fit_b_slope(rep.b_terms, cfg.fit_min_gen))
     hbar = sum(cfg.H) / cfg.d
+    degenerate = [seed for seed, s in zip(cfg.seeds, slopes) if not math.isfinite(s)]
     summary = {
-        "fitted_log2_ratio_by_seed": slopes,
+        "fitted_log2_ratio_by_seed": [_finite_or_none(s) for s in slopes],
         "fit_min_gen": cfg.fit_min_gen,
         "reference_rate": cfg.d - 1 - cfg.d * hbar,
         "seeds": list(cfg.seeds),
+        # a zero b-term has an infinite log2, which leaves its seed no finite slope
+        **({"degenerate_seeds": degenerate} if degenerate else {}),
     }
     return [path, _write_json(out / "fractional_criteria.json", summary)]
 
@@ -465,10 +473,12 @@ def run_moment_scaling(cfg: ExperimentConfig, out: Path) -> list[Path]:
         "fits": [
             {
                 "q": q,
-                "slope": fit.slope,
-                "delta_hat": fit.delta_hat,
+                "slope": _finite_or_none(fit.slope),
+                "delta_hat": _finite_or_none(fit.delta_hat),
                 "reference_slope": q * hbar,
                 "excluded_generations": list(fit.excluded),
+                # a moment that under- or overflowed has an infinite log2: no finite slope
+                **({} if math.isfinite(fit.slope) else {"degenerate": True}),
             }
             for q, fit in fits.items()
         ],

@@ -25,6 +25,8 @@ __all__ = [
     "StepFunction",
     "haar_matrix",
     "haar_matrix_entry",
+    "haar_amplitude",
+    "haar_cube_weight",
     "haar_child_values",
     "haar_child_pattern",
     "haar_step",
@@ -61,6 +63,20 @@ def haar_matrix_entry(d: int, r: int, l: int) -> int:
     if not (0 <= r < 1 << d and 0 <= l < 1 << d):
         raise ValueError("row/column out of range")
     return -1 if bin(r & l).count("1") % 2 else 1
+
+
+def haar_amplitude(e: int, exact: bool = False) -> float | Fraction | Rad2:
+    """The amplitude 2^(e/2): exact (Fraction or Rad2) or float64."""
+    return pow2_half(e) if exact else 2.0 ** (e / 2.0)
+
+
+def haar_cube_weight(cube: DyadicCube, n: int, r: int, exact: bool = False) -> float | Fraction:
+    """Sign of ``cube``'s generation-(n+1) child digit under type r, times |cube|.
+
+    The (n, k, r) Haar function is that sign times 2^(nd/2) on such a cube in cube k.
+    """
+    sign = haar_matrix_entry(cube.dim, r, cube.ancestor(n + 1).child_digit())
+    return sign * (cube.volume() if exact else 2.0 ** (-cube.gen * cube.dim))
 
 
 @dataclass(frozen=True)
@@ -118,7 +134,7 @@ def haar_child_pattern(idx: HaarIndex) -> tuple[np.ndarray, int]:
 def haar_child_values(idx: HaarIndex) -> list[float]:
     """Values of the Haar function on the 2^d children of its support cube."""
     row, e = haar_child_pattern(idx)
-    return [float(v) * 2.0 ** (e / 2.0) for v in row]
+    return [float(v) * haar_amplitude(e) for v in row]
 
 
 @dataclass(frozen=True)
@@ -175,10 +191,10 @@ def haar_step(idx: HaarIndex, gen: int, exact: bool = False) -> StepFunction:
     With ``exact`` the values are Fraction/Rad2 objects, otherwise float64.
     """
     pattern, e = _integer_pattern(idx, gen)
+    scale = haar_amplitude(e, exact)
     if exact:
-        scale = pow2_half(e)
         return StepFunction(idx.dim, gen, np.array([int(p) * scale for p in pattern], dtype=object))
-    return StepFunction(idx.dim, gen, pattern.astype(float) * 2.0 ** (e / 2.0))
+    return StepFunction(idx.dim, gen, pattern.astype(float) * scale)
 
 
 def integrate_haar_step(idx: HaarIndex, u: StepFunction) -> float | Fraction | Rad2:
@@ -197,8 +213,8 @@ def integrate_haar_step(idx: HaarIndex, u: StepFunction) -> float | Fraction | R
     pattern, e = _integer_pattern(idx, u.gen)
     if u.values.dtype == object:
         dot = sum((int(p) * v for p, v in zip(pattern, u.values) if p), Fraction(0))
-        return pow2_half(e) * cell_vol * dot
-    return 2.0 ** (e / 2.0) * float(cell_vol) * float(pattern @ u.values)
+        return haar_amplitude(e, True) * cell_vol * dot
+    return haar_amplitude(e) * float(cell_vol) * float(pattern @ u.values)
 
 
 def haar_inner_product(a: HaarIndex, b: HaarIndex) -> Fraction | Rad2:
@@ -252,24 +268,16 @@ def indicator_expansion(cube: DyadicCube) -> dict[HaarIndex, Fraction | Rad2]:
     """Coefficients writing the cube indicator in the Haar system.
 
     Only the exceptional function and Haar functions on ancestor cubes
-    appear.  Derived by inverting the child-indicator relation one
-    generation at a time (the sign matrix squares to 2^d I).
+    appear.  The system is orthonormal, so each coefficient is the Haar
+    function's integral over the cube: |cube| for the exceptional one,
+    the cube weight times the amplitude 2^(nd/2) for an ancestor's.
     """
     d = cube.dim
-    coeffs: dict[HaarIndex, Fraction | Rad2] = {
-        HaarIndex.exceptional(d): Fraction(1)
-    }
-    # walk from the root down to `cube`, refining the expansion at each step
-    for gen in range(cube.gen):
-        parent = cube.ancestor(gen)
-        digit = cube.ancestor(gen + 1).child_digit()
-        half = Fraction(1, 1 << d)
-        coeffs = {i: c * half for i, c in coeffs.items()}
-        scale = pow2_half(-gen * d) * half
+    coeffs: dict[HaarIndex, Fraction | Rad2] = {HaarIndex.exceptional(d): cube.volume()}
+    for n in range(cube.gen):
+        k, scale = cube.ancestor(n).index, haar_amplitude(n * d, True)
         for r in range(1, 1 << d):
-            coeffs[HaarIndex(d, gen, parent.index, r)] = (
-                haar_matrix_entry(d, digit, r) * scale
-            )
+            coeffs[HaarIndex(d, n, k, r)] = haar_cube_weight(cube, n, r, True) * scale
     return coeffs
 
 

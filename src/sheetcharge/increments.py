@@ -29,9 +29,8 @@ import numpy as np
 
 # lex_to_morton is unused here, but moment-scaling looks it up through this module,
 # the call site bench/tracer.py wraps.
-from .dyadic import Figure, Rectangle, lex_to_morton  # noqa: F401
-from .exact import pow2_half
-from .haar import haar_matrix
+from .dyadic import Figure, Rectangle, _morton_axes, lex_to_morton  # noqa: F401
+from .haar import haar_amplitude, haar_matrix
 
 __all__ = [
     "GridSample",
@@ -161,8 +160,7 @@ def _difference(values: np.ndarray, morton: bool) -> np.ndarray:
             out = dest = np.empty(math.prod(shape) if morton else shape, dtype=slab.dtype)
             if morton:  # axes: the bits of axis 0, most significant first, then of axis 1, ...
                 gen, top_bits = shape[0].bit_length() - 1, (shape[0] // rows).bit_length() - 1
-                perm = [t * d + d - 1 - i for i in range(d) for t in range(gen)]
-                dest = out.reshape((2,) * (gen * d)).transpose(perm)
+                dest = out.reshape((2,) * (gen * d)).transpose(_morton_axes(d, gen))
         if morton:  # slab j fills the cells whose top bits of axis 0 spell j
             top = dest[tuple((j >> b) & 1 for b in reversed(range(top_bits))) + (...,)]
             top[...] = slab.reshape(top.shape)
@@ -185,8 +183,8 @@ def _coarsen(cells: np.ndarray, d: int) -> np.ndarray:
     if cells.ndim == d:
         kids = cells.reshape([x for m in cells.shape for x in (m // 2, 2)])
         kids = kids.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
-    else:  # the first axis of a Morton child digit is lexicographic axis d-1
-        kids = cells.reshape((-1,) + (2,) * d).transpose(0, *range(d, 0, -1))
+    else:  # a Morton child digit's bit axes, put in lexicographic order
+        kids = cells.reshape((-1,) + (2,) * d).transpose(0, *[1 + a for a in _morton_axes(d, 1)])
     parent = np.empty(kids.shape[:-d], dtype=cells.dtype)
     chunk_cells = _piece_cells(_CHUNK_ROWS, cells.size)
     step = max(1, (chunk_cells >> (d - 1)) // math.prod(parent.shape[1:]))
@@ -322,7 +320,7 @@ def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, np.n
             full = (cells if exact else np.asarray(cells, dtype=float)).reshape(-1, 1 << d)
             for lo in range(0, len(full), _CHUNK_ROWS):
                 full[lo : lo + _CHUNK_ROWS] = full[lo : lo + _CHUNK_ROWS] @ mat
-            full *= pow2_half(n * d) if exact else 2.0 ** (n * d / 2.0)
+            full *= haar_amplitude(n * d, exact)
             yield n, full
             del full
         del cells  # the finest levels are as large as the grid
@@ -351,11 +349,10 @@ def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
 
 def save_coefficients(tab: CoefficientTable, csv_path, json_path) -> None:
     """Write the (n, k, r, lambda) CSV and the {d, M, a_minus1} JSON header."""
+    header = {"d": tab.dim, "M": tab.max_gen, "a_minus1": float(tab.a_minus1)}
+    text = json.dumps(header, allow_nan=False)  # before the file is opened: NaN raises here
     with open(json_path, "w") as fh:
-        json.dump(
-            {"d": tab.dim, "M": tab.max_gen, "a_minus1": float(tab.a_minus1)}, fh
-        )
-        fh.write("\n")
+        fh.write(text + "\n")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "k", "r", "lambda"])

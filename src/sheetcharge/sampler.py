@@ -31,6 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dyadic import Rectangle
+from .haar import haar_amplitude
 from .increments import GridSample
 
 __all__ = [
@@ -295,7 +296,7 @@ def sample_standard_sheet(d: int, gen: int, seed: int, replicate: int = 0) -> Gr
     full = np.zeros(((1 << gen) + 1,) * d)
     core = full[(slice(1, None),) * d]
     noise = replicate_rng(seed, replicate).standard_normal((1 << gen,) * d)
-    np.multiply(noise, 2.0 ** (-gen * d / 2.0), out=core)
+    np.multiply(noise, haar_amplitude(-gen * d), out=core)  # standard deviation |cell|^(1/2)
     del noise  # not needed while the sums run
     for axis in range(d - 1):
         rows = np.moveaxis(core, axis, 0)

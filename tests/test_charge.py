@@ -11,6 +11,7 @@ from sheetcharge.haar import (
     haar_indices_up_to,
     haar_primitive_grid,
     haar_step,
+    indicator_expansion,
 )
 from sheetcharge.increments import GridSample, coefficient_table, figure_increment
 from sheetcharge.charge import (
@@ -94,6 +95,45 @@ class TestHaarOverFigure:
         fig = Figure(1, (DyadicCube(1, 2, 1),))
         with pytest.raises(ValueError, match="dimension mismatch"):
             integrate_haar_over_figure(2, 0, 0, 1, fig, exact=exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_cube_out_of_range_rejected(self, exact):
+        fig = Figure(2, (DyadicCube(2, 1, 0),))
+        with pytest.raises(ValueError, match="cube number out of range"):
+            integrate_haar_over_figure(2, 0, 5, 1, fig, exact=exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_type_zero_rejected(self, exact):
+        fig = Figure(2, (DyadicCube(2, 1, 0),))
+        with pytest.raises(ValueError, match="type number"):
+            integrate_haar_over_figure(2, 0, 0, 0, fig, exact=exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_type_beyond_range_rejected_when_no_cube_qualifies(self, exact):
+        fig = Figure(2, (DyadicCube(2, 0, 0),))  # swallows every support: no cube qualifies
+        with pytest.raises(ValueError, match="type number"):
+            integrate_haar_over_figure(2, 0, 0, 7, fig, exact=exact)
+
+    def test_exceptional_index_rejected(self):
+        with pytest.raises(ValueError, match="exceptional"):
+            integrate_haar_over_figure(2, -1, 0, 0, Figure(2))
+
+    @pytest.mark.parametrize("d,max_gen", [(1, 3), (2, 3), (3, 2)])
+    def test_indicator_expansion_integrates_each_ancestor(self, d, max_gen):
+        # both callers of the Haar cube rule: the coefficients of 1_Q are the
+        # integrals of the Haar functions over the one-cube figure Q
+        for gen in range(max_gen + 1):
+            for k in range(1 << (gen * d)):
+                cube = DyadicCube(d, gen, k)
+                fig = Figure(d, (cube,))
+                want = {HaarIndex.exceptional(d): cube.volume()}
+                for n in range(gen):
+                    a = cube.ancestor(n).index
+                    for r in range(1, 1 << d):
+                        want[HaarIndex(d, n, a, r)] = integrate_haar_over_figure(
+                            d, n, a, r, fig, exact=True
+                        )
+                assert repr(indicator_expansion(cube)) == repr(want)  # same order, types, values
 
 
 class TestSchauderPartialApply:

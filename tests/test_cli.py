@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sheetcharge import experiment
 from sheetcharge.cli import main
 from sheetcharge.criteria import build_report, holder_ratio_by_level, moment_scaling_fit
 from sheetcharge.experiment import counterexample_figure
@@ -14,6 +15,8 @@ from sheetcharge.sampler import (
     sample_standard_sheet,
     sheet_covariance,
 )
+
+from helpers import zero_grid
 
 
 def write_config(tmp_path, **kwargs):
@@ -358,3 +361,34 @@ class TestJsonReports:
             text = path.read_text()
             sort_keys = path.name == "manifest.json"
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=sort_keys) + "\n"
+
+    def test_degenerate_moment_fit_written_as_null(self, tmp_path):
+        # At q = 400 the moments of generations 4 and 5 underflow to 0, whose log2 is -inf.
+        fits = []
+        for q in ([2.0, 400.0], [2.0]):
+            out = run_report(tmp_path, "moment-scaling", d=2, N=6, H=[0.7, 0.7], q=q, replicates=4)
+            fits.append(strict_json(out / "moment_scaling.json")["fits"])
+        (two, degenerate), (alone,) = fits
+        assert two == alone and "degenerate" not in two
+        assert degenerate["slope"] is None and degenerate["delta_hat"] is None
+        assert degenerate["degenerate"] is True
+
+    def test_degenerate_seed_slope_written_as_null(self, tmp_path, monkeypatch):
+        # A zero sheet has zero b-terms, whose log2 is -inf, at seed 1.
+        sample_for = experiment._sample_for
+        monkeypatch.setattr(
+            experiment, "_sample_for",
+            lambda cfg, seed: zero_grid(cfg.d, cfg.N) if seed == 1 else sample_for(cfg, seed),
+        )
+        out = run_report(
+            tmp_path, "fractional-criteria", d=1, N=5, H=[0.8], fit_min_gen=1, seeds=[0, 1],
+        )
+        summary = strict_json(out / "fractional_criteria.json")
+        first, second = summary["fitted_log2_ratio_by_seed"]
+        assert isinstance(first, float) and second is None
+        assert summary["degenerate_seeds"] == [1]
+
+
+def strict_json(path):
+    """Parse ``path``, failing on the NaN and Infinity constants strict JSON has not."""
+    return json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"JSON holds {c}"))

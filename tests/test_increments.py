@@ -274,6 +274,12 @@ class TestCoefficientTable:
         for n in range(3):
             assert np.array_equal(back.level(n), tab.level(n))
 
+    def test_nan_constant_term_rejected(self, tmp_path):
+        tab = CoefficientTable(2, 0, float("nan"), (np.zeros((1, 3)),))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_coefficients(tab, tmp_path / "table.csv", tmp_path / "table.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_shapes_validated(self):
         with pytest.raises(ValueError):
             CoefficientTable(2, 1, 0.0, (np.zeros((1, 3)), np.zeros((4, 2))))
