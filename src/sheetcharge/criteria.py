@@ -143,7 +143,9 @@ def moment_scaling_fit(
         mag **= q  # the bits of np.abs(arr) ** q, with one temporary instead of two
         moment = float(np.mean(mag))
         del mag  # not alive while the next generation's is made
-        points.append((n, -float(n * dim), float(np.log2(moment)), arr.size))
+        with np.errstate(divide="ignore"):  # a moment of 0 has log2 -inf, a degenerate fit
+            log2_moment = float(np.log2(moment))
+        points.append((n, -float(n * dim), log2_moment, arr.size))
     if len(points) < 2:
         raise ValueError("need at least two generations with enough samples")
     xs = np.array([p[1] for p in points])
@@ -211,16 +213,19 @@ class CriterionReport:
         return text
 
 
-def _level_stats(lam: np.ndarray, n: int, d: int) -> tuple[float, float, float, float]:
-    """(criterion A, b-term, T, S) of generation n from its |coefficients| ``lam``.
+def _level_stats(
+    col_sums: np.ndarray, peak, t_sum, n: int, d: int
+) -> tuple[float, float, float, float]:
+    """(criterion A, b-term, T, S) of generation n from reductions of its |coefficients|.
 
-    The whole level is reduced at once, as the per-statistic functions
-    above reduce it: ``sum(axis=0)`` adds the k rows one after another,
-    ``lam[:, 0].sum()`` sums pairwise.
+    ``col_sums`` is ``sum(axis=0)``, which adds the k rows one after
+    another; ``peak`` the max with initial 0.0; ``t_sum`` the pairwise sum
+    of the type-1 column, the reductions the per-statistic functions above
+    make.
     """
-    a = 2.0 ** (-n * (d / 2.0 + 1.0)) * float(lam.sum(axis=0).max())
-    b = 2.0 ** (n * (d / 2.0 - 1.0)) * float(lam.max(initial=0.0))
-    t = float(lam[:, 0].sum()) / 2.0 ** (n * d)
+    a = 2.0 ** (-n * (d / 2.0 + 1.0)) * float(col_sums.max())
+    b = 2.0 ** (n * (d / 2.0 - 1.0)) * float(peak)
+    t = float(t_sum) / 2.0 ** (n * d)
     return a, b, t, 2.0 ** (n * (d / 2.0 - 1.0)) * t
 
 
@@ -248,7 +253,11 @@ def build_report(
     Takes |coeff| once per generation and reduces it as the per-statistic
     functions above do, with the same float operations.
     """
-    stats = [_level_stats(_level_abs(tab, n), n, tab.dim) for n in range(tab.max_gen + 1)]
+    stats = []
+    for n in range(tab.max_gen + 1):
+        lam = _level_abs(tab, n)
+        sums, peak, t_sum = lam.sum(axis=0), lam.max(initial=0.0), lam[:, 0].sum()
+        stats.append(_level_stats(sums, peak, t_sum, n, tab.dim))
     return _report(tab.dim, tab.max_gen, stats, hurst, meta)
 
 
@@ -257,22 +266,42 @@ def _streamed_report(
 ) -> CriterionReport:
     """``build_report(coefficient_table(f, max_gen), hurst, **meta)`` without the table.
 
-    One pass over the Morton pyramid, finest generation first: once a
-    level has been summed into its parent, it is overwritten by the
-    |coefficients| of the generation above it (with the parent increment
-    in column 0), reduced and freed.  A caller that passes the sheet as a
-    temporary lets its grid go once the finest level exists (from Python
-    3.11; a 3.10 caller holds its arguments until the call returns).
-    Grids that are not float64, and horizons the grid cannot carry, take
-    the table path.
+    One pass over the blocks of :func:`_coefficient_levels`, finest
+    generation first, so neither the table nor the finest cells exist
+    whole.  Each block's |coefficients| go into one buffer, below a row
+    that holds the column sums so far, and are reduced there: the column
+    sums by ``np.add.accumulate`` down the rows, the additions of
+    ``sum(axis=0)`` in its order, and the max by ``np.maximum``, which
+    keeps a NaN as ``max`` does.  The |type-1| column is stored until its
+    generation is complete and then summed once, pairwise.  So every
+    statistic has the bits of the whole-level reduction.  A caller
+    that passes the sheet as a temporary lets its grid go once the last
+    tile is differenced (from Python 3.11; a 3.10 caller holds its
+    arguments until the call returns).  Grids that are not float64, and
+    horizons the grid cannot carry, take the table path.
     """
     if f.values.dtype != np.float64 or not 0 <= max_gen < f.gen:
         return build_report(coefficient_table(f, max_gen), hurst, **meta)
-    d, levels = f.dim, _coefficient_levels(f, max_gen)
-    del f  # a sheet handed over is freed once its finest level is differenced
-    stats = [None] * (max_gen + 1)
-    for n, full in levels:
-        np.abs(full, out=full)
-        stats[n] = _level_stats(full[:, 1:], n, d)
+    d, blocks = f.dim, _coefficient_levels(f, max_gen)
+    del f  # a sheet handed over is freed once its last tile is differenced
+    stats, stack = [None] * (max_gen + 1), None
+    for n, lo, full in blocks:
+        if stack is None:  # the first block is the largest
+            stack = np.empty((1 + len(full), (1 << d) - 1))  # row 0: the column sums so far
+        lam = np.abs(full[:, 1:], out=stack[1 : 1 + len(full)])
         del full
+        if lo == 0:
+            peak, t_col = 0.0, np.empty(1 << (n * d))
+        peak = np.maximum(peak, lam.max(initial=0.0))
+        t_col[lo : lo + len(lam)] = lam[:, 0]
+        if d > 1:  # sum(axis=0) adds the rows of two or more columns in order
+            rows = stack[: 1 + len(lam)] if lo else lam
+            np.add.accumulate(rows, axis=0, out=rows)
+            stack[0] = rows[-1]
+        if lo + len(lam) == len(t_col):
+            t_sum = t_col.sum()
+            # one column (d = 1) is summed pairwise, as the type-1 column is
+            stats[n] = _level_stats(t_sum if d == 1 else stack[0], peak, t_sum, n, d)
+            del t_col
+        del lam
     return _report(d, max_gen, stats, hurst, meta)

@@ -389,7 +389,7 @@ def run_brownian_dichotomy(cfg: ExperimentConfig, out: Path) -> list[Path]:
     means = np.zeros(cfg.M + 1)
     with _csv(path, "seed,n,stat_name,value") as row:
         for seed in cfg.seeds:
-            # A temporary: from Python 3.11 the pass frees it once its finest cells exist.
+            # A temporary: from Python 3.11 the pass frees it once its last tile is differenced.
             rep = _streamed_report(
                 sample_standard_sheet(cfg.d, cfg.N, seed), cfg.M, hurst=(0.5,) * cfg.d
             )
@@ -407,7 +407,8 @@ def run_brownian_dichotomy(cfg: ExperimentConfig, out: Path) -> list[Path]:
 def _fit_b_slope(b_terms: Sequence[float], n_min: int) -> float:
     """Per-level log2 ratio of the convergence-side terms, least squares."""
     ns = np.arange(n_min, len(b_terms))
-    ys = np.log2(np.asarray(b_terms)[n_min:])
+    with np.errstate(divide="ignore"):  # a zero b-term has log2 -inf: no finite slope
+        ys = np.log2(np.asarray(b_terms)[n_min:])
     return float(np.polyfit(ns, ys, 1)[0])
 
 
@@ -416,7 +417,7 @@ def run_fractional_criteria(cfg: ExperimentConfig, out: Path) -> list[Path]:
     slopes = []
     with _csv(path, "seed,n,stat_name,value") as row:
         for seed in cfg.seeds:
-            # A temporary: from Python 3.11 the pass frees it once its finest cells exist.
+            # A temporary: from Python 3.11 the pass frees it once its last tile is differenced.
             rep = _streamed_report(_sample_for(cfg, seed), cfg.M, hurst=cfg.H)
             for n, name, value in rep.rows():
                 row(seed, n, name, value)

@@ -4,12 +4,14 @@ coefficient tables in the Haar-primitive (Faber-Schauder) system.
 A GridSample holds values of a function on the (2^N+1)^d dyadic grid that
 vanishes whenever a coordinate is zero.  Increments over dyadic cubes come
 from one pyramid engine, O(d 2^(Nd)) overall: :func:`_difference` turns
-the grid, or any box of it, into finest-cell increments one axis-0 slab at
-a time; :func:`_coarsen` sums the 2^d siblings of every parent in chunks;
-:func:`_pyramid` yields the levels finest first.  A level is either a
-lexicographic array or a flat Morton-order one, chosen by what the caller
-reads, and both layouts hold the same bits.  Equality with the 2^d-corner
-alternating sum is a test, not an assumption.
+the grid, or any box of it, into finest-cell increments one axis-0 slab
+at a time, or, in Morton order, one Morton-contiguous tile of
+:func:`_morton_tiles` at a time; :func:`_coarsen` sums the 2^d siblings of
+every parent in chunks; :func:`_pyramid` and :func:`_tiled_pyramid` yield
+the levels finest first.  A level is either a lexicographic array or a
+flat Morton-order one, chosen by what the caller reads, and both layouts
+hold the same bits.  Equality with the 2^d-corner alternating sum is a
+test, not an assumption.
 
 Arrays may hold float64 or exact objects (Fraction / Rad2); every routine
 here is arithmetic-agnostic.
@@ -23,13 +25,13 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 # lex_to_morton is unused here, but moment-scaling looks it up through this module,
 # the call site bench/tracer.py wraps.
-from .dyadic import Figure, Rectangle, _morton_axes, lex_to_morton  # noqa: F401
+from .dyadic import Figure, Rectangle, _morton_axes, lex_to_morton, morton_decode  # noqa: F401
 from .haar import haar_amplitude, haar_matrix
 
 __all__ = [
@@ -46,12 +48,14 @@ __all__ = [
 ]
 
 
-# Sizes of the streamed pieces of one level: cells differenced per slab, as a
-# power of two, and Morton rows summed or multiplied per chunk.  A slab or a
-# sibling-sum chunk also holds at most 1/_LEVEL_SHARE of its level and at
+# Sizes of the streamed pieces of one level: cells differenced per lexicographic
+# slab, as a power of two, and Morton rows summed or multiplied per chunk (a
+# Morton tile of the finest level holds the children of one chunk).  A slab or
+# a sibling-sum chunk also holds at most 1/_LEVEL_SHARE of its level and at
 # least _MIN_PIECE cells (see _piece_cells).
 _SLAB_BITS = 15
-_CHUNK_ROWS = 1 << 14
+_CHUNK_BITS = 14
+_CHUNK_ROWS = 1 << _CHUNK_BITS
 _LEVEL_SHARE = 16
 _MIN_PIECE = 1 << 12
 
@@ -137,39 +141,100 @@ def _piece_cells(cap: int, level_cells: int) -> int:
     return min(cap, max(_MIN_PIECE, level_cells // _LEVEL_SHARE))
 
 
-def _difference(values: np.ndarray, morton: bool) -> np.ndarray:
-    """Cell increments of the box of grid points ``values``, one axis-0 slab at a time.
+def _tile_order(d: int, bits: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Box of the lowest ``bits`` Morton bits of a d-dimensional cell array, and its order.
 
-    Each slab of at most ``_piece_cells(2^_SLAB_BITS, cells of the box)``
-    cells (or of one row, if a row is more) is differenced along every axis by
-    ``np.diff`` and written into the output: a lexicographic array of the
-    box, or, for a cube grid and ``morton``, a flat Morton-order array
-    through the bit-axis view that lex_to_morton transposes, so the level
-    never exists in lexicographic order too.
+    The box holds the first 2^bits Morton cells of a cube of ``side`` =
+    ceil(bits / d) bits per axis, whose top ``side * d - bits`` Morton bits
+    (the top bits of the axes from ``bits % d`` on) are zero.  Returns the
+    box's shape and, for each of its cells in Morton order, its flat
+    lexicographic position in the box: :func:`_morton_axes` of the cube
+    without those top bits.
+    """
+    side = -(-bits // d)
+    top = side * d - bits
+    axes = [a - top for a in _morton_axes(d, side) if a >= top]
+    shape = tuple(1 << (side - (d - 1 - i < top)) for i in range(d))
+    order = np.arange(1 << bits).reshape((2,) * bits).transpose(np.argsort(axes)).reshape(-1)
+    order.flags.writeable = False
+    return shape, order
+
+
+def _box_differ(cells: tuple[int, ...], dtype) -> Callable[[np.ndarray, np.ndarray], None]:
+    """A function ``differ(box, out)`` for boxes of grid points with ``cells`` cells per axis.
+
+    It writes the cell increments of ``box`` into ``out`` with the
+    subtractions of ``np.diff`` along axis 0, then 1 and so on, through
+    intermediate arrays made once, so a stream of boxes allocates nothing.
+    """
+    op = np.not_equal if dtype == np.bool_ else np.subtract  # as np.diff picks it
+    steps = [
+        np.empty(cells[: axis + 1] + tuple(m + 1 for m in cells[axis + 1 :]), dtype=dtype)
+        for axis in range(len(cells) - 1)
+    ]
+
+    def differ(box: np.ndarray, out: np.ndarray) -> None:
+        for axis, dest in enumerate([*steps, out]):
+            head = (slice(None),) * axis
+            op(box[head + (slice(1, None),)], box[head + (slice(None, -1),)], out=dest)
+            box = dest
+
+    return differ
+
+
+def _morton_tiles(
+    values: np.ndarray, parent: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Finest-cell increments of the cube grid ``values``, one Morton-contiguous tile at a time.
+
+    A tile is the box of the lowest min(_CHUNK_BITS + d, Nd) Morton bits
+    (256 x 256 cells at d = 2, 64 x 64 x 32 at d = 3), the children of
+    _CHUNK_ROWS parents.  Its box of grid points is differenced along every
+    axis and gathered into Morton order, and ``(lo, cells)`` is yielded:
+    the Morton cells lo, lo + 1, ... of the level.  ``cells`` is one
+    buffer, overwritten by the next tile.  With ``parent``, the flat Morton
+    array of the generation above, each tile's sibling sums are written
+    into its slice of ``parent`` before the tile is yielded.
     """
     d = values.ndim
+    gen = (values.shape[0] - 1).bit_length() - 1
+    bits = min(_CHUNK_BITS + d, gen * d)
+    shape, order = _tile_order(d, bits)
+    differ = _box_differ(shape, values.dtype)
+    lex, cells = np.empty(shape, dtype=values.dtype), np.empty(1 << bits, dtype=values.dtype)
+    for lo in range(0, 1 << (gen * d), 1 << bits):
+        corner = morton_decode(lo, d, gen)
+        differ(values[tuple(slice(c, c + m + 1) for c, m in zip(corner, shape))], lex)
+        np.take(lex.reshape(-1), order, out=cells, mode="clip")  # every index is in range
+        if parent is not None:
+            _coarsen(cells, d, out=parent[lo >> d : (lo >> d) + (len(cells) >> d)])
+        yield lo, cells
+
+
+def _difference(values: np.ndarray, morton: bool) -> np.ndarray:
+    """Cell increments of the box of grid points ``values``.
+
+    With ``morton``, ``values`` is a cube grid and the result its flat
+    Morton-order level, put together from :func:`_morton_tiles`.  Otherwise
+    the result is a lexicographic array of the box, differenced one axis-0
+    slab of at most ``_piece_cells(2^_SLAB_BITS, cells of the box)`` cells
+    (or of one row, if a row is more) at a time.
+    """
     shape = tuple(x - 1 for x in values.shape)
+    out = np.empty(math.prod(shape) if morton else shape, dtype=values.dtype)
+    if morton:
+        for lo, cells in _morton_tiles(values):
+            out[lo : lo + len(cells)] = cells
+        return out
     slab_cells = _piece_cells(1 << _SLAB_BITS, math.prod(shape))
     rows = min(shape[0], max(1, slab_cells // math.prod(shape[1:])))
-    out = dest = None
-    for j, lo in enumerate(range(0, shape[0], rows)):
-        slab = values[lo : lo + rows + 1]
-        for axis in range(d):
-            slab = np.diff(slab, axis=axis)
-        if out is None:
-            out = dest = np.empty(math.prod(shape) if morton else shape, dtype=slab.dtype)
-            if morton:  # axes: the bits of axis 0, most significant first, then of axis 1, ...
-                gen, top_bits = shape[0].bit_length() - 1, (shape[0] // rows).bit_length() - 1
-                dest = out.reshape((2,) * (gen * d)).transpose(_morton_axes(d, gen))
-        if morton:  # slab j fills the cells whose top bits of axis 0 spell j
-            top = dest[tuple((j >> b) & 1 for b in reversed(range(top_bits))) + (...,)]
-            top[...] = slab.reshape(top.shape)
-        else:
-            dest[lo : lo + rows] = slab
+    differ = _box_differ((rows,) + shape[1:], values.dtype)
+    for lo in range(0, shape[0], rows):
+        differ(values[lo : lo + rows + 1], out[lo : lo + rows])
     return out
 
 
-def _coarsen(cells: np.ndarray, d: int) -> np.ndarray:
+def _coarsen(cells: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sum the 2^d sibling cells of every parent: one generation up along every axis.
 
     ``cells`` is a d-dimensional lexicographic level or a flat Morton-order
@@ -178,26 +243,57 @@ def _coarsen(cells: np.ndarray, d: int) -> np.ndarray:
     are added first, then those of the one before and so on, the additions
     of a reshape-sum over the sibling axes, in chunks of about
     _CHUNK_ROWS / 2^(d-1) parents, so a first partial sum holds about
-    _CHUNK_ROWS cells and at most 1/_LEVEL_SHARE of a large level.
+    _CHUNK_ROWS cells and at most 1/_LEVEL_SHARE of a large level.  On a
+    Morton level, child axis i is bit 2^i of a parent's child digit, so
+    each step adds the upper half of the remaining sibling columns of
+    ``cells.reshape(-1, 2^d)`` to the lower half, column by column, as long
+    strided 1-D sums.  The parents go to ``out`` if given; ``cells`` is then
+    a tile of :func:`_morton_tiles`, small enough to be summed in one chunk.
     """
-    if cells.ndim == d:
+    morton = cells.ndim != d
+    if morton:
+        kids = cells.reshape(-1, 1 << d)
+        parent_shape = (len(kids),)
+    else:
         kids = cells.reshape([x for m in cells.shape for x in (m // 2, 2)])
         kids = kids.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
-    else:  # a Morton child digit's bit axes, put in lexicographic order
-        kids = cells.reshape((-1,) + (2,) * d).transpose(0, *[1 + a for a in _morton_axes(d, 1)])
-    parent = np.empty(kids.shape[:-d], dtype=cells.dtype)
-    chunk_cells = _piece_cells(_CHUNK_ROWS, cells.size)
-    step = max(1, (chunk_cells >> (d - 1)) // math.prod(parent.shape[1:]))
+        parent_shape = kids.shape[:-d]
+    if out is None:
+        parent = np.empty(parent_shape, dtype=cells.dtype)
+        chunk_cells = _piece_cells(_CHUNK_ROWS, cells.size)
+        step = max(1, (chunk_cells >> (d - 1)) // math.prod(parent_shape[1:]))
+    else:
+        parent, step = out, len(out)
     for lo in range(0, len(parent), step):
-        part = kids[lo : lo + step]
-        for _ in range(d - 1):
-            part = part[..., 0] + part[..., 1]
-        out = parent[lo : lo + step]
-        np.add(part[..., 0], part[..., 1], out=out)
-        if out.dtype.kind == "f":
+        if morton:
+            part = [kids[lo : lo + step, k] for k in range(1 << d)]
+            while len(part) > 2:
+                half = len(part) // 2
+                part = [part[k] + part[half + k] for k in range(half)]
+        else:
+            part = kids[lo : lo + step]
+            for _ in range(d - 1):
+                part = part[..., 0] + part[..., 1]
+            part = [part[..., 0], part[..., 1]]
+        dest = parent[lo : lo + step]
+        np.add(part[0], part[1], out=dest)
+        if dest.dtype.kind == "f":
             # A reduce-sum starts from +0.0, so it never returns -0.0; -0.0 + -0.0 does.
-            out += 0.0
+            dest += 0.0
     return parent
+
+
+def _levels(cells: np.ndarray, d: int, gen: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(n, cells)`` for n = gen down to ``stop``, from the generation-``gen`` level ``cells``.
+
+    Generation n-1 is summed before generation n is yielded, so a consumer
+    may overwrite ``cells``; it should drop ``cells`` before asking for the
+    next level.
+    """
+    for n in range(gen, stop - 1, -1):
+        parent = _coarsen(cells, d) if n > stop else None
+        yield n, cells
+        cells = parent
 
 
 def _pyramid(
@@ -206,18 +302,36 @@ def _pyramid(
     """Cell increments of the box of grid points ``values``, finest generation first.
 
     The box's finest cells are of generation ``gen``; yields ``(n, cells)``
-    for n = gen down to ``stop``, in the layout :func:`_difference` writes.
-    Generation n-1 is summed before generation n is yielded, so a consumer
-    may overwrite ``cells``; it should drop ``cells`` before asking for the
-    next level.
+    for n = gen down to ``stop`` as :func:`_levels` does, in the layout
+    :func:`_difference` writes.
     """
-    d = values.ndim
-    cells = _difference(values, morton)
+    levels = _levels(_difference(values, morton), values.ndim, gen, stop)
     del values  # a grid no caller holds is freed here
-    for n in range(gen, stop - 1, -1):
-        parent = _coarsen(cells, d) if n > stop else None
-        yield n, cells
-        cells = parent
+    yield from levels
+
+
+def _tiled_pyramid(values: np.ndarray, stop: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Morton cell increments of the cube grid ``values`` for generations N down to ``stop``.
+
+    Yields ``(n, lo, cells)``, the cells lo, lo + 1, ... of generation n:
+    generation N one tile of :func:`_morton_tiles` at a time, each summed
+    into its slice of generation N-1 first, so the finest level never
+    exists whole; then every coarser generation whole (lo = 0), as
+    :func:`_levels` yields it.
+    """
+    d, gen = values.ndim, (values.shape[0] - 1).bit_length() - 1
+    parent = np.empty(1 << ((gen - 1) * d), dtype=values.dtype) if stop < gen else None
+    tiles = _morton_tiles(values, parent)
+    del values  # the tiles hold the grid until the last one is differenced
+    for lo, cells in tiles:
+        yield gen, lo, cells
+    del tiles, cells
+    if parent is not None:
+        levels = _levels(parent, d, gen - 1, stop)
+        del parent
+        for n, cells in levels:
+            yield n, 0, cells
+            del cells
 
 
 def _check_generation(n: int, gen: int) -> None:
@@ -240,7 +354,9 @@ def increment_levels(f: GridSample, n_max: int | None = None) -> list[np.ndarray
 def cube_increments(f: GridSample, n: int) -> np.ndarray:
     """Increments over all generation-``n`` cubes, Morton cube order."""
     _check_generation(n, f.gen)
-    for _, cells in _pyramid(f.values, f.gen, n, morton=True):
+    if n == f.gen:
+        return _difference(f.values, morton=True)
+    for _, _, cells in _tiled_pyramid(f.values, n):
         pass
     return cells
 
@@ -298,32 +414,35 @@ class CoefficientTable:
         )
 
 
-def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The sign-matrix products of ``f`` for n = max_gen down to 0.
+def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The sign-matrix products of ``f`` for n = max_gen down to 0, in blocks of rows.
 
-    Yields ``(n, full)``: row k of the (2^(nd), 2^d) array ``full`` is the
-    child block of generation-n cube k times ``haar_matrix(d)`` and
-    2^(nd/2), so ``full[:, 1:]`` holds the level's coefficients.  An exact
-    level is multiplied by the object matrix and pow2_half(nd), any other
-    as float64, ``_CHUNK_ROWS`` rows at a time and in place: ``full``
-    overwrites its Morton level (or that level's float64 copy).  A consumer
-    may overwrite ``full`` too, and should drop it before asking for the
-    next level.
+    Yields ``(n, lo, full)``: row i of ``full`` is row lo + i of generation
+    n's (2^(nd), 2^d) product, the child block of generation-n cube lo + i
+    times ``haar_matrix(d)`` and 2^(nd/2), so ``full[:, 1:]`` holds
+    coefficients.  A block is one product of at most ``_CHUNK_ROWS`` rows,
+    an exact one by the object matrix and pow2_half(nd), any other as
+    float64.  The children come from :func:`_tiled_pyramid`, so those of
+    generation N-1 are the tiles of the grid and never exist whole.  A
+    consumer may overwrite ``full`` and should drop it before asking for
+    the next block.
     """
     d, exact = f.dim, f.is_exact
     mat = haar_matrix(d).astype(object if exact else float)
-    pyramid = _pyramid(f.values, f.gen, 1, morton=True)
-    del f  # the pyramid holds the grid until its finest level is differenced
-    for m, cells in pyramid:
+    pyramid = _tiled_pyramid(f.values, 1)
+    del f  # the pyramid holds the grid until its last tile is differenced
+    for m, row, cells in pyramid:
         n = m - 1
         if n <= max_gen:
-            full = (cells if exact else np.asarray(cells, dtype=float)).reshape(-1, 1 << d)
-            for lo in range(0, len(full), _CHUNK_ROWS):
-                full[lo : lo + _CHUNK_ROWS] = full[lo : lo + _CHUNK_ROWS] @ mat
-            full *= haar_amplitude(n * d, exact)
-            yield n, full
-            del full
-        del cells  # the finest levels are as large as the grid
+            kids, amp = cells.reshape(-1, 1 << d), haar_amplitude(n * d, exact)
+            for lo in range(0, len(kids), _CHUNK_ROWS):
+                block = kids[lo : lo + _CHUNK_ROWS]
+                full = (block if exact else np.asarray(block, dtype=float)) @ mat
+                full *= amp
+                yield n, (row >> d) + lo, full
+                del full
+            del kids
+        del cells  # not alive while the next level is summed
 
 
 def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
@@ -339,11 +458,16 @@ def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
         raise ValueError(
             f"need grid generation > {max_gen}, got {f.gen}"
         )
-    levels = [None] * (max_gen + 1)
-    for n, full in _coefficient_levels(f, max_gen):
-        levels[n] = full[:, 1:].copy()
-        levels[n].flags.writeable = False  # CoefficientTable takes it over without a copy
+    exact, types = f.is_exact, (1 << f.dim) - 1
+    levels = [
+        np.empty((1 << (n * f.dim), types), dtype=object if exact else float)
+        for n in range(max_gen + 1)
+    ]
+    for n, lo, full in _coefficient_levels(f, max_gen):
+        levels[n][lo : lo + len(full)] = full[:, 1:]
         del full
+    for lev in levels:
+        lev.flags.writeable = False  # CoefficientTable takes it over without a copy
     return CoefficientTable(f.dim, max_gen, f.corner_value(), tuple(levels))
 
 

@@ -5,7 +5,10 @@ The sheet covariance is a tensor product of one-axis kernels, so a sample
 on the grid is obtained by applying the Cholesky factor of each per-axis
 kernel matrix as a mode product to a tensor of iid standard normals.  No
 circulant embedding: at desk scale the dense factorization is simpler and
-matches the target covariance on the grid to rounding error.
+matches the target covariance on the grid to rounding error.  The
+standard sheet (H = 1/2 on every axis) has its own O(2^Nd) path: white
+noise drawn block by block straight into the grid, then summed in place
+along each axis, so it holds no array beside the grid but one block.
 
 Randomness comes from counter-based Philox streams keyed on
 (seed, replicate), so replicate ensembles are order-independent and
@@ -54,6 +57,7 @@ __all__ = [
 CHOLESKY_JITTER = 1e-12
 _GRID_MAGIC = b"SHEETGRD"
 _CSV_BLOCK = 1 << 10  # points per formatted block of a 1-D CSV
+_NOISE_BLOCK = 1 << 16  # white-noise values per draw, unless one axis-0 row is more
 # Fewest factor rows per block of a split mode product.  Each thread that calls
 # BLAS keeps its own packing buffer, and smaller blocks changed bits in probes.
 _MIN_BLOCK_ROWS = 1 << 10
@@ -288,16 +292,22 @@ def sample_sheet_ensemble(
 def sample_standard_sheet(d: int, gen: int, seed: int, replicate: int = 0) -> GridSample:
     """Standard sheet via iid N(0, 2^-Nd) cell increments and cumulative sums.
 
-    O(2^Nd) and exactly the H = (1/2, ..., 1/2) grid law.  The sums run in
-    place on the interior of the zero-padded grid, axis 0 first; every axis
-    but the last is summed row by row, which makes the additions of
-    ``np.cumsum`` in memory order.
+    O(2^Nd) and exactly the H = (1/2, ..., 1/2) grid law.  The noise is
+    drawn straight into the interior of the zero-padded grid, in axis-0
+    blocks of at most _NOISE_BLOCK values (or one row, if a row is more)
+    through one reused buffer: the stream and the values of one whole
+    draw.  The sums then run in place, axis 0 first; every axis but the
+    last is summed row by row, which makes the additions of ``np.cumsum``
+    in memory order.
     """
     full = np.zeros(((1 << gen) + 1,) * d)
     core = full[(slice(1, None),) * d]
-    noise = replicate_rng(seed, replicate).standard_normal((1 << gen,) * d)
-    np.multiply(noise, haar_amplitude(-gen * d), out=core)  # standard deviation |cell|^(1/2)
-    del noise  # not needed while the sums run
+    rng, amp = replicate_rng(seed, replicate), haar_amplitude(-gen * d)  # sd |cell|^(1/2)
+    buf = np.empty((min(len(core), max(1, _NOISE_BLOCK // core[0].size)),) + core.shape[1:])
+    for lo in range(0, len(core), len(buf)):
+        rng.standard_normal(out=buf)
+        np.multiply(buf, amp, out=core[lo : lo + len(buf)])
+    del buf
     for axis in range(d - 1):
         rows = np.moveaxis(core, axis, 0)
         for i in range(1, rows.shape[0]):

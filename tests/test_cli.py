@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,28 @@ class TestJsonReports:
         first, second = summary["fitted_log2_ratio_by_seed"]
         assert isinstance(first, float) and second is None
         assert summary["degenerate_seeds"] == [1]
+
+    def test_degenerate_configs_warn_nothing(self, tmp_path, monkeypatch):
+        # The -inf log2 of a zero moment or b-term is a flagged result, not a warning.
+        sample_for = experiment._sample_for
+        monkeypatch.setattr(
+            experiment, "_sample_for",
+            lambda cfg, seed: zero_grid(cfg.d, cfg.N) if seed == 1 else sample_for(cfg, seed),
+        )
+        moments, slopes = tmp_path / "moments", tmp_path / "slopes"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            moments.mkdir()
+            out = run_report(
+                moments, "moment-scaling", d=2, N=6, H=[0.7, 0.7], q=[2.0, 400.0], replicates=4
+            )
+            assert strict_json(out / "moment_scaling.json")["fits"][1]["degenerate"] is True
+            slopes.mkdir()
+            out = run_report(
+                slopes, "fractional-criteria", d=1, N=5, H=[0.8], fit_min_gen=1, seeds=[0, 1]
+            )
+            assert strict_json(out / "fractional_criteria.json")["degenerate_seeds"] == [1]
+        assert [str(w.message) for w in caught] == []
 
 
 def strict_json(path):

@@ -318,13 +318,18 @@ class TestStreamedReport:
             (awkward_grid(1, 6, seed=9), 5),
             (awkward_grid(2, 4, seed=10), 3),
             (awkward_grid(3, 3, seed=11), 1),
+            # several Morton tiles of 2^(14+d) cells: 4 at d1 N17, 16 at d2 N10 and d3 N7
+            (awkward_grid(1, 17, seed=12), 16),
+            (awkward_grid(2, 10, seed=13), 9),
+            (awkward_grid(3, 7, seed=14), 6),
             (product_grid(2, 3, exact=True), 2),
             (GridSample(2, 2, np.multiply.outer(np.arange(5), np.arange(5))), 1),
         ],
         ids=[
             "d1", "d1-chunked", "d1-one-product", "d2-chunked", "d2-M-below",
             "d2-fractional", "d3-level-0", "d3-chunked", "d3-fractional", "d2-zero",
-            "d3-zero", "d1-nonfinite", "d2-nonfinite", "d3-nonfinite", "exact", "int",
+            "d3-zero", "d1-nonfinite", "d2-nonfinite", "d3-nonfinite", "d1-nonfinite-tiled",
+            "d2-nonfinite-tiled", "d3-nonfinite-tiled", "exact", "int",
         ],
     )
     def test_bit_identical_to_table_report(self, f, max_gen):
@@ -348,7 +353,9 @@ class TestStreamedReport:
         with pytest.raises(ValueError, match="need grid generation > 3"):
             _streamed_report(zero_grid(2, 3), 3)
 
-    def test_peak_at_most_one_and_a_half_grids_above_the_grid(self):
+    def test_peak_at_most_three_quarters_of_a_grid_above_the_grid(self):
+        # The finest cells never exist whole: the parent level and the stored
+        # |type-1| column of the finest coefficients take a quarter grid each.
         f = sample_standard_sheet(2, 11, seed=0)
         tracemalloc.start()
         try:
@@ -356,7 +363,7 @@ class TestStreamedReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * f.values.nbytes
+        assert peak <= 0.75 * f.values.nbytes
 
     @pytest.mark.skipif(
         sys.version_info < (3, 11),
@@ -364,7 +371,7 @@ class TestStreamedReport:
     )
     def test_sheet_handed_over_is_freed_after_its_finest_level(self):
         # Draw and pass together hold at most about two grids: the grid goes
-        # once the finest level exists, before any level is coarsened.
+        # once its last tile is differenced, before any coarser level is summed.
         grid = 8 * ((1 << 11) + 1) ** 2
         sample_sheet((0.9, 0.9), 11, seed=0)  # factors the kernel outside the trace
         tracemalloc.start()
@@ -374,3 +381,19 @@ class TestStreamedReport:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * grid
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 the caller holds a temporary argument until the call returns",
+    )
+    def test_white_noise_sheet_handed_over_peaks_below_one_and_three_quarter_grids(self):
+        # The draw holds one grid; the pass adds its parent level and type-1
+        # column while the grid is alive, and the grid goes after the last tile.
+        grid = 8 * ((1 << 11) + 1) ** 2
+        tracemalloc.start()
+        try:
+            _streamed_report(sample_standard_sheet(2, 11, seed=1), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * grid

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -603,3 +604,93 @@ class TestMortonPyramid:
         cells.reshape(-1)[: len(specials)] = specials[: cells.size]
         got = _coarsen(lex_to_morton(cells), d)
         self.assert_bits(got, lex_to_morton(_coarsen(cells, d)))
+
+
+def corner_sum_cells(values, n):
+    """Generation-n cube increments of a grid by the 2^d-corner alternating sum, lexicographic."""
+    d = values.ndim
+    step = (values.shape[0] - 1) >> n
+    total = 0
+    for corner in itertools.product((0, 1), repeat=d):
+        term = values[tuple(slice(step, None, step) if c else slice(0, -1, step) for c in corner)]
+        total = total + term if (d - sum(corner)) % 2 == 0 else total - term
+    return total
+
+
+def integer_grid(d, gen, seed, exact=False):
+    """Random integer cell increments summed into a grid: float64 (exact sums) or object ints."""
+    cells = np.random.default_rng(seed).integers(-(1 << 20), 1 << 20, (1 << gen,) * d)
+    core = cells.astype(object) if exact else cells.astype(float)
+    for axis in range(d):
+        core = np.cumsum(core, axis=axis)
+    full = np.zeros(((1 << gen) + 1,) * d, dtype=core.dtype)
+    full[(slice(1, None),) * d] = core
+    return GridSample(d, gen, full)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestMortonTiles:
+    """The tiled finest level against whole-grid oracles, below one tile and across several.
+
+    A tile holds 2^15 cells at d=1, 2^16 at d=2 and 2^17 at d=3: d1 N10, d2 N7 and
+    d3 N4 are one partial tile, d1 N17, d2 N10 and d3 N7 are four, sixteen and
+    sixteen tiles.  Of the exact grids, the object integers span two tiles (d1
+    N16, d3 N6) and four (d2 N9); the Fraction and Rad2 grids are one tile.
+    """
+
+    SIZES = [(1, 10), (1, 17), (2, 7), (2, 10), (3, 4), (3, 7)]
+    FLOAT = [
+        pytest.param(integer_grid(d, gen, seed=d * gen), id=f"float-d{d}-N{gen}")
+        for d, gen in SIZES
+    ]
+    NONFINITE = [
+        pytest.param(awkward_grid(d, gen, seed=d + gen), id=f"nonfinite-d{d}-N{gen}")
+        for d, gen in SIZES
+    ]
+    EXACT = [
+        pytest.param(exact_random_grid(2, 3, seed=4, scalar=Fraction(1, 7)), id="fraction-d2-N3"),
+        pytest.param(
+            exact_random_grid(3, 2, seed=5, scalar=Rad2(Fraction(1, 2), Fraction(-2, 3))),
+            id="rad2-d3-N2",
+        ),
+    ]
+    # Object products cost microseconds an entry, so of the tiled object grids
+    # only the d=2 one has its table checked too.
+    EXACT_TILED = [
+        pytest.param(integer_grid(d, gen, seed=d, exact=True), id=f"object-d{d}-N{gen}")
+        for d, gen in [(1, 16), (3, 6)]
+    ]
+    EXACT_TABLE = [pytest.param(integer_grid(2, 9, seed=2, exact=True), id="object-d2-N9")]
+
+    @staticmethod
+    def assert_bits(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if got.dtype == object:
+            assert all(a == b and type(a) is type(b) for a, b in zip(got.flat, want.flat))
+        else:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("f", FLOAT + EXACT + EXACT_TILED + EXACT_TABLE)
+    def test_cube_increments_match_corner_sums(self, f):
+        for n in range(f.gen + 1):
+            want = lex_to_morton(corner_sum_cells(f.values, n))
+            got = cube_increments(f, n)
+            assert got.dtype == f.values.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("f", NONFINITE)
+    def test_cube_increments_match_lexicographic_pyramid(self, f):
+        levels = increment_levels(f)
+        for n in range(f.gen + 1):
+            self.assert_bits(cube_increments(f, n), lex_to_morton(levels[n]))
+
+    @pytest.mark.parametrize("f", FLOAT + EXACT + EXACT_TABLE)
+    def test_coefficient_table_matches_corner_sums(self, f):
+        d, exact = f.dim, f.is_exact
+        mat = haar_matrix(d).astype(object if exact else float)
+        tab = coefficient_table(f, f.gen - 1)
+        for n, lev in enumerate(tab.levels):
+            kids = lex_to_morton(corner_sum_cells(f.values, n + 1)).reshape(-1, 1 << d)
+            full = (kids if exact else kids.astype(float)) @ mat
+            want = full[:, 1:] * (pow2_half(n * d) if exact else 2.0 ** (n * d / 2.0))
+            assert lev.dtype == want.dtype and np.array_equal(lev, want)

@@ -386,6 +386,40 @@ class TestStandardSheetInPlace:
                 want = reference_standard_sheet(d, gen, seed)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize(
+        "d, gen, block",
+        # default blocks: d1 N17 is two, d2 N9 and d3 N6 four; a block smaller
+        # than a row (d2, d3) draws one row at a time
+        [(1, 17, None), (2, 9, None), (3, 6, None), (1, 5, 8), (2, 5, 16), (3, 3, 4)],
+    )
+    def test_block_draw_equals_one_whole_draw(self, monkeypatch, d, gen, block):
+        if block is not None:
+            monkeypatch.setattr(sampler, "_NOISE_BLOCK", block)
+        for seed in range(3):
+            # the whole noise drawn at once, scaled into the grid and summed in place
+            full = np.zeros(((1 << gen) + 1,) * d)
+            core = full[(slice(1, None),) * d]
+            noise = replicate_rng(seed, 0).standard_normal((1 << gen,) * d)
+            np.multiply(noise, 2.0 ** (-gen * d / 2.0), out=core)
+            for axis in range(d - 1):
+                rows = np.moveaxis(core, axis, 0)
+                for i in range(1, rows.shape[0]):
+                    rows[i] += rows[i - 1]
+            np.cumsum(core, axis=d - 1, out=core)
+            got = sample_standard_sheet(d, gen, seed).values
+            assert np.array_equal(got.view(np.int64), full.view(np.int64))
+
+    def test_peak_memory_about_one_grid(self):
+        # the noise goes straight into the grid: no whole-grid temporary beside it
+        grid = 8 * ((1 << 11) + 1) ** 2
+        tracemalloc.start()
+        try:
+            sample_standard_sheet(2, 11, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * grid
+
     def test_replicate_stream(self):
         got = sample_standard_sheet(2, 4, seed=3, replicate=2).values
         want = reference_standard_sheet(2, 4, seed=3, replicate=2)
