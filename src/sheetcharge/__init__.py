@@ -2,7 +2,7 @@
 Haar/Faber-Schauder coefficient tables, and numerical chargeability
 diagnostics."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .dyadic import (
     DyadicCube,

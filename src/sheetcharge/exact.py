@@ -71,6 +71,8 @@ class Rad2:
         return Rad2(o.a - self.a, o.b - self.b)
 
     def __mul__(self, other):
+        if isinstance(other, Rational):  # q (a + b sqrt 2) = qa + qb sqrt 2: two products, not four
+            return Rad2(self.a * other, self.b * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

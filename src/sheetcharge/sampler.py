@@ -2,32 +2,24 @@
 dyadic grids, plus the closed-form increment covariances.
 
 The sheet covariance is a tensor product of one-axis kernels, so a sample
-on the grid is obtained by applying the Cholesky factor of each per-axis
-kernel matrix as a mode product to a tensor of iid standard normals.  No
-circulant embedding: at desk scale the dense factorization is simpler and
-matches the target covariance on the grid to rounding error.  The
-standard sheet (H = 1/2 on every axis) has its own O(2^Nd) path: white
-noise drawn block by block straight into the grid, then summed in place
-along each axis, so it holds no array beside the grid but one block.
+on the grid is a tensor of iid standard normals with the Cholesky factor
+of each per-axis kernel applied as a mode product.  The standard sheet
+(H = 1/2 on every axis) has its own O(2^Nd) path: white noise drawn block
+by block straight into the grid, then summed in place along each axis, so
+it holds no array beside the grid but one block.
 
 Randomness comes from counter-based Philox streams keyed on
 (seed, replicate), so replicate ensembles are order-independent and
-reproducible across runs.  Where numpy's BLAS is OpenBLAS, large mode
-products run on the cores in the process's CPU affinity, split into row
-blocks that were checked to keep the bits of the unsplit product (with 1
-to 8 blocks, at one and at two BLAS threads), so a sample does not depend
-on the core count there; other BLAS libraries get the unsplit product.  A
-sample does depend on the BLAS thread count: ``np.linalg.cholesky``
-returns factors with other bits under ``OPENBLAS_NUM_THREADS=1`` and ``2``
-for N >= 7.
+reproducible across runs.  A sample's bits depend on neither the core
+count nor the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -54,13 +46,12 @@ __all__ = [
     "grid_to_csv",
 ]
 
-CHOLESKY_JITTER = 1e-12
 _GRID_MAGIC = b"SHEETGRD"
 _CSV_BLOCK = 1 << 10  # points per formatted block of a 1-D CSV
 _NOISE_BLOCK = 1 << 16  # white-noise values per draw, unless one axis-0 row is more
-# Fewest factor rows per block of a split mode product.  Each thread that calls
-# BLAS keeps its own packing buffer, and smaller blocks changed bits in probes.
-_MIN_BLOCK_ROWS = 1 << 10
+_LEAF_ROWS = 1 << 8  # factor rows per leaf of a mode product
+_ROW_BLOCK = 1 << 10  # sheet rows per BLAS call of a last-axis leaf
+_THREAD_ROWS = 1 << 11  # fewest factor rows for threads; at 1024 they only cost memory
 
 
 class SamplerError(RuntimeError):
@@ -150,24 +141,46 @@ def axis_kernel_matrix(h: float, gen: int) -> np.ndarray:
     return fbm_kernel(h, t[:, None], t[None, :])
 
 
-def axis_cholesky(h: float, gen: int) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of the axis kernel, with diagonal jitter fallback.
+def axis_cholesky(h: float, gen: int) -> np.ndarray:
+    """Lower Cholesky factor of the axis kernel, without LAPACK or the kernel matrix.
 
-    Returns (factor, jitter_used); jitter is added once, only on failure.
+    The kernel is C T C^T: C sums cumulatively and T is the Toeplitz
+    covariance of fractional Gaussian noise at step 2^-N, so the factor is
+    C chol(T).  The Schur algorithm (mixed form) finds chol(T) one column
+    per step from T's generator (u, v); the columns are stored as rows,
+    summed in place and returned transposed.  A reflection coefficient that
+    is not finite or has |rho| >= 1 raises ``SamplerError``.
     """
-    cov = axis_kernel_matrix(h, gen)
-    try:
-        return np.linalg.cholesky(cov), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    jittered = cov + CHOLESKY_JITTER * np.eye(cov.shape[0])
-    try:
-        return np.linalg.cholesky(jittered), CHOLESKY_JITTER
-    except np.linalg.LinAlgError as exc:
-        raise SamplerError(
-            f"axis kernel (h={h}, N={gen}) not positive definite even with "
-            f"{CHOLESKY_JITTER:g} jitter"
-        ) from exc
+    n, e = 1 << gen, 2.0 * h
+    k = np.arange(n, dtype=float)
+    gamma = 2.0 ** (-e * gen) * ((k + 1) ** e - 2.0 * k**e + np.abs(k - 1) ** e) / 2.0
+    root = np.sqrt(gamma[0])
+    u = gamma / root
+    u[0] = root  # gamma[0] / root, exactly
+    v = u.copy()
+    v[0] = 0.0
+    tmp = np.empty(n)
+    fac = np.zeros((n, n))
+    fac[0] = u
+    for step in range(1, n):
+        # u is shifted one place down each step: u[:n - step] holds rows step-1..n-2
+        a, b, t = u[: n - step], v[step:], tmp[: n - step]
+        rho = b[0] / a[0]
+        if not abs(rho) < 1.0:
+            raise SamplerError(
+                f"axis kernel (h={h}, N={gen}) is not numerically positive definite: "
+                f"Schur step {step} has reflection coefficient {rho}"
+            )
+        s = math.sqrt((1.0 - rho) * (1.0 + rho))
+        np.multiply(b, rho, out=t)
+        a -= t
+        a /= s  # u <- (u - rho v) / s
+        b *= s
+        np.multiply(a, rho, out=t)
+        b -= t  # v <- s v - rho u, with the new u
+        fac[step, step:] = a
+    np.cumsum(fac, axis=1, out=fac)
+    return fac.T
 
 
 def replicate_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -177,28 +190,8 @@ def replicate_rng(seed: int, *stream: int) -> np.random.Generator:
     )
 
 
-def _embed_interior(core: np.ndarray, d: int, gen: int) -> np.ndarray:
-    """Place interior values into a read-only full grid, zero on the 0-facets."""
-    full = np.zeros(((1 << gen) + 1,) * d)
-    full[(slice(1, None),) * d] = core
-    full.flags.writeable = False  # GridSample takes it over without a copy
-    return full
-
-
-def _openblas() -> bool:
-    """Whether numpy's BLAS is OpenBLAS (unknown before numpy 1.26: no)."""
-    deps = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
-    return "openblas" in str(deps.get("blas", {}).get("name", "")).lower()
-
-
 def _cores() -> int:
-    """Row blocks a mode product may use: the CPUs this process may run on.
-
-    One where numpy's BLAS is not OpenBLAS: another library may pick a
-    kernel by the number of rows, so a row block may change bits.
-    """
-    if not _openblas():
-        return 1
+    """Threads a large mode product may use: the CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
@@ -206,57 +199,56 @@ def _cores() -> int:
 
 
 def _mode_product(fac: np.ndarray, core: np.ndarray, axis: int) -> np.ndarray:
-    """``np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)``, bit for bit.
+    """Mode product of a lower triangular ``fac`` with ``core`` along ``axis``.
 
-    The one ``fac @ cols`` product is split into a power-of-two number of
-    row blocks of ``fac``, at most one per core and each at least
-    _MIN_BLOCK_ROWS rows; the calling thread computes the first and one
-    thread started for this call each of the others.  OpenBLAS packs each
-    block of the shared dimension the same way whatever the number of rows,
-    so every block has the bits of the unsplit product.  With one block
-    this is the unsplit call itself.
+    ``np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)`` up to
+    rounding, as one ``matmul`` per leaf of _LEAF_ROWS factor rows.  Leaf
+    [lo, hi) reads only [:hi] of ``core`` along ``axis``, so the zero half
+    of ``fac`` is never multiplied.  A leaf's shapes do not depend on which
+    thread runs it, so neither do the bits.  Factors of at least
+    _THREAD_ROWS rows share their leaves, largest first, among one thread
+    per core, started per call.
     """
-    moved = np.moveaxis(core, axis, 0)
-    n = fac.shape[0]
-    cols = moved.reshape(n, -1)  # a view wherever tensordot's is
-    parts, cores = 1, _cores()
-    while 2 * parts <= cores and n // (2 * parts) >= _MIN_BLOCK_ROWS:
-        parts *= 2
-    if parts == 1:
-        out = np.dot(fac, cols)
+    n, last = fac.shape[0], axis == core.ndim - 1
+    out = np.empty(core.shape)
+    # On the last axis at most _ROW_BLOCK sheet rows go to one BLAS call: OpenBLAS
+    # packs all of a call's rows into each thread's buffer, 4 MB at 2048 rows.
+    if last:
+        shape = (-1, min(_ROW_BLOCK, core.size // n), n)
     else:
-        out = np.empty((n, cols.shape[1]))
-        rows, errors, threads = n // parts, [], []
+        shape = (math.prod(core.shape[:axis]), n, -1)
+    src, dst = core.reshape(shape), out.reshape(shape)
 
-        def block(lo: int) -> None:
-            try:
-                np.dot(fac[lo : lo + rows], cols, out[lo : lo + rows])
-            except BaseException as exc:  # raised again by the calling thread
-                errors.append(exc)
+    def leaf(lo: int) -> None:
+        hi = min(lo + _LEAF_ROWS, n)
+        if last:
+            np.matmul(src[..., :hi], fac[lo:hi, :hi].T, out=dst[..., lo:hi])
+        else:
+            np.matmul(fac[lo:hi, :hi], src[:, :hi], out=dst[:, lo:hi])
 
-        try:
-            for lo in range(rows, n, rows):
-                thread = threading.Thread(target=block, args=(lo,), name="mode-product")
-                thread.start()
-                threads.append(thread)
-            block(0)
-        finally:  # no block may still write into ``out`` once this returns or raises
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+    los = range((n - 1) // _LEAF_ROWS * _LEAF_ROWS, -1, -_LEAF_ROWS)
+    workers = min(_cores(), len(los)) if n >= _THREAD_ROWS else 1
+    if workers == 1:
+        for lo in los:
+            leaf(lo)
+    else:  # map raises a leaf's error; leaving the block waits for every leaf
+        from concurrent.futures import ThreadPoolExecutor  # not at import: 10 ms per CLI start
+
+        with ThreadPoolExecutor(workers, thread_name_prefix="mode-product") as pool:
+            for _ in pool.map(leaf, los):
+                pass
+    return out
 
 
 @functools.lru_cache(maxsize=4)
-def _axis_factor(h: float, gen: int) -> tuple[np.ndarray, float]:
-    """``axis_cholesky(h, gen)`` factored once per (h, N) and shared read-only.
+def _axis_factor(h: float, gen: int) -> np.ndarray:
+    """``axis_cholesky(h, gen)`` built once per (h, N) and shared read-only.
 
     Four entries hold every distinct exponent of a d <= 3 sheet.
     """
-    fac, jitter = axis_cholesky(h, gen)
+    fac = axis_cholesky(h, gen)
     fac.flags.writeable = False
-    return fac, jitter
+    return fac
 
 
 def sample_sheet(
@@ -264,19 +256,22 @@ def sample_sheet(
 ) -> GridSample:
     """One sheet sample with exact grid covariance, deterministic in (H, N, seed)."""
     H = HurstVector.of(H)
-    factors, jitters = zip(*(_axis_factor(h, gen) for h in H.components))
+    factors = [_axis_factor(h, gen) for h in H.components]
     core = replicate_rng(seed, replicate).standard_normal((1 << gen,) * H.dim)
     for axis, fac in enumerate(factors):
         # Mode product L_axis x_axis core; each input is freed once its product exists.
         # One product per call: a helper looping over every axis would hold the noise.
         core = _mode_product(fac, core, axis)
+    full = np.zeros(((1 << gen) + 1,) * H.dim)  # zero on the 0-facets
+    full[(slice(1, None),) * H.dim] = core
+    full.flags.writeable = False  # GridSample takes it over without a copy
     return GridSample(
         H.dim,
         gen,
-        _embed_interior(core, H.dim, gen),
+        full,
         hurst=H.components,
         seed=seed,
-        meta={"sampler": "kronecker-cholesky", "jitter": list(jitters), "replicate": replicate},
+        meta={"sampler": "kronecker-cholesky", "replicate": replicate},
     )
 
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from sheetcharge.dyadic import DyadicCube, Figure
 from sheetcharge.increments import GridSample
+from sheetcharge.sampler import axis_kernel_matrix
 
 
 def product_grid(d: int, gen: int, exact: bool = False) -> GridSample:
@@ -38,6 +39,11 @@ def awkward_grid(d, gen, seed):
     for axis in range(d):
         np.moveaxis(values, axis, 0)[0] = 0.0
     return GridSample(d, gen, values)
+
+
+def dense_axis_cholesky(h: float, gen: int) -> np.ndarray:
+    """Dense oracle for ``axis_cholesky``: LAPACK's factor of the kernel matrix."""
+    return np.linalg.cholesky(axis_kernel_matrix(h, gen))
 
 
 def whole_grid_cells(values: np.ndarray) -> np.ndarray:

@@ -214,7 +214,7 @@ class TestConfigRejectedBeforeWriting:
                 id="gens-repeated",
             ),
             # Above any machine's physical memory: a 550 GB grid, a 3^40-point grid,
-            # and at d=1 a 128 KiB grid whose 2^17 x 2^17 axis kernel needs 128 GiB.
+            # and at d=1 a 1 MiB grid whose 2^17 x 2^17 axis factor needs 128 GiB.
             pytest.param("simulate", {"d": 3, "N": 12}, id="memory-grid-d3"),
             pytest.param("simulate", {"d": 40, "N": 1}, id="memory-grid-d40"),
             pytest.param(

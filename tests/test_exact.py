@@ -49,6 +49,16 @@ def test_floats_are_rejected():
         Rad2(1, 0) + 0.5  # type: ignore[operator]
 
 
+@given(rad2s, st.one_of(rationals, st.integers(-10**30, 10**30)))
+def test_rational_product_equals_the_general_product(x, q):
+    # the rational fast path against the four-product rule with q as q + 0 sqrt 2
+    want = Rad2(x.a * q, x.b * q)
+    general = Rad2.__mul__(x, Rad2(q, 0))
+    for got in (x * q, q * x):
+        assert type(got) is Rad2 and (got.a, got.b) == (want.a, want.b) == (general.a, general.b)
+        assert type(got.a) is Fraction and type(got.b) is Fraction
+
+
 @given(rad2s, rad2s, rad2s)
 def test_ring_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z

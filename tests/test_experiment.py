@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import math
+import re
 import struct
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sheetcharge
 from sheetcharge import criteria, experiment
 from sheetcharge.dyadic import (
     DyadicCube,
@@ -321,12 +323,20 @@ class TestConfig:
         assert cfg.seeds == (7,)
 
     def test_memory_estimate_counts_grid_kernel_and_samples(self):
+        # one 2^N x 2^N factor per distinct Hurst component
         cfg = ExperimentConfig(
             subcommand="moment-scaling", d=2, N=8, H=(0.7, 0.7), replicates=200, q=(1, 2)
         )
-        grid, kernel = 8 * 257**2, 3 * 8 * 4**8
+        grid, factor = 8 * 257**2, 8 * 4**8
         samples = 8 * 200 * sum(4**n for n in range(2, 8))
-        assert cfg._memory_estimate() == grid + kernel + samples
+        assert cfg._memory_estimate() == grid + factor + samples
+        cfg = ExperimentConfig(subcommand="simulate", d=3, N=5, H=(0.6, 0.8, 0.6))
+        assert cfg._memory_estimate() == 8 * 33**3 + 2 * 8 * 4**5
+
+    def test_version_matches_pyproject(self):
+        # the manifest records __version__; the package metadata must say the same
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^version = "([^"]+)"$', text, re.M)[1] == sheetcharge.__version__
 
     def test_benchmark_configs_fit_in_memory(self, monkeypatch):
         path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

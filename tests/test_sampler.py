@@ -1,11 +1,15 @@
+import concurrent.futures
+import os
 import struct
-import threading
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheetcharge import sampler
 from sheetcharge.dyadic import Rectangle
@@ -26,7 +30,7 @@ from sheetcharge.sampler import (
     sheet_covariance,
 )
 
-from helpers import product_grid
+from helpers import dense_axis_cholesky, product_grid
 
 
 def frac_rect(lo, hi):
@@ -142,9 +146,8 @@ class TestSampler:
 
     def test_axis_factor_reproduces_kernel(self):
         for h in (0.5, 0.8):
-            fac, jitter = axis_cholesky(h, 5)
+            fac = axis_cholesky(h, 5)
             cov = axis_kernel_matrix(h, 5)
-            assert jitter == 0.0
             assert np.allclose(fac @ fac.T, cov, atol=1e-12)
 
     def test_unit_corner_variance(self):
@@ -449,8 +452,7 @@ class TestAxisFactorCache:
     def direct_sample(H, gen, seed, replicate):
         core = replicate_rng(seed, replicate).standard_normal((1 << gen,) * len(H))
         for axis, h in enumerate(H):  # mode product with each directly built factor
-            fac = axis_cholesky(h, gen)[0]
-            core = np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)
+            core = leafwise_tensordot(axis_cholesky(h, gen), core, axis)
         full = np.zeros(((1 << gen) + 1,) * len(H))
         full[(slice(1, None),) * len(H)] = core
         return full
@@ -469,7 +471,7 @@ class TestAxisFactorCache:
         for seed in (0, 7):
             for rep, f in enumerate(sample_sheet_ensemble(H, gen, seed, 3)):
                 assert np.array_equal(f.values, self.direct_sample(H, gen, seed, rep))
-                assert f.meta["jitter"] == [0.0] * len(H)
+                assert "jitter" not in f.meta
             g = sample_sheet(H, gen, seed, replicate=5)
             assert np.array_equal(g.values, self.direct_sample(H, gen, seed, 5))
 
@@ -502,44 +504,86 @@ class TestAxisFactorCache:
         assert peak <= 2.2 * f.values.nbytes
 
     def test_cached_factor_is_read_only(self):
-        fac, jitter = sampler._axis_factor(0.8, 3)
+        fac = sampler._axis_factor(0.8, 3)
         assert not fac.flags.writeable
         with pytest.raises(ValueError):
             fac[0, 0] = 1.0
-        assert np.array_equal(fac, axis_cholesky(0.8, 3)[0])
-        assert jitter == 0.0
+        assert np.array_equal(fac, axis_cholesky(0.8, 3))
 
 
-def split_parts(n, cores):
-    """Row blocks the mode product should use: a power of two, each >= 1024 rows."""
-    parts = 1
-    while 2 * parts <= cores and n // (2 * parts) >= 1024:
-        parts *= 2
-    return parts
+class TestSchurFactor:
+    """``axis_cholesky`` (Schur on the noise's Toeplitz covariance) against the dense oracle."""
+
+    HS = (0.001, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999)
+
+    @pytest.mark.parametrize("gen", range(12))
+    def test_backward_error_against_dense_oracle(self, gen):
+        # The kernel is ill-conditioned near h = 1, so the two factors drift apart
+        # there (6.6e-9 of max|L| at h = 0.9999, N = 11) while both reproduce it.
+        for h in self.HS:
+            kernel, fac = axis_kernel_matrix(h, gen), axis_cholesky(h, gen)
+            dense = dense_axis_cholesky(h, gen)
+            assert np.array_equal(fac, np.tril(fac))
+            assert np.abs(fac @ fac.T - kernel).max() <= 1e-12 * np.abs(kernel).max(), h
+            assert np.abs(fac - dense).max() <= 1e-8 * np.abs(dense).max(), h
+
+    @pytest.mark.parametrize("gen", range(12))
+    def test_half_is_scaled_all_ones_triangle(self, gen):
+        want = 2.0 ** (-gen / 2) * np.tri(1 << gen)
+        assert np.array_equal(axis_cholesky(0.5, gen).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("h, step", [(1.0, 1), (float("nan"), 1)])
+    def test_singular_kernel_raises(self, h, step):
+        with pytest.raises(sampler.SamplerError, match=f"h={h}, N=4.*Schur step {step} "):
+            axis_cholesky(h, 4)
+
+    def test_peak_memory_one_factor(self):
+        # no kernel matrix and no second copy: the factor and a few vectors
+        factor = 8 * 4**10
+        tracemalloc.start()
+        try:
+            axis_cholesky(0.9, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * factor
 
 
-class CountingThreads:
-    """Stands in for the ``threading`` module in ``sampler``; counts started threads."""
-
-    def __init__(self):
-        self.started = 0
-        counter = self
-
-        class Thread(threading.Thread):
-            def start(self):
-                counter.started += 1
-                super().start()
-
-        self.Thread = Thread
+def leafwise_tensordot(fac, core, axis):
+    """tensordot of each 256-row leaf of ``fac`` with the rows of ``core`` it reads."""
+    n = fac.shape[0]
+    out = np.empty(core.shape)
+    for lo in range(0, n, 256):
+        hi = min(lo + 256, n)
+        part = np.tensordot(fac[lo:hi, :hi], np.take(core, range(hi), axis=axis), axes=(1, axis))
+        out[(slice(None),) * axis + (slice(lo, hi),)] = np.moveaxis(part, 0, axis)
+    return out
 
 
-openblas_only = pytest.mark.skipif(
-    not sampler._openblas(), reason="row blocks are bit-safe only under OpenBLAS"
-)
+def pool_workers(n, cores):
+    """Threads the mode product should use: one per core and leaf, from 2048 rows."""
+    return min(cores, -(-n // 256)) if n >= 2048 else 1
+
+
+class CountingPool(concurrent.futures.ThreadPoolExecutor):
+    """Stands in for ``ThreadPoolExecutor``; records each pool's size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, **kwargs):
+        CountingPool.sizes.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    CountingPool.sizes = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    return CountingPool.sizes
 
 
 class TestSplitModeProduct:
-    """The row-split product against the tensordot it replaced, bit for bit."""
+    """The leaf product against tensordot: leaf by leaf bit for bit, whole to 1e-13."""
 
     @staticmethod
     def lower_factor(n, seed):
@@ -547,45 +591,74 @@ class TestSplitModeProduct:
         fac[~np.tri(n, dtype=bool)] = 0.0
         return fac
 
-    @openblas_only
     @pytest.mark.parametrize(
         "d,gen",
         [(1, g) for g in range(2, 13)]
         + [(2, g) for g in range(2, 12)]
         + [(3, g) for g in range(2, 8)],
     )
-    def test_bit_equal_to_tensordot(self, monkeypatch, d, gen):
+    def test_bit_equal_to_tensordot(self, monkeypatch, pools, d, gen):
         n = 1 << gen
         fac = self.lower_factor(n, gen)
         core = np.random.default_rng(gen + 1).standard_normal((n,) * d)
         for axis in range(d):
-            want = np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)
+            want = leafwise_tensordot(fac, core, axis)
             for cores in (1, 2, 4, 8):
-                threads = CountingThreads()
-                monkeypatch.setattr(sampler, "threading", threads)
+                pools.clear()
                 monkeypatch.setattr(sampler, "_cores", lambda: cores)
                 got = sampler._mode_product(fac, core, axis)
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (axis, cores)
-                assert threads.started == split_parts(n, cores) - 1
+                workers = pool_workers(n, cores)
+                assert pools == ([] if workers == 1 else [workers])
 
-    @openblas_only
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_close_to_tensordot(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        gen = data.draw(st.integers(0, {1: 12, 2: 10, 3: 6}[d]), label="N")
+        axis = data.draw(st.integers(0, d - 1), label="axis")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        n = 1 << gen
+        fac = self.lower_factor(n, seed)
+        core = np.random.default_rng(seed + 1).standard_normal((n,) * d)
+        got = sampler._mode_product(fac, core, axis)
+        want = np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)
+        scale = np.moveaxis(np.tensordot(np.abs(fac), np.abs(core), axes=(1, axis)), 0, axis)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
     def test_sheet_independent_of_core_count(self, monkeypatch):
-        # The fbs-criteria size, where two cores split both products in halves.
+        # The fbs-criteria size, where the leaves of both products go to threads.
         H = (0.3, 0.9)
         draws = []
-        for cores in (1, 2):
+        for cores in (1, 2, 4, 8):
             monkeypatch.setattr(sampler, "_cores", lambda: cores)
             draws.append(sample_sheet(H, 11, seed=1).values)
-        assert np.array_equal(draws[0].view(np.int64), draws[1].view(np.int64))
+        for draw in draws[1:]:
+            assert np.array_equal(draws[0].view(np.int64), draw.view(np.int64))
         core = replicate_rng(1, 0).standard_normal((1 << 11,) * 2)
-        for axis, h in enumerate(H):  # the tensordot mode products of the parent code
-            fac = sampler._axis_factor(h, 11)[0]
-            core = np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)
-        assert np.array_equal(draws[1][1:, 1:].view(np.int64), core.view(np.int64))
+        for axis, h in enumerate(H):
+            core = leafwise_tensordot(sampler._axis_factor(h, 11), core, axis)
+        assert np.array_equal(draws[0][1:, 1:].view(np.int64), core.view(np.int64))
+
+    def test_sheet_independent_of_blas_threads(self):
+        # The factor uses no BLAS and every leaf is one BLAS call of fixed shape.
+        code = (
+            "import hashlib; from sheetcharge.sampler import sample_sheet; "
+            "print(hashlib.sha256(sample_sheet((0.3, 0.9), 11, 1).values.tobytes()).hexdigest())"
+        )
+        src = os.path.dirname(os.path.dirname(sampler.__file__))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
     def test_split_draw_peak_memory(self, monkeypatch):
-        # The split product writes into one preallocated output, so the draw
+        # Threads write their leaves into one preallocated output, so the draw
         # still holds at most two grid-sized arrays at once.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
         sample_sheet((0.9, 0.9), 11, seed=0)  # factors the kernel outside the trace
@@ -597,15 +670,10 @@ class TestSplitModeProduct:
             tracemalloc.stop()
         assert peak <= 2.2 * f.values.nbytes
 
-    def test_no_thread_below_the_split_size(self, monkeypatch):
-        # The fbs-moments sheet (d=2, N=8): 256-row products never split,
-        # whatever the core count.
-        threads = CountingThreads()
-        monkeypatch.setattr(sampler, "threading", threads)
+    def test_no_thread_below_the_split_size(self, monkeypatch, pools):
+        # The fbs-moments sheet (d=2, N=8) and the fbs-export one (N=10): below
+        # 2048 rows no product starts a thread, whatever the core count.
         monkeypatch.setattr(sampler, "_cores", lambda: 8)
         sample_sheet((0.7, 0.7), 8, seed=0)
-        assert threads.started == 0
-
-    def test_one_block_without_openblas(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_openblas", lambda: False)
-        assert sampler._cores() == 1
+        sample_sheet((0.6, 0.8), 10, seed=0)
+        assert pools == []
