@@ -39,8 +39,11 @@ class Rad2:
     b: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        # Arithmetic results are Fractions already; wrapping them again cost as much as it.
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
 
     @staticmethod
     def _coerce(x) -> "Rad2 | None":

@@ -41,6 +41,7 @@ from .increments import (  # noqa: F401
 )
 from .sampler import (
     HurstVector,
+    _sheet_bytes,
     replicate_rng,
     sample_sheet_ensemble,
     sample_standard_sheet,
@@ -214,15 +215,17 @@ class ExperimentConfig:
     def _memory_estimate(self) -> int:
         """Bytes of the largest arrays one run allocates, capped at 2^64.
 
-        The (2^N+1)^d grid; with H, one 2^N x 2^N per-axis factor for each
-        distinct component, since the sampler keeps each; for moment-scaling,
+        The (2^N+1)^d grid; with H, what ``sample_sheet`` holds beside it
+        (the leaves of each distinct component's factor, and its scratch
+        arrays or, before the grid, a factor's build); for moment-scaling,
         the pooled samples.  N and d are capped at 64 so the integers stay
         small: any capped estimate is already above 2^64 bytes.
         """
         gen, d = min(self.N, 64), min(self.d, 64)
-        need = 8 * ((1 << gen) + 1) ** d
-        if self.H is not None:
-            need += len(set(self.H)) * 8 * 4**gen
+        if self.H is None:
+            need = 8 * ((1 << gen) + 1) ** d
+        else:
+            need = _sheet_bytes(d, gen, len(set(self.H)))
         if self.subcommand == "moment-scaling":
             need += 8 * self.replicates * sum(1 << min(n * d, 64) for n in self._moment_gens())
         return min(need, 1 << 64)

@@ -3,10 +3,13 @@ dyadic grids, plus the closed-form increment covariances.
 
 The sheet covariance is a tensor product of one-axis kernels, so a sample
 on the grid is a tensor of iid standard normals with the Cholesky factor
-of each per-axis kernel applied as a mode product.  The standard sheet
-(H = 1/2 on every axis) has its own O(2^Nd) path: white noise drawn block
-by block straight into the grid, then summed in place along each axis, so
-it holds no array beside the grid but one block.
+of each per-axis kernel applied as a mode product.  Both paths draw the
+white noise block by block straight into the zero-padded grid and work
+there in place, so neither holds a second grid-sized array.  The
+fractional sheet applies each factor leaf by leaf, from the last leaf
+down, through leaf buffers of 256 rows of the sheet; the factor is kept
+as its leaves only.  The standard sheet (H = 1/2 on every axis) has its
+own O(2^Nd) path: the noise summed in place along each axis.
 
 Randomness comes from counter-based Philox streams keyed on
 (seed, replicate), so replicate ensembles are order-independent and
@@ -141,15 +144,14 @@ def axis_kernel_matrix(h: float, gen: int) -> np.ndarray:
     return fbm_kernel(h, t[:, None], t[None, :])
 
 
-def axis_cholesky(h: float, gen: int) -> np.ndarray:
-    """Lower Cholesky factor of the axis kernel, without LAPACK or the kernel matrix.
+def _schur_rows(h: float, gen: int) -> Iterator[np.ndarray]:
+    """Row ``step`` of chol(T)^T from column ``step`` on, for step = 0..2^N-1.
 
-    The kernel is C T C^T: C sums cumulatively and T is the Toeplitz
-    covariance of fractional Gaussian noise at step 2^-N, so the factor is
-    C chol(T).  The Schur algorithm (mixed form) finds chol(T) one column
-    per step from T's generator (u, v); the columns are stored as rows,
-    summed in place and returned transposed.  A reflection coefficient that
-    is not finite or has |rho| >= 1 raises ``SamplerError``.
+    T is the Toeplitz covariance of fractional Gaussian noise at step 2^-N,
+    and the rows come from the Schur algorithm (mixed form) on T's
+    generator (u, v).  Each row is a view the next step overwrites.  A
+    reflection coefficient that is not finite or has |rho| >= 1 raises
+    ``SamplerError``.
     """
     n, e = 1 << gen, 2.0 * h
     k = np.arange(n, dtype=float)
@@ -160,8 +162,7 @@ def axis_cholesky(h: float, gen: int) -> np.ndarray:
     v = u.copy()
     v[0] = 0.0
     tmp = np.empty(n)
-    fac = np.zeros((n, n))
-    fac[0] = u
+    yield u
     for step in range(1, n):
         # u is shifted one place down each step: u[:n - step] holds rows step-1..n-2
         a, b, t = u[: n - step], v[step:], tmp[: n - step]
@@ -178,9 +179,40 @@ def axis_cholesky(h: float, gen: int) -> np.ndarray:
         b *= s
         np.multiply(a, rho, out=t)
         b -= t  # v <- s v - rho u, with the new u
-        fac[step, step:] = a
-    np.cumsum(fac, axis=1, out=fac)
-    return fac.T
+        yield a
+
+
+def axis_cholesky(
+    h: float, gen: int, leaves: bool = False
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Lower Cholesky factor of the axis kernel, without LAPACK or the kernel matrix.
+
+    The kernel is C T C^T: C sums cumulatively and T is the Toeplitz
+    covariance of fractional Gaussian noise at step 2^-N, so the factor is
+    C chol(T).  Its columns are the rows of ``_schur_rows``, stored as rows,
+    summed in place and returned transposed.  With ``leaves`` the result is
+    instead the tuple of the factor's leaves ``fac[lo:hi, :hi]``,
+    _LEAF_ROWS rows each and Fortran-ordered like the factor, with the
+    same bits: the rows are summed _LEAF_ROWS at a time and shared out
+    among the leaves, so the whole factor never exists.  The leaves hold
+    n(n + _LEAF_ROWS)/2 entries for n >= _LEAF_ROWS, not n^2.
+    """
+    n = 1 << gen
+    width = min(n, _LEAF_ROWS) if leaves else n
+    chunk = np.empty((width, n))  # factor columns lo..lo+width-1, as rows
+    out = [np.empty((width, hi), order="F") for hi in range(width, n + 1, width) if leaves]
+    for step, row in enumerate(_schur_rows(h, gen)):
+        lo, j = step - step % width, step % width
+        chunk[j, :step] = 0.0
+        chunk[j, step:] = row
+        if j < width - 1:
+            continue
+        np.cumsum(chunk, axis=1, out=chunk)
+        if not leaves:
+            return chunk.T
+        for k in range(lo // width, len(out)):
+            out[k][:, lo : lo + width] = chunk[:, k * width : (k + 1) * width].T
+    return tuple(out)
 
 
 def replicate_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -198,72 +230,168 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _mode_product(fac: np.ndarray, core: np.ndarray, axis: int) -> np.ndarray:
-    """Mode product of a lower triangular ``fac`` with ``core`` along ``axis``.
+def _workers(n: int) -> int:
+    """Threads, and leaf buffers, of a mode product along an axis of ``n`` points."""
+    return min(_cores(), -(-n // _LEAF_ROWS)) if n >= _THREAD_ROWS else 1
 
+
+def _mode_product(
+    leaves: Sequence[np.ndarray], core: np.ndarray, axis: int, scratch: Sequence[np.ndarray]
+) -> None:
+    """Overwrite ``core`` with the mode product of a triangular factor along ``axis``.
+
+    ``leaves`` are the factor's, as ``axis_cholesky(..., leaves=True)``
+    gives them; the result is
     ``np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)`` up to
-    rounding, as one ``matmul`` per leaf of _LEAF_ROWS factor rows.  Leaf
-    [lo, hi) reads only [:hi] of ``core`` along ``axis``, so the zero half
-    of ``fac`` is never multiplied.  A leaf's shapes do not depend on which
-    thread runs it, so neither do the bits.  Factors of at least
-    _THREAD_ROWS rows share their leaves, largest first, among one thread
-    per core, started per call.
+    rounding.  ``core`` may be any view, such as the interior of a padded
+    grid: it is only ever indexed, never reshaped, so nothing is written to
+    a copy.  Leaf [lo, hi) reads [:hi] of ``core`` along ``axis`` and
+    writes [lo, hi), so the leaves run from the last one down, each into a
+    leaf buffer that is then copied back.  The buffers are views of the
+    flat ``scratch`` arrays, one per thread and at least _scratch_size
+    values each.  A leaf's BLAS calls do not depend on which thread runs
+    it, so neither do the bits.  With more than one buffer the leaves go,
+    largest first, to one thread per buffer, started per call; a leaf
+    copies back only after the leaf above it has, so every leaf still
+    reads the rows it multiplies.
     """
-    n, last = fac.shape[0], axis == core.ndim - 1
-    out = np.empty(core.shape)
-    # On the last axis at most _ROW_BLOCK sheet rows go to one BLAS call: OpenBLAS
-    # packs all of a call's rows into each thread's buffer, 4 MB at 2048 rows.
-    if last:
-        shape = (-1, min(_ROW_BLOCK, core.size // n), n)
-    else:
-        shape = (math.prod(core.shape[:axis]), n, -1)
-    src, dst = core.reshape(shape), out.reshape(shape)
+    last = axis == core.ndim - 1
+    # x: a view of core with the product's axis last (last axis) or second to last
+    x = (core[np.newaxis] if core.ndim == 1 else core) if last else np.moveaxis(core, axis, -2)
+    shape = list(x.shape)
+    shape[-1 if last else -2] = leaves[0].shape[0]  # the widest leaf
+    size = math.prod(shape)
+    bufs = [s[:size].reshape(shape) for s in scratch]
 
-    def leaf(lo: int) -> None:
-        hi = min(lo + _LEAF_ROWS, n)
+    def window(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        return a[..., lo:hi] if last else a[..., lo:hi, :]
+
+    def compute(leaf: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        width, hi = leaf.shape
+        out = window(buf, 0, width)
         if last:
-            np.matmul(src[..., :hi], fac[lo:hi, :hi].T, out=dst[..., lo:hi])
+            # At most _ROW_BLOCK sheet rows go to one BLAS call: OpenBLAS packs
+            # all of a call's rows into each thread's buffer, 4 MB at 2048 rows.
+            for r in range(0, x.shape[-2], _ROW_BLOCK):
+                rows = slice(r, r + _ROW_BLOCK)
+                np.matmul(x[..., rows, :hi], leaf.T, out=out[..., rows, :])
         else:
-            np.matmul(fac[lo:hi, :hi], src[:, :hi], out=dst[:, lo:hi])
+            np.matmul(leaf, window(x, 0, hi), out=out)
+        return out
 
-    los = range((n - 1) // _LEAF_ROWS * _LEAF_ROWS, -1, -_LEAF_ROWS)
-    workers = min(_cores(), len(los)) if n >= _THREAD_ROWS else 1
-    if workers == 1:
-        for lo in los:
-            leaf(lo)
-    else:  # map raises a leaf's error; leaving the block waits for every leaf
-        from concurrent.futures import ThreadPoolExecutor  # not at import: 10 ms per CLI start
+    def put(leaf: np.ndarray, out: np.ndarray) -> None:
+        width, hi = leaf.shape
+        window(x, hi - width, hi)[...] = out
 
-        with ThreadPoolExecutor(workers, thread_name_prefix="mode-product") as pool:
-            for _ in pool.map(leaf, los):
-                pass
-    return out
+    order = leaves[::-1]
+    if len(bufs) == 1:
+        for leaf in order:
+            put(leaf, compute(leaf, bufs[0]))
+        return
+    import queue
+    import threading
+    from concurrent.futures import ThreadPoolExecutor  # not at import: 10 ms per CLI start
+
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    for buf in bufs:
+        free.put(buf)
+    copied = [threading.Event() for _ in order]  # copied[k]: order[k] is written back
+
+    def run(k: int) -> None:
+        buf = free.get()
+        try:
+            out = compute(order[k], buf)
+            if k:
+                copied[k - 1].wait()
+            put(order[k], out)
+        finally:  # set on error too: the waiting leaves end, and map raises the error
+            copied[k].set()
+            free.put(buf)
+
+    with ThreadPoolExecutor(len(bufs), thread_name_prefix="mode-product") as pool:
+        for _ in pool.map(run, range(len(order))):
+            pass
 
 
 @functools.lru_cache(maxsize=4)
-def _axis_factor(h: float, gen: int) -> np.ndarray:
-    """``axis_cholesky(h, gen)`` built once per (h, N) and shared read-only.
+def _axis_factor(h: float, gen: int) -> tuple[np.ndarray, ...]:
+    """The leaves of ``axis_cholesky(h, gen)``, built once per (h, N) and shared read-only.
 
     Four entries hold every distinct exponent of a d <= 3 sheet.
     """
-    fac = axis_cholesky(h, gen)
-    fac.flags.writeable = False
-    return fac
+    leaves = axis_cholesky(h, gen, leaves=True)
+    for leaf in leaves:
+        leaf.flags.writeable = False
+    return leaves
+
+
+def _draw_noise(
+    core: np.ndarray,
+    rng: np.random.Generator,
+    scale: float | None = None,
+    scratch: np.ndarray | None = None,
+) -> None:
+    """Fill ``core`` with iid standard normals, times ``scale`` if given: the values of one draw.
+
+    The draw goes in axis-0 blocks of at most _NOISE_BLOCK values (or one
+    row, if a row is more) through one reused buffer, a view of the flat
+    ``scratch`` if given, so ``core`` may be a view, such as the interior
+    of a padded grid.  An unscaled block is copied, not multiplied by 1:
+    a ufunc writing to a strided view buffers 64 KB on the way.
+    """
+    shape = (min(len(core), max(1, _NOISE_BLOCK // core[0].size)),) + core.shape[1:]
+    buf = np.empty(shape) if scratch is None else scratch[: math.prod(shape)].reshape(shape)
+    for lo in range(0, len(core), len(buf)):
+        rng.standard_normal(out=buf)
+        if scale is None:
+            core[lo : lo + len(buf)] = buf
+        else:
+            np.multiply(buf, scale, out=core[lo : lo + len(buf)])
+
+
+def _scratch_size(d: int, gen: int) -> int:
+    """Values of each scratch array of a d-dimensional draw: a noise block or a leaf buffer."""
+    n = 1 << gen
+    rows = n ** (d - 1)
+    return max(min(n**d, max(rows, _NOISE_BLOCK)), rows * min(n, _LEAF_ROWS))
+
+
+def _sheet_bytes(d: int, gen: int, factors: int) -> int:
+    """Bytes of the arrays :func:`sample_sheet` holds at most, with ``factors`` distinct exponents.
+
+    The leaves of every factor, and the larger of what building one needs
+    beside its leaves (a chunk of _LEAF_ROWS summed rows and the Schur
+    recursion's few vectors, before the grid exists) and the grid with its
+    scratch arrays.
+    """
+    n, width = 1 << gen, min(1 << gen, _LEAF_ROWS)
+    build = 8 * n * (width + 8)
+    grid = 8 * (n + 1) ** d
+    scratch = 8 * _workers(n) * _scratch_size(d, gen)
+    return factors * 8 * n * (n + width) // 2 + max(build, grid + scratch)
 
 
 def sample_sheet(
     H: HurstVector | Sequence[float], gen: int, seed: int, replicate: int = 0
 ) -> GridSample:
-    """One sheet sample with exact grid covariance, deterministic in (H, N, seed)."""
+    """One sheet sample with exact grid covariance, deterministic in (H, N, seed).
+
+    The noise is drawn straight into the interior of the zero-padded grid
+    and each axis factor is applied there in place.  Beside the grid and
+    the cached leaves of its factors, a draw holds only its scratch arrays,
+    one per thread of a product, which serve as noise block and leaf
+    buffers: 256 rows of the sheet each, 1/8 grid at N = 11 and the whole
+    grid when one leaf spans the axis (N <= 8).  Under tracemalloc a d = 2
+    draw peaks at 1.25 grids at N = 11 on two cores and at 1.50 at N = 9.
+    """
     H = HurstVector.of(H)
     factors = [_axis_factor(h, gen) for h in H.components]
-    core = replicate_rng(seed, replicate).standard_normal((1 << gen,) * H.dim)
-    for axis, fac in enumerate(factors):
-        # Mode product L_axis x_axis core; each input is freed once its product exists.
-        # One product per call: a helper looping over every axis would hold the noise.
-        core = _mode_product(fac, core, axis)
     full = np.zeros(((1 << gen) + 1,) * H.dim)  # zero on the 0-facets
-    full[(slice(1, None),) * H.dim] = core
+    core = full[(slice(1, None),) * H.dim]
+    scratch = [np.empty(_scratch_size(H.dim, gen)) for _ in range(_workers(1 << gen))]
+    _draw_noise(core, replicate_rng(seed, replicate), scratch=scratch[0])
+    for axis, leaves in enumerate(factors):
+        _mode_product(leaves, core, axis, scratch)  # L_axis x_axis core
     full.flags.writeable = False  # GridSample takes it over without a copy
     return GridSample(
         H.dim,
@@ -288,21 +416,14 @@ def sample_standard_sheet(d: int, gen: int, seed: int, replicate: int = 0) -> Gr
     """Standard sheet via iid N(0, 2^-Nd) cell increments and cumulative sums.
 
     O(2^Nd) and exactly the H = (1/2, ..., 1/2) grid law.  The noise is
-    drawn straight into the interior of the zero-padded grid, in axis-0
-    blocks of at most _NOISE_BLOCK values (or one row, if a row is more)
-    through one reused buffer: the stream and the values of one whole
-    draw.  The sums then run in place, axis 0 first; every axis but the
-    last is summed row by row, which makes the additions of ``np.cumsum``
-    in memory order.
+    drawn straight into the interior of the zero-padded grid by
+    ``_draw_noise``.  The sums then run in place, axis 0 first; every axis
+    but the last is summed row by row, which makes the additions of
+    ``np.cumsum`` in memory order.
     """
     full = np.zeros(((1 << gen) + 1,) * d)
     core = full[(slice(1, None),) * d]
-    rng, amp = replicate_rng(seed, replicate), haar_amplitude(-gen * d)  # sd |cell|^(1/2)
-    buf = np.empty((min(len(core), max(1, _NOISE_BLOCK // core[0].size)),) + core.shape[1:])
-    for lo in range(0, len(core), len(buf)):
-        rng.standard_normal(out=buf)
-        np.multiply(buf, amp, out=core[lo : lo + len(buf)])
-    del buf
+    _draw_noise(core, replicate_rng(seed, replicate), haar_amplitude(-gen * d))  # sd |cell|^(1/2)
     for axis in range(d - 1):
         rows = np.moveaxis(core, axis, 0)
         for i in range(1, rows.shape[0]):

@@ -59,6 +59,25 @@ def test_rational_product_equals_the_general_product(x, q):
         assert type(got.a) is Fraction and type(got.b) is Fraction
 
 
+class FractionSubclass(Fraction):
+    pass
+
+
+@given(
+    st.one_of(rationals, st.integers(-10**30, 10**30), rationals.map(FractionSubclass)),
+    st.one_of(rationals, st.integers(-10**30, 10**30), rationals.map(FractionSubclass)),
+)
+def test_parts_equal_and_hash_as_when_wrapped(a, b):
+    # Parts that already are exactly Fractions are kept, any other is wrapped:
+    # either way the parts, equality and hash are those of Fraction(a), Fraction(b).
+    x, wrapped = Rad2(a, b), Rad2(Fraction(a), Fraction(b))
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert (x.a, x.b) == (Fraction(a), Fraction(b))
+    assert x == wrapped and hash(x) == hash(wrapped)
+    if x.b == 0:
+        assert x == Fraction(a) and hash(x) == hash(Fraction(a))
+
+
 @given(rad2s, rad2s, rad2s)
 def test_ring_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z

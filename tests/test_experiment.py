@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sheetcharge
-from sheetcharge import criteria, experiment
+from sheetcharge import criteria, experiment, sampler
 from sheetcharge.dyadic import (
     DyadicCube,
     Figure,
@@ -322,16 +322,48 @@ class TestConfig:
         )
         assert cfg.seeds == (7,)
 
-    def test_memory_estimate_counts_grid_kernel_and_samples(self):
-        # one 2^N x 2^N factor per distinct Hurst component
+    def test_memory_estimate_counts_grid_kernel_and_samples(self, monkeypatch):
+        # The packed factor per distinct Hurst component (n^2 below 256 rows,
+        # n(n + 256)/2 from there), the grid and one scratch array per thread:
+        # a whole grid for one leaf, 256 rows of it per thread for more.
+        monkeypatch.setattr(sampler, "_cores", lambda: 2)
         cfg = ExperimentConfig(
             subcommand="moment-scaling", d=2, N=8, H=(0.7, 0.7), replicates=200, q=(1, 2)
         )
-        grid, factor = 8 * 257**2, 8 * 4**8
+        grid, factor, scratch = 8 * 257**2, 8 * 4**8, 8 * 4**8
         samples = 8 * 200 * sum(4**n for n in range(2, 8))
-        assert cfg._memory_estimate() == grid + factor + samples
+        assert cfg._memory_estimate() == factor + grid + scratch + samples
         cfg = ExperimentConfig(subcommand="simulate", d=3, N=5, H=(0.6, 0.8, 0.6))
-        assert cfg._memory_estimate() == 8 * 33**3 + 2 * 8 * 4**5
+        assert cfg._memory_estimate() == 2 * 8 * 4**5 + 8 * 33**3 + 8 * 32**3
+        cfg = ExperimentConfig(subcommand="fractional-criteria", d=2, N=11, H=(0.9, 0.9))
+        factor, scratch = 8 * 2048 * (2048 + 256) // 2, 8 * 2048 * 256
+        assert cfg._memory_estimate() == factor + 8 * 2049**2 + 2 * scratch
+        # at d = 1 the chunk of 256 summed rows that builds the leaves outweighs the grid
+        cfg = ExperimentConfig(subcommand="simulate", d=1, N=13, H=(0.7,))
+        n = 2**13
+        assert cfg._memory_estimate() == 8 * n * (n + 256) // 2 + 8 * n * (256 + 8)
+
+    @pytest.mark.parametrize(
+        "H, gen, cores",
+        [((0.7,), 6, 1), ((0.7,), 10, 1), ((0.7,), 12, 2), ((0.6, 0.8), 4, 1),
+         ((0.6, 0.8), 8, 1), ((0.9, 0.9), 11, 2), ((0.6, 0.7, 0.6), 3, 1),
+         ((0.6, 0.7, 0.8), 5, 1)],
+    )
+    def test_memory_estimate_covers_the_sampler(self, monkeypatch, H, gen, cores):
+        # Factors built inside the trace: the estimate covers their build too.
+        # It counts arrays only: Python objects come on top, such as a product's
+        # threads (40 KB) or the facet copy GridSample checks (16 KB at N = 11).
+        monkeypatch.setattr(sampler, "_cores", lambda: cores)
+        cfg = ExperimentConfig(subcommand="simulate", d=len(H), N=gen, H=H)
+        sampler._axis_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            sample_sheet(H, gen, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sampler._axis_factor.cache_clear()
+        assert peak <= cfg._memory_estimate() + (1 << 16)
 
     def test_version_matches_pyproject(self):
         # the manifest records __version__; the package metadata must say the same

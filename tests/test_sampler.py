@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -475,13 +476,28 @@ class TestAxisFactorCache:
             g = sample_sheet(H, gen, seed, replicate=5)
             assert np.array_equal(g.values, self.direct_sample(H, gen, seed, 5))
 
+    @pytest.mark.parametrize(
+        "H, gen, block",
+        # blocks of one row and less (d2, d3), and the default: one block below
+        # N = 8 at d = 2, 16 at N = 10, and the whole d = 1 sheet
+        [((0.6, 0.8), 5, 16), ((0.55, 0.7, 0.9), 3, 4), ((0.7,), 11, None),
+         ((0.6, 0.8), 10, None), ((0.55, 0.7, 0.9), 5, None)],
+    )
+    def test_block_draw_equals_one_whole_draw(self, monkeypatch, H, gen, block):
+        if block is not None:
+            monkeypatch.setattr(sampler, "_NOISE_BLOCK", block)
+        for seed in (0, 3):
+            got = sample_sheet(H, gen, seed, replicate=1).values
+            want = self.direct_sample(H, gen, seed, 1)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_one_factorization_per_distinct_h_and_gen(self, monkeypatch):
         calls = Counter()
         real = sampler.axis_cholesky
 
-        def counting(h, gen):
+        def counting(h, gen, **kwargs):
             calls[(h, gen)] += 1
-            return real(h, gen)
+            return real(h, gen, **kwargs)
 
         monkeypatch.setattr(sampler, "axis_cholesky", counting)
         for seed in range(3):
@@ -492,8 +508,8 @@ class TestAxisFactorCache:
         assert calls == {(0.7, 3): 1, (0.9, 3): 1, (0.7, 4): 1}
 
     def test_peak_memory_with_cached_factor(self):
-        # At most two grid-sized arrays at once: a mode product's input and output,
-        # then the core and the zero-padded grid it is copied into.
+        # The grid and one scratch array of two 256-row leaves' worth (half a grid
+        # at N = 9); the products run in place, so there is no second grid.
         sample_sheet((0.7, 0.9), 9, seed=0)  # factors both kernels
         tracemalloc.start()
         try:
@@ -501,14 +517,20 @@ class TestAxisFactorCache:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * f.values.nbytes
+        assert peak <= 1.55 * f.values.nbytes
 
     def test_cached_factor_is_read_only(self):
-        fac = sampler._axis_factor(0.8, 3)
-        assert not fac.flags.writeable
-        with pytest.raises(ValueError):
-            fac[0, 0] = 1.0
-        assert np.array_equal(fac, axis_cholesky(0.8, 3))
+        # One leaf up to 256 rows, eight at N = 11: each is fac[lo:hi, :hi], bit for bit.
+        for gen in (0, 3, 8, 9, 11):
+            fac, leaves = axis_cholesky(0.8, gen), sampler._axis_factor(0.8, gen)
+            assert len(leaves) == -(-(1 << gen) // 256)
+            for k, leaf in enumerate(leaves):
+                lo, hi = 256 * k, min(256 * (k + 1), 1 << gen)
+                assert not leaf.flags.writeable
+                with pytest.raises(ValueError):
+                    leaf[0, 0] = 1.0
+                assert leaf.flags.f_contiguous
+                assert np.array_equal(leaf.view(np.int64), fac[lo:hi, :hi].view(np.int64))
 
 
 class TestSchurFactor:
@@ -548,16 +570,43 @@ class TestSchurFactor:
             tracemalloc.stop()
         assert peak <= 1.1 * factor
 
+    def test_peak_memory_leaves(self):
+        # The leaves, one chunk of 256 summed rows and a few vectors: the whole
+        # factor never exists, so the peak is 0.88 of it at N = 10, not 1.63.
+        n = 1 << 10
+        tracemalloc.start()
+        try:
+            axis_cholesky(0.9, 10, leaves=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * (n + 256) // 2 + 256 * n + 8 * n)
+
 
 def leafwise_tensordot(fac, core, axis):
-    """tensordot of each 256-row leaf of ``fac`` with the rows of ``core`` it reads."""
-    n = fac.shape[0]
+    """tensordot of each 256-row leaf of ``fac`` with the rows of ``core`` it reads.
+
+    On the last axis the rows of ``core`` come first, as in the product: at
+    d = 1 a leaf is then the same vector-matrix BLAS call, whose sums run in
+    another order than the matrix-vector one.
+    """
+    n, last = fac.shape[0], axis == core.ndim - 1
     out = np.empty(core.shape)
     for lo in range(0, n, 256):
         hi = min(lo + 256, n)
-        part = np.tensordot(fac[lo:hi, :hi], np.take(core, range(hi), axis=axis), axes=(1, axis))
-        out[(slice(None),) * axis + (slice(lo, hi),)] = np.moveaxis(part, 0, axis)
+        rows = np.take(core, range(hi), axis=axis)
+        if last:
+            part = np.tensordot(rows, fac[lo:hi, :hi], axes=(axis, 1))
+        else:
+            part = np.moveaxis(np.tensordot(fac[lo:hi, :hi], rows, axes=(1, axis)), 0, axis)
+        out[(slice(None),) * axis + (slice(lo, hi),)] = part
     return out
+
+
+def leaf_blocks(fac):
+    """The leaves ``fac[lo:hi, :hi]`` of a factor, 256 rows each, Fortran-ordered as kept."""
+    n = fac.shape[0]
+    return tuple(np.asfortranarray(fac[lo : lo + 256, : lo + 256]) for lo in range(0, n, 256))
 
 
 def pool_workers(n, cores):
@@ -582,14 +631,56 @@ def pools(monkeypatch):
     return CountingPool.sizes
 
 
+def in_place(leaves, core, axis):
+    """``_mode_product`` with the scratch arrays ``sample_sheet`` would give it."""
+    n = core.shape[axis]
+    size = sampler._scratch_size(core.ndim, n.bit_length() - 1)
+    sampler._mode_product(leaves, core, axis, [np.empty(size) for _ in range(sampler._workers(n))])
+
+
+def within_a_minute(work):
+    """Run ``work`` on a thread and fail, instead of hanging, if it has not ended in 60 s."""
+    raised = []
+
+    def target():
+        try:
+            work()
+        except BaseException as exc:  # handed to the test thread below
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive(), "the product did not end"
+    if raised:
+        raise raised[0]
+
+
+def padded(core, fill=np.nan):
+    """``core`` copied into the interior of a grid padded by ``fill``, and that interior view."""
+    full = np.full(tuple(k + 1 for k in core.shape), fill)
+    interior = full[(slice(1, None),) * core.ndim]
+    interior[...] = core
+    return full, interior
+
+
 class TestSplitModeProduct:
-    """The leaf product against tensordot: leaf by leaf bit for bit, whole to 1e-13."""
+    """The in-place leaf product against tensordot: leaf by leaf bit for bit, whole to 1e-13.
+
+    Every product runs on the interior view of a grid whose 0-facets hold
+    NaN: a product that read the padding would spread NaN, and one that
+    wrote to a reshaped copy would leave the noise behind.
+    """
 
     @staticmethod
     def lower_factor(n, seed):
+        """A random lower triangle, Fortran-ordered like ``axis_cholesky``'s factor.
+
+        A vector-matrix leaf (d = 1) sums in another order for the other layout.
+        """
         fac = np.random.default_rng(seed).standard_normal((n, n))
         fac[~np.tri(n, dtype=bool)] = 0.0
-        return fac
+        return np.asfortranarray(fac)
 
     @pytest.mark.parametrize(
         "d,gen",
@@ -600,15 +691,19 @@ class TestSplitModeProduct:
     def test_bit_equal_to_tensordot(self, monkeypatch, pools, d, gen):
         n = 1 << gen
         fac = self.lower_factor(n, gen)
+        leaves = leaf_blocks(fac)
         core = np.random.default_rng(gen + 1).standard_normal((n,) * d)
         for axis in range(d):
             want = leafwise_tensordot(fac, core, axis)
             for cores in (1, 2, 4, 8):
                 pools.clear()
                 monkeypatch.setattr(sampler, "_cores", lambda: cores)
-                got = sampler._mode_product(fac, core, axis)
-                assert got.shape == want.shape
+                full, interior = padded(core)
+                in_place(leaves, interior, axis)
+                got = full[(slice(1, None),) * d]
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (axis, cores)
+                for k in range(d):  # the padding is neither read nor written
+                    assert np.isnan(np.moveaxis(full, k, 0)[0]).all()
                 workers = pool_workers(n, cores)
                 assert pools == ([] if workers == 1 else [workers])
 
@@ -622,10 +717,61 @@ class TestSplitModeProduct:
         n = 1 << gen
         fac = self.lower_factor(n, seed)
         core = np.random.default_rng(seed + 1).standard_normal((n,) * d)
-        got = sampler._mode_product(fac, core, axis)
+        full, interior = padded(core, 0.0)
+        in_place(leaf_blocks(fac), interior, axis)
         want = np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)
         scale = np.moveaxis(np.tensordot(np.abs(fac), np.abs(core), axes=(1, axis)), 0, axis)
-        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert np.all(np.abs(full[(slice(1, None),) * d] - want) <= 1e-13 * scale)
+
+    def test_scratch_arrays_are_the_leaf_buffers(self, pools):
+        # The product allocates nothing of its own and starts one thread per
+        # scratch array; the bits stay those of the leafwise oracle.
+        n, cols = 2048, 128
+        fac = self.lower_factor(n, 5)
+        core = np.random.default_rng(6).standard_normal((n, cols))
+        want = leafwise_tensordot(fac, core, 0)
+        leaves = leaf_blocks(fac)
+        for count in (1, 3):
+            pools.clear()
+            scratch = [np.empty(256 * cols + 5) for _ in range(count)]  # longer is fine
+            full, interior = padded(core)
+            tracemalloc.start()
+            try:
+                sampler._mode_product(leaves, interior, 0, scratch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(full[1:, 1:].view(np.int64), want.view(np.int64))
+            assert peak < 256 * cols * 8 // 2  # half a leaf buffer: room for the threads only
+            assert pools == ([] if count == 1 else [count])
+
+    def test_leaf_error_is_raised_without_a_hang(self, monkeypatch):
+        # A leaf that fails still releases the leaf below it; map raises its error.
+        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+        n = 2048
+        leaves = list(leaf_blocks(self.lower_factor(n, 1)))
+        leaves[5] = np.ones((256, 7))  # 7 columns: matmul rejects the shapes
+        _, interior = padded(np.ones((n, 4)))
+        with pytest.raises(ValueError):
+            within_a_minute(lambda: in_place(leaves, interior, 0))
+
+    def test_copy_back_order_under_thread_switches(self, monkeypatch):
+        # Eight threads on fewer cores, switching every microsecond: a leaf that
+        # copied back before the leaves above it had read its rows would change them.
+        monkeypatch.setattr(sampler, "_cores", lambda: 8)
+        n = 2048
+        fac = self.lower_factor(n, 2)
+        core = np.random.default_rng(3).standard_normal((n, 64))
+        want = leafwise_tensordot(fac, core, 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                full, interior = padded(core)
+                within_a_minute(lambda: in_place(leaf_blocks(fac), interior, 0))
+                assert np.array_equal(full[1:, 1:].view(np.int64), want.view(np.int64))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_sheet_independent_of_core_count(self, monkeypatch):
         # The fbs-criteria size, where the leaves of both products go to threads.
@@ -638,7 +784,7 @@ class TestSplitModeProduct:
             assert np.array_equal(draws[0].view(np.int64), draw.view(np.int64))
         core = replicate_rng(1, 0).standard_normal((1 << 11,) * 2)
         for axis, h in enumerate(H):
-            core = leafwise_tensordot(sampler._axis_factor(h, 11), core, axis)
+            core = leafwise_tensordot(axis_cholesky(h, 11), core, axis)
         assert np.array_equal(draws[0][1:, 1:].view(np.int64), core.view(np.int64))
 
     def test_sheet_independent_of_blas_threads(self):
@@ -658,8 +804,7 @@ class TestSplitModeProduct:
         assert len(digests) == 1
 
     def test_split_draw_peak_memory(self, monkeypatch):
-        # Threads write their leaves into one preallocated output, so the draw
-        # still holds at most two grid-sized arrays at once.
+        # The grid and one leaf buffer per thread, 1/8 grid each at N = 11.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
         sample_sheet((0.9, 0.9), 11, seed=0)  # factors the kernel outside the trace
         tracemalloc.start()
@@ -668,7 +813,7 @@ class TestSplitModeProduct:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * f.values.nbytes
+        assert peak <= 1.3 * f.values.nbytes
 
     def test_no_thread_below_the_split_size(self, monkeypatch, pools):
         # The fbs-moments sheet (d=2, N=8) and the fbs-export one (N=10): below
