@@ -42,6 +42,7 @@ from .increments import (  # noqa: F401
 from .sampler import (
     HurstVector,
     _sheet_bytes,
+    _standard_bytes,
     replicate_rng,
     sample_sheet_ensemble,
     sample_standard_sheet,
@@ -215,15 +216,17 @@ class ExperimentConfig:
     def _memory_estimate(self) -> int:
         """Bytes of the largest arrays one run allocates, capped at 2^64.
 
-        The (2^N+1)^d grid; with H, what ``sample_sheet`` holds beside it
-        (the leaves of each distinct component's factor, and its scratch
-        arrays or, before the grid, a factor's build); for moment-scaling,
+        The (2^N+1)^d grid and what the sampler holds beside it: without H,
+        the noise buffers and carry row of ``sample_standard_sheet``; with
+        H, those of ``sample_sheet`` (the leaves of each distinct
+        component's factor, and its scratch arrays or, before the grid, a
+        factor's build); for moment-scaling,
         the pooled samples.  N and d are capped at 64 so the integers stay
         small: any capped estimate is already above 2^64 bytes.
         """
         gen, d = min(self.N, 64), min(self.d, 64)
         if self.H is None:
-            need = 8 * ((1 << gen) + 1) ** d
+            need = _standard_bytes(d, gen)
         else:
             need = _sheet_bytes(d, gen, len(set(self.H)))
         if self.subcommand == "moment-scaling":

@@ -92,8 +92,7 @@ class GridSample:
                 f"expected grid shape {(n_pts,) * self.dim}, got {vals.shape}"
             )
         for axis in range(self.dim):
-            face = np.take(vals, 0, axis=axis)
-            if not np.all(face == 0):
+            if not np.all(vals[(slice(None),) * axis + (0,)] == 0):
                 raise ValueError(f"values must vanish on the x_{axis + 1} = 0 facet")
         object.__setattr__(self, "values", _frozen(vals))
         if self.hurst is not None:

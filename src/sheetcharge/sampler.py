@@ -9,7 +9,11 @@ there in place, so neither holds a second grid-sized array.  The
 fractional sheet applies each factor leaf by leaf, from the last leaf
 down, through leaf buffers of 256 rows of the sheet; the factor is kept
 as its leaves only.  The standard sheet (H = 1/2 on every axis) has its
-own O(2^Nd) path: the noise summed in place along each axis.
+own O(2^Nd) path: each noise block is summed in place along each axis as
+soon as it is in the grid, axis 0 continued from a carry row.  On two or
+more cores, and when the draw has two blocks or more, a producer thread
+draws its next block into the second of two noise buffers while the
+caller sums the last one.
 
 Randomness comes from counter-based Philox streams keyed on
 (seed, replicate), so replicate ensembles are order-independent and
@@ -24,7 +28,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -325,28 +329,106 @@ def _axis_factor(h: float, gen: int) -> tuple[np.ndarray, ...]:
     return leaves
 
 
+def _noise_buffers(d: int, gen: int, pipelined: bool) -> tuple[int, int]:
+    """Axis-0 rows of each noise block of a d-dimensional draw, and its noise buffers.
+
+    A block holds at most _NOISE_BLOCK values, or one row if a row is more;
+    both are powers of two, so the blocks share the rows out evenly.  A
+    ``pipelined`` draw, one whose caller works on each block, of two blocks
+    or more, on two cores or more, has two buffers: one for a producer
+    thread to draw ahead into.  Any other draw has one.
+    """
+    n = 1 << gen
+    rows = min(n, max(1, _NOISE_BLOCK // n ** (d - 1)))
+    return rows, 2 if pipelined and rows < n and _cores() >= 2 else 1
+
+
 def _draw_noise(
     core: np.ndarray,
     rng: np.random.Generator,
     scale: float | None = None,
     scratch: np.ndarray | None = None,
+    then: Callable[[int, int], None] | None = None,
 ) -> None:
     """Fill ``core`` with iid standard normals, times ``scale`` if given: the values of one draw.
 
-    The draw goes in axis-0 blocks of at most _NOISE_BLOCK values (or one
-    row, if a row is more) through one reused buffer, a view of the flat
-    ``scratch`` if given, so ``core`` may be a view, such as the interior
-    of a padded grid.  An unscaled block is copied, not multiplied by 1:
-    a ufunc writing to a strided view buffers 64 KB on the way.
+    The draw goes in the axis-0 blocks of ``_noise_buffers`` through its
+    noise buffers, views of the flat ``scratch`` if given, so ``core`` may
+    be a view, such as the interior of a padded grid.  Each block is drawn
+    and scaled in its buffer (a ufunc writing to a strided view would
+    buffer 64 KB on the way), copied into ``core`` and its buffer given
+    back; then ``then(lo, hi)``, if given, runs on the block's rows
+    [lo, hi) of ``core``.  With two buffers a producer thread draws each
+    block into one while the caller takes in and works on the block before
+    it (``Generator.standard_normal`` releases the GIL), and it is joined
+    before the draw returns or raises; an error in either thread ends both
+    and is raised here.  A draw without ``then`` (the fractional sheet's:
+    there is only the copy to overlap), a one-block draw and one on a
+    single core start no thread.  Either way the blocks hold the values of
+    one whole draw, in order.
     """
-    shape = (min(len(core), max(1, _NOISE_BLOCK // core[0].size)),) + core.shape[1:]
-    buf = np.empty(shape) if scratch is None else scratch[: math.prod(shape)].reshape(shape)
-    for lo in range(0, len(core), len(buf)):
+    n = len(core)
+    rows, count = _noise_buffers(core.ndim, n.bit_length() - 1, then is not None)
+    shape = (rows,) + core.shape[1:]
+    size = math.prod(shape)
+    if scratch is None:
+        scratch = np.empty(count * size)
+    bufs = [scratch[k * size : (k + 1) * size].reshape(shape) for k in range(count)]
+    thread = None
+
+    def fill(buf: np.ndarray) -> np.ndarray:
         rng.standard_normal(out=buf)
-        if scale is None:
-            core[lo : lo + len(buf)] = buf
-        else:
-            np.multiply(buf, scale, out=core[lo : lo + len(buf)])
+        if scale is not None:
+            buf *= scale
+        return buf
+
+    if count == 1:
+
+        def drawn() -> np.ndarray:
+            return fill(bufs[0])
+
+        def done(buf: np.ndarray) -> None:
+            pass
+
+    else:
+        import queue
+        import threading  # not at import, as in _mode_product
+
+        free: queue.SimpleQueue = queue.SimpleQueue()  # buffers to draw into; None stops
+        full: queue.SimpleQueue = queue.SimpleQueue()  # drawn blocks in order, or an error
+        for buf in bufs:
+            free.put(buf)
+
+        def produce() -> None:
+            try:
+                for _ in range(0, n, rows):
+                    buf = free.get()
+                    if buf is None:  # the caller stopped
+                        return
+                    full.put(fill(buf))
+            except BaseException as exc:  # raised in the caller
+                full.put(exc)
+
+        def drawn() -> np.ndarray:
+            buf = full.get()
+            if isinstance(buf, BaseException):
+                raise buf
+            return buf
+
+        done = free.put
+        thread = threading.Thread(target=produce, name="noise-draw", daemon=True)
+        thread.start()
+    try:
+        for lo in range(0, n, rows):
+            buf = drawn()
+            core[lo : lo + rows] = buf
+            done(buf)
+            if then is not None:
+                then(lo, lo + rows)
+    finally:
+        if thread is not None:
+            free.put(None)
+            thread.join()
 
 
 def _scratch_size(d: int, gen: int) -> int:
@@ -371,6 +453,19 @@ def _sheet_bytes(d: int, gen: int, factors: int) -> int:
     return factors * 8 * n * (n + width) // 2 + max(build, grid + scratch)
 
 
+def _standard_bytes(d: int, gen: int) -> int:
+    """Bytes of the arrays :func:`sample_standard_sheet` holds at most.
+
+    The grid, the noise buffers and the carry row; from d = 3 on, also the
+    three buffers of ``np.getbufsize()`` values that numpy allocates to
+    add two grid rows, which are strided views of two or more axes there.
+    """
+    n = 1 << gen
+    rows, count = _noise_buffers(d, gen, True)
+    ufunc = 3 * np.getbufsize() if d >= 3 else 0
+    return 8 * ((n + 1) ** d + (count * rows + 1) * n ** (d - 1) + ufunc)
+
+
 def sample_sheet(
     H: HurstVector | Sequence[float], gen: int, seed: int, replicate: int = 0
 ) -> GridSample:
@@ -381,8 +476,9 @@ def sample_sheet(
     the cached leaves of its factors, a draw holds only its scratch arrays,
     one per thread of a product, which serve as noise block and leaf
     buffers: 256 rows of the sheet each, 1/8 grid at N = 11 and the whole
-    grid when one leaf spans the axis (N <= 8).  Under tracemalloc a d = 2
-    draw peaks at 1.25 grids at N = 11 on two cores and at 1.50 at N = 9.
+    grid when one leaf spans the axis (N <= 8).  The noise is drawn inline,
+    on no second thread.  Under tracemalloc a d = 2 draw peaks at 1.25
+    grids at N = 11 on two cores and at 1.50 at N = 9.
     """
     H = HurstVector.of(H)
     factors = [_axis_factor(h, gen) for h in H.components]
@@ -417,18 +513,34 @@ def sample_standard_sheet(d: int, gen: int, seed: int, replicate: int = 0) -> Gr
 
     O(2^Nd) and exactly the H = (1/2, ..., 1/2) grid law.  The noise is
     drawn straight into the interior of the zero-padded grid by
-    ``_draw_noise``.  The sums then run in place, axis 0 first; every axis
-    but the last is summed row by row, which makes the additions of
-    ``np.cumsum`` in memory order.
+    ``_draw_noise``, on a producer thread one block ahead where it starts
+    one, and each axis-0 block is summed in place once it is there.  The
+    carry row, the axis-0 partial sum of the last row before, is added to
+    the block's first row, the block is summed along axis 0 row by row
+    (by ``np.cumsum`` at d = 1), its last row is kept as the next carry,
+    and then one ``np.cumsum`` runs along each further axis.  Every
+    element so gets the additions of whole-grid ``np.cumsum`` along each
+    axis in turn, in the same order, and the same bits.
     """
     full = np.zeros(((1 << gen) + 1,) * d)
     core = full[(slice(1, None),) * d]
-    _draw_noise(core, replicate_rng(seed, replicate), haar_amplitude(-gen * d))  # sd |cell|^(1/2)
-    for axis in range(d - 1):
-        rows = np.moveaxis(core, axis, 0)
-        for i in range(1, rows.shape[0]):
-            rows[i] += rows[i - 1]
-    np.cumsum(core, axis=d - 1, out=core)
+    carry = np.empty(core.shape[1:])
+
+    def cumulate(lo: int, hi: int) -> None:
+        block = core[lo:hi]
+        if lo:
+            block[0] += carry
+        if d == 1:
+            np.cumsum(block, out=block)
+        else:  # row by row: one cumsum per block along axis 0 costs more
+            for i in range(1, hi - lo):
+                block[i] += block[i - 1]
+        carry[...] = block[-1]  # before the other axes are summed
+        for axis in range(1, d):
+            np.cumsum(block, axis=axis, out=block)
+
+    rng = replicate_rng(seed, replicate)
+    _draw_noise(core, rng, haar_amplitude(-gen * d), then=cumulate)  # sd |cell|^(1/2)
     full.flags.writeable = False  # GridSample takes it over without a copy
     return GridSample(
         d,

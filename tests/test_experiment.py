@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import math
+import queue  # noqa: F401  (see test_memory_estimate_covers_the_sampler)
 import re
 import struct
 import sys
@@ -325,7 +326,9 @@ class TestConfig:
     def test_memory_estimate_counts_grid_kernel_and_samples(self, monkeypatch):
         # The packed factor per distinct Hurst component (n^2 below 256 rows,
         # n(n + 256)/2 from there), the grid and one scratch array per thread:
-        # a whole grid for one leaf, 256 rows of it per thread for more.
+        # a whole grid for one leaf, 256 rows of it per thread for more.  Without
+        # H, the grid, the noise buffers (two of 2^16 values on two cores, if the
+        # draw has two blocks) and the carry row.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
         cfg = ExperimentConfig(
             subcommand="moment-scaling", d=2, N=8, H=(0.7, 0.7), replicates=200, q=(1, 2)
@@ -338,6 +341,16 @@ class TestConfig:
         cfg = ExperimentConfig(subcommand="fractional-criteria", d=2, N=11, H=(0.9, 0.9))
         factor, scratch = 8 * 2048 * (2048 + 256) // 2, 8 * 2048 * 256
         assert cfg._memory_estimate() == factor + 8 * 2049**2 + 2 * scratch
+        cfg = ExperimentConfig(subcommand="brownian-dichotomy", d=2, N=11)
+        assert cfg._memory_estimate() == 8 * (2049**2 + 2 * 2**16 + 2048)
+        cfg = ExperimentConfig(subcommand="counterexample", d=3, N=7, n=2)
+        # and from d = 3 numpy's three ufunc buffers for the additions of strided rows
+        assert cfg._memory_estimate() == 8 * (129**3 + 2 * 2**16 + 128**2 + 3 * 8192)
+        cfg = ExperimentConfig(subcommand="simulate", d=2, N=8)  # one block
+        assert cfg._memory_estimate() == 8 * (257**2 + 2**16 + 256)
+        monkeypatch.setattr(sampler, "_cores", lambda: 1)
+        cfg = ExperimentConfig(subcommand="brownian-dichotomy", d=2, N=11)
+        assert cfg._memory_estimate() == 8 * (2049**2 + 2**16 + 2048)
         # at d = 1 the chunk of 256 summed rows that builds the leaves outweighs the grid
         cfg = ExperimentConfig(subcommand="simulate", d=1, N=13, H=(0.7,))
         n = 2**13
@@ -347,18 +360,26 @@ class TestConfig:
         "H, gen, cores",
         [((0.7,), 6, 1), ((0.7,), 10, 1), ((0.7,), 12, 2), ((0.6, 0.8), 4, 1),
          ((0.6, 0.8), 8, 1), ((0.9, 0.9), 11, 2), ((0.6, 0.7, 0.6), 3, 1),
-         ((0.6, 0.7, 0.8), 5, 1)],
+         ((0.6, 0.7, 0.8), 5, 1)]
+        # the standard sheet, whose config has no H: here H is its dimension
+        + [pytest.param(d, gen, cores, id=f"standard-{d}-{gen}-{cores}")
+           for d, gen in ((1, 17), (2, 11), (3, 7)) for cores in (1, 2)],
     )
     def test_memory_estimate_covers_the_sampler(self, monkeypatch, H, gen, cores):
         # Factors built inside the trace: the estimate covers their build too.
-        # It counts arrays only: Python objects come on top, such as a product's
-        # threads (40 KB) or the facet copy GridSample checks (16 KB at N = 11).
+        # It counts arrays only: Python objects come on top, such as the threads
+        # of a product or a noise draw (40 KB).  The module a threaded noise
+        # draw imports once per process (queue, 90 KB) is imported with this file.
         monkeypatch.setattr(sampler, "_cores", lambda: cores)
-        cfg = ExperimentConfig(subcommand="simulate", d=len(H), N=gen, H=H)
+        standard = isinstance(H, int)
+        if standard:
+            cfg = ExperimentConfig(subcommand="simulate", d=H, N=gen)
+        else:
+            cfg = ExperimentConfig(subcommand="simulate", d=len(H), N=gen, H=H)
         sampler._axis_factor.cache_clear()
         tracemalloc.start()
         try:
-            sample_sheet(H, gen, 0)
+            sample_standard_sheet(H, gen, 0) if standard else sample_sheet(H, gen, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -381,6 +381,55 @@ def reference_standard_sheet(d, gen, seed, replicate=0):
     return full
 
 
+def whole_draw_standard_sheet(d, gen, seed, replicate=0):
+    """The whole noise drawn at once, scaled into the grid and summed in place.
+
+    Axis by axis over the whole grid, every axis but the last row by row:
+    the loops of the sampler before it summed block by block.
+    """
+    full = np.zeros(((1 << gen) + 1,) * d)
+    core = full[(slice(1, None),) * d]
+    noise = replicate_rng(seed, replicate).standard_normal((1 << gen,) * d)
+    np.multiply(noise, 2.0 ** (-gen * d / 2.0), out=core)
+    for axis in range(d - 1):
+        rows = np.moveaxis(core, axis, 0)
+        for i in range(1, rows.shape[0]):
+            rows[i] += rows[i - 1]
+    np.cumsum(core, axis=d - 1, out=core)
+    return full
+
+
+class NamedThreads(threading.Thread):
+    """Stands in for ``threading.Thread``; records the name of each thread started."""
+
+    names: list = []
+
+    def start(self):
+        NamedThreads.names.append(self.name)
+        super().start()
+
+
+@pytest.fixture
+def noise_threads(monkeypatch):
+    """Names of the noise-draw threads started while the test runs."""
+    NamedThreads.names = []
+    monkeypatch.setattr(threading, "Thread", NamedThreads)
+    yield lambda: [name for name in NamedThreads.names if name == "noise-draw"]
+
+
+class FailingRng:
+    """A Generator whose ``fail``-th ``standard_normal`` raises; records the drawing threads."""
+
+    def __init__(self, rng, fail):
+        self.rng, self.fail, self.threads = rng, fail, []
+
+    def standard_normal(self, *args, **kwargs):
+        self.threads.append(threading.current_thread().name)
+        if len(self.threads) == self.fail:
+            raise RuntimeError("draw failed")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
 class TestStandardSheetInPlace:
     @pytest.mark.parametrize("d,gens", [(1, (0, 1, 5, 10)), (2, (0, 1, 4, 7)), (3, (1, 2, 4))])
     def test_bit_identical_to_cumsum(self, d, gens):
@@ -392,26 +441,93 @@ class TestStandardSheetInPlace:
 
     @pytest.mark.parametrize(
         "d, gen, block",
-        # default blocks: d1 N17 is two, d2 N9 and d3 N6 four; a block smaller
-        # than a row (d2, d3) draws one row at a time
-        [(1, 17, None), (2, 9, None), (3, 6, None), (1, 5, 8), (2, 5, 16), (3, 3, 4)],
+        # default blocks: d1 N17 is two, d2 N9 and d3 N6 four, d2 N10 sixteen,
+        # d3 N7 thirty-two, d4 N5 sixteen of two rows; a block smaller than a
+        # row (d2, d3, d4) draws one row at a time
+        [(1, 17, None), (2, 9, None), (3, 6, None), (1, 5, 8), (2, 5, 16), (3, 3, 4),
+         (2, 10, None), (3, 7, None), (4, 5, None), (4, 3, 4)],
     )
     def test_block_draw_equals_one_whole_draw(self, monkeypatch, d, gen, block):
+        # Block by block, carry row and all, the bits of whole-grid sums.
         if block is not None:
             monkeypatch.setattr(sampler, "_NOISE_BLOCK", block)
-        for seed in range(3):
-            # the whole noise drawn at once, scaled into the grid and summed in place
-            full = np.zeros(((1 << gen) + 1,) * d)
-            core = full[(slice(1, None),) * d]
-            noise = replicate_rng(seed, 0).standard_normal((1 << gen,) * d)
-            np.multiply(noise, 2.0 ** (-gen * d / 2.0), out=core)
-            for axis in range(d - 1):
-                rows = np.moveaxis(core, axis, 0)
-                for i in range(1, rows.shape[0]):
-                    rows[i] += rows[i - 1]
-            np.cumsum(core, axis=d - 1, out=core)
-            got = sample_standard_sheet(d, gen, seed).values
-            assert np.array_equal(got.view(np.int64), full.view(np.int64))
+        for cores in (1, 2):  # drawn inline, and one block ahead on a thread
+            monkeypatch.setattr(sampler, "_cores", lambda: cores)
+            for seed in range(3):
+                got = sample_standard_sheet(d, gen, seed).values.view(np.int64)
+                for want in (whole_draw_standard_sheet(d, gen, seed),
+                             reference_standard_sheet(d, gen, seed)):
+                    assert np.array_equal(got, want.view(np.int64)), (cores, seed)
+
+    def test_pipelined_sheet_under_thread_switches(self, monkeypatch):
+        # Switching every microsecond: a block taken before it was drawn, or a
+        # buffer drawn into before it was taken in, would change the bits.
+        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+        monkeypatch.setattr(sampler, "_NOISE_BLOCK", 256)
+        cases = [(1, 12), (2, 7), (3, 5), (4, 3)]
+        want = [reference_standard_sheet(d, gen, 2) for d, gen in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for (d, gen), w in zip(cases, want):
+                got = []
+                within_a_minute(lambda: got.append(sample_standard_sheet(d, gen, 2).values))
+                assert np.array_equal(got[0].view(np.int64), w.view(np.int64)), d
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_producer_error_reaches_the_caller(self, monkeypatch):
+        # The third block's draw fails on the producer thread; the sample raises it
+        # and leaves no thread behind.
+        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+        rngs = []
+
+        def failing(seed, *stream):
+            rngs.append(FailingRng(replicate_rng(seed, *stream), fail=3))
+            return rngs[-1]
+
+        monkeypatch.setattr(sampler, "replicate_rng", failing)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            within_a_minute(lambda: sample_standard_sheet(2, 9, seed=0))
+        assert rngs[0].threads == ["noise-draw"] * 3
+        assert threading.active_count() == baseline
+
+    def test_caller_error_stops_the_producer(self, monkeypatch):
+        # Work on the second block fails in the caller: the producer stops after at
+        # most the two blocks its buffers hold, and is joined before the error is raised.
+        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+        rng = FailingRng(replicate_rng(0), fail=0)
+        core = np.zeros((1 << 9, 1 << 9))  # 4 blocks
+
+        def then(lo, hi):
+            if lo:
+                raise KeyError("work failed")
+
+        baseline = threading.active_count()
+        with pytest.raises(KeyError, match="work failed"):
+            within_a_minute(lambda: sampler._draw_noise(core, rng, then=then))
+        assert threading.active_count() == baseline
+        assert rng.threads == ["noise-draw"] * len(rng.threads) and 2 <= len(rng.threads) <= 4
+        assert not core[256:].any()  # the blocks after the failed one are not taken in
+
+    def test_no_thread_for_one_block(self, monkeypatch, noise_threads):
+        # One block (d2 N8, the fbs-moments size), one core, or a fractional sheet,
+        # whose draw has only the copy to overlap: drawn inline.
+        monkeypatch.setattr(sampler, "_cores", lambda: 8)
+        sample_standard_sheet(2, 8, seed=0)
+        sample_standard_sheet(3, 5, seed=0)
+        sample_sheet((0.7, 0.7), 8, seed=0)
+        assert noise_threads() == []
+        monkeypatch.setattr(sampler, "_cores", lambda: 1)
+        sample_standard_sheet(2, 11, seed=0)
+        sample_sheet((0.6, 0.8), 10, seed=0)
+        assert noise_threads() == []
+        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+        sample_sheet((0.6, 0.8), 10, seed=0)
+        assert noise_threads() == []
+        sample_standard_sheet(2, 9, seed=0)
+        assert noise_threads() == ["noise-draw"]
 
     def test_peak_memory_about_one_grid(self):
         # the noise goes straight into the grid: no whole-grid temporary beside it
@@ -486,10 +602,12 @@ class TestAxisFactorCache:
     def test_block_draw_equals_one_whole_draw(self, monkeypatch, H, gen, block):
         if block is not None:
             monkeypatch.setattr(sampler, "_NOISE_BLOCK", block)
-        for seed in (0, 3):
-            got = sample_sheet(H, gen, seed, replicate=1).values
-            want = self.direct_sample(H, gen, seed, 1)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for cores in (1, 2):  # drawn inline, and one block ahead on a thread
+            monkeypatch.setattr(sampler, "_cores", lambda: cores)
+            for seed in (0, 3):
+                got = sample_sheet(H, gen, seed, replicate=1).values
+                want = self.direct_sample(H, gen, seed, 1)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_one_factorization_per_distinct_h_and_gen(self, monkeypatch):
         calls = Counter()
@@ -747,29 +865,33 @@ class TestSplitModeProduct:
 
     def test_leaf_error_is_raised_without_a_hang(self, monkeypatch):
         # A leaf that fails still releases the leaf below it; map raises its error.
-        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+        # The last leaf runs first, the first last.
         n = 2048
-        leaves = list(leaf_blocks(self.lower_factor(n, 1)))
-        leaves[5] = np.ones((256, 7))  # 7 columns: matmul rejects the shapes
-        _, interior = padded(np.ones((n, 4)))
-        with pytest.raises(ValueError):
-            within_a_minute(lambda: in_place(leaves, interior, 0))
+        for cores in (2, 8):
+            monkeypatch.setattr(sampler, "_cores", lambda: cores)
+            for bad in (7, 5, 0):
+                leaves = list(leaf_blocks(self.lower_factor(n, 1)))
+                leaves[bad] = np.ones((256, 7))  # 7 columns: matmul rejects the shapes
+                _, interior = padded(np.ones((n, 4)))
+                with pytest.raises(ValueError):
+                    within_a_minute(lambda: in_place(leaves, interior, 0))
 
     def test_copy_back_order_under_thread_switches(self, monkeypatch):
-        # Eight threads on fewer cores, switching every microsecond: a leaf that
-        # copied back before the leaves above it had read its rows would change them.
-        monkeypatch.setattr(sampler, "_cores", lambda: 8)
-        n = 2048
-        fac = self.lower_factor(n, 2)
-        core = np.random.default_rng(3).standard_normal((n, 64))
-        want = leafwise_tensordot(fac, core, 0)
+        # Two, three and eight threads on fewer cores, switching every microsecond:
+        # a leaf that copied back before the leaves above it had read its rows
+        # would change them.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(5):
-                full, interior = padded(core)
-                within_a_minute(lambda: in_place(leaf_blocks(fac), interior, 0))
-                assert np.array_equal(full[1:, 1:].view(np.int64), want.view(np.int64))
+            for n, cols, cores in ((2048, 64, 2), (2048, 64, 8), (4096, 16, 3)):
+                fac = self.lower_factor(n, 2)
+                core = np.random.default_rng(3).standard_normal((n, cols))
+                want = leafwise_tensordot(fac, core, 0)
+                monkeypatch.setattr(sampler, "_cores", lambda: cores)
+                for _ in range(5):
+                    full, interior = padded(core)
+                    within_a_minute(lambda: in_place(leaf_blocks(fac), interior, 0))
+                    assert np.array_equal(full[1:, 1:].view(np.int64), want.view(np.int64))
         finally:
             sys.setswitchinterval(interval)
 
