@@ -40,15 +40,7 @@ from .sampler import (
     sample_standard_sheet,
     sheet_covariance,
 )
-from .criteria import (
-    CriterionReport,
-    criterion_a_statistic,
-    criterion_b_partial_sums,
-    criterion_b_terms,
-    dichotomy_statistics,
-    holder_ratio,
-    moment_scaling_fit,
-)
+from .criteria import CriterionReport, moment_scaling_fit
 from .charge import (
     GridField,
     PolynomialField,
@@ -91,11 +83,6 @@ __all__ = [
     "sample_standard_sheet",
     "sheet_covariance",
     "CriterionReport",
-    "criterion_a_statistic",
-    "criterion_b_partial_sums",
-    "criterion_b_terms",
-    "dichotomy_statistics",
-    "holder_ratio",
     "moment_scaling_fit",
     "GridField",
     "PolynomialField",

@@ -36,7 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or a file not in UTF-8
         print(f"sheetcharge: cannot read config: {exc}", file=sys.stderr)
         return 2
     if isinstance(obj, dict) and "config" in obj:

@@ -8,9 +8,7 @@ meaningful, not absolute constants.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,12 +22,6 @@ from .increments import (
 )
 
 __all__ = [
-    "criterion_a_statistic",
-    "dichotomy_statistics",
-    "criterion_b_terms",
-    "criterion_b_partial_sums",
-    "holder_ratio_by_level",
-    "holder_ratio",
     "MomentScalingFit",
     "moment_scaling_fit",
     "CriterionReport",
@@ -42,42 +34,6 @@ def _level_abs(tab: CoefficientTable, n: int) -> np.ndarray:
     if lev.dtype == object:
         lev = lev.astype(float)
     return np.abs(lev)
-
-
-def criterion_a_statistic(tab: CoefficientTable, n: int) -> float:
-    """Divergence-side statistic: 2^(-n(d/2+1)) max_r sum_k |coeff|.
-
-    Bounded away from zero along a subsequence exactly when the expansion
-    cannot converge; reported per generation, constant-free.
-    """
-    lam = _level_abs(tab, n)
-    return 2.0 ** (-n * (tab.dim / 2.0 + 1.0)) * float(lam.sum(axis=0).max())
-
-
-def dichotomy_statistics(tab: CoefficientTable, n: int) -> tuple[float, float]:
-    """Mean absolute type-1 coefficient and its rescaling.
-
-    Returns (T, S) with T = 2^(-nd) sum_k |coeff(n, k, 1)| and
-    S = 2^(n(d/2-1)) T.  For the standard sheet T concentrates at
-    sqrt(2/pi) ~ 0.7979 as n grows.
-    """
-    lam = _level_abs(tab, n)
-    t = float(lam[:, 0].sum()) / 2.0 ** (n * tab.dim)
-    return t, 2.0 ** (n * (tab.dim / 2.0 - 1.0)) * t
-
-
-def criterion_b_terms(tab: CoefficientTable) -> np.ndarray:
-    """Convergence-side series terms 2^(n(d/2-1)) max_{k,r} |coeff| per level."""
-    out = np.empty(tab.max_gen + 1)
-    for n in range(tab.max_gen + 1):
-        lam = _level_abs(tab, n)
-        out[n] = 2.0 ** (n * (tab.dim / 2.0 - 1.0)) * float(lam.max(initial=0.0))
-    return out
-
-
-def criterion_b_partial_sums(tab: CoefficientTable) -> np.ndarray:
-    """Partial sums of the convergence-side series, one per horizon."""
-    return np.cumsum(criterion_b_terms(tab))
 
 
 def _level_max_abs(f: GridSample, max_gen: int) -> list[float]:
@@ -96,16 +52,6 @@ def _holder_ratios(maxima: Sequence[float], dim: int, gamma: float) -> np.ndarra
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     return np.array([m / (2.0 ** (-n * dim)) ** gamma for n, m in enumerate(maxima)])
-
-
-def holder_ratio_by_level(f: GridSample, gamma: float, max_gen: int) -> np.ndarray:
-    """Per-generation max_k |increment| / |cube|^gamma for n = 0..max_gen."""
-    return _holder_ratios(_level_max_abs(f, max_gen), f.dim, gamma)
-
-
-def holder_ratio(f: GridSample, gamma: float, max_gen: int) -> float:
-    """Scale-normalized increment bound over all dyadic cubes up to max_gen."""
-    return float(holder_ratio_by_level(f, gamma, max_gen).max())
 
 
 @dataclass(frozen=True)
@@ -156,23 +102,19 @@ def moment_scaling_fit(
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Per-generation criterion statistics with serialization helpers."""
+    """Per-generation criterion statistics, one tuple entry per generation 0..max_gen."""
 
     dim: int
     max_gen: int
     criterion_a: tuple[float, ...]
     b_terms: tuple[float, ...]
     b_partial_sums: tuple[float, ...]
-    t_stats: tuple[float, ...] | None = None
-    s_stats: tuple[float, ...] | None = None
-    hurst: tuple[float, ...] | None = None
-    meta: dict = field(default_factory=dict)
+    t_stats: tuple[float, ...]
+    s_stats: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        want = self.max_gen + 1
         for name in ("criterion_a", "b_terms", "b_partial_sums", "t_stats", "s_stats"):
-            val = getattr(self, name)
-            if val is not None and len(val) != want:
+            if len(getattr(self, name)) != self.max_gen + 1:
                 raise ValueError(f"{name} must have one entry per generation 0..{self.max_gen}")
 
     def rows(self) -> list[tuple[int, str, float]]:
@@ -181,36 +123,9 @@ class CriterionReport:
             out.append((n, "criterion_a", self.criterion_a[n]))
             out.append((n, "b_term", self.b_terms[n]))
             out.append((n, "b_partial_sum", self.b_partial_sums[n]))
-            if self.t_stats is not None:
-                out.append((n, "mean_abs", self.t_stats[n]))
-            if self.s_stats is not None:
-                out.append((n, "scaled_mean_abs", self.s_stats[n]))
+            out.append((n, "mean_abs", self.t_stats[n]))
+            out.append((n, "scaled_mean_abs", self.s_stats[n]))
         return out
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "stat_name", "value"])
-            for n, name, value in self.rows():
-                writer.writerow([n, name, format(value, ".17g")])
-
-    def to_json(self, path=None) -> str:
-        obj = {
-            "d": self.dim,
-            "M": self.max_gen,
-            "hurst": list(self.hurst) if self.hurst else None,
-            "criterion_a": list(self.criterion_a),
-            "b_terms": list(self.b_terms),
-            "b_partial_sums": list(self.b_partial_sums),
-            "mean_abs": list(self.t_stats) if self.t_stats else None,
-            "scaled_mean_abs": list(self.s_stats) if self.s_stats else None,
-            "meta": self.meta,
-        }
-        text = json.dumps(obj, indent=2, allow_nan=False)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
 
 
 def _level_stats(
@@ -220,8 +135,7 @@ def _level_stats(
 
     ``col_sums`` is ``sum(axis=0)``, which adds the k rows one after
     another; ``peak`` the max with initial 0.0; ``t_sum`` the pairwise sum
-    of the type-1 column, the reductions the per-statistic functions above
-    make.
+    of the type-1 column.
     """
     a = 2.0 ** (-n * (d / 2.0 + 1.0)) * float(col_sums.max())
     b = 2.0 ** (n * (d / 2.0 - 1.0)) * float(peak)
@@ -229,7 +143,7 @@ def _level_stats(
     return a, b, t, 2.0 ** (n * (d / 2.0 - 1.0)) * t
 
 
-def _report(d: int, max_gen: int, stats, hurst, meta: dict) -> CriterionReport:
+def _report(d: int, max_gen: int, stats) -> CriterionReport:
     """The report of the per-generation :func:`_level_stats`, generation 0 first."""
     b_terms = np.array([s[1] for s in stats], dtype=float)
     return CriterionReport(
@@ -240,31 +154,26 @@ def _report(d: int, max_gen: int, stats, hurst, meta: dict) -> CriterionReport:
         b_partial_sums=tuple(np.cumsum(b_terms)),
         t_stats=tuple(s[2] for s in stats),
         s_stats=tuple(s[3] for s in stats),
-        hurst=tuple(hurst) if hurst is not None else None,
-        meta=dict(meta),
     )
 
 
-def build_report(
-    tab: CoefficientTable, hurst: Sequence[float] | None = None, **meta
-) -> CriterionReport:
+def build_report(tab: CoefficientTable) -> CriterionReport:
     """All per-generation statistics of a coefficient table in one report.
 
-    Takes |coeff| once per generation and reduces it as the per-statistic
-    functions above do, with the same float operations.
+    Takes |coeff| once per generation and reduces it by
+    :func:`_level_stats`; the exact-grid fallback and the test oracle of
+    :func:`_streamed_report`.
     """
     stats = []
     for n in range(tab.max_gen + 1):
         lam = _level_abs(tab, n)
         sums, peak, t_sum = lam.sum(axis=0), lam.max(initial=0.0), lam[:, 0].sum()
         stats.append(_level_stats(sums, peak, t_sum, n, tab.dim))
-    return _report(tab.dim, tab.max_gen, stats, hurst, meta)
+    return _report(tab.dim, tab.max_gen, stats)
 
 
-def _streamed_report(
-    f: GridSample, max_gen: int, hurst: Sequence[float] | None = None, **meta
-) -> CriterionReport:
-    """``build_report(coefficient_table(f, max_gen), hurst, **meta)`` without the table.
+def _streamed_report(f: GridSample, max_gen: int) -> CriterionReport:
+    """``build_report(coefficient_table(f, max_gen))`` without the table.
 
     One pass over the blocks of :func:`_coefficient_levels`, finest
     generation first, so neither the table nor the finest cells exist
@@ -281,7 +190,7 @@ def _streamed_report(
     horizons the grid cannot carry, take the table path.
     """
     if f.values.dtype != np.float64 or not 0 <= max_gen < f.gen:
-        return build_report(coefficient_table(f, max_gen), hurst, **meta)
+        return build_report(coefficient_table(f, max_gen))
     d, blocks = f.dim, _coefficient_levels(f, max_gen)
     del f  # a sheet handed over is freed once its last tile is differenced
     stats, stack = [None] * (max_gen + 1), None
@@ -304,4 +213,4 @@ def _streamed_report(
             stats[n] = _level_stats(t_sum if d == 1 else stack[0], peak, t_sum, n, d)
             del t_col
         del lam
-    return _report(d, max_gen, stats, hurst, meta)
+    return _report(d, max_gen, stats)

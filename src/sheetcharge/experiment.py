@@ -66,6 +66,7 @@ class ConfigError(ValueError):
 
 
 _NEEDS_H = ("covariance-check", "fractional-criteria", "moment-scaling")
+_PICKER_STREAM = 10**6  # covariance-check draws its pairs from replicate_rng(seed, this)
 
 
 def _check(name: str, value, kind: type = numbers.Integral) -> None:
@@ -175,6 +176,9 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.pairs < 1:
             raise ConfigError("pairs must be >= 1")
+        if self.subcommand == "covariance-check" and self.replicates > _PICKER_STREAM:
+            # replicate _PICKER_STREAM's noise would be the pair picker's stream
+            raise ConfigError(f"covariance-check needs replicates <= {_PICKER_STREAM}")
         pm = self.p_max if self.p_max is not None else self.N - 1
         if self.subcommand == "counterexample" and not 0 <= self.n <= pm <= self.N - 1:
             raise ConfigError(f"need 0 <= n <= p_max <= N-1, got n={self.n}, p_max={pm}")
@@ -288,7 +292,7 @@ def counterexample_figure(
         raise ValueError(f"need a finite exponent > 0, got {exponent}")
     # Generation-p bottom cubes lie in the slab x_d <= 2^-p, so the pyramid of
     # the slab x_d <= 2^-n holds all of them: bottoms[p] is generation p's [..., 0].
-    pyramid = increments._pyramid(f.values[..., : (1 << (f.gen - n)) + 1], f.gen, n, morton=False)
+    pyramid = increments._pyramid(f.values[..., : (1 << (f.gen - n)) + 1], f.gen, n)
     bottoms = {p: cells[..., 0].copy() for p, cells in pyramid if p <= p_max}
     taken = np.zeros((1,) * (d - 1), dtype=bool)  # bottom-face cells covered so far
     cubes: list[DyadicCube] = []
@@ -366,7 +370,7 @@ def run_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
 def run_covariance_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
     seed = cfg.seeds[0]
     n_pts = 1 << cfg.N
-    picker = replicate_rng(seed, 10**6)
+    picker = replicate_rng(seed, _PICKER_STREAM)
     pairs = []
     for _ in range(cfg.pairs):
         s = tuple(int(j) for j in picker.integers(1, n_pts + 1, size=cfg.d))
@@ -396,9 +400,7 @@ def run_brownian_dichotomy(cfg: ExperimentConfig, out: Path) -> list[Path]:
     with _csv(path, "seed,n,stat_name,value") as row:
         for seed in cfg.seeds:
             # A temporary: from Python 3.11 the pass frees it once its last tile is differenced.
-            rep = _streamed_report(
-                sample_standard_sheet(cfg.d, cfg.N, seed), cfg.M, hurst=(0.5,) * cfg.d
-            )
+            rep = _streamed_report(sample_standard_sheet(cfg.d, cfg.N, seed), cfg.M)
             for n, name, value in rep.rows():
                 row(seed, n, name, value)
             means += np.asarray(rep.t_stats)
@@ -424,7 +426,7 @@ def run_fractional_criteria(cfg: ExperimentConfig, out: Path) -> list[Path]:
     with _csv(path, "seed,n,stat_name,value") as row:
         for seed in cfg.seeds:
             # A temporary: from Python 3.11 the pass frees it once its last tile is differenced.
-            rep = _streamed_report(_sample_for(cfg, seed), cfg.M, hurst=cfg.H)
+            rep = _streamed_report(_sample_for(cfg, seed), cfg.M)
             for n, name, value in rep.rows():
                 row(seed, n, name, value)
             slopes.append(_fit_b_slope(rep.b_terms, cfg.fit_min_gen))

@@ -5,10 +5,10 @@ A GridSample holds values of a function on the (2^N+1)^d dyadic grid that
 vanishes whenever a coordinate is zero.  Increments over dyadic cubes come
 from one pyramid engine, O(d 2^(Nd)) overall: :func:`_difference` turns
 the grid, or any box of it, into finest-cell increments one axis-0 slab
-at a time, or, in Morton order, one Morton-contiguous tile of
-:func:`_morton_tiles` at a time; :func:`_coarsen` sums the 2^d siblings of
-every parent in chunks; :func:`_pyramid` and :func:`_tiled_pyramid` yield
-the levels finest first.  A level is either a lexicographic array or a
+at a time, and :func:`_morton_tiles` turns the grid into Morton-order
+ones one Morton-contiguous tile at a time; :func:`_coarsen` sums the 2^d
+siblings of every parent in chunks; :func:`_pyramid` and
+:func:`_tiled_pyramid` yield the levels finest first.  A level is either a lexicographic array or a
 flat Morton-order one, chosen by what the caller reads, and both layouts
 hold the same bits.  Equality with the 2^d-corner alternating sum is a
 test, not an assumption.
@@ -38,7 +38,6 @@ __all__ = [
     "GridSample",
     "CoefficientTable",
     "rectangle_increment",
-    "finest_increments",
     "increment_levels",
     "cube_increments",
     "figure_increment",
@@ -96,7 +95,10 @@ class GridSample:
                 raise ValueError(f"values must vanish on the x_{axis + 1} = 0 facet")
         object.__setattr__(self, "values", _frozen(vals))
         if self.hurst is not None:
-            object.__setattr__(self, "hurst", tuple(float(h) for h in self.hurst))
+            hurst = tuple(float(h) for h in self.hurst)
+            if len(hurst) != self.dim:
+                raise ValueError(f"hurst must have {self.dim} components, got {len(hurst)}")
+            object.__setattr__(self, "hurst", hurst)
 
     @property
     def is_exact(self) -> bool:
@@ -123,11 +125,6 @@ def rectangle_increment(f: GridSample, rect: Rectangle):
         term = sign * f.values[tuple(ij)]
         total = term if total is None else total + term
     return total
-
-
-def finest_increments(f: GridSample) -> np.ndarray:
-    """Increments over all finest-generation cells as a lexicographic array."""
-    return _difference(f.values, morton=False)
 
 
 def _piece_cells(cap: int, level_cells: int) -> int:
@@ -210,21 +207,15 @@ def _morton_tiles(
         yield lo, cells
 
 
-def _difference(values: np.ndarray, morton: bool) -> np.ndarray:
-    """Cell increments of the box of grid points ``values``.
+def _difference(values: np.ndarray) -> np.ndarray:
+    """Cell increments of the box of grid points ``values``, a lexicographic array.
 
-    With ``morton``, ``values`` is a cube grid and the result its flat
-    Morton-order level, put together from :func:`_morton_tiles`.  Otherwise
-    the result is a lexicographic array of the box, differenced one axis-0
-    slab of at most ``_piece_cells(2^_SLAB_BITS, cells of the box)`` cells
-    (or of one row, if a row is more) at a time.
+    The box is differenced one axis-0 slab of at most
+    ``_piece_cells(2^_SLAB_BITS, cells of the box)`` cells (or of one row,
+    if a row is more) at a time.
     """
     shape = tuple(x - 1 for x in values.shape)
-    out = np.empty(math.prod(shape) if morton else shape, dtype=values.dtype)
-    if morton:
-        for lo, cells in _morton_tiles(values):
-            out[lo : lo + len(cells)] = cells
-        return out
+    out = np.empty(shape, dtype=values.dtype)
     slab_cells = _piece_cells(1 << _SLAB_BITS, math.prod(shape))
     rows = min(shape[0], max(1, slab_cells // math.prod(shape[1:])))
     differ = _box_differ((rows,) + shape[1:], values.dtype)
@@ -295,16 +286,13 @@ def _levels(cells: np.ndarray, d: int, gen: int, stop: int) -> Iterator[tuple[in
         cells = parent
 
 
-def _pyramid(
-    values: np.ndarray, gen: int, stop: int, morton: bool
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Cell increments of the box of grid points ``values``, finest generation first.
+def _pyramid(values: np.ndarray, gen: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Lexicographic cell increments of the box of grid points ``values``, finest first.
 
     The box's finest cells are of generation ``gen``; yields ``(n, cells)``
-    for n = gen down to ``stop`` as :func:`_levels` does, in the layout
-    :func:`_difference` writes.
+    for n = gen down to ``stop`` as :func:`_levels` does.
     """
-    levels = _levels(_difference(values, morton), values.ndim, gen, stop)
+    levels = _levels(_difference(values), values.ndim, gen, stop)
     del values  # a grid no caller holds is freed here
     yield from levels
 
@@ -345,7 +333,7 @@ def increment_levels(f: GridSample, n_max: int | None = None) -> list[np.ndarray
     if n_max is None:
         n_max = f.gen
     _check_generation(n_max, f.gen)
-    levels = [cells for n, cells in _pyramid(f.values, f.gen, 0, morton=False) if n <= n_max]
+    levels = [cells for n, cells in _pyramid(f.values, f.gen, 0) if n <= n_max]
     levels.reverse()
     return levels
 
@@ -353,11 +341,11 @@ def increment_levels(f: GridSample, n_max: int | None = None) -> list[np.ndarray
 def cube_increments(f: GridSample, n: int) -> np.ndarray:
     """Increments over all generation-``n`` cubes, Morton cube order."""
     _check_generation(n, f.gen)
-    if n == f.gen:
-        return _difference(f.values, morton=True)
-    for _, _, cells in _tiled_pyramid(f.values, n):
-        pass
-    return cells
+    out = np.empty(1 << (n * f.dim), dtype=f.values.dtype)
+    for m, lo, cells in _tiled_pyramid(f.values, n):
+        if m == n:
+            out[lo : lo + len(cells)] = cells
+    return out
 
 
 def figure_increment(f: GridSample, fig: Figure):
@@ -406,11 +394,6 @@ class CoefficientTable:
         if not 0 <= n <= self.max_gen:
             raise ValueError(f"generation {n} outside table range 0..{self.max_gen}")
         return self.levels[n]
-
-    def scaled_by(self, c) -> "CoefficientTable":
-        return CoefficientTable(
-            self.dim, self.max_gen, c * self.a_minus1, tuple(c * l for l in self.levels)
-        )
 
 
 def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, int, np.ndarray]]:

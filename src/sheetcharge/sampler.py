@@ -42,8 +42,6 @@ __all__ = [
     "fbm_kernel",
     "sheet_covariance",
     "increment_covariance",
-    "axis_kernel_matrix",
-    "axis_cholesky",
     "replicate_rng",
     "sample_sheet",
     "sample_sheet_ensemble",
@@ -142,12 +140,6 @@ def increment_covariance(
     return out
 
 
-def axis_kernel_matrix(h: float, gen: int) -> np.ndarray:
-    """Kernel matrix on the interior grid points j/2^N, j = 1..2^N."""
-    t = np.arange(1, (1 << gen) + 1, dtype=float) / (1 << gen)
-    return fbm_kernel(h, t[:, None], t[None, :])
-
-
 def _schur_rows(h: float, gen: int) -> Iterator[np.ndarray]:
     """Row ``step`` of chol(T)^T from column ``step`` on, for step = 0..2^N-1.
 
@@ -186,25 +178,22 @@ def _schur_rows(h: float, gen: int) -> Iterator[np.ndarray]:
         yield a
 
 
-def axis_cholesky(
-    h: float, gen: int, leaves: bool = False
-) -> np.ndarray | tuple[np.ndarray, ...]:
-    """Lower Cholesky factor of the axis kernel, without LAPACK or the kernel matrix.
+def axis_cholesky(h: float, gen: int) -> tuple[np.ndarray, ...]:
+    """Leaves of the lower Cholesky factor of the axis kernel, without LAPACK or the kernel.
 
     The kernel is C T C^T: C sums cumulatively and T is the Toeplitz
     covariance of fractional Gaussian noise at step 2^-N, so the factor is
-    C chol(T).  Its columns are the rows of ``_schur_rows``, stored as rows,
-    summed in place and returned transposed.  With ``leaves`` the result is
-    instead the tuple of the factor's leaves ``fac[lo:hi, :hi]``,
-    _LEAF_ROWS rows each and Fortran-ordered like the factor, with the
-    same bits: the rows are summed _LEAF_ROWS at a time and shared out
-    among the leaves, so the whole factor never exists.  The leaves hold
-    n(n + _LEAF_ROWS)/2 entries for n >= _LEAF_ROWS, not n^2.
+    C chol(T).  Its columns are the rows of ``_schur_rows``, stored as rows
+    and summed in place _LEAF_ROWS at a time.  Each chunk of summed rows
+    is shared out among the leaves ``fac[lo:hi, :hi]`` of the factor
+    ``fac``, _LEAF_ROWS rows each and Fortran-ordered, so the whole factor
+    never exists.  The leaves hold n(n + _LEAF_ROWS)/2 entries for
+    n >= _LEAF_ROWS, not n^2.
     """
     n = 1 << gen
-    width = min(n, _LEAF_ROWS) if leaves else n
+    width = min(n, _LEAF_ROWS)
     chunk = np.empty((width, n))  # factor columns lo..lo+width-1, as rows
-    out = [np.empty((width, hi), order="F") for hi in range(width, n + 1, width) if leaves]
+    out = [np.empty((width, hi), order="F") for hi in range(width, n + 1, width)]
     for step, row in enumerate(_schur_rows(h, gen)):
         lo, j = step - step % width, step % width
         chunk[j, :step] = 0.0
@@ -212,8 +201,6 @@ def axis_cholesky(
         if j < width - 1:
             continue
         np.cumsum(chunk, axis=1, out=chunk)
-        if not leaves:
-            return chunk.T
         for k in range(lo // width, len(out)):
             out[k][:, lo : lo + width] = chunk[:, k * width : (k + 1) * width].T
     return tuple(out)
@@ -244,8 +231,7 @@ def _mode_product(
 ) -> None:
     """Overwrite ``core`` with the mode product of a triangular factor along ``axis``.
 
-    ``leaves`` are the factor's, as ``axis_cholesky(..., leaves=True)``
-    gives them; the result is
+    ``leaves`` are the factor's, as ``axis_cholesky`` gives them; the result is
     ``np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)`` up to
     rounding.  ``core`` may be any view, such as the interior of a padded
     grid: it is only ever indexed, never reshaped, so nothing is written to
@@ -319,11 +305,11 @@ def _mode_product(
 
 @functools.lru_cache(maxsize=4)
 def _axis_factor(h: float, gen: int) -> tuple[np.ndarray, ...]:
-    """The leaves of ``axis_cholesky(h, gen)``, built once per (h, N) and shared read-only.
+    """``axis_cholesky(h, gen)``, built once per (h, N) and shared read-only.
 
     Four entries hold every distinct exponent of a d <= 3 sheet.
     """
-    leaves = axis_cholesky(h, gen, leaves=True)
+    leaves = axis_cholesky(h, gen)
     for leaf in leaves:
         leaf.flags.writeable = False
     return leaves

@@ -1,4 +1,9 @@
-"""Shared test fixtures: product-function grids and brute-force oracles."""
+"""Shared test fixtures: product-function grids and brute-force oracles.
+
+The oracles include the one-statistic-at-a-time criteria, which the
+runners compute in one streamed pass, and the dense axis kernel and its
+LAPACK factor, which the sampler replaces by the Schur recursion.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from sheetcharge import sampler
+from sheetcharge.criteria import _holder_ratios, _level_abs, _level_max_abs
 from sheetcharge.dyadic import DyadicCube, Figure
-from sheetcharge.increments import GridSample
-from sheetcharge.sampler import axis_kernel_matrix
+from sheetcharge.increments import CoefficientTable, GridSample
 
 
 def product_grid(d: int, gen: int, exact: bool = False) -> GridSample:
@@ -41,9 +47,80 @@ def awkward_grid(d, gen, seed):
     return GridSample(d, gen, values)
 
 
+def axis_kernel_matrix(h: float, gen: int) -> np.ndarray:
+    """Kernel matrix on the interior grid points j/2^N, j = 1..2^N."""
+    t = np.arange(1, (1 << gen) + 1, dtype=float) / (1 << gen)
+    return sampler.fbm_kernel(h, t[:, None], t[None, :])
+
+
 def dense_axis_cholesky(h: float, gen: int) -> np.ndarray:
     """Dense oracle for ``axis_cholesky``: LAPACK's factor of the kernel matrix."""
     return np.linalg.cholesky(axis_kernel_matrix(h, gen))
+
+
+def schur_factor(h: float, gen: int) -> np.ndarray:
+    """The whole factor whose leaves ``axis_cholesky`` builds: all Schur rows, summed at once."""
+    n = 1 << gen
+    rows = np.zeros((n, n))
+    for step, row in enumerate(sampler._schur_rows(h, gen)):
+        rows[step, step:] = row
+    return np.cumsum(rows, axis=1).T
+
+
+def whole_factor(leaves) -> np.ndarray:
+    """The lower-triangular factor whose leaves ``fac[lo:hi, :hi]`` are ``leaves``."""
+    n = leaves[-1].shape[1]
+    fac = np.zeros((n, n), order="F")
+    for leaf in leaves:
+        width, hi = leaf.shape
+        fac[hi - width : hi, :hi] = leaf
+    return fac
+
+
+def criterion_a_statistic(tab: CoefficientTable, n: int) -> float:
+    """Divergence-side statistic: 2^(-n(d/2+1)) max_r sum_k |coeff|.
+
+    Bounded away from zero along a subsequence exactly when the expansion
+    cannot converge; reported per generation, constant-free.
+    """
+    lam = _level_abs(tab, n)
+    return 2.0 ** (-n * (tab.dim / 2.0 + 1.0)) * float(lam.sum(axis=0).max())
+
+
+def dichotomy_statistics(tab: CoefficientTable, n: int) -> tuple[float, float]:
+    """Mean absolute type-1 coefficient and its rescaling.
+
+    Returns (T, S) with T = 2^(-nd) sum_k |coeff(n, k, 1)| and
+    S = 2^(n(d/2-1)) T.  For the standard sheet T concentrates at
+    sqrt(2/pi) ~ 0.7979 as n grows.
+    """
+    lam = _level_abs(tab, n)
+    t = float(lam[:, 0].sum()) / 2.0 ** (n * tab.dim)
+    return t, 2.0 ** (n * (tab.dim / 2.0 - 1.0)) * t
+
+
+def criterion_b_terms(tab: CoefficientTable) -> np.ndarray:
+    """Convergence-side series terms 2^(n(d/2-1)) max_{k,r} |coeff| per level."""
+    out = np.empty(tab.max_gen + 1)
+    for n in range(tab.max_gen + 1):
+        lam = _level_abs(tab, n)
+        out[n] = 2.0 ** (n * (tab.dim / 2.0 - 1.0)) * float(lam.max(initial=0.0))
+    return out
+
+
+def criterion_b_partial_sums(tab: CoefficientTable) -> np.ndarray:
+    """Partial sums of the convergence-side series, one per horizon."""
+    return np.cumsum(criterion_b_terms(tab))
+
+
+def holder_ratio_by_level(f: GridSample, gamma: float, max_gen: int) -> np.ndarray:
+    """Per-generation max_k |increment| / |cube|^gamma for n = 0..max_gen."""
+    return _holder_ratios(_level_max_abs(f, max_gen), f.dim, gamma)
+
+
+def holder_ratio(f: GridSample, gamma: float, max_gen: int) -> float:
+    """Scale-normalized increment bound over all dyadic cubes up to max_gen."""
+    return float(holder_ratio_by_level(f, gamma, max_gen).max())
 
 
 def whole_grid_cells(values: np.ndarray) -> np.ndarray:

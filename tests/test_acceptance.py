@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 
 from sheetcharge.charge import PolynomialField, flux, schauder_partial_apply
-from sheetcharge.criteria import (
-    criterion_a_statistic,
-    criterion_b_terms,
-    dichotomy_statistics,
-    holder_ratio_by_level,
-    moment_scaling_fit,
-)
+from sheetcharge.criteria import moment_scaling_fit
 from sheetcharge.dyadic import Rectangle
 from sheetcharge.haar import haar_gram_exact, haar_indices_up_to, haar_matrix, haar_primitive_grid
 from sheetcharge.increments import (
@@ -33,7 +27,13 @@ from sheetcharge.sampler import (
 )
 from sheetcharge.experiment import counterexample_figure
 
-from helpers import random_dyadic_figure
+from helpers import (
+    criterion_a_statistic,
+    criterion_b_terms,
+    dichotomy_statistics,
+    holder_ratio_by_level,
+    random_dyadic_figure,
+)
 
 SEEDS = tuple(range(20))
 

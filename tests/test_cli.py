@@ -6,8 +6,8 @@ import pytest
 
 from sheetcharge import experiment
 from sheetcharge.cli import main
-from sheetcharge.criteria import build_report, holder_ratio_by_level, moment_scaling_fit
-from sheetcharge.experiment import counterexample_figure
+from sheetcharge.criteria import build_report, moment_scaling_fit
+from sheetcharge.experiment import ExperimentConfig, counterexample_figure
 from sheetcharge.increments import coefficient_table, cube_increments
 from sheetcharge.sampler import (
     load_grid,
@@ -17,7 +17,7 @@ from sheetcharge.sampler import (
     sheet_covariance,
 )
 
-from helpers import zero_grid
+from helpers import holder_ratio_by_level, zero_grid
 
 
 def write_config(tmp_path, **kwargs):
@@ -145,6 +145,14 @@ class TestCliContract:
         assert run_cli(["simulate", "--config", tmp_path / "nope.json"]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_config_not_utf8(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # the default out directory would land here
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
+        assert run_cli(["simulate", "--config", cfg]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_seed_and_out_overrides(self, tmp_path):
         cfg = write_config(tmp_path, d=1, N=3, seeds=[1, 2, 3])
         out = tmp_path / "elsewhere"
@@ -237,6 +245,11 @@ class TestConfigRejectedBeforeWriting:
             pytest.param(
                 "covariance-check", {"d": 1, "N": 3, "H": [0.6], "pairs": 0}, id="pairs-zero"
             ),
+            pytest.param(  # replicate 10^6's noise would be the pair picker's stream
+                "covariance-check",
+                {"d": 1, "N": 3, "H": [0.6], "replicates": 10**6 + 1},
+                id="replicates-share-picker-stream",
+            ),
         ],
     )
     def test_rejected(self, tmp_path, monkeypatch, capsys, subcommand, obj):
@@ -246,6 +259,10 @@ class TestConfigRejectedBeforeWriting:
         assert run_cli([subcommand, "--config", cfg]) == 2
         assert "invalid config" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_covariance_check_takes_replicates_up_to_the_picker_stream(self):
+        cfg = ExperimentConfig("covariance-check", d=1, N=3, H=(0.6,), replicates=10**6)
+        assert cfg.replicates == 10**6
 
     def test_moment_scaling_counts_pooled_samples(self, tmp_path):
         # 8 * 2^2 = 32 and 8 * 2^3 = 64 samples: both generations reach the fit's 32

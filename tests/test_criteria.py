@@ -5,23 +5,22 @@ import warnings
 import numpy as np
 import pytest
 
-from sheetcharge.criteria import (
-    CriterionReport,
-    _streamed_report,
-    build_report,
+from sheetcharge.criteria import CriterionReport, _streamed_report, build_report, moment_scaling_fit
+from sheetcharge.haar import HaarIndex, haar_primitive_grid
+from sheetcharge.increments import CoefficientTable, GridSample, coefficient_table
+from sheetcharge.sampler import sample_sheet, sample_standard_sheet
+
+from helpers import (
+    awkward_grid,
     criterion_a_statistic,
     criterion_b_partial_sums,
     criterion_b_terms,
     dichotomy_statistics,
     holder_ratio,
     holder_ratio_by_level,
-    moment_scaling_fit,
+    product_grid,
+    zero_grid,
 )
-from sheetcharge.haar import HaarIndex, haar_primitive_grid
-from sheetcharge.increments import CoefficientTable, GridSample, coefficient_table
-from sheetcharge.sampler import sample_sheet, sample_standard_sheet
-
-from helpers import awkward_grid, product_grid, zero_grid
 
 
 def table_from_levels(d, levels):
@@ -237,24 +236,9 @@ class TestMomentScaling:
 
 
 class TestReport:
-    def test_roundtrip_csv_and_json(self, tmp_path):
-        f = sample_standard_sheet(2, 4, seed=2)
-        rep = build_report(coefficient_table(f, 3), hurst=(0.5, 0.5))
-        csv_path = tmp_path / "report.csv"
-        rep.to_csv(csv_path)
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "n,stat_name,value"
-        assert len(lines) == 1 + 5 * 4  # five stats per generation
-        text = rep.to_json(tmp_path / "report.json")
-        import json
-
-        obj = json.loads(text)
-        assert obj["d"] == 2 and obj["M"] == 3
-        assert len(obj["criterion_a"]) == 4
-
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            CriterionReport(2, 2, (0.0,), (0.0,) * 3, (0.0,) * 3)
+            CriterionReport(2, 2, (0.0,), (0.0,) * 3, (0.0,) * 3, (0.0,) * 3, (0.0,) * 3)
 
     @staticmethod
     def reference_report(tab):
@@ -333,21 +317,13 @@ class TestStreamedReport:
         ],
     )
     def test_bit_identical_to_table_report(self, f, max_gen):
-        got = _streamed_report(f, max_gen, hurst=f.hurst, label="x")
-        want = build_report(coefficient_table(f, max_gen), hurst=f.hurst, label="x")
+        got = _streamed_report(f, max_gen)
+        want = build_report(coefficient_table(f, max_gen))
         for name in REPORT_STATS:
             a, b = getattr(got, name), getattr(want, name)
             assert [type(x) for x in a] == [type(x) for x in b], name
             assert np.array_equal(np.array(a).view(np.int64), np.array(b).view(np.int64)), name
-        assert (got.dim, got.max_gen, got.hurst, got.meta) == (
-            want.dim, want.max_gen, want.hurst, want.meta
-        )
-        if np.isfinite([getattr(want, name) for name in REPORT_STATS]).all():
-            assert got.to_json() == want.to_json()
-        else:  # strict JSON holds no NaN or infinity: both refuse
-            for rep in (got, want):
-                with pytest.raises(ValueError, match="not JSON compliant"):
-                    rep.to_json()
+        assert (got.dim, got.max_gen) == (want.dim, want.max_gen)
 
     def test_horizon_validated_as_the_table_is(self):
         with pytest.raises(ValueError, match="need grid generation > 3"):

@@ -14,11 +14,10 @@ from sheetcharge.increments import (
     GridSample,
     _coarsen,
     _difference,
-    _pyramid,
+    _tiled_pyramid,
     coefficient_table,
     cube_increments,
     figure_increment,
-    finest_increments,
     increment_levels,
     load_coefficients,
     rectangle_increment,
@@ -72,6 +71,12 @@ class TestGridSample:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             GridSample(2, 2, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("hurst", [(0.5,), (0.5, 0.6, 0.7)])
+    def test_hurst_length_checked(self, hurst):
+        # save_grid packs one Hurst component per axis
+        with pytest.raises(ValueError, match="hurst must have 2 components"):
+            GridSample(2, 1, np.zeros((3, 3)), hurst=hurst)
 
     def test_values_frozen(self):
         f = zero_grid(2, 1)
@@ -454,7 +459,7 @@ class TestCoarsen:
     @pytest.mark.parametrize("scalar", [Fraction(1, 3), Rad2(Fraction(1, 2), Fraction(-2, 3))])
     @pytest.mark.parametrize("d,gen", [(1, 4), (2, 3), (3, 2)])
     def test_exact_equal_to_reshape_sum(self, d, gen, scalar):
-        cells = finest_increments(exact_random_grid(d, gen, seed=d + gen, scalar=scalar))
+        cells = _difference(exact_random_grid(d, gen, seed=d + gen, scalar=scalar).values)
         got, want = _coarsen(cells, d), reference_coarsen(cells)
         assert got.dtype == object and got.shape == want.shape
         assert all(a == b and type(a) is type(b) for a, b in zip(got.flat, want.flat, strict=True))
@@ -513,7 +518,7 @@ def int_grid(d, gen, seed):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestDifference:
-    """The slab-wise differencer against np.diff of the whole box, bit for bit."""
+    """The slab-wise differencer and the Morton tiles against np.diff of the box, bit for bit."""
 
     # 2^15-cell slabs: d1 N16 and d2 N9 span several slabs, d3 N6 eight
     GRIDS = [
@@ -542,14 +547,15 @@ class TestDifference:
     @pytest.mark.parametrize("morton", [False, True])
     def test_cube_grid(self, f, morton):
         want = whole_grid_cells(f.values)
-        self.assert_bits(_difference(f.values, morton), lex_to_morton(want) if morton else want)
+        got = cube_increments(f, f.gen) if morton else _difference(f.values)
+        self.assert_bits(got, lex_to_morton(want) if morton else want)
 
     @pytest.mark.parametrize("f", GRIDS)
     def test_bottom_slab(self, f):
         # the box x_d <= 2^-n the counterexample scan differences, for every n
         for n in range(f.gen + 1):
             box = f.values[..., : (1 << (f.gen - n)) + 1]
-            self.assert_bits(_difference(box, morton=False), whole_grid_cells(box))
+            self.assert_bits(_difference(box), whole_grid_cells(box))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -573,7 +579,7 @@ class TestMortonPyramid:
     @pytest.mark.parametrize("d,gen", SIZES)
     def test_finest_level(self, d, gen):
         f = awkward_grid(d, gen, seed=10 * d + gen)
-        self.assert_bits(_difference(f.values, morton=True), lex_to_morton(finest_increments(f)))
+        self.assert_bits(cube_increments(f, f.gen), lex_to_morton(_difference(f.values)))
 
     @pytest.mark.parametrize(
         "f",
@@ -588,11 +594,15 @@ class TestMortonPyramid:
     def test_every_level_survives_an_overwritten_child(self, f):
         want = [lex_to_morton(level) for level in increment_levels(f)]
         seen = []
-        for n, cells in _pyramid(f.values, f.gen, 0, morton=True):
-            self.assert_bits(cells, want[n])
-            seen.append(n)
+        for n, lo, cells in _tiled_pyramid(f.values, 0):
+            self.assert_bits(cells, want[n][lo : lo + len(cells)])
+            seen.append((n, lo, len(cells)))
             cells[...] = 7  # the parent level was summed before this one was yielded
-        assert seen == list(range(f.gen, -1, -1))
+        tile = seen[0][2]  # the finest level comes tile by tile, every coarser one whole
+        assert [(n, lo) for n, lo, _ in seen] == [
+            *((f.gen, lo) for lo in range(0, len(want[f.gen]), tile)),
+            *((n, 0) for n in range(f.gen - 1, -1, -1)),
+        ]
 
     @pytest.mark.parametrize("d,gen", [(1, 1), (1, 16), (2, 1), (2, 9), (3, 1), (3, 6)])
     def test_sibling_sums_match_lexicographic_coarsening(self, d, gen):

@@ -18,7 +18,6 @@ from sheetcharge.increments import GridSample, cube_increments
 from sheetcharge.sampler import (
     HurstVector,
     axis_cholesky,
-    axis_kernel_matrix,
     fbm_kernel,
     grid_to_csv,
     increment_covariance,
@@ -31,7 +30,13 @@ from sheetcharge.sampler import (
     sheet_covariance,
 )
 
-from helpers import dense_axis_cholesky, product_grid
+from helpers import (
+    axis_kernel_matrix,
+    dense_axis_cholesky,
+    product_grid,
+    schur_factor,
+    whole_factor,
+)
 
 
 def frac_rect(lo, hi):
@@ -147,7 +152,7 @@ class TestSampler:
 
     def test_axis_factor_reproduces_kernel(self):
         for h in (0.5, 0.8):
-            fac = axis_cholesky(h, 5)
+            fac = whole_factor(axis_cholesky(h, 5))
             cov = axis_kernel_matrix(h, 5)
             assert np.allclose(fac @ fac.T, cov, atol=1e-12)
 
@@ -569,7 +574,7 @@ class TestAxisFactorCache:
     def direct_sample(H, gen, seed, replicate):
         core = replicate_rng(seed, replicate).standard_normal((1 << gen,) * len(H))
         for axis, h in enumerate(H):  # mode product with each directly built factor
-            core = leafwise_tensordot(axis_cholesky(h, gen), core, axis)
+            core = leafwise_tensordot(whole_factor(axis_cholesky(h, gen)), core, axis)
         full = np.zeros(((1 << gen) + 1,) * len(H))
         full[(slice(1, None),) * len(H)] = core
         return full
@@ -640,7 +645,7 @@ class TestAxisFactorCache:
     def test_cached_factor_is_read_only(self):
         # One leaf up to 256 rows, eight at N = 11: each is fac[lo:hi, :hi], bit for bit.
         for gen in (0, 3, 8, 9, 11):
-            fac, leaves = axis_cholesky(0.8, gen), sampler._axis_factor(0.8, gen)
+            fac, leaves = schur_factor(0.8, gen), sampler._axis_factor(0.8, gen)
             assert len(leaves) == -(-(1 << gen) // 256)
             for k, leaf in enumerate(leaves):
                 lo, hi = 256 * k, min(256 * (k + 1), 1 << gen)
@@ -661,7 +666,7 @@ class TestSchurFactor:
         # The kernel is ill-conditioned near h = 1, so the two factors drift apart
         # there (6.6e-9 of max|L| at h = 0.9999, N = 11) while both reproduce it.
         for h in self.HS:
-            kernel, fac = axis_kernel_matrix(h, gen), axis_cholesky(h, gen)
+            kernel, fac = axis_kernel_matrix(h, gen), whole_factor(axis_cholesky(h, gen))
             dense = dense_axis_cholesky(h, gen)
             assert np.array_equal(fac, np.tril(fac))
             assert np.abs(fac @ fac.T - kernel).max() <= 1e-12 * np.abs(kernel).max(), h
@@ -670,23 +675,13 @@ class TestSchurFactor:
     @pytest.mark.parametrize("gen", range(12))
     def test_half_is_scaled_all_ones_triangle(self, gen):
         want = 2.0 ** (-gen / 2) * np.tri(1 << gen)
-        assert np.array_equal(axis_cholesky(0.5, gen).view(np.int64), want.view(np.int64))
+        got = whole_factor(axis_cholesky(0.5, gen))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("h, step", [(1.0, 1), (float("nan"), 1)])
     def test_singular_kernel_raises(self, h, step):
         with pytest.raises(sampler.SamplerError, match=f"h={h}, N=4.*Schur step {step} "):
             axis_cholesky(h, 4)
-
-    def test_peak_memory_one_factor(self):
-        # no kernel matrix and no second copy: the factor and a few vectors
-        factor = 8 * 4**10
-        tracemalloc.start()
-        try:
-            axis_cholesky(0.9, 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * factor
 
     def test_peak_memory_leaves(self):
         # The leaves, one chunk of 256 summed rows and a few vectors: the whole
@@ -694,7 +689,7 @@ class TestSchurFactor:
         n = 1 << 10
         tracemalloc.start()
         try:
-            axis_cholesky(0.9, 10, leaves=True)
+            axis_cholesky(0.9, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -792,7 +787,7 @@ class TestSplitModeProduct:
 
     @staticmethod
     def lower_factor(n, seed):
-        """A random lower triangle, Fortran-ordered like ``axis_cholesky``'s factor.
+        """A random lower triangle, Fortran-ordered like ``axis_cholesky``'s leaves.
 
         A vector-matrix leaf (d = 1) sums in another order for the other layout.
         """
@@ -906,7 +901,7 @@ class TestSplitModeProduct:
             assert np.array_equal(draws[0].view(np.int64), draw.view(np.int64))
         core = replicate_rng(1, 0).standard_normal((1 << 11,) * 2)
         for axis, h in enumerate(H):
-            core = leafwise_tensordot(axis_cholesky(h, 11), core, axis)
+            core = leafwise_tensordot(whole_factor(axis_cholesky(h, 11)), core, axis)
         assert np.array_equal(draws[0][1:, 1:].view(np.int64), core.view(np.int64))
 
     def test_sheet_independent_of_blas_threads(self):
