@@ -65,11 +65,34 @@ class MomentScalingFit:
     excluded: tuple[int, ...]
 
 
+_MIN_COUNT = 32  # moment_scaling_fit's default min_count, which configs are checked against
+_SUM_BLOCK = 1 << 16  # most values of one |x|^q temporary
+
+
+def _abs_power_sum(arr: np.ndarray, q: float) -> np.float64:
+    """``np.sum(np.abs(arr) ** q)`` bit for bit, with temporaries of _SUM_BLOCK values at most.
+
+    numpy sums a contiguous float64 array pairwise: above 128 values it
+    adds the sums of ``arr[:h]`` and ``arr[h:]``, ``h = n // 2`` rounded
+    down to a multiple of 8.  Splitting the same way down to blocks of
+    _SUM_BLOCK values and summing each block with numpy adds the same
+    values in the same order.
+    """
+    n = arr.size
+    if n <= _SUM_BLOCK:
+        mag = np.abs(arr)
+        mag **= q  # the bits of np.abs(arr) ** q, with one temporary instead of two
+        return mag.sum()
+    h = n // 2
+    h -= h % 8
+    return _abs_power_sum(arr[:h], q) + _abs_power_sum(arr[h:], q)
+
+
 def moment_scaling_fit(
     samples_by_gen: Mapping[int, Sequence[float]],
     q: float,
     dim: int,
-    min_count: int = 32,
+    min_count: int = _MIN_COUNT,
 ) -> MomentScalingFit:
     """Fit the moment-scaling exponent from per-generation increment samples.
 
@@ -85,10 +108,7 @@ def moment_scaling_fit(
         if arr.size < min_count:
             excluded.append(n)
             continue
-        mag = np.abs(arr)
-        mag **= q  # the bits of np.abs(arr) ** q, with one temporary instead of two
-        moment = float(np.mean(mag))
-        del mag  # not alive while the next generation's is made
+        moment = float(_abs_power_sum(arr, q) / arr.size)  # np.mean(np.abs(arr) ** q)
         with np.errstate(divide="ignore"):  # a moment of 0 has log2 -inf, a degenerate fit
             log2_moment = float(np.log2(moment))
         points.append((n, -float(n * dim), log2_moment, arr.size))

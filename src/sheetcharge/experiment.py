@@ -9,11 +9,11 @@ so the files are stable regression artifacts.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import numbers
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -22,10 +22,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__, increments
+from . import __version__, increments, sampler
 # build_report, coefficient_table and cube_increments are unused here, but
 # bench/tracer.py wraps these module attributes.
 from .criteria import (  # noqa: F401
+    _MIN_COUNT,
     _holder_ratios,
     _level_max_abs,
     _streamed_report,
@@ -43,6 +44,7 @@ from .sampler import (
     HurstVector,
     _sheet_bytes,
     _standard_bytes,
+    _workers,
     replicate_rng,
     sample_sheet_ensemble,
     sample_standard_sheet,
@@ -203,11 +205,11 @@ class ExperimentConfig:
         if self.subcommand == "moment-scaling":
             # Generation n pools replicates * 2^(nd) increments (the shift is capped so a huge N
             # stays cheap); the fit drops those below its min_count and needs two left.
-            min_count = inspect.signature(moment_scaling_fit).parameters["min_count"].default
             counts = [self.replicates << min(n * self.d, 64) for n in self._moment_gens()]
-            if sum(c >= min_count for c in counts) < 2:
+            if sum(c >= _MIN_COUNT for c in counts) < 2:
                 raise ConfigError(
-                    f"moment-scaling needs two generations with replicates * 2^(n*d) >= {min_count}"
+                    "moment-scaling needs two generations with replicates * 2^(n*d) >= "
+                    f"{_MIN_COUNT}"
                 )
         need = self._memory_estimate()
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -224,16 +226,18 @@ class ExperimentConfig:
         the noise buffers and carry row of ``sample_standard_sheet``; with
         H, those of ``sample_sheet`` (the leaves of each distinct
         component's factor, and its scratch arrays or, before the grid, a
-        factor's build); for moment-scaling,
-        the pooled samples.  N and d are capped at 64 so the integers stay
-        small: any capped estimate is already above 2^64 bytes.
+        factor's build); for moment-scaling, a grid and its scratch arrays
+        per worker, and the pooled samples.  N and d are capped at 64 so
+        the integers stay small: any capped estimate is already above 2^64
+        bytes.
         """
         gen, d = min(self.N, 64), min(self.d, 64)
         if self.H is None:
             need = _standard_bytes(d, gen)
-        else:
+        elif self.subcommand != "moment-scaling":
             need = _sheet_bytes(d, gen, len(set(self.H)))
-        if self.subcommand == "moment-scaling":
+        else:
+            need = _sheet_bytes(d, gen, len(set(self.H)), _moment_workers(gen, self.replicates))
             need += 8 * self.replicates * sum(1 << min(n * d, 64) for n in self._moment_gens())
         return min(need, 1 << 64)
 
@@ -456,18 +460,54 @@ def run_holder_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
+def _moment_workers(gen: int, replicates: int) -> int:
+    """Workers that pool moment-scaling's replicates: one per core, at most one per replicate.
+
+    One, the calling thread alone, when a sheet's own mode products run on
+    more than one thread.
+    """
+    return min(sampler._cores(), replicates) if _workers(1 << gen) == 1 else 1
+
+
 def run_moment_scaling(cfg: ExperimentConfig, out: Path) -> list[Path]:
     gens = cfg._moment_gens()
     seed = cfg.seeds[0]
     # Replicate r's generation-n increments, in Morton order, are row r of samples[n].
     samples = {n: np.empty((cfg.replicates, 1 << (n * cfg.d))) for n in gens}
-    for r, f in enumerate(sample_sheet_ensemble(cfg.H, cfg.N, seed, cfg.replicates)):
-        levels = increment_levels(f, max(gens))
-        del f
-        for n, rows in samples.items():
-            # Looked up on increments, the call site bench/tracer.py wraps.
-            rows[r] = increments.lex_to_morton(levels[n])
-        del levels  # the sheet and its levels are not alive while the next sheet is drawn
+
+    workers = _moment_workers(cfg.N, cfg.replicates)
+    errors: list[BaseException] = []
+
+    def work(k: int) -> None:
+        # Worker k pools replicates k, k + workers, ...: each has its own Philox
+        # stream and row, so the bits do not depend on the number of workers.
+        reps = range(k, cfg.replicates, workers)
+        try:
+            sheets = sample_sheet_ensemble(cfg.H, cfg.N, seed, reps)
+            for r in reps:
+                if errors:  # another worker failed or was interrupted
+                    return
+                levels = increment_levels(next(sheets), max(gens))
+                for n, rows in samples.items():
+                    # Looked up on increments, the call site bench/tracer.py wraps.
+                    rows[r] = increments.lex_to_morton(levels[n])
+                del levels  # the sheet and its levels are not alive while the next is drawn
+        except BaseException as exc:  # raised in the caller once every worker has ended
+            errors.append(exc)
+
+    for h in set(cfg.H):  # built before the workers: lru_cache lets two build one factor
+        sampler._axis_factor(h, cfg.N)
+    threads = [
+        threading.Thread(target=work, args=(k,), name=f"moment-scaling-{k}")
+        for k in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    work(0)  # the calling thread is worker 0
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     samples = {n: rows.reshape(-1) for n, rows in samples.items()}
     path = out / "moment_scaling.csv"
     fits = {}

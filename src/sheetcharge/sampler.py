@@ -214,7 +214,7 @@ def replicate_rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def _cores() -> int:
-    """Threads a large mode product may use: the CPUs this process may run on."""
+    """The CPUs this process may run on: the most threads of a mode product or of pooling."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
@@ -424,19 +424,20 @@ def _scratch_size(d: int, gen: int) -> int:
     return max(min(n**d, max(rows, _NOISE_BLOCK)), rows * min(n, _LEAF_ROWS))
 
 
-def _sheet_bytes(d: int, gen: int, factors: int) -> int:
-    """Bytes of the arrays :func:`sample_sheet` holds at most, with ``factors`` distinct exponents.
+def _sheet_bytes(d: int, gen: int, factors: int, sheets: int = 1) -> int:
+    """Bytes of the arrays ``sheets`` concurrent :func:`sample_sheet` calls hold at most.
 
-    The leaves of every factor, and the larger of what building one needs
-    beside its leaves (a chunk of _LEAF_ROWS summed rows and the Schur
-    recursion's few vectors, before the grid exists) and the grid with its
+    The leaves of the factors of ``factors`` distinct exponents, which the
+    calls share, and the larger of what building one needs beside its
+    leaves (a chunk of _LEAF_ROWS summed rows and the Schur recursion's
+    few vectors, before any grid exists) and each call's grid with its
     scratch arrays.
     """
     n, width = 1 << gen, min(1 << gen, _LEAF_ROWS)
     build = 8 * n * (width + 8)
     grid = 8 * (n + 1) ** d
     scratch = 8 * _workers(n) * _scratch_size(d, gen)
-    return factors * 8 * n * (n + width) // 2 + max(build, grid + scratch)
+    return factors * 8 * n * (n + width) // 2 + max(build, sheets * (grid + scratch))
 
 
 def _standard_bytes(d: int, gen: int) -> int:
@@ -486,11 +487,11 @@ def sample_sheet(
 
 
 def sample_sheet_ensemble(
-    H: HurstVector | Sequence[float], gen: int, seed: int, replicates: int
+    H: HurstVector | Sequence[float], gen: int, seed: int, replicates: int | range
 ) -> Iterator[GridSample]:
-    """Replicates 0..replicates-1 of :func:`sample_sheet`, drawn lazily."""
+    """Replicates 0..replicates-1 of :func:`sample_sheet`, or those in a ``range``, drawn lazily."""
     H = HurstVector.of(H)
-    for rep in range(replicates):
+    for rep in replicates if isinstance(replicates, range) else range(replicates):
         yield sample_sheet(H, gen, seed, rep)
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sheetcharge import criteria
 from sheetcharge.criteria import CriterionReport, _streamed_report, build_report, moment_scaling_fit
 from sheetcharge.haar import HaarIndex, haar_primitive_grid
 from sheetcharge.increments import CoefficientTable, GridSample, coefficient_table
@@ -185,12 +186,22 @@ class TestMomentScaling:
     def test_moments_match_out_of_place_power_bit_for_bit(self, q):
         tiny = np.finfo(float).smallest_subnormal
         rng = np.random.default_rng(3)
+
+        def spiked(size, *values):
+            # above one 2^16-value block of the fit's sum, with values at random places
+            x = rng.standard_normal(size) * np.exp(rng.standard_normal(size))
+            x[rng.choice(size, len(values), replace=False)] = values
+            return x
+
         samples = {
             0: rng.standard_normal(1000) * 0.5,
             1: np.array([0.0, -0.0, 0.0]),
             2: np.array([-0.0, tiny, -tiny, 3 * tiny, 1e-310, -2.2e-308]),
             3: np.array([1e300, -1e200, 2.0, np.finfo(float).max]),  # overflows for q > 1
             4: np.concatenate([rng.standard_normal(257) * 1e-160, [-0.0, tiny, 1e160]]),
+            5: spiked(65_537, -0.0, tiny, -3 * tiny, np.finfo(float).max),  # overflows for q > 1
+            6: spiked(3 * 2**16 + 5, -0.0, -0.0, tiny, 1e-310),
+            7: spiked(200 * 2**14, -0.0, tiny, -2.2e-308, 1e40),
         }
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # infinite moments leave the slope NaN
@@ -198,6 +209,17 @@ class TestMomentScaling:
             want = [np.log2(np.mean(np.abs(samples[n]) ** q)) for n in samples]
         got = [log2_moment for _, _, log2_moment, _ in fit.points]
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("q", MOMENT_ORDERS)
+    def test_blocked_sum_is_numpy_sum_bit_for_bit(self, q):
+        # Magnitudes of one scale, so every addition rounds and a sum in any
+        # other order than numpy's misses its last bits, at one size or another.
+        rng = np.random.default_rng(11)
+        sizes = [2**16, 2**16 + 1] + [2**16 + 4 + 594 * k for k in range(11)]
+        for size in sizes + [2**17 + 8, 3 * 2**16 + 5, 200 * 2**14 + 3]:
+            x = rng.uniform(0.5, 1.5, size) * rng.choice([-1.0, 1.0], size)
+            got = criteria._abs_power_sum(x, q)
+            assert got.tobytes() == np.sum(np.abs(x) ** q).tobytes(), size
 
     def test_deterministic_volume_increments(self):
         # increments exactly |K| at every generation: slope 1, no residual

@@ -1,10 +1,11 @@
-import functools
 import importlib.util
 import math
 import queue  # noqa: F401  (see test_memory_estimate_covers_the_sampler)
 import re
 import struct
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
@@ -323,19 +324,28 @@ class TestConfig:
         )
         assert cfg.seeds == (7,)
 
+    def test_moment_generations_checked_without_the_fit(self, monkeypatch):
+        # The check reads min_count's default from criteria, not from the fit's
+        # signature, which a fit wrapped without functools.wraps does not have.
+        monkeypatch.setattr(experiment, "moment_scaling_fit", lambda *args, **kwargs: None)
+        with pytest.raises(ConfigError, match=r">= 32$"):
+            ExperimentConfig(subcommand="moment-scaling", d=1, N=3, H=(0.7,), replicates=50)
+        ExperimentConfig(subcommand="moment-scaling", d=1, N=6, H=(0.7,), replicates=50)
+
     def test_memory_estimate_counts_grid_kernel_and_samples(self, monkeypatch):
         # The packed factor per distinct Hurst component (n^2 below 256 rows,
         # n(n + 256)/2 from there), the grid and one scratch array per thread:
         # a whole grid for one leaf, 256 rows of it per thread for more.  Without
         # H, the grid, the noise buffers (two of 2^16 values on two cores, if the
-        # draw has two blocks) and the carry row.
+        # draw has two blocks) and the carry row.  moment-scaling holds a grid
+        # and its scratch per worker, one per core, beside the one factor.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
         cfg = ExperimentConfig(
             subcommand="moment-scaling", d=2, N=8, H=(0.7, 0.7), replicates=200, q=(1, 2)
         )
         grid, factor, scratch = 8 * 257**2, 8 * 4**8, 8 * 4**8
         samples = 8 * 200 * sum(4**n for n in range(2, 8))
-        assert cfg._memory_estimate() == factor + grid + scratch + samples
+        assert cfg._memory_estimate() == factor + 2 * (grid + scratch) + samples
         cfg = ExperimentConfig(subcommand="simulate", d=3, N=5, H=(0.6, 0.8, 0.6))
         assert cfg._memory_estimate() == 2 * 8 * 4**5 + 8 * 33**3 + 8 * 32**3
         cfg = ExperimentConfig(subcommand="fractional-criteria", d=2, N=11, H=(0.9, 0.9))
@@ -407,7 +417,6 @@ def run_capturing_fit(monkeypatch, tmp_path, **config):
     calls = []
     fit = experiment.moment_scaling_fit
 
-    @functools.wraps(fit)  # the config reads the fit's min_count from its signature
     def spy(samples, q, dim, **kw):
         calls.append((samples, tracemalloc.get_traced_memory()[1]))
         return fit(samples, q, dim, **kw)
@@ -448,11 +457,70 @@ class TestMomentScalingRunner:
             assert samples[n].dtype == want.dtype and samples[n].shape == want.shape
             assert samples[n].tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("d, N", [(1, 10), (2, 8), (3, 4)])
-    def test_memory_within_samples_and_one_sheet(self, monkeypatch, tmp_path, d, N):
-        # Pooling holds the sample arrays, one sheet and the differencing of one
-        # pyramid (the finest level and the half-differenced grid); the fit then
-        # holds the samples and |x|^q of its largest generation.
+    def test_csv_bytes_do_not_depend_on_the_workers(self, monkeypatch, tmp_path):
+        # 7 replicates: with 3 workers, worker 0 pools 0, 3 and 6, the others two
+        # each.  Threads switch every 10 us instead of every 5 ms.
+        written = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cores in (1, 2, 3):
+                monkeypatch.setattr(sampler, "_cores", lambda: cores)
+                out = tmp_path / str(cores)
+                experiment.run(ExperimentConfig(
+                    subcommand="moment-scaling", d=2, N=5, H=(0.6, 0.8), replicates=7,
+                    q=(1, 2.5), seeds=(4,), out=str(out),
+                ))
+                written.add((out / "moment_scaling.csv").read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(written) == 1
+
+    def test_worker_error_raised_after_every_worker_ends(self, monkeypatch, tmp_path):
+        real = experiment.increment_levels
+
+        def failing(f, n):
+            if f.meta["replicate"] == 4:  # pooled by worker 1 of 3, a thread of its own
+                raise RuntimeError("replicate 4")
+            return real(f, n)
+
+        monkeypatch.setattr(sampler, "_cores", lambda: 3)
+        monkeypatch.setattr(experiment, "increment_levels", failing)
+        with pytest.raises(RuntimeError, match="replicate 4"):
+            experiment.run(ExperimentConfig(
+                subcommand="moment-scaling", d=2, N=4, H=(0.7, 0.7), replicates=9,
+                out=str(tmp_path),
+            ))
+        assert not [t for t in threading.enumerate() if t.name.startswith("moment-scaling")]
+
+    def test_threaded_run_builds_each_factor_once(self, monkeypatch, tmp_path):
+        # A slow build: without the factors built before the workers start,
+        # every worker finds the cache empty and builds its own.
+        calls = []
+        real = sampler.axis_cholesky
+
+        def slow(h, gen):
+            calls.append((h, gen))
+            time.sleep(0.05)
+            return real(h, gen)
+
+        monkeypatch.setattr(sampler, "_cores", lambda: 3)
+        monkeypatch.setattr(sampler, "axis_cholesky", slow)
+        sampler._axis_factor.cache_clear()
+        try:
+            experiment.run(ExperimentConfig(
+                subcommand="moment-scaling", d=2, N=4, H=(0.6, 0.8), replicates=6,
+                out=str(tmp_path),
+            ))
+        finally:
+            sampler._axis_factor.cache_clear()
+        assert sorted(calls) == [(0.6, 4), (0.8, 4)]
+
+    @staticmethod
+    def pooling_peaks(monkeypatch, tmp_path, d, N, workers):
+        """Bytes the sample arrays take, and a moment-scaling run's tracemalloc
+        peaks while pooling and in all, on ``workers`` cores; 20 replicates."""
+        monkeypatch.setattr(sampler, "_cores", lambda: workers)
         H, reps = (0.7,) * d, 20
         sample_sheet(H, N, 0)  # the cached axis factor is not the runner's
         tracemalloc.start()
@@ -463,13 +531,29 @@ class TestMomentScalingRunner:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        gens = cfg._moment_gens()
-        samples = 8 * reps * sum(1 << (n * d) for n in gens)
-        largest = 8 * reps * (1 << (max(gens) * d))
+        samples = 8 * reps * sum(1 << (n * d) for n in cfg._moment_gens())
+        return samples, pooled_peak, peak
+
+    @pytest.mark.parametrize("d, N", [(1, 10), (2, 8), (3, 4)])
+    def test_memory_within_samples_and_one_sheet(self, monkeypatch, tmp_path, d, N):
+        # Pooling holds the sample arrays, one sheet and the differencing of one
+        # pyramid (the finest level and the half-differenced grid); the fit then
+        # holds the samples and |x|^q of one block of at most 2^16 values, which
+        # the pooling bound covers at these sizes.
+        samples, pooled_peak, peak = self.pooling_peaks(monkeypatch, tmp_path, d, N, 1)
         sheet, level = 8 * ((1 << N) + 1) ** d, 8 << (N * d)
         slack = 1 << 18
         assert pooled_peak <= samples + sheet + 2 * level + slack
-        assert peak <= samples + max(sheet + 2 * level, largest) + slack
+        assert peak <= samples + sheet + 2 * level + slack
+
+    @pytest.mark.parametrize("d, N", [(1, 10), (2, 8), (3, 4)])
+    def test_memory_within_samples_and_a_sheet_per_worker(self, monkeypatch, tmp_path, d, N):
+        # Two workers each hold one sheet and the differencing of its pyramid.
+        samples, pooled_peak, peak = self.pooling_peaks(monkeypatch, tmp_path, d, N, 2)
+        sheet, level = 8 * ((1 << N) + 1) ** d, 8 << (N * d)
+        slack = 1 << 18
+        assert pooled_peak <= samples + 2 * (sheet + 2 * level) + slack
+        assert peak <= samples + 2 * (sheet + 2 * level) + slack
 
 
 class TestHolderScanRunner:
