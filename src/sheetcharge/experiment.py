@@ -5,6 +5,12 @@ plus a reproducibility manifest into the output directory, and is fully
 deterministic given the config: re-running a manifest must reproduce the
 CSV outputs byte for byte.  Floats are printed with 17 significant digits
 so the files are stable regression artifacts.
+
+moment-scaling pools its replicates, and counterexample its seeds, on
+one worker thread per core (``_pool``): each sheet has its own Philox
+stream and each result its own slot, so the bits do not depend on the
+number of workers.  counterexample draws only the bottom slab of a
+standard sheet, which holds every cube its scan reads.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .criteria import (  # noqa: F401
 )
 from .dyadic import DyadicCube, Figure, figure_perimeter, morton_encode
 from .increments import (  # noqa: F401
+    BottomSlab,
     GridSample,
     coefficient_table,
     cube_increments,
@@ -226,20 +233,41 @@ class ExperimentConfig:
         the noise buffers and carry row of ``sample_standard_sheet``; with
         H, those of ``sample_sheet`` (the leaves of each distinct
         component's factor, and its scratch arrays or, before the grid, a
-        factor's build); for moment-scaling, a grid and its scratch arrays
-        per worker, and the pooled samples.  N and d are capped at 64 so
-        the integers stay small: any capped estimate is already above 2^64
-        bytes.
+        factor's build).  Each pooling worker holds its own: for
+        moment-scaling a grid and its scratch arrays, beside the pooled
+        samples; for counterexample without H the bottom slab's grid and
+        the larger of its draw's noise buffer and carry row and its scan's
+        cells.  N and d are capped at 64 so the integers stay small: any
+        capped estimate is already above 2^64 bytes.
         """
         gen, d = min(self.N, 64), min(self.d, 64)
-        if self.H is None:
+        workers = self._pool_workers()
+        if self.H is None and self.subcommand == "counterexample":
+            # the slab x_d <= 2^-n has 2^(N-n) cells of the last axis, capped as N is
+            slab = max(0, gen - (self.N - self.n))
+            grid = 8 * ((1 << gen) + 1) ** (d - 1) * ((1 << (gen - slab)) + 1)
+            need = workers * max(_standard_bytes(d, gen, slab), grid + _scan_bytes(d, gen, slab))
+        elif self.H is None:
             need = _standard_bytes(d, gen)
-        elif self.subcommand != "moment-scaling":
-            need = _sheet_bytes(d, gen, len(set(self.H)))
         else:
-            need = _sheet_bytes(d, gen, len(set(self.H)), _moment_workers(gen, self.replicates))
+            need = _sheet_bytes(d, gen, len(set(self.H)), workers)
+        if self.subcommand == "moment-scaling":
             need += 8 * self.replicates * sum(1 << min(n * d, 64) for n in self._moment_gens())
         return min(need, 1 << 64)
+
+    def _pool_workers(self) -> int:
+        """Threads that pool this run's sheets, the caller's included.
+
+        One per core and at most one per sheet: moment-scaling's replicates
+        when a sheet's own mode products run on one thread, and
+        counterexample's seeds when it draws the standard sheet's bottom
+        slab.  Every other run draws its sheets on the calling thread.
+        """
+        if self.subcommand == "moment-scaling" and _workers(1 << min(self.N, 64)) == 1:
+            return min(sampler._cores(), self.replicates)
+        if self.subcommand == "counterexample" and self.H is None:
+            return min(sampler._cores(), len(self.seeds))
+        return 1
 
     def _moment_gens(self) -> tuple[int, ...]:
         """Generations moment-scaling pools: ``gens``, or 2..M by default."""
@@ -277,7 +305,7 @@ class CounterexampleReport:
 
 
 def counterexample_figure(
-    f: GridSample, n: int, p_max: int, exponent: float
+    f: GridSample | BottomSlab, n: int, p_max: int, exponent: float
 ) -> tuple[Figure, CounterexampleReport]:
     """Greedy thin-slab figure made of bottom-layer cubes with large increments.
 
@@ -287,16 +315,24 @@ def counterexample_figure(
     selected cubes are maximal and pairwise disjoint.  The report records
     the covered fraction of the bottom face; a full sweep would cover it
     almost surely only in the infinite-resolution limit, so low coverage
-    is flagged, never an error.
+    is flagged, never an error.  ``f`` may be a whole grid sample or a
+    bottom slab x_d <= 2^-m with m <= n, which holds every cube scanned;
+    a thinner slab raises ``ValueError``.
     """
     d = f.dim
     if not 0 <= n <= p_max <= f.gen - 1:
         raise ValueError(f"need 0 <= n <= p_max <= N-1, got n={n}, p_max={p_max}")
     if not (math.isfinite(exponent) and exponent > 0):
         raise ValueError(f"need a finite exponent > 0, got {exponent}")
+    cells = 1 << (f.gen - n)
+    if f.values.shape[-1] <= cells:
+        raise ValueError(
+            f"the slab holds {f.values.shape[-1] - 1} cells of the last axis, "
+            f"fewer than the {cells} of the slab x_d <= 2^-{n} the scan reads"
+        )
     # Generation-p bottom cubes lie in the slab x_d <= 2^-p, so the pyramid of
     # the slab x_d <= 2^-n holds all of them: bottoms[p] is generation p's [..., 0].
-    pyramid = increments._pyramid(f.values[..., : (1 << (f.gen - n)) + 1], f.gen, n)
+    pyramid = increments._pyramid(f.values[..., : cells + 1], f.gen, n)
     bottoms = {p: cells[..., 0].copy() for p, cells in pyramid if p <= p_max}
     taken = np.zeros((1,) * (d - 1), dtype=bool)  # bottom-face cells covered so far
     cubes: list[DyadicCube] = []
@@ -340,10 +376,54 @@ def counterexample_figure(
     return fig, report
 
 
+def _scan_bytes(d: int, gen: int, n: int) -> int:
+    """Bytes :func:`counterexample_figure` holds beside the grid it reads, at most.
+
+    The finest cells of the slab x_d <= 2^-n, 2^(N(d-1)) * 2^(N-n) of them,
+    and, while it sums their siblings, the generation above, one chunk's
+    partial sums and numpy's three ufunc buffers for its strided
+    additions; the scan's other arrays are smaller.
+    """
+    cells = 1 << (gen * d - n)
+    chunk = increments._piece_cells(increments._CHUNK_ROWS, cells)
+    return 8 * (cells + (cells >> d) + chunk + 3 * np.getbufsize())
+
+
 def _sample_for(cfg: ExperimentConfig, seed: int) -> GridSample:
     if cfg.H is None:
         return sample_standard_sheet(cfg.d, cfg.N, seed)
     return next(iter(sample_sheet_ensemble(cfg.H, cfg.N, seed, 1)))
+
+
+def _pool(name: str, count: int, workers: int, work: Callable[[int], None]) -> None:
+    """Call ``work(i)`` for i = 0..count-1, on ``workers`` threads named ``name-k``.
+
+    Worker k takes k, k + workers, ... in turn, and the calling thread is
+    worker 0.  After an error, or an interrupt of the caller, every
+    worker stops at its next item, and the first error is raised once
+    every worker has ended.
+    """
+    errors: list[BaseException] = []
+
+    def run(k: int) -> None:
+        try:
+            for i in range(k, count, workers):
+                if errors:  # another worker failed or was interrupted
+                    return
+                work(i)
+        except BaseException as exc:  # raised in the caller once every worker has ended
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(k,), name=f"{name}-{k}") for k in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _write_manifest(cfg: ExperimentConfig, out: Path) -> Path:
@@ -460,54 +540,25 @@ def run_holder_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def _moment_workers(gen: int, replicates: int) -> int:
-    """Workers that pool moment-scaling's replicates: one per core, at most one per replicate.
-
-    One, the calling thread alone, when a sheet's own mode products run on
-    more than one thread.
-    """
-    return min(sampler._cores(), replicates) if _workers(1 << gen) == 1 else 1
-
-
 def run_moment_scaling(cfg: ExperimentConfig, out: Path) -> list[Path]:
     gens = cfg._moment_gens()
     seed = cfg.seeds[0]
     # Replicate r's generation-n increments, in Morton order, are row r of samples[n].
     samples = {n: np.empty((cfg.replicates, 1 << (n * cfg.d))) for n in gens}
 
-    workers = _moment_workers(cfg.N, cfg.replicates)
-    errors: list[BaseException] = []
-
-    def work(k: int) -> None:
-        # Worker k pools replicates k, k + workers, ...: each has its own Philox
-        # stream and row, so the bits do not depend on the number of workers.
-        reps = range(k, cfg.replicates, workers)
-        try:
-            sheets = sample_sheet_ensemble(cfg.H, cfg.N, seed, reps)
-            for r in reps:
-                if errors:  # another worker failed or was interrupted
-                    return
-                levels = increment_levels(next(sheets), max(gens))
-                for n, rows in samples.items():
-                    # Looked up on increments, the call site bench/tracer.py wraps.
-                    rows[r] = increments.lex_to_morton(levels[n])
-                del levels  # the sheet and its levels are not alive while the next is drawn
-        except BaseException as exc:  # raised in the caller once every worker has ended
-            errors.append(exc)
+    def pool_replicate(r: int) -> None:
+        # Each replicate has its own Philox stream and row, so the bits do not
+        # depend on the number of workers; the sheet is freed once its levels are built.
+        sheet = next(iter(sample_sheet_ensemble(cfg.H, cfg.N, seed, range(r, r + 1))))
+        levels = increment_levels(sheet, max(gens))
+        del sheet
+        for n, rows in samples.items():
+            # Looked up on increments, the call site bench/tracer.py wraps.
+            rows[r] = increments.lex_to_morton(levels[n])
 
     for h in set(cfg.H):  # built before the workers: lru_cache lets two build one factor
         sampler._axis_factor(h, cfg.N)
-    threads = [
-        threading.Thread(target=work, args=(k,), name=f"moment-scaling-{k}")
-        for k in range(1, workers)
-    ]
-    for thread in threads:
-        thread.start()
-    work(0)  # the calling thread is worker 0
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    _pool("moment-scaling", cfg.replicates, cfg._pool_workers(), pool_replicate)
     samples = {n: rows.reshape(-1) for n, rows in samples.items()}
     path = out / "moment_scaling.csv"
     fits = {}
@@ -541,22 +592,32 @@ def run_counterexample(cfg: ExperimentConfig, out: Path) -> list[Path]:
     hbar = cfg.hbar
     if hbar is None:
         hbar = sum(cfg.H) / cfg.d if cfg.H is not None else 0.5
+    found: list = [None] * len(cfg.seeds)
+
+    def scan(i: int) -> None:
+        seed = cfg.seeds[i]
+        # The standard sheet's slab x_d <= 2^-n holds every cube scanned; a fractional
+        # sheet is drawn whole, as its slab would rest on column-sliced BLAS products.
+        if cfg.H is None:
+            f = sample_standard_sheet(cfg.d, cfg.N, seed, slab=cfg.n)
+        else:
+            f = _sample_for(cfg, seed)
+        fig, rep = counterexample_figure(f, cfg.n, cfg.p_max, hbar)
+        found[i] = fig.to_json(), rep
+
+    _pool("counterexample", len(cfg.seeds), cfg._pool_workers(), scan)
     path = out / "counterexample.csv"
-    coverages = []
     paths = [path]
     with _csv(path, "seed,coverage,increment,threshold_sum,volume,perimeter,selected") as row:
-        for seed in cfg.seeds:
-            f = _sample_for(cfg, seed)
-            fig, rep = counterexample_figure(f, cfg.n, cfg.p_max, hbar)
-            del f  # not alive while the next seed's sheet is drawn
-            coverages.append(rep.coverage)
+        for seed, (fig, rep) in zip(cfg.seeds, found):
             row(
                 seed, rep.coverage, rep.increment, rep.threshold_sum, rep.volume,
                 rep.perimeter, sum(rep.selected_per_level),
             )
             fig_path = out / f"counterexample_figure_seed{seed}.json"
-            fig_path.write_text(fig.to_json() + "\n")
+            fig_path.write_text(fig + "\n")
             paths.append(fig_path)
+    coverages = [rep.coverage for _, rep in found]
     summary = {
         "median_coverage": float(np.median(coverages)),
         "exponent": hbar,

@@ -2,7 +2,8 @@
 coefficient tables in the Haar-primitive (Faber-Schauder) system.
 
 A GridSample holds values of a function on the (2^N+1)^d dyadic grid that
-vanishes whenever a coordinate is zero.  Increments over dyadic cubes come
+vanishes whenever a coordinate is zero; a BottomSlab holds the grid points
+of its bottom slab x_d <= 2^-n only.  Increments over dyadic cubes come
 from one pyramid engine, O(d 2^(Nd)) overall: :func:`_difference` turns
 the grid, or any box of it, into finest-cell increments one axis-0 slab
 at a time, and :func:`_morton_tiles` turns the grid into Morton-order
@@ -36,6 +37,7 @@ from .haar import haar_amplitude, haar_matrix
 
 __all__ = [
     "GridSample",
+    "BottomSlab",
     "CoefficientTable",
     "rectangle_increment",
     "increment_levels",
@@ -107,6 +109,34 @@ class GridSample:
     def corner_value(self):
         """Value at (1, ..., 1), the increment over the whole cube."""
         return self.values[(-1,) * self.dim]
+
+
+@dataclass(frozen=True)
+class BottomSlab:
+    """The bottom slab x_d <= 2^-n of a dyadic-grid sample, 0 <= n <= N.
+
+    ``values`` holds the grid points whose last index is at most 2^(N-n):
+    shape (2^N+1,)*(d-1) + (2^(N-n)+1,), read-only.  The slab holds every
+    cube of generation n or finer that touches x_d = 0, and nothing else.
+    """
+
+    dim: int
+    gen: int
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        vals = np.asarray(self.values)
+        cells = vals.shape[-1] - 1 if vals.ndim else 0
+        if (
+            vals.shape[:-1] != ((1 << self.gen) + 1,) * (self.dim - 1)
+            or not 0 < cells <= 1 << self.gen
+            or cells & (cells - 1)
+        ):
+            raise ValueError(
+                f"expected a slab of grid shape {((1 << self.gen) + 1,) * self.dim} cut to "
+                f"2^k + 1 points of the last axis, got {vals.shape}"
+            )
+        object.__setattr__(self, "values", _frozen(vals))
 
 
 def rectangle_increment(f: GridSample, rect: Rectangle):

@@ -13,7 +13,11 @@ own O(2^Nd) path: each noise block is summed in place along each axis as
 soon as it is in the grid, axis 0 continued from a carry row.  On two or
 more cores, and when the draw has two blocks or more, a producer thread
 draws its next block into the second of two noise buffers while the
-caller sums the last one.
+caller sums the last one.  The same path can keep only the bottom slab
+x_d <= 2^-n: every noise block is still drawn whole, but only the first
+2^(N-n) cells of the last axis are copied and summed, into a grid of the
+slab alone, with the whole sheet's bits.  A slab is drawn inline: its
+caller, the counterexample runner, pools its draws on every core.
 
 Randomness comes from counter-based Philox streams keyed on
 (seed, replicate), so replicate ensembles are order-independent and
@@ -34,7 +38,7 @@ import numpy as np
 
 from .dyadic import Rectangle
 from .haar import haar_amplitude
-from .increments import GridSample
+from .increments import BottomSlab, GridSample
 
 __all__ = [
     "HurstVector",
@@ -320,9 +324,10 @@ def _noise_buffers(d: int, gen: int, pipelined: bool) -> tuple[int, int]:
 
     A block holds at most _NOISE_BLOCK values, or one row if a row is more;
     both are powers of two, so the blocks share the rows out evenly.  A
-    ``pipelined`` draw, one whose caller works on each block, of two blocks
-    or more, on two cores or more, has two buffers: one for a producer
-    thread to draw ahead into.  Any other draw has one.
+    ``pipelined`` draw, one whose caller works on each block and wants it
+    drawn ahead, of two blocks or more, on two cores or more, has two
+    buffers: one for a producer thread to draw ahead into.  Any other draw
+    has one.
     """
     n = 1 << gen
     rows = min(n, max(1, _NOISE_BLOCK // n ** (d - 1)))
@@ -335,27 +340,36 @@ def _draw_noise(
     scale: float | None = None,
     scratch: np.ndarray | None = None,
     then: Callable[[int, int], None] | None = None,
+    ahead: bool = True,
 ) -> None:
     """Fill ``core`` with iid standard normals, times ``scale`` if given: the values of one draw.
 
-    The draw goes in the axis-0 blocks of ``_noise_buffers`` through its
-    noise buffers, views of the flat ``scratch`` if given, so ``core`` may
-    be a view, such as the interior of a padded grid.  Each block is drawn
+    ``core`` has n = len(core) rows.  From d = 2 its last axis may be cut
+    short, and it then takes the first values along that axis of an
+    (n,)*d draw; at d = 1 a shorter core is a shorter draw, the first
+    values of the stream.  The draw goes in the axis-0 blocks of
+    ``_noise_buffers`` through its noise buffers, views of the flat
+    ``scratch`` if given, so ``core`` may be a view, such as the interior
+    of a padded grid.  Each block is drawn whole
     and scaled in its buffer (a ufunc writing to a strided view would
-    buffer 64 KB on the way), copied into ``core`` and its buffer given
-    back; then ``then(lo, hi)``, if given, runs on the block's rows
-    [lo, hi) of ``core``.  With two buffers a producer thread draws each
-    block into one while the caller takes in and works on the block before
-    it (``Generator.standard_normal`` releases the GIL), and it is joined
+    buffer 64 KB on the way), so the stream keeps its order wherever the
+    last axis is cut; its first ``core.shape[-1]`` values along the last
+    axis are copied into ``core`` and its buffer given back; then
+    ``then(lo, hi)``, if given, runs on the block's rows [lo, hi) of
+    ``core``.  With two buffers a producer thread draws each block into
+    one while the caller takes in and works on the block before it
+    (``Generator.standard_normal`` releases the GIL), and it is joined
     before the draw returns or raises; an error in either thread ends both
     and is raised here.  A draw without ``then`` (the fractional sheet's:
-    there is only the copy to overlap), a one-block draw and one on a
-    single core start no thread.  Either way the blocks hold the values of
-    one whole draw, in order.
+    there is only the copy to overlap), one not drawn ``ahead`` (a bottom
+    slab's, whose caller pools draws on every core), a one-block draw and
+    one on a single core start no thread.  Either way the blocks hold the
+    values of one whole draw, in order.
     """
     n = len(core)
-    rows, count = _noise_buffers(core.ndim, n.bit_length() - 1, then is not None)
-    shape = (rows,) + core.shape[1:]
+    rows, count = _noise_buffers(core.ndim, n.bit_length() - 1, ahead and then is not None)
+    shape = (rows,) + (n,) * (core.ndim - 1)
+    keep = core.shape[-1]
     size = math.prod(shape)
     if scratch is None:
         scratch = np.empty(count * size)
@@ -407,7 +421,7 @@ def _draw_noise(
     try:
         for lo in range(0, n, rows):
             buf = drawn()
-            core[lo : lo + rows] = buf
+            core[lo : lo + rows] = buf[..., :keep]
             done(buf)
             if then is not None:
                 then(lo, lo + rows)
@@ -440,17 +454,20 @@ def _sheet_bytes(d: int, gen: int, factors: int, sheets: int = 1) -> int:
     return factors * 8 * n * (n + width) // 2 + max(build, sheets * (grid + scratch))
 
 
-def _standard_bytes(d: int, gen: int) -> int:
-    """Bytes of the arrays :func:`sample_standard_sheet` holds at most.
+def _standard_bytes(d: int, gen: int, slab: int | None = None) -> int:
+    """Bytes of the arrays :func:`sample_standard_sheet` holds at most, given its ``slab``.
 
-    The grid, the noise buffers and the carry row; from d = 3 on, also the
-    three buffers of ``np.getbufsize()`` values that numpy allocates to
-    add two grid rows, which are strided views of two or more axes there.
+    The grid, or the slab's grid, the noise buffers (one for a slab, which
+    is not drawn ahead) and the carry row; from d = 3 on, also the three
+    buffers of ``np.getbufsize()`` values that numpy allocates to add two
+    grid rows, which are strided views of two or more axes there.
     """
     n = 1 << gen
-    rows, count = _noise_buffers(d, gen, True)
+    cells = n if slab is None else n >> slab
+    rows, count = _noise_buffers(d, gen, slab is None)
+    carry = n ** (d - 2) * cells if d >= 2 else 1
     ufunc = 3 * np.getbufsize() if d >= 3 else 0
-    return 8 * ((n + 1) ** d + (count * rows + 1) * n ** (d - 1) + ufunc)
+    return 8 * ((n + 1) ** (d - 1) * (cells + 1) + count * rows * n ** (d - 1) + carry + ufunc)
 
 
 def sample_sheet(
@@ -495,7 +512,9 @@ def sample_sheet_ensemble(
         yield sample_sheet(H, gen, seed, rep)
 
 
-def sample_standard_sheet(d: int, gen: int, seed: int, replicate: int = 0) -> GridSample:
+def sample_standard_sheet(
+    d: int, gen: int, seed: int, replicate: int = 0, *, slab: int | None = None
+) -> GridSample | BottomSlab:
     """Standard sheet via iid N(0, 2^-Nd) cell increments and cumulative sums.
 
     O(2^Nd) and exactly the H = (1/2, ..., 1/2) grid law.  The noise is
@@ -508,8 +527,19 @@ def sample_standard_sheet(d: int, gen: int, seed: int, replicate: int = 0) -> Gr
     and then one ``np.cumsum`` runs along each further axis.  Every
     element so gets the additions of whole-grid ``np.cumsum`` along each
     axis in turn, in the same order, and the same bits.
+
+    With ``slab=n`` (0 <= n <= N) the result is the :class:`BottomSlab`
+    x_d <= 2^-n: only the first 2^(N-n) cells of the last axis are kept
+    and summed, in a grid of that slab alone.  Every noise block is still
+    drawn whole, so the kept values get the same additions in the same
+    order and equal ``values[..., :2^(N-n)+1]`` of the whole sheet, bit for
+    bit.  A slab is drawn inline, on no producer thread: its caller pools
+    draws on every core.  The whole sheet is this path with every cell kept.
     """
-    full = np.zeros(((1 << gen) + 1,) * d)
+    if slab is not None and not 0 <= slab <= gen:
+        raise ValueError(f"need 0 <= slab <= N, got slab={slab}, N={gen}")
+    n = 1 << gen
+    full = np.zeros((n + 1,) * (d - 1) + ((n if slab is None else n >> slab) + 1,))
     core = full[(slice(1, None),) * d]
     carry = np.empty(core.shape[1:])
 
@@ -527,8 +557,11 @@ def sample_standard_sheet(d: int, gen: int, seed: int, replicate: int = 0) -> Gr
             np.cumsum(block, axis=axis, out=block)
 
     rng = replicate_rng(seed, replicate)
-    _draw_noise(core, rng, haar_amplitude(-gen * d), then=cumulate)  # sd |cell|^(1/2)
-    full.flags.writeable = False  # GridSample takes it over without a copy
+    scale = haar_amplitude(-gen * d)  # sd |cell|^(1/2)
+    _draw_noise(core, rng, scale, then=cumulate, ahead=slab is None)
+    full.flags.writeable = False  # GridSample or BottomSlab takes it over without a copy
+    if slab is not None:
+        return BottomSlab(d, gen, full)
     return GridSample(
         d,
         gen,

@@ -291,6 +291,25 @@ class TestVectorisedScan:
         _, rep = counterexample_figure(f, 1, 5, 0.5)
         assert math.isnan(rep.increment)
 
+    @pytest.mark.parametrize("d, gen", [(1, 8), (2, 6), (3, 5), (4, 3)])
+    def test_slab_scan_matches_whole_sheet_scan(self, d, gen):
+        # A slab x_d <= 2^-m scans as the whole sheet for every n >= m.
+        f = sample_standard_sheet(d, gen, seed=9)
+        for m in range(gen):
+            slab = sample_standard_sheet(d, gen, seed=9, slab=m)
+            for n in range(m, gen):
+                for p_max in sorted({n, gen - 1}):
+                    assert_same_scan(
+                        counterexample_figure(slab, n, p_max, 0.5),
+                        counterexample_figure(f, n, p_max, 0.5),
+                    )
+
+    def test_shallower_slab_raises(self):
+        slab = sample_standard_sheet(2, 5, seed=0, slab=2)
+        counterexample_figure(slab, 2, 4, 0.5)
+        with pytest.raises(ValueError, match="fewer than"):
+            counterexample_figure(slab, 1, 4, 0.5)
+
 
 class TestConfig:
     def test_defaults_fill_in(self):
@@ -353,9 +372,25 @@ class TestConfig:
         assert cfg._memory_estimate() == factor + 8 * 2049**2 + 2 * scratch
         cfg = ExperimentConfig(subcommand="brownian-dichotomy", d=2, N=11)
         assert cfg._memory_estimate() == 8 * (2049**2 + 2 * 2**16 + 2048)
-        cfg = ExperimentConfig(subcommand="counterexample", d=3, N=7, n=2)
-        # and from d = 3 numpy's three ufunc buffers for the additions of strided rows
-        assert cfg._memory_estimate() == 8 * (129**3 + 2 * 2**16 + 128**2 + 3 * 8192)
+        # counterexample without H: per pooling worker (one per core, at most one
+        # per seed) the slab x_d <= 2^-n, 129 x 129 x 33 points, and the larger of
+        # its draw's one noise buffer, carry row and (from d = 3) numpy's three
+        # ufunc buffers for the additions of strided rows, and its scan's finest
+        # cells, their sibling sums, one 2^14-cell chunk and three ufunc buffers
+        slab, cells = 129**2 * 33, 128**2 * 32
+        draw = 8 * (slab + 2**16 + 128 * 32 + 3 * 8192)
+        scan = 8 * (slab + cells + cells // 8 + 2**14 + 3 * 8192)
+        cfg = ExperimentConfig(subcommand="counterexample", d=3, N=7, n=2, seeds=range(20))
+        assert cfg._memory_estimate() == 2 * max(draw, scan) == 2 * scan
+        cfg = ExperimentConfig(subcommand="counterexample", d=3, N=7, n=2)  # one seed
+        assert cfg._memory_estimate() == scan
+        cfg = ExperimentConfig(subcommand="counterexample", d=2, N=11, n=10, seeds=range(4))
+        assert cfg._memory_estimate() == 2 * 8 * (2049 * 3 + 2**16 + 2)  # the draw's
+        # with H, one worker draws whole sheets, as any other fractional run
+        cfg = ExperimentConfig(subcommand="counterexample", d=2, N=11, H=(0.9, 0.9), seeds=range(4))
+        assert cfg._memory_estimate() == (
+            8 * 2048 * (2048 + 256) // 2 + 8 * 2049**2 + 2 * 8 * 2048 * 256
+        )
         cfg = ExperimentConfig(subcommand="simulate", d=2, N=8)  # one block
         assert cfg._memory_estimate() == 8 * (257**2 + 2**16 + 256)
         monkeypatch.setattr(sampler, "_cores", lambda: 1)
@@ -569,3 +604,101 @@ class TestHolderScanRunner:
         )
         experiment.run(cfg)
         assert calls == [3, 3]
+
+
+def counterexample_outputs(out):
+    """Every file a counterexample run wrote but its manifest, which names ``out``."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
+class TestCounterexampleRunner:
+    def test_outputs_do_not_depend_on_the_workers(self, monkeypatch, tmp_path):
+        # 7 seeds: with 3 workers, worker 0 scans seeds 0, 3 and 6, the others two
+        # each.  Threads switch every 10 us instead of every 5 ms.
+        written = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cores in (1, 2, 3):
+                monkeypatch.setattr(sampler, "_cores", lambda: cores)
+                out = tmp_path / str(cores)
+                experiment.run(ExperimentConfig(
+                    subcommand="counterexample", d=3, N=5, n=1, seeds=range(7), out=str(out),
+                ))
+                written.append(counterexample_outputs(out))
+        finally:
+            sys.setswitchinterval(interval)
+        assert written[0] == written[1] == written[2]
+        assert len(written[0]) == 7 + 2
+        for seed in range(7):  # and the figures of whole sheets, in seed order
+            fig, _ = counterexample_figure(sample_standard_sheet(3, 5, seed), 1, 4, 0.5)
+            assert written[0][f"counterexample_figure_seed{seed}.json"] == (
+                fig.to_json() + "\n"
+            ).encode()
+        rows = written[0]["counterexample.csv"].decode().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(7))
+
+    def test_worker_error_raised_after_every_worker_ends(self, monkeypatch, tmp_path):
+        # Seed 1, worker 1's first, fails once workers 0 and 2 are drawing their
+        # first seeds; they end those and stop, so seeds 3.. are never drawn.
+        failed = threading.Event()
+        drawn = []
+        real = experiment.sample_standard_sheet
+
+        def draw(d, gen, seed, **kw):
+            drawn.append(seed)
+            if seed == 1:
+                while len(drawn) < 3:
+                    time.sleep(0.001)
+                failed.set()
+                raise RuntimeError("seed 1")
+            assert failed.wait(60)
+            time.sleep(0.05)  # for worker 1 to record its error
+            return real(d, gen, seed, **kw)
+
+        monkeypatch.setattr(sampler, "_cores", lambda: 3)
+        monkeypatch.setattr(experiment, "sample_standard_sheet", draw)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="seed 1"):
+            experiment.run(ExperimentConfig(
+                subcommand="counterexample", d=2, N=4, n=1, seeds=range(9), out=str(tmp_path),
+            ))
+        assert sorted(drawn) == [0, 1, 2]
+        assert threading.active_count() == baseline
+        assert not (tmp_path / "counterexample.csv").exists()
+
+    def test_pooled_run_starts_no_noise_thread(self, monkeypatch, tmp_path):
+        # Four noise blocks per sheet on two cores: a whole draw would start one.
+        started = []
+        thread = threading.Thread
+
+        class Named(thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+        monkeypatch.setattr(threading, "Thread", Named)
+        experiment.run(ExperimentConfig(
+            subcommand="counterexample", d=2, N=9, n=1, seeds=(0, 1, 2), out=str(tmp_path),
+        ))
+        assert started == ["counterexample-1"]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("d, N, n", [(2, 9, 1), (3, 7, 2)])
+    def test_pooled_run_peaks_within_the_estimate(self, monkeypatch, tmp_path, d, N, n, cores):
+        # The estimate counts arrays only: Python objects, such as the figures'
+        # cubes and the workers' threads, come on top.  A first run imports and
+        # caches what any run would.
+        monkeypatch.setattr(sampler, "_cores", lambda: cores)
+        cfg = ExperimentConfig(
+            subcommand="counterexample", d=d, N=N, n=n, seeds=range(4), out=str(tmp_path)
+        )
+        experiment.run(cfg)
+        tracemalloc.start()
+        try:
+            experiment.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cfg._memory_estimate() + (1 << 18)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from sheetcharge import sampler
 from sheetcharge.dyadic import Rectangle
-from sheetcharge.increments import GridSample, cube_increments
+from sheetcharge.increments import BottomSlab, GridSample, cube_increments
 from sheetcharge.sampler import (
     HurstVector,
     axis_cholesky,
@@ -559,6 +559,63 @@ class TestStandardSheetInPlace:
         assert not values.flags.writeable and values.base is None
         with pytest.raises(ValueError):
             values[1, 1] = 0.0
+
+
+class TestBottomSlab:
+    @pytest.mark.parametrize(
+        "d, gen, block",
+        # default blocks: d1 N17 is two, d2 N9 four, d3 N7 thirty-two, d4 N5
+        # sixteen of two rows; blocks of 4 values hold 4 points (d1) or one row
+        [(1, 17, None), (1, 10, 4), (2, 9, None), (2, 6, 4), (3, 7, None), (3, 4, 4),
+         (4, 5, None), (4, 3, 4)],
+    )
+    def test_slab_is_the_whole_sheet_cut_bit_for_bit(self, monkeypatch, d, gen, block):
+        # Every noise block is drawn whole, so the kept values get the whole
+        # sheet's additions in the same order.
+        if block is not None:
+            monkeypatch.setattr(sampler, "_NOISE_BLOCK", block)
+        for cores in (1, 2):  # the whole sheet drawn inline, and one block ahead
+            monkeypatch.setattr(sampler, "_cores", lambda: cores)
+            whole = sample_standard_sheet(d, gen, seed=5, replicate=1).values
+            for n in sorted({0, 1, gen - 1}):
+                slab = sample_standard_sheet(d, gen, seed=5, replicate=1, slab=n)
+                cut = (1 << (gen - n)) + 1
+                assert isinstance(slab, BottomSlab) and (slab.dim, slab.gen) == (d, gen)
+                assert slab.values.shape == ((1 << gen) + 1,) * (d - 1) + (cut,)
+                got, want = slab.values.view(np.int64), whole[..., :cut].view(np.int64)
+                assert np.array_equal(got, want), (cores, n)
+
+    def test_slab_draw_starts_no_thread(self, monkeypatch, noise_threads):
+        # Four blocks on two cores: the whole sheet draws ahead, a slab inline.
+        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+        sample_standard_sheet(2, 9, seed=0, slab=1)
+        sample_standard_sheet(2, 9, seed=0, slab=0)
+        assert noise_threads() == []
+        sample_standard_sheet(2, 9, seed=0)
+        assert noise_threads() == ["noise-draw"]
+
+    def test_slab_values_read_only_and_owned(self):
+        values = sample_standard_sheet(3, 4, seed=1, slab=2).values
+        assert not values.flags.writeable and values.base is None
+
+    @pytest.mark.parametrize("slab", [-1, 5])
+    def test_slab_outside_the_grid_raises(self, slab):
+        with pytest.raises(ValueError, match="0 <= slab <= N"):
+            sample_standard_sheet(2, 4, seed=0, slab=slab)
+
+    @pytest.mark.parametrize(
+        "shape", [(17, 4), (17, 18), (17, 33), (16, 5), (17,), (17, 1), ()],
+        ids=["cut-3", "cut-17", "over", "short-axis", "flat", "no-cell", "scalar"],
+    )
+    def test_bad_slab_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a slab"):
+            BottomSlab(2, 4, np.zeros(shape))
+
+    def test_slab_copies_a_writeable_array(self):
+        values = np.zeros((5, 3))
+        slab = BottomSlab(2, 2, values)
+        values[1, 1] = 1.0
+        assert not slab.values.any() and not slab.values.flags.writeable
 
 
 class TestAxisFactorCache:
