@@ -35,6 +35,8 @@ from .criteria import (  # noqa: F401
     _MIN_COUNT,
     _holder_ratios,
     _level_max_abs,
+    _level_max_bytes,
+    _streamed_bytes,
     _streamed_report,
     build_report,
     moment_scaling_fit,
@@ -49,6 +51,7 @@ from .increments import (  # noqa: F401
 )
 from .sampler import (
     HurstVector,
+    _leaf_bytes,
     _sheet_bytes,
     _standard_bytes,
     _workers,
@@ -76,6 +79,12 @@ class ConfigError(ValueError):
 
 _NEEDS_H = ("covariance-check", "fractional-criteria", "moment-scaling")
 _PICKER_STREAM = 10**6  # covariance-check draws its pairs from replicate_rng(seed, this)
+# Bytes the analysis of one sheet holds beside its grid, by subcommand: (d, N, M) -> bytes.
+_ANALYSIS_BYTES = {
+    "brownian-dichotomy": _streamed_bytes,
+    "fractional-criteria": _streamed_bytes,
+    "holder-scan": _level_max_bytes,
+}
 
 
 def _check(name: str, value, kind: type = numbers.Integral) -> None:
@@ -237,8 +246,10 @@ class ExperimentConfig:
         moment-scaling a grid and its scratch arrays, beside the pooled
         samples; for counterexample without H the bottom slab's grid and
         the larger of its draw's noise buffer and carry row and its scan's
-        cells.  N and d are capped at 64 so the integers stay small: any
-        capped estimate is already above 2^64 bytes.
+        cells.  For a subcommand in _ANALYSIS_BYTES, the larger of that and
+        what its analysis holds after the draw, beside the grid and any
+        cached factor leaves.  N and d are capped at 64 so the integers
+        stay small: any capped estimate is already above 2^64 bytes.
         """
         gen, d = min(self.N, 64), min(self.d, 64)
         workers = self._pool_workers()
@@ -251,6 +262,11 @@ class ExperimentConfig:
             need = _standard_bytes(d, gen)
         else:
             need = _sheet_bytes(d, gen, len(set(self.H)), workers)
+        analysis = _ANALYSIS_BYTES.get(self.subcommand)
+        if analysis is not None:  # after the draw, beside the grid and any cached leaves
+            leaves = 0 if self.H is None else _leaf_bytes(gen, len(set(self.H)))
+            grid = 8 * ((1 << gen) + 1) ** d
+            need = max(need, leaves + grid + analysis(d, gen, min(self.M, gen - 1)))
         if self.subcommand == "moment-scaling":
             need += 8 * self.replicates * sum(1 << min(n * d, 64) for n in self._moment_gens())
         return min(need, 1 << 64)

@@ -9,7 +9,9 @@ the grid, or any box of it, into finest-cell increments one axis-0 slab
 at a time, and :func:`_morton_tiles` turns the grid into Morton-order
 ones one Morton-contiguous tile at a time; :func:`_coarsen` sums the 2^d
 siblings of every parent in chunks; :func:`_pyramid` and
-:func:`_tiled_pyramid` yield the levels finest first.  A level is either a lexicographic array or a
+:func:`_tiled_pyramid` yield the levels finest first, the latter each
+Morton tile summed down inside itself through its finest generations, so
+none of those exists whole.  A level is either a lexicographic array or a
 flat Morton-order one, chosen by what the caller reads, and both layouts
 hold the same bits.  Equality with the 2^d-corner alternating sum is a
 test, not an assumption.
@@ -59,6 +61,11 @@ _CHUNK_BITS = 14
 _CHUNK_ROWS = 1 << _CHUNK_BITS
 _LEVEL_SHARE = 16
 _MIN_PIECE = 1 << 12
+# numpy sums a float64 array pairwise, in leaves of at most 2^_LEAF_BITS values,
+# so a run of 2^k >= 2^_LEAF_BITS values that starts at a multiple of 2^k sums
+# as one subtree of its whole array.  A tile's parents are never fewer, and a
+# generation summed inside the tiles has at least that many parents per tile.
+_LEAF_BITS = 7
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -167,22 +174,53 @@ def _piece_cells(cap: int, level_cells: int) -> int:
     return min(cap, max(_MIN_PIECE, level_cells // _LEVEL_SHARE))
 
 
-def _tile_order(d: int, bits: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Box of the lowest ``bits`` Morton bits of a d-dimensional cell array, and its order.
+def _tile_bits(d: int, gen: int) -> int:
+    """Morton bits of a tile of :func:`_morton_tiles`: the children of 2^_CHUNK_BITS
+    parents (at least 2^_LEAF_BITS), or the whole finest level if that is smaller."""
+    return min(max(_CHUNK_BITS, _LEAF_BITS) + d, gen * d)
+
+
+def _block_rows(d: int, gen: int, max_gen: int) -> int:
+    """Rows of the largest block :func:`_coefficient_levels` yields: a tile's parents,
+    or all of generation ``max_gen`` if they are fewer."""
+    return min(1 << (_tile_bits(d, gen) - d), 1 << (max_gen * d))
+
+
+def _tiled_low(d: int, gen: int) -> int:
+    """The coarsest generation :func:`_tiled_pyramid` sums inside its tiles.
+
+    A tile holds 2^(bits - (gen - m) d) cells of generation m; it is summed
+    down to each generation m < gen whose share holds the children of
+    2^_LEAF_BITS parents or more.
+    """
+    return gen - max(0, (_tile_bits(d, gen) - _LEAF_BITS) // d - 1)
+
+
+def _tile_shape(d: int, bits: int) -> tuple[int, ...]:
+    """Shape of the box of the lowest ``bits`` Morton bits of a d-dimensional cell array.
 
     The box holds the first 2^bits Morton cells of a cube of ``side`` =
     ceil(bits / d) bits per axis, whose top ``side * d - bits`` Morton bits
-    (the top bits of the axes from ``bits % d`` on) are zero.  Returns the
-    box's shape and, for each of its cells in Morton order, its flat
-    lexicographic position in the box: :func:`_morton_axes` of the cube
-    without those top bits.
+    (the top bits of the axes from ``bits % d`` on) are zero.
+    """
+    side = -(-bits // d)
+    top = side * d - bits
+    return tuple(1 << (side - (d - 1 - i < top)) for i in range(d))
+
+
+def _tile_order(d: int, bits: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The box of :func:`_tile_shape`, and its order.
+
+    Returns the box's shape and, for each of its cells in Morton order,
+    its flat lexicographic position in the box: :func:`_morton_axes` of
+    the cube without the box's zero top bits.
     """
     side = -(-bits // d)
     top = side * d - bits
     axes = [a - top for a in _morton_axes(d, side) if a >= top]
-    shape = tuple(1 << (side - (d - 1 - i < top)) for i in range(d))
+    shape = _tile_shape(d, bits)
+    # Writeable: np.take copies an index array that is not, once per call.
     order = np.arange(1 << bits).reshape((2,) * bits).transpose(np.argsort(axes)).reshape(-1)
-    order.flags.writeable = False
     return shape, order
 
 
@@ -208,23 +246,20 @@ def _box_differ(cells: tuple[int, ...], dtype) -> Callable[[np.ndarray, np.ndarr
     return differ
 
 
-def _morton_tiles(
-    values: np.ndarray, parent: np.ndarray | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
+def _morton_tiles(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Finest-cell increments of the cube grid ``values``, one Morton-contiguous tile at a time.
 
-    A tile is the box of the lowest min(_CHUNK_BITS + d, Nd) Morton bits
-    (256 x 256 cells at d = 2, 64 x 64 x 32 at d = 3), the children of
-    _CHUNK_ROWS parents.  Its box of grid points is differenced along every
-    axis and gathered into Morton order, and ``(lo, cells)`` is yielded:
-    the Morton cells lo, lo + 1, ... of the level.  ``cells`` is one
-    buffer, overwritten by the next tile.  With ``parent``, the flat Morton
-    array of the generation above, each tile's sibling sums are written
-    into its slice of ``parent`` before the tile is yielded.
+    A tile is the box of the lowest :func:`_tile_bits` Morton bits (256 x
+    256 cells at d = 2, 64 x 64 x 32 at d = 3), the children of
+    2^_CHUNK_BITS parents.  Its box of grid points is differenced along
+    every axis and gathered into Morton order, and ``(lo, cells)`` is
+    yielded: the Morton cells lo, lo + 1, ... of the level.  ``cells`` is
+    one buffer, overwritten by the next tile, and a pass allocates nothing
+    once the first tile is yielded.
     """
     d = values.ndim
     gen = (values.shape[0] - 1).bit_length() - 1
-    bits = min(_CHUNK_BITS + d, gen * d)
+    bits = _tile_bits(d, gen)
     shape, order = _tile_order(d, bits)
     differ = _box_differ(shape, values.dtype)
     lex, cells = np.empty(shape, dtype=values.dtype), np.empty(1 << bits, dtype=values.dtype)
@@ -232,8 +267,6 @@ def _morton_tiles(
         corner = morton_decode(lo, d, gen)
         differ(values[tuple(slice(c, c + m + 1) for c, m in zip(corner, shape))], lex)
         np.take(lex.reshape(-1), order, out=cells, mode="clip")  # every index is in range
-        if parent is not None:
-            _coarsen(cells, d, out=parent[lo >> d : (lo >> d) + (len(cells) >> d)])
         yield lo, cells
 
 
@@ -254,7 +287,12 @@ def _difference(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coarsen(cells: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+def _coarsen(
+    cells: np.ndarray,
+    d: int,
+    out: np.ndarray | None = None,
+    scratch: list[np.ndarray] | None = None,
+) -> np.ndarray:
     """Sum the 2^d sibling cells of every parent: one generation up along every axis.
 
     ``cells`` is a d-dimensional lexicographic level or a flat Morton-order
@@ -267,8 +305,11 @@ def _coarsen(cells: np.ndarray, d: int, out: np.ndarray | None = None) -> np.nda
     Morton level, child axis i is bit 2^i of a parent's child digit, so
     each step adds the upper half of the remaining sibling columns of
     ``cells.reshape(-1, 2^d)`` to the lower half, column by column, as long
-    strided 1-D sums.  The parents go to ``out`` if given; ``cells`` is then
-    a tile of :func:`_morton_tiles`, small enough to be summed in one chunk.
+    strided 1-D sums into 2(d - 1) scratch arrays of a chunk's parents
+    (see :func:`_add_siblings`).  The parents go to ``out`` if given;
+    ``cells`` is then a piece of :func:`_tiled_pyramid`, summed in one
+    chunk through the arrays of ``scratch``, each at least as long as
+    ``out``, so a stream of pieces allocates nothing.
     """
     morton = cells.ndim != d
     if morton:
@@ -284,23 +325,44 @@ def _coarsen(cells: np.ndarray, d: int, out: np.ndarray | None = None) -> np.nda
         step = max(1, (chunk_cells >> (d - 1)) // math.prod(parent_shape[1:]))
     else:
         parent, step = out, len(out)
+    if morton and scratch is None:
+        scratch = [np.empty(min(step, len(parent)), dtype=cells.dtype) for _ in range(2 * d - 2)]
     for lo in range(0, len(parent), step):
+        dest = parent[lo : lo + step]
         if morton:
-            part = [kids[lo : lo + step, k] for k in range(1 << d)]
-            while len(part) > 2:
-                half = len(part) // 2
-                part = [part[k] + part[half + k] for k in range(half)]
+            _add_siblings(kids[lo : lo + step], dest, [s[: len(dest)] for s in scratch])
         else:
             part = kids[lo : lo + step]
             for _ in range(d - 1):
                 part = part[..., 0] + part[..., 1]
-            part = [part[..., 0], part[..., 1]]
-        dest = parent[lo : lo + step]
-        np.add(part[0], part[1], out=dest)
+            np.add(part[..., 0], part[..., 1], out=dest)
         if dest.dtype.kind == "f":
             # A reduce-sum starts from +0.0, so it never returns -0.0; -0.0 + -0.0 does.
             dest += 0.0
     return parent
+
+
+def _add_siblings(
+    kids: np.ndarray, out: np.ndarray, scratch: list[np.ndarray], k: int = 0, step: int = 1
+) -> None:
+    """Write partial sum ``k`` of stride ``step`` of the halvings of ``kids``'s columns to ``out``.
+
+    The halvings add column k + 2^(d-1) to column k for every k < 2^(d-1),
+    then the upper half of those sums to the lower half and so on, until
+    one column is left.  Partial sum k of stride s is the sum over the
+    columns k + s*j, its left half (k, 2s) plus its right half (k + s, 2s).
+    It is worked out depth first, the halves of stride 2s in the pair
+    ``scratch[2 log2 s : 2 log2 s + 2]``, so nothing is allocated.  No sum
+    goes into one of its own terms: numpy's in-place add of one value can
+    give a NaN another sign.
+    """
+    if step == kids.shape[1] >> 1:
+        np.add(kids[:, k], kids[:, k + step], out=out)
+        return
+    left, right = scratch[2 * step.bit_length() - 2 : 2 * step.bit_length()]
+    _add_siblings(kids, left, scratch, k, 2 * step)
+    _add_siblings(kids, right, scratch, k + step, 2 * step)
+    np.add(left, right, out=out)
 
 
 def _levels(cells: np.ndarray, d: int, gen: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -330,22 +392,44 @@ def _pyramid(values: np.ndarray, gen: int, stop: int) -> Iterator[tuple[int, np.
 def _tiled_pyramid(values: np.ndarray, stop: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Morton cell increments of the cube grid ``values`` for generations N down to ``stop``.
 
-    Yields ``(n, lo, cells)``, the cells lo, lo + 1, ... of generation n:
-    generation N one tile of :func:`_morton_tiles` at a time, each summed
-    into its slice of generation N-1 first, so the finest level never
-    exists whole; then every coarser generation whole (lo = 0), as
-    :func:`_levels` yields it.
+    Yields ``(n, lo, cells)``, the cells lo, lo + 1, ... of generation n.
+    Each tile of :func:`_morton_tiles` is summed down inside itself, one
+    generation at a time, as long as its share of the next generation
+    holds the children of 2^_LEAF_BITS parents or more: the tile, then its
+    share of each such generation, is yielded, each share in a buffer of
+    its own that the next tile overwrites.  The tile's share of the
+    generation below the last of them is written into its slice of a whole
+    level, and that generation and every coarser one are yielded whole
+    (lo = 0), as :func:`_levels` yields them.  So a generation comes in
+    Morton order, in pieces of one size, and the first one that exists
+    whole is generation N-4 at d = 2 (N-3 at d = 3, N-2 at d = 4) on a grid
+    of many tiles.  Every piece is summed into the next generation before
+    it is yielded, so a consumer may overwrite it.
     """
     d, gen = values.ndim, (values.shape[0] - 1).bit_length() - 1
-    parent = np.empty(1 << ((gen - 1) * d), dtype=values.dtype) if stop < gen else None
-    tiles = _morton_tiles(values, parent)
+    bits, low = _tile_bits(d, gen), max(stop, _tiled_low(d, gen))
+    pieces = [np.empty(1 << (bits - k * d), dtype=values.dtype) for k in range(1, gen - low + 1)]
+    whole = np.empty(1 << ((low - 1) * d), dtype=values.dtype) if stop < low else None
+    scratch = [np.empty(1 << max(0, bits - d), dtype=values.dtype) for _ in range(2 * d - 2)]
+    tiles = _morton_tiles(values)
     del values  # the tiles hold the grid until the last one is differenced
     for lo, cells in tiles:
-        yield gen, lo, cells
-    del tiles, cells
-    if parent is not None:
-        levels = _levels(parent, d, gen - 1, stop)
-        del parent
+        for k, m in enumerate(range(gen, low - 1, -1)):
+            if m > low:
+                parent = pieces[k]
+            elif whole is not None:
+                start = lo >> ((k + 1) * d)
+                parent = whole[start : start + (len(cells) >> d)]
+            else:
+                parent = None
+            if parent is not None:
+                _coarsen(cells, d, out=parent, scratch=scratch)
+            yield m, lo >> (k * d), cells
+            cells = parent
+    del tiles, cells, pieces
+    if whole is not None:
+        levels = _levels(whole, d, low - 1, stop)
+        del whole
         for n, cells in levels:
             yield n, 0, cells
             del cells
@@ -432,29 +516,80 @@ def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, int,
     Yields ``(n, lo, full)``: row i of ``full`` is row lo + i of generation
     n's (2^(nd), 2^d) product, the child block of generation-n cube lo + i
     times ``haar_matrix(d)`` and 2^(nd/2), so ``full[:, 1:]`` holds
-    coefficients.  A block is one product of at most ``_CHUNK_ROWS`` rows,
-    an exact one by the object matrix and pow2_half(nd), any other as
-    float64.  The children come from :func:`_tiled_pyramid`, so those of
-    generation N-1 are the tiles of the grid and never exist whole.  A
-    consumer may overwrite ``full`` and should drop it before asking for
-    the next block.
+    coefficients.  A block is one product of a piece of
+    :func:`_tiled_pyramid`, or of at most :func:`_block_rows` rows of a
+    whole level, an exact one by the object matrix and pow2_half(nd), any
+    other as float64, into one buffer that the next block overwrites.  So
+    the finest generations are products of the pyramid's tiles and their
+    shares, generation by generation inside each tile, and never exist
+    whole.  Each generation's blocks come in row order and have one size,
+    a power of two that is at least 2^_LEAF_BITS rows or all of the
+    generation; the blocks of different generations interleave.
     """
     d, exact = f.dim, f.is_exact
     mat = haar_matrix(d).astype(object if exact else float)
+    rows = 1 << (_tile_bits(d, f.gen) - d)  # a tile's parents: no piece is larger
+    full = np.empty((_block_rows(d, f.gen, max_gen), 1 << d), dtype=mat.dtype)
     pyramid = _tiled_pyramid(f.values, 1)
     del f  # the pyramid holds the grid until its last tile is differenced
     for m, row, cells in pyramid:
         n = m - 1
         if n <= max_gen:
             kids, amp = cells.reshape(-1, 1 << d), haar_amplitude(n * d, exact)
-            for lo in range(0, len(kids), _CHUNK_ROWS):
-                block = kids[lo : lo + _CHUNK_ROWS]
-                full = (block if exact else np.asarray(block, dtype=float)) @ mat
-                full *= amp
-                yield n, (row >> d) + lo, full
-                del full
+            for lo in range(0, len(kids), rows):
+                block = kids[lo : lo + rows]
+                out = full[: len(block)]
+                np.matmul(block if exact else np.asarray(block, dtype=float), mat, out=out)
+                out *= amp
+                yield n, (row >> d) + lo, out
             del kids
         del cells  # not alive while the next level is summed
+
+
+def _coefficient_bytes(d: int, gen: int, max_gen: int) -> int:
+    """Bytes :func:`_coefficient_levels` of a float grid holds beside the grid, at most.
+
+    A tile's box of cells and the d - 1 intermediate arrays of its
+    differencing (each at most its box of grid points), its cells in
+    Morton order and their int64 order; the tile's shares of the
+    generations summed inside it (each 1/2^d of the one before) and the
+    2(d - 1) scratch arrays of its parents; the whole level below them,
+    with the parent and scratch arrays :func:`_levels` sums it through;
+    the product buffer; and numpy's three ufunc buffers for additions of
+    strided operands.
+    """
+    bits = _tile_bits(d, gen)
+    tile, points = 1 << bits, math.prod(m + 1 for m in _tile_shape(d, bits))
+    low = _tiled_low(d, gen)
+    whole = 1 << ((low - 1) * d) if low > 1 else 0
+    cells = (
+        d * points
+        + 2 * tile
+        + (tile >> (d - 1))  # the shares: 1/2^d + 1/4^d + ... of a tile
+        + 2 * (d - 1) * (tile >> d)
+        + whole
+        + (2 * d - 1) * (whole >> d)
+        + (_block_rows(d, gen, max_gen) << d)
+        + 3 * np.getbufsize()
+    )
+    return 8 * cells
+
+
+def _levels_bytes(d: int, gen: int, max_gen: int) -> int:
+    """Bytes :func:`increment_levels` of a float grid holds beside the grid, at most.
+
+    Every level it returns (generations 0..``max_gen``) and the finest
+    level, which is alive while its parent is summed; the d - 1
+    intermediate arrays of one slab's differencing, each at most the
+    slab's grid points; and a chunk's partial sums with numpy's three
+    ufunc buffers for their strided additions.
+    """
+    row = 1 << (gen * (d - 1))
+    rows = min(1 << gen, max(1, _piece_cells(1 << _SLAB_BITS, 1 << (gen * d)) // row))
+    slab = (rows + 1) * ((1 << gen) + 1) ** (d - 1)
+    chunk = _piece_cells(_CHUNK_ROWS, 1 << (gen * d))
+    levels = sum(1 << (n * d) for n in range(max_gen + 1))
+    return 8 * (levels + (1 << (gen * d)) + (d - 1) * slab + chunk + 3 * np.getbufsize())
 
 
 def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
@@ -477,7 +612,6 @@ def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
     ]
     for n, lo, full in _coefficient_levels(f, max_gen):
         levels[n][lo : lo + len(full)] = full[:, 1:]
-        del full
     for lev in levels:
         lev.flags.writeable = False  # CoefficientTable takes it over without a copy
     return CoefficientTable(f.dim, max_gen, f.corner_value(), tuple(levels))

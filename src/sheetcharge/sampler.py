@@ -451,7 +451,13 @@ def _sheet_bytes(d: int, gen: int, factors: int, sheets: int = 1) -> int:
     build = 8 * n * (width + 8)
     grid = 8 * (n + 1) ** d
     scratch = 8 * _workers(n) * _scratch_size(d, gen)
-    return factors * 8 * n * (n + width) // 2 + max(build, sheets * (grid + scratch))
+    return _leaf_bytes(gen, factors) + max(build, sheets * (grid + scratch))
+
+
+def _leaf_bytes(gen: int, factors: int) -> int:
+    """Bytes of the cached leaves of the factors of ``factors`` distinct exponents."""
+    n, width = 1 << gen, min(1 << gen, _LEAF_ROWS)
+    return factors * 8 * n * (n + width) // 2
 
 
 def _standard_bytes(d: int, gen: int, slab: int | None = None) -> int:

@@ -47,6 +47,19 @@ def awkward_grid(d, gen, seed):
     return GridSample(d, gen, values)
 
 
+def scattered_grid(d, gen, seed):
+    """:func:`awkward_grid` with -0.0, NaN and infinities also at a few random interior points.
+
+    So that at small tiles many tiles, not only the first, hold a special value.
+    """
+    values = awkward_grid(d, gen, seed).values.copy()
+    rng = np.random.default_rng(seed)
+    interior = values[(slice(1, None),) * d]
+    picks = rng.integers(0, interior.size, size=6)
+    interior.flat[picks] = rng.choice([-0.0, np.nan, np.inf, -np.inf], size=len(picks))
+    return GridSample(d, gen, values)
+
+
 def axis_kernel_matrix(h: float, gen: int) -> np.ndarray:
     """Kernel matrix on the interior grid points j/2^N, j = 1..2^N."""
     t = np.arange(1, (1 << gen) + 1, dtype=float) / (1 << gen)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sheetcharge import criteria
+from sheetcharge import criteria, increments
 from sheetcharge.criteria import CriterionReport, _streamed_report, build_report, moment_scaling_fit
 from sheetcharge.haar import HaarIndex, haar_primitive_grid
 from sheetcharge.increments import CoefficientTable, GridSample, coefficient_table
@@ -20,6 +20,7 @@ from helpers import (
     holder_ratio,
     holder_ratio_by_level,
     product_grid,
+    scattered_grid,
     zero_grid,
 )
 
@@ -347,13 +348,42 @@ class TestStreamedReport:
             assert np.array_equal(np.array(a).view(np.int64), np.array(b).view(np.int64)), name
         assert (got.dim, got.max_gen) == (want.dim, want.max_gen)
 
+    @pytest.mark.parametrize("chunk_bits", [3, 7, 9])
+    @pytest.mark.parametrize(
+        "f",
+        [
+            pytest.param(sample_standard_sheet(1, 12, seed=20), id="standard-d1"),
+            pytest.param(sample_sheet((0.7,), 12, seed=21), id="fractional-d1"),
+            pytest.param(sample_standard_sheet(2, 7, seed=22), id="standard-d2"),
+            pytest.param(sample_sheet((0.6, 0.9), 7, seed=23), id="fractional-d2"),
+            pytest.param(sample_standard_sheet(3, 5, seed=24), id="standard-d3"),
+            pytest.param(sample_sheet((0.7, 0.8, 0.9), 5, seed=25), id="fractional-d3"),
+            pytest.param(sample_standard_sheet(4, 4, seed=26), id="standard-d4"),
+            pytest.param(sample_sheet((0.6, 0.7, 0.8, 0.9), 4, seed=27), id="fractional-d4"),
+        ]
+        + [pytest.param(scattered_grid(d, gen, seed=d), id=f"nonfinite-d{d}")
+           for d, gen in [(1, 12), (2, 7), (3, 5), (4, 4)]],
+    )
+    def test_small_tiles_bit_identical_for_every_horizon(self, monkeypatch, f, chunk_bits):
+        # 16 to 32 tiles of the children of 2^7 parents (3 tiles as 7 does) or 8 of
+        # 2^9: generations summed inside the tiles in blocks of 2^7 rows and more,
+        # whole levels in blocks of 2^7 or 2^9 rows and in single smaller blocks.
+        monkeypatch.setattr(increments, "_CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(increments, "_CHUNK_ROWS", 1 << chunk_bits)
+        for max_gen in range(f.gen):
+            got = _streamed_report(f, max_gen)
+            want = build_report(coefficient_table(f, max_gen))
+            for name in REPORT_STATS:
+                a, b = np.array(getattr(got, name)), np.array(getattr(want, name))
+                assert np.array_equal(a.view(np.int64), b.view(np.int64)), (max_gen, name)
+
     def test_horizon_validated_as_the_table_is(self):
         with pytest.raises(ValueError, match="need grid generation > 3"):
             _streamed_report(zero_grid(2, 3), 3)
 
-    def test_peak_at_most_three_quarters_of_a_grid_above_the_grid(self):
-        # The finest cells never exist whole: the parent level and the stored
-        # |type-1| column of the finest coefficients take a quarter grid each.
+    def test_peak_at_most_a_quarter_grid_above_the_grid(self):
+        # Neither the finest generations nor a whole |type-1| column exists:
+        # the pass holds about a tile's arrays, 0.11 grids.
         f = sample_standard_sheet(2, 11, seed=0)
         tracemalloc.start()
         try:
@@ -361,7 +391,7 @@ class TestStreamedReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.75 * f.values.nbytes
+        assert peak <= 0.25 * f.values.nbytes
 
     @pytest.mark.skipif(
         sys.version_info < (3, 11),
@@ -369,7 +399,7 @@ class TestStreamedReport:
     )
     def test_sheet_handed_over_is_freed_after_its_finest_level(self):
         # Draw and pass together hold at most about two grids: the grid goes
-        # once its last tile is differenced, before any coarser level is summed.
+        # once its last tile is differenced, before any whole level is summed.
         grid = 8 * ((1 << 11) + 1) ** 2
         sample_sheet((0.9, 0.9), 11, seed=0)  # factors the kernel outside the trace
         tracemalloc.start()
@@ -384,9 +414,9 @@ class TestStreamedReport:
         sys.version_info < (3, 11),
         reason="before 3.11 the caller holds a temporary argument until the call returns",
     )
-    def test_white_noise_sheet_handed_over_peaks_below_one_and_three_quarter_grids(self):
-        # The draw holds one grid; the pass adds its parent level and type-1
-        # column while the grid is alive, and the grid goes after the last tile.
+    def test_white_noise_sheet_handed_over_peaks_below_1_2_grids(self):
+        # The draw holds one grid; the pass adds about a tile's arrays (0.11
+        # grids) while the grid is alive, and the grid goes after the last tile.
         grid = 8 * ((1 << 11) + 1) ** 2
         tracemalloc.start()
         try:
@@ -394,4 +424,4 @@ class TestStreamedReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * grid
+        assert peak <= 1.2 * grid

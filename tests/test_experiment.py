@@ -370,8 +370,28 @@ class TestConfig:
         cfg = ExperimentConfig(subcommand="fractional-criteria", d=2, N=11, H=(0.9, 0.9))
         factor, scratch = 8 * 2048 * (2048 + 256) // 2, 8 * 2048 * 256
         assert cfg._memory_estimate() == factor + 8 * 2049**2 + 2 * scratch
+        # brownian-dichotomy: the grid and the criteria pass beside it, which
+        # outweighs the draw's noise buffers: a 256 x 256 tile's box and one
+        # differencing array (each at most 257 x 257), its Morton cells and order,
+        # its shares of generations 10, 9 and 8 (at most half a tile), two
+        # scratch arrays of its parents, the whole generation-7 level with its
+        # parent and two scratch arrays, the 2^14 x 4 product, numpy's three
+        # ufunc buffers and the 2^14 + 1 rows of three |coefficients|
+        tile, whole = 2**16, 4**7
+        streamed = (
+            2 * 257**2 + 2 * tile + tile // 2 + 2 * tile // 4 + whole + 3 * whole // 4
+            + 4 * 2**14 + 3 * 8192 + 3 * (2**14 + 1)
+        )
         cfg = ExperimentConfig(subcommand="brownian-dichotomy", d=2, N=11)
-        assert cfg._memory_estimate() == 8 * (2049**2 + 2 * 2**16 + 2048)
+        assert cfg._memory_estimate() == 8 * (2049**2 + streamed)
+        # holder-scan: the grid and its lexicographic pyramid: generations 0..9
+        # and the finest, a 32-row slab's differencing array, a 2^14-cell chunk
+        # and three ufunc buffers, and |cells| of generation 9
+        levels = sum(4**n for n in range(10)) + 4**10
+        cfg = ExperimentConfig(subcommand="holder-scan", d=2, N=10)
+        assert cfg._memory_estimate() == 8 * (
+            1025**2 + levels + 33 * 1025 + 2**14 + 3 * 8192 + 4**9
+        )
         # counterexample without H: per pooling worker (one per core, at most one
         # per seed) the slab x_d <= 2^-n, 129 x 129 x 33 points, and the larger of
         # its draw's one noise buffer, carry row and (from d = 3) numpy's three
@@ -395,6 +415,8 @@ class TestConfig:
         assert cfg._memory_estimate() == 8 * (257**2 + 2**16 + 256)
         monkeypatch.setattr(sampler, "_cores", lambda: 1)
         cfg = ExperimentConfig(subcommand="brownian-dichotomy", d=2, N=11)
+        assert cfg._memory_estimate() == 8 * (2049**2 + streamed)
+        cfg = ExperimentConfig(subcommand="simulate", d=2, N=11)  # no pass: the draw's
         assert cfg._memory_estimate() == 8 * (2049**2 + 2**16 + 2048)
         # at d = 1 the chunk of 256 summed rows that builds the leaves outweighs the grid
         cfg = ExperimentConfig(subcommand="simulate", d=1, N=13, H=(0.7,))
@@ -430,6 +452,28 @@ class TestConfig:
             tracemalloc.stop()
             sampler._axis_factor.cache_clear()
         assert peak <= cfg._memory_estimate() + (1 << 16)
+
+    @pytest.mark.parametrize(
+        "subcommand, d, N, H",
+        [
+            (sub, d, N, H)
+            for d, N, H in [(2, 10, (0.7, 0.8)), (3, 6, (0.6, 0.7, 0.8))]
+            for sub, H in [("brownian-dichotomy", None), ("fractional-criteria", H),
+                           ("holder-scan", None)]
+        ],
+    )
+    def test_memory_estimate_covers_a_run(self, tmp_path, subcommand, d, N, H):
+        # A second run in one process: the first built the factors and imported
+        # what a run imports.  The estimate counts the analysis beside the grid.
+        cfg = ExperimentConfig(subcommand=subcommand, d=d, N=N, H=H, out=str(tmp_path))
+        experiment.run(cfg)
+        tracemalloc.start()
+        try:
+            experiment.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cfg._memory_estimate()
 
     def test_version_matches_pyproject(self):
         # the manifest records __version__; the package metadata must say the same

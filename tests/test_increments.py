@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sheetcharge import increments
 from sheetcharge.dyadic import DyadicCube, Figure, Rectangle, lex_to_morton
 from sheetcharge.exact import Rad2, pow2_half
 from sheetcharge.haar import haar_indices_up_to, haar_matrix, haar_primitive_grid
@@ -14,6 +15,7 @@ from sheetcharge.increments import (
     GridSample,
     _coarsen,
     _difference,
+    _morton_tiles,
     _tiled_pyramid,
     coefficient_table,
     cube_increments,
@@ -25,7 +27,7 @@ from sheetcharge.increments import (
 )
 from sheetcharge.sampler import sample_sheet, sample_standard_sheet
 
-from helpers import awkward_grid, product_grid, whole_grid_cells, zero_grid
+from helpers import awkward_grid, product_grid, scattered_grid, whole_grid_cells, zero_grid
 
 
 def frac_rect(lo, hi):
@@ -598,10 +600,14 @@ class TestMortonPyramid:
             self.assert_bits(cells, want[n][lo : lo + len(cells)])
             seen.append((n, lo, len(cells)))
             cells[...] = 7  # the parent level was summed before this one was yielded
-        tile = seen[0][2]  # the finest level comes tile by tile, every coarser one whole
+        # Each tile is yielded with its shares of the generations that hold the
+        # children of 2^7 parents or more per tile; every coarser generation whole.
+        d, tile, tiles = f.dim, seen[0][2], len(want[f.gen]) // seen[0][2]
+        share = [tile >> ((f.gen - m) * d) for m in range(f.gen + 1)]  # a tile's cells of m
+        deep = [m for m in range(f.gen, -1, -1) if m == f.gen or share[m] >= 1 << (7 + d)]
         assert [(n, lo) for n, lo, _ in seen] == [
-            *((f.gen, lo) for lo in range(0, len(want[f.gen]), tile)),
-            *((n, 0) for n in range(f.gen - 1, -1, -1)),
+            *((m, t * share[m]) for t in range(tiles) for m in deep),
+            *((n, 0) for n in range(deep[-1] - 1, -1, -1)),
         ]
 
     @pytest.mark.parametrize("d,gen", [(1, 1), (1, 16), (2, 1), (2, 9), (3, 1), (3, 6)])
@@ -704,3 +710,75 @@ class TestMortonTiles:
             full = (kids if exact else kids.astype(float)) @ mat
             want = full[:, 1:] * (pow2_half(n * d) if exact else 2.0 ** (n * d / 2.0))
             assert lev.dtype == want.dtype and np.array_equal(lev, want)
+
+    def test_tiles_allocate_no_index_sized_array_after_the_first(self):
+        # np.take copies an index array that is not writeable, on every call.
+        f = integer_grid(2, 9, seed=3)
+        tiles = _morton_tiles(f.values)
+        next(tiles)
+        tracemalloc.start()
+        try:
+            count = 1 + sum(1 for _ in tiles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 4 and peak < 8 << 16  # the tile's int64 order
+
+
+@pytest.fixture(params=[3, 7, 9])
+def small_tiles(request, monkeypatch):
+    """Tiles of the children of 2^7 or 2^9 parents: 3 is below the 2^7-parent floor."""
+    monkeypatch.setattr(increments, "_CHUNK_BITS", request.param)
+    monkeypatch.setattr(increments, "_CHUNK_ROWS", 1 << request.param)
+    return request.param
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestSmallTiles:
+    """The Morton pyramid and tables of 16 to 32 small tiles against whole-level oracles.
+
+    With tiles of 2^(7+d) cells a tile is summed inside itself only for the
+    finest products (2^7 rows a tile) and every coarser generation comes
+    whole; with 2^(9+d) cells, two generations more at d=1 and one at d=2..4.
+    Whole levels of more than 2^7 or 2^9 rows come in blocks of that many.
+    """
+
+    GRIDS = [
+        pytest.param(sample_standard_sheet(1, 12, seed=1), id="standard-d1-N12"),
+        pytest.param(sample_sheet((0.6, 0.9), 7, seed=2), id="fractional-d2-N7"),
+        pytest.param(sample_standard_sheet(3, 5, seed=3), id="standard-d3-N5"),
+        pytest.param(sample_sheet((0.6, 0.7, 0.8, 0.9), 4, seed=4), id="fractional-d4-N4"),
+    ] + [pytest.param(scattered_grid(d, gen, seed=d), id=f"nonfinite-d{d}-N{gen}")
+         for d, gen in [(1, 12), (2, 7), (3, 5), (4, 4)]]
+
+    @staticmethod
+    def assert_bits(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("f", GRIDS)
+    def test_cube_increments_match_lexicographic_pyramid(self, f, small_tiles):
+        levels = increment_levels(f)
+        for n in range(f.gen + 1):
+            self.assert_bits(cube_increments(f, n), lex_to_morton(levels[n]))
+
+    @pytest.mark.parametrize("f", GRIDS)
+    def test_float_table_bit_identical_to_reference(self, f, small_tiles):
+        tab = coefficient_table(f, f.gen - 1)
+        for lev, want in zip(tab.levels, reference_coefficient_levels(f, f.gen - 1), strict=True):
+            self.assert_bits(lev, want)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            pytest.param(integer_grid(2, 6, seed=4, exact=True), id="object-d2-N6"),
+            pytest.param(
+                exact_random_grid(3, 3, seed=5, scalar=Fraction(1, 3)), id="fraction-d3-N3"
+            ),
+        ],
+    )
+    def test_exact_table_equals_reference(self, f, small_tiles):
+        tab = coefficient_table(f, f.gen - 1)
+        for lev, want in zip(tab.levels, reference_coefficient_levels(f, f.gen - 1), strict=True):
+            assert lev.dtype == object and np.array_equal(lev, want)
