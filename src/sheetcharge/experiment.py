@@ -7,9 +7,10 @@ CSV outputs byte for byte.  Floats are printed with 17 significant digits
 so the files are stable regression artifacts.
 
 moment-scaling pools its replicates, and counterexample its seeds, on
-one worker thread per core (``_pool``): each sheet has its own Philox
-stream and each result its own slot, so the bits do not depend on the
-number of workers.  counterexample draws only the bottom slab of a
+one worker thread per core (``sampler._pool``, which also runs the
+blocks of each mode product): each sheet has its own Philox stream and
+each result its own slot, so the bits do not depend on the number of
+workers.  counterexample draws only the bottom slab of a
 standard sheet, which holds every cube its scan reads.
 """
 
@@ -19,7 +20,6 @@ import json
 import math
 import numbers
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -52,6 +52,7 @@ from .increments import (  # noqa: F401
 from .sampler import (
     HurstVector,
     _leaf_bytes,
+    _pool,
     _sheet_bytes,
     _standard_bytes,
     _workers,
@@ -279,7 +280,7 @@ class ExperimentConfig:
         counterexample's seeds when it draws the standard sheet's bottom
         slab.  Every other run draws its sheets on the calling thread.
         """
-        if self.subcommand == "moment-scaling" and _workers(1 << min(self.N, 64)) == 1:
+        if self.subcommand == "moment-scaling" and _workers(self.d, min(self.N, 64)) == 1:
             return min(sampler._cores(), self.replicates)
         if self.subcommand == "counterexample" and self.H is None:
             return min(sampler._cores(), len(self.seeds))
@@ -409,37 +410,6 @@ def _sample_for(cfg: ExperimentConfig, seed: int) -> GridSample:
     if cfg.H is None:
         return sample_standard_sheet(cfg.d, cfg.N, seed)
     return next(iter(sample_sheet_ensemble(cfg.H, cfg.N, seed, 1)))
-
-
-def _pool(name: str, count: int, workers: int, work: Callable[[int], None]) -> None:
-    """Call ``work(i)`` for i = 0..count-1, on ``workers`` threads named ``name-k``.
-
-    Worker k takes k, k + workers, ... in turn, and the calling thread is
-    worker 0.  After an error, or an interrupt of the caller, every
-    worker stops at its next item, and the first error is raised once
-    every worker has ended.
-    """
-    errors: list[BaseException] = []
-
-    def run(k: int) -> None:
-        try:
-            for i in range(k, count, workers):
-                if errors:  # another worker failed or was interrupted
-                    return
-                work(i)
-        except BaseException as exc:  # raised in the caller once every worker has ended
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=run, args=(k,), name=f"{name}-{k}") for k in range(1, workers)
-    ]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _write_manifest(cfg: ExperimentConfig, out: Path) -> Path:

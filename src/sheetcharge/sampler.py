@@ -6,9 +6,12 @@ on the grid is a tensor of iid standard normals with the Cholesky factor
 of each per-axis kernel applied as a mode product.  Both paths draw the
 white noise block by block straight into the zero-padded grid and work
 there in place, so neither holds a second grid-sized array.  The
-fractional sheet applies each factor leaf by leaf, from the last leaf
-down, through leaf buffers of 256 rows of the sheet; the factor is kept
-as its leaves only.  The standard sheet (H = 1/2 on every axis) has its
+fractional sheet cuts each mode product into blocks along an axis it
+does not contract (1024 sheet rows for the last axis, 1024 indices of
+the last axis for any other), runs the blocks on one worker per core,
+and applies the factor to each block leaf by leaf, from the last leaf
+down, through its worker's leaf buffer; the factor is kept as its leaves
+only.  The standard sheet (H = 1/2 on every axis) has its
 own O(2^Nd) path: each noise block is summed in place along each axis as
 soon as it is in the grid, axis 0 continued from a carry row.  On two or
 more cores, and when the draw has two blocks or more, a producer thread
@@ -31,6 +34,7 @@ import functools
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -59,8 +63,7 @@ _GRID_MAGIC = b"SHEETGRD"
 _CSV_BLOCK = 1 << 10  # points per formatted block of a 1-D CSV
 _NOISE_BLOCK = 1 << 16  # white-noise values per draw, unless one axis-0 row is more
 _LEAF_ROWS = 1 << 8  # factor rows per leaf of a mode product
-_ROW_BLOCK = 1 << 10  # sheet rows per BLAS call of a last-axis leaf
-_THREAD_ROWS = 1 << 11  # fewest factor rows for threads; at 1024 they only cost memory
+_BLOCK = 1 << 10  # sheet rows, or last-axis indices, per block of a mode product
 
 
 class SamplerError(RuntimeError):
@@ -225,9 +228,51 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(n: int) -> int:
-    """Threads, and leaf buffers, of a mode product along an axis of ``n`` points."""
-    return min(_cores(), -(-n // _LEAF_ROWS)) if n >= _THREAD_ROWS else 1
+def _pool(name: str, count: int, workers: int, work: Callable[[int], None]) -> None:
+    """Call ``work(i)`` for i = 0..count-1, on ``workers`` threads named ``name-k``.
+
+    Worker k takes k, k + workers, ... in turn, and the calling thread is
+    worker 0.  After an error, or an interrupt of the caller, every
+    worker stops at its next item, and the first error is raised once
+    every worker has ended.
+    """
+    errors: list[BaseException] = []
+
+    def run(k: int) -> None:
+        try:
+            for i in range(k, count, workers):
+                if errors:  # another worker failed or was interrupted
+                    return
+                work(i)
+        except BaseException as exc:  # raised in the caller once every worker has ended
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(k,), name=f"{name}-{k}") for k in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _blocks(d: int, gen: int) -> int:
+    """Blocks of each mode product of a d-dimensional draw: 2^N / _BLOCK, at least one.
+
+    A 1-D product has a single sheet row, so one block.
+    """
+    return -(-(1 << gen) // _BLOCK) if d > 1 else 1
+
+
+def _workers(d: int, gen: int) -> int:
+    """Threads, and leaf buffers, of each mode product of a d-dimensional draw.
+
+    One per core and at most one per block.
+    """
+    return min(_cores(), _blocks(d, gen))
 
 
 def _mode_product(
@@ -239,72 +284,47 @@ def _mode_product(
     ``np.moveaxis(np.tensordot(fac, core, axes=(1, axis)), 0, axis)`` up to
     rounding.  ``core`` may be any view, such as the interior of a padded
     grid: it is only ever indexed, never reshaped, so nothing is written to
-    a copy.  Leaf [lo, hi) reads [:hi] of ``core`` along ``axis`` and
-    writes [lo, hi), so the leaves run from the last one down, each into a
-    leaf buffer that is then copied back.  The buffers are views of the
-    flat ``scratch`` arrays, one per thread and at least _scratch_size
-    values each.  A leaf's BLAS calls do not depend on which thread runs
-    it, so neither do the bits.  With more than one buffer the leaves go,
-    largest first, to one thread per buffer, started per call; a leaf
-    copies back only after the leaf above it has, so every leaf still
-    reads the rows it multiplies.
+    a copy.  The indices along the axes the product does not contract are
+    independent, so the work is cut into blocks of them, every other axis
+    whole: _BLOCK sheet rows each for the last axis (OpenBLAS packs all of a
+    call's rows into each thread's buffer, 4 MB at 2048 rows), _BLOCK
+    indices of the last axis each for any other.  In a block, leaf [lo, hi)
+    reads [:hi] along ``axis`` and writes [lo, hi), so the leaves run from
+    the last one down, each into the block's leaf buffer and then copied
+    back.  The buffers are views of the flat ``scratch`` arrays, at least
+    _scratch_size values each.  The blocks go through ``_pool`` to one
+    worker per buffer, at most one per block: worker k takes blocks k,
+    k + workers, ... with buffer k, so no worker waits for another.  A
+    block's BLAS calls do not depend on which worker runs it, so neither
+    do the bits.
     """
     last = axis == core.ndim - 1
     # x: a view of core with the product's axis last (last axis) or second to last
     x = (core[np.newaxis] if core.ndim == 1 else core) if last else np.moveaxis(core, axis, -2)
+    cut = -2 if last else -1  # the axis the blocks split
     shape = list(x.shape)
+    shape[cut] = min(shape[cut], _BLOCK)
     shape[-1 if last else -2] = leaves[0].shape[0]  # the widest leaf
     size = math.prod(shape)
     bufs = [s[:size].reshape(shape) for s in scratch]
+    count = -(-x.shape[cut] // _BLOCK)
 
-    def window(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        return a[..., lo:hi] if last else a[..., lo:hi, :]
+    def run(i: int) -> None:
+        cells = slice(i * _BLOCK, (i + 1) * _BLOCK)
+        block = x[..., cells, :] if last else x[..., cells]
+        buf = bufs[i % len(bufs)]
+        for leaf in reversed(leaves):
+            width, hi = leaf.shape
+            if last:
+                out = buf[..., : block.shape[-2], :width]
+                np.matmul(block[..., :hi], leaf.T, out=out)
+                block[..., hi - width : hi] = out
+            else:
+                out = buf[..., :width, : block.shape[-1]]
+                np.matmul(leaf, block[..., :hi, :], out=out)
+                block[..., hi - width : hi, :] = out
 
-    def compute(leaf: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        width, hi = leaf.shape
-        out = window(buf, 0, width)
-        if last:
-            # At most _ROW_BLOCK sheet rows go to one BLAS call: OpenBLAS packs
-            # all of a call's rows into each thread's buffer, 4 MB at 2048 rows.
-            for r in range(0, x.shape[-2], _ROW_BLOCK):
-                rows = slice(r, r + _ROW_BLOCK)
-                np.matmul(x[..., rows, :hi], leaf.T, out=out[..., rows, :])
-        else:
-            np.matmul(leaf, window(x, 0, hi), out=out)
-        return out
-
-    def put(leaf: np.ndarray, out: np.ndarray) -> None:
-        width, hi = leaf.shape
-        window(x, hi - width, hi)[...] = out
-
-    order = leaves[::-1]
-    if len(bufs) == 1:
-        for leaf in order:
-            put(leaf, compute(leaf, bufs[0]))
-        return
-    import queue
-    import threading
-    from concurrent.futures import ThreadPoolExecutor  # not at import: 10 ms per CLI start
-
-    free: queue.SimpleQueue = queue.SimpleQueue()
-    for buf in bufs:
-        free.put(buf)
-    copied = [threading.Event() for _ in order]  # copied[k]: order[k] is written back
-
-    def run(k: int) -> None:
-        buf = free.get()
-        try:
-            out = compute(order[k], buf)
-            if k:
-                copied[k - 1].wait()
-            put(order[k], out)
-        finally:  # set on error too: the waiting leaves end, and map raises the error
-            copied[k].set()
-            free.put(buf)
-
-    with ThreadPoolExecutor(len(bufs), thread_name_prefix="mode-product") as pool:
-        for _ in pool.map(run, range(len(order))):
-            pass
+    _pool("mode-product", count, min(len(bufs), count), run)
 
 
 @functools.lru_cache(maxsize=4)
@@ -391,8 +411,7 @@ def _draw_noise(
             pass
 
     else:
-        import queue
-        import threading  # not at import, as in _mode_product
+        import queue  # here, not at import: only a threaded draw uses it
 
         free: queue.SimpleQueue = queue.SimpleQueue()  # buffers to draw into; None stops
         full: queue.SimpleQueue = queue.SimpleQueue()  # drawn blocks in order, or an error
@@ -432,10 +451,13 @@ def _draw_noise(
 
 
 def _scratch_size(d: int, gen: int) -> int:
-    """Values of each scratch array of a d-dimensional draw: a noise block or a leaf buffer."""
+    """Values of each scratch array of a d-dimensional draw: a noise block or a leaf buffer.
+
+    A leaf buffer holds the widest leaf's rows of one block of a product.
+    """
     n = 1 << gen
     rows = n ** (d - 1)
-    return max(min(n**d, max(rows, _NOISE_BLOCK)), rows * min(n, _LEAF_ROWS))
+    return max(min(n**d, max(rows, _NOISE_BLOCK)), rows // _blocks(d, gen) * min(n, _LEAF_ROWS))
 
 
 def _sheet_bytes(d: int, gen: int, factors: int, sheets: int = 1) -> int:
@@ -450,7 +472,7 @@ def _sheet_bytes(d: int, gen: int, factors: int, sheets: int = 1) -> int:
     n, width = 1 << gen, min(1 << gen, _LEAF_ROWS)
     build = 8 * n * (width + 8)
     grid = 8 * (n + 1) ** d
-    scratch = 8 * _workers(n) * _scratch_size(d, gen)
+    scratch = 8 * _workers(d, gen) * _scratch_size(d, gen)
     return _leaf_bytes(gen, factors) + max(build, sheets * (grid + scratch))
 
 
@@ -484,17 +506,17 @@ def sample_sheet(
     The noise is drawn straight into the interior of the zero-padded grid
     and each axis factor is applied there in place.  Beside the grid and
     the cached leaves of its factors, a draw holds only its scratch arrays,
-    one per thread of a product, which serve as noise block and leaf
-    buffers: 256 rows of the sheet each, 1/8 grid at N = 11 and the whole
+    one per worker of a product, which serve as noise block and leaf
+    buffers: 256 rows of one block each, 1/16 grid at N = 11 and the whole
     grid when one leaf spans the axis (N <= 8).  The noise is drawn inline,
-    on no second thread.  Under tracemalloc a d = 2 draw peaks at 1.25
+    on no second thread.  Under tracemalloc a d = 2 draw peaks at 1.125
     grids at N = 11 on two cores and at 1.50 at N = 9.
     """
     H = HurstVector.of(H)
     factors = [_axis_factor(h, gen) for h in H.components]
     full = np.zeros(((1 << gen) + 1,) * H.dim)  # zero on the 0-facets
     core = full[(slice(1, None),) * H.dim]
-    scratch = [np.empty(_scratch_size(H.dim, gen)) for _ in range(_workers(1 << gen))]
+    scratch = [np.empty(_scratch_size(H.dim, gen)) for _ in range(_workers(H.dim, gen))]
     _draw_noise(core, replicate_rng(seed, replicate), scratch=scratch[0])
     for axis, leaves in enumerate(factors):
         _mode_product(leaves, core, axis, scratch)  # L_axis x_axis core

@@ -353,11 +353,12 @@ class TestConfig:
 
     def test_memory_estimate_counts_grid_kernel_and_samples(self, monkeypatch):
         # The packed factor per distinct Hurst component (n^2 below 256 rows,
-        # n(n + 256)/2 from there), the grid and one scratch array per thread:
-        # a whole grid for one leaf, 256 rows of it per thread for more.  Without
-        # H, the grid, the noise buffers (two of 2^16 values on two cores, if the
-        # draw has two blocks) and the carry row.  moment-scaling holds a grid
-        # and its scratch per worker, one per core, beside the one factor.
+        # n(n + 256)/2 from there), the grid and one scratch array per worker,
+        # one per core and block: a whole grid for one leaf, 256 rows of one
+        # 1024-column block for more.  Without H, the grid, the noise buffers
+        # (two of 2^16 values on two cores, if the draw has two blocks) and the
+        # carry row.  moment-scaling holds a grid and its scratch per worker,
+        # one per core, beside the one factor.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
         cfg = ExperimentConfig(
             subcommand="moment-scaling", d=2, N=8, H=(0.7, 0.7), replicates=200, q=(1, 2)
@@ -368,7 +369,7 @@ class TestConfig:
         cfg = ExperimentConfig(subcommand="simulate", d=3, N=5, H=(0.6, 0.8, 0.6))
         assert cfg._memory_estimate() == 2 * 8 * 4**5 + 8 * 33**3 + 8 * 32**3
         cfg = ExperimentConfig(subcommand="fractional-criteria", d=2, N=11, H=(0.9, 0.9))
-        factor, scratch = 8 * 2048 * (2048 + 256) // 2, 8 * 2048 * 256
+        factor, scratch = 8 * 2048 * (2048 + 256) // 2, 8 * 1024 * 256
         assert cfg._memory_estimate() == factor + 8 * 2049**2 + 2 * scratch
         # brownian-dichotomy: the grid and the criteria pass beside it, which
         # outweighs the draw's noise buffers: a 256 x 256 tile's box and one
@@ -409,7 +410,7 @@ class TestConfig:
         # with H, one worker draws whole sheets, as any other fractional run
         cfg = ExperimentConfig(subcommand="counterexample", d=2, N=11, H=(0.9, 0.9), seeds=range(4))
         assert cfg._memory_estimate() == (
-            8 * 2048 * (2048 + 256) // 2 + 8 * 2049**2 + 2 * 8 * 2048 * 256
+            8 * 2048 * (2048 + 256) // 2 + 8 * 2049**2 + 2 * 8 * 1024 * 256
         )
         cfg = ExperimentConfig(subcommand="simulate", d=2, N=8)  # one block
         assert cfg._memory_estimate() == 8 * (257**2 + 2**16 + 256)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 import struct
 import subprocess
@@ -779,33 +778,31 @@ def leaf_blocks(fac):
     return tuple(np.asfortranarray(fac[lo : lo + 256, : lo + 256]) for lo in range(0, n, 256))
 
 
-def pool_workers(n, cores):
-    """Threads the mode product should use: one per core and leaf, from 2048 rows."""
-    return min(cores, -(-n // 256)) if n >= 2048 else 1
-
-
-class CountingPool(concurrent.futures.ThreadPoolExecutor):
-    """Stands in for ``ThreadPoolExecutor``; records each pool's size."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers, **kwargs):
-        CountingPool.sizes.append(max_workers)
-        super().__init__(max_workers, **kwargs)
+def pool_workers(d, n, cores, block=1024):
+    """Threads the mode product should use: one per core and block, from d = 2."""
+    return min(cores, -(-n // block)) if d > 1 else 1
 
 
 @pytest.fixture
 def pools(monkeypatch):
-    CountingPool.sizes = []
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    return CountingPool.sizes
+    """The workers of each ``sampler._pool`` call, in call order."""
+    workers, pool = [], sampler._pool
+
+    def counting(name, count, k, work):
+        workers.append(k)
+        pool(name, count, k, work)
+
+    monkeypatch.setattr(sampler, "_pool", counting)
+    return workers
 
 
-def in_place(leaves, core, axis):
-    """``_mode_product`` with the scratch arrays ``sample_sheet`` would give it."""
-    n = core.shape[axis]
-    size = sampler._scratch_size(core.ndim, n.bit_length() - 1)
-    sampler._mode_product(leaves, core, axis, [np.empty(size) for _ in range(sampler._workers(n))])
+def in_place(leaves, core, axis, workers=None):
+    """``_mode_product`` with the scratch arrays ``sample_sheet`` would give it, or ``workers``."""
+    gen = core.shape[axis].bit_length() - 1
+    size = sampler._scratch_size(core.ndim, gen)
+    if workers is None:
+        workers = sampler._workers(core.ndim, gen)
+    sampler._mode_product(leaves, core, axis, [np.empty(size) for _ in range(workers)])
 
 
 def within_a_minute(work):
@@ -853,12 +850,16 @@ class TestSplitModeProduct:
         return np.asfortranarray(fac)
 
     @pytest.mark.parametrize(
-        "d,gen",
-        [(1, g) for g in range(2, 13)]
-        + [(2, g) for g in range(2, 12)]
-        + [(3, g) for g in range(2, 8)],
+        "d,gen,block",
+        [(1, g, None) for g in range(2, 13)]
+        + [(2, g, None) for g in range(2, 12)]
+        + [(3, g, None) for g in range(2, 8)]
+        # blocks of 16: at d = 3 the axes beside the cut one stay whole
+        + [(1, 9, 16), (2, 6, 16), (3, 5, 16), (3, 6, 16)],
     )
-    def test_bit_equal_to_tensordot(self, monkeypatch, pools, d, gen):
+    def test_bit_equal_to_tensordot(self, monkeypatch, pools, d, gen, block):
+        if block is not None:
+            monkeypatch.setattr(sampler, "_BLOCK", block)
         n = 1 << gen
         fac = self.lower_factor(n, gen)
         leaves = leaf_blocks(fac)
@@ -874,8 +875,7 @@ class TestSplitModeProduct:
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (axis, cores)
                 for k in range(d):  # the padding is neither read nor written
                     assert np.isnan(np.moveaxis(full, k, 0)[0]).all()
-                workers = pool_workers(n, cores)
-                assert pools == ([] if workers == 1 else [workers])
+                assert pools == [pool_workers(d, n, cores, block or 1024)]
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -893,17 +893,19 @@ class TestSplitModeProduct:
         scale = np.moveaxis(np.tensordot(np.abs(fac), np.abs(core), axes=(1, axis)), 0, axis)
         assert np.all(np.abs(full[(slice(1, None),) * d] - want) <= 1e-13 * scale)
 
-    def test_scratch_arrays_are_the_leaf_buffers(self, pools):
-        # The product allocates nothing of its own and starts one thread per
-        # scratch array; the bits stay those of the leafwise oracle.
-        n, cols = 2048, 128
+    def test_scratch_arrays_are_the_leaf_buffers(self, monkeypatch, pools):
+        # The product allocates nothing of its own and runs one worker per
+        # scratch array over its three blocks; the bits stay those of the
+        # leafwise oracle.
+        n, block = 2048, 128
+        monkeypatch.setattr(sampler, "_BLOCK", block)
         fac = self.lower_factor(n, 5)
-        core = np.random.default_rng(6).standard_normal((n, cols))
+        core = np.random.default_rng(6).standard_normal((n, 3 * block))
         want = leafwise_tensordot(fac, core, 0)
         leaves = leaf_blocks(fac)
         for count in (1, 3):
             pools.clear()
-            scratch = [np.empty(256 * cols + 5) for _ in range(count)]  # longer is fine
+            scratch = [np.empty(256 * block + 5) for _ in range(count)]  # longer is fine
             full, interior = padded(core)
             tracemalloc.start()
             try:
@@ -912,43 +914,56 @@ class TestSplitModeProduct:
             finally:
                 tracemalloc.stop()
             assert np.array_equal(full[1:, 1:].view(np.int64), want.view(np.int64))
-            assert peak < 256 * cols * 8 // 2  # half a leaf buffer: room for the threads only
-            assert pools == ([] if count == 1 else [count])
+            assert peak < 256 * block * 8 // 2  # half a leaf buffer: room for the threads only
+            assert pools == [count]
 
-    def test_leaf_error_is_raised_without_a_hang(self, monkeypatch):
-        # A leaf that fails still releases the leaf below it; map raises its error.
-        # The last leaf runs first, the first last.
+    def test_leaf_error_is_raised_without_a_hang(self, monkeypatch, pools):
+        # A leaf that fails ends its worker, the others stop at their next
+        # block, and the error is raised once all have ended.  The last leaf
+        # runs first, the first last.
         n = 2048
-        for cores in (2, 8):
-            monkeypatch.setattr(sampler, "_cores", lambda: cores)
+        monkeypatch.setattr(sampler, "_BLOCK", 16)
+        for workers in (2, 8):
             for bad in (7, 5, 0):
+                pools.clear()
                 leaves = list(leaf_blocks(self.lower_factor(n, 1)))
                 leaves[bad] = np.ones((256, 7))  # 7 columns: matmul rejects the shapes
-                _, interior = padded(np.ones((n, 4)))
+                _, interior = padded(np.ones((n, 8 * 16)))  # eight blocks
+                baseline = threading.active_count()
                 with pytest.raises(ValueError):
-                    within_a_minute(lambda: in_place(leaves, interior, 0))
+                    within_a_minute(lambda: in_place(leaves, interior, 0, workers))
+                assert pools == [workers]
+                assert threading.active_count() == baseline
 
-    def test_copy_back_order_under_thread_switches(self, monkeypatch):
-        # Two, three and eight threads on fewer cores, switching every microsecond:
-        # a leaf that copied back before the leaves above it had read its rows
-        # would change them.
+    def test_blocks_under_thread_switches(self, monkeypatch, pools):
+        # Two, three and eight workers on fewer cores, switching every
+        # microsecond: two workers on one leaf buffer, or a block written by a
+        # worker other than its own, would change the bits.  The blocks are 16
+        # columns wide: OpenBLAS sums blocks of 4 in another order than the
+        # oracle's whole width.
+        monkeypatch.setattr(sampler, "_BLOCK", 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for n, cols, cores in ((2048, 64, 2), (2048, 64, 8), (4096, 16, 3)):
+            for n, cols, workers in ((2048, 64, 2), (2048, 128, 8), (4096, 48, 3)):
                 fac = self.lower_factor(n, 2)
                 core = np.random.default_rng(3).standard_normal((n, cols))
                 want = leafwise_tensordot(fac, core, 0)
-                monkeypatch.setattr(sampler, "_cores", lambda: cores)
                 for _ in range(5):
+                    pools.clear()
                     full, interior = padded(core)
-                    within_a_minute(lambda: in_place(leaf_blocks(fac), interior, 0))
+                    within_a_minute(lambda: in_place(leaf_blocks(fac), interior, 0, workers))
                     assert np.array_equal(full[1:, 1:].view(np.int64), want.view(np.int64))
+                    assert pools == [workers]
         finally:
             sys.setswitchinterval(interval)
 
-    def test_sheet_independent_of_core_count(self, monkeypatch):
-        # The fbs-criteria size, where the leaves of both products go to threads.
+    @pytest.mark.parametrize("block", [None, 256])
+    def test_sheet_independent_of_core_count(self, monkeypatch, pools, block):
+        # The fbs-criteria size: each product has two blocks, or eight of 256
+        # indices, so that four and eight workers run too.
+        if block is not None:
+            monkeypatch.setattr(sampler, "_BLOCK", block)
         H = (0.3, 0.9)
         draws = []
         for cores in (1, 2, 4, 8):
@@ -956,6 +971,8 @@ class TestSplitModeProduct:
             draws.append(sample_sheet(H, 11, seed=1).values)
         for draw in draws[1:]:
             assert np.array_equal(draws[0].view(np.int64), draw.view(np.int64))
+        blocks = 2048 // (block or 1024)
+        assert pools == [min(cores, blocks) for cores in (1, 2, 4, 8) for _ in H]
         core = replicate_rng(1, 0).standard_normal((1 << 11,) * 2)
         for axis, h in enumerate(H):
             core = leafwise_tensordot(whole_factor(axis_cholesky(h, 11)), core, axis)
@@ -978,7 +995,7 @@ class TestSplitModeProduct:
         assert len(digests) == 1
 
     def test_split_draw_peak_memory(self, monkeypatch):
-        # The grid and one leaf buffer per thread, 1/8 grid each at N = 11.
+        # The grid and one leaf buffer per worker, 1/16 grid each at N = 11.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
         sample_sheet((0.9, 0.9), 11, seed=0)  # factors the kernel outside the trace
         tracemalloc.start()
@@ -987,12 +1004,14 @@ class TestSplitModeProduct:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * f.values.nbytes
+        assert peak <= 1.15 * f.values.nbytes
 
     def test_no_thread_below_the_split_size(self, monkeypatch, pools):
         # The fbs-moments sheet (d=2, N=8) and the fbs-export one (N=10): below
-        # 2048 rows no product starts a thread, whatever the core count.
+        # 2048 rows each product is one block and starts no thread, whatever the
+        # core count; so is a 1-D product, of a single row.
         monkeypatch.setattr(sampler, "_cores", lambda: 8)
         sample_sheet((0.7, 0.7), 8, seed=0)
         sample_sheet((0.6, 0.8), 10, seed=0)
-        assert pools == []
+        sample_sheet((0.7,), 12, seed=0)
+        assert pools == [1] * 5
