@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .experiment import ConfigError, ExperimentConfig, SUBCOMMANDS, run
 from .sampler import SamplerError
@@ -51,6 +52,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = ExperimentConfig.from_json_obj(obj)
     except ConfigError as exc:
         print(f"sheetcharge: invalid config: {exc}", file=sys.stderr)
+        return 2
+    try:
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        print(f"sheetcharge: cannot write output: {exc}", file=sys.stderr)
         return 2
     try:
         paths = run(cfg)

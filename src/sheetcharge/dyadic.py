@@ -22,15 +22,10 @@ __all__ = [
     "DyadicCube",
     "Rectangle",
     "Figure",
-    "children",
-    "cube_box",
-    "figure_volume",
     "figure_perimeter",
-    "exposed_faces",
     "morton_decode",
     "morton_encode",
     "lex_to_morton",
-    "morton_to_lex",
 ]
 
 
@@ -82,15 +77,6 @@ def lex_to_morton(arr: np.ndarray) -> np.ndarray:
     if arr.shape != (1 << n,) * dim:
         raise ValueError(f"expected shape (2^n,)*{dim}, got {arr.shape}")
     return arr.reshape((2,) * (n * dim)).transpose(_lex_axes(dim, n)).reshape(-1)
-
-
-def morton_to_lex(flat: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`lex_to_morton`."""
-    size = flat.shape[0]
-    n = (size.bit_length() - 1) // dim
-    if size != 1 << (n * dim):
-        raise ValueError(f"length {size} is not 2^(n*{dim})")
-    return flat.reshape((2,) * (n * dim)).transpose(_morton_axes(dim, n)).reshape((1 << n,) * dim)
 
 
 @dataclass(frozen=True)
@@ -190,16 +176,6 @@ class DyadicCube:
         return Fraction(1, 1 << (self.gen * self.dim))
 
 
-def children(cube: DyadicCube) -> list[DyadicCube]:
-    """The 2^d children of ``cube``, ordered by child digit."""
-    return cube.children()
-
-
-def cube_box(cube: DyadicCube) -> Rectangle:
-    """Exact coordinate box of ``cube``."""
-    return cube.box()
-
-
 @dataclass(frozen=True)
 class Figure:
     """Finite union of pairwise almost-disjoint dyadic cubes, mixed generations."""
@@ -242,11 +218,6 @@ class Figure:
         )
 
 
-def figure_volume(fig: Figure) -> Fraction:
-    """Exact Lebesgue measure of the figure."""
-    return fig.volume()
-
-
 def _occupancy(fig: Figure) -> tuple[np.ndarray, int]:
     """Boolean cell grid at the figure's finest generation, lexicographic axes."""
     h = fig.finest_generation()
@@ -269,30 +240,11 @@ def _face_steps(occ: np.ndarray) -> Iterator[np.ndarray]:
         yield np.diff(np.pad(occ.view(np.int8), pad), axis=axis)
 
 
-def exposed_faces(fig: Figure) -> tuple[int, list[tuple[int, int, int, tuple[int, ...]]]]:
-    """Boundary faces of the figure at its finest generation.
-
-    Returns (h, faces) where each face is (axis, sign, plane, transverse):
-    the face lies in the hyperplane x_axis = plane / 2^h, spans the unit
-    transverse cell with lower corner transverse / 2^h, and has outward
-    normal sign * e_axis.  Interior faces shared by two cells never appear.
-    Faces come by axis, then plane, normal +e_axis first, then transverse.
-    """
-    occ, h = _occupancy(fig)
-    faces: list[tuple[int, int, int, tuple[int, ...]]] = []
-    for axis, step in enumerate(_face_steps(occ)):
-        step = np.moveaxis(step, axis, 0)
-        hits = np.argwhere(np.stack([step < 0, step > 0], axis=1)).tolist()
-        faces += [(axis, 1 - 2 * s, plane, tuple(trans)) for plane, s, *trans in hits]
-    return h, faces
-
-
 def figure_perimeter(fig: Figure) -> Fraction:
     """(d-1)-dimensional boundary measure, exact.
 
-    Counts faces of the refined cell grid belonging to exactly one cell
-    (the faces :func:`exposed_faces` lists) and multiplies by the exact
-    face area 2^(-h(d-1)).
+    Counts faces of the refined cell grid belonging to exactly one cell and
+    multiplies by the exact face area 2^(-h(d-1)).
     """
     occ, h = _occupancy(fig)
     count = sum(np.count_nonzero(step) for step in _face_steps(occ))

@@ -1,5 +1,5 @@
-"""Rectangular and figure increments of grid-sampled functions, and their
-coefficient tables in the Haar-primitive (Faber-Schauder) system.
+"""Dyadic-cube increments of grid-sampled functions, and their coefficient
+tables in the Haar-primitive (Faber-Schauder) system.
 
 A GridSample holds values of a function on the (2^N+1)^d dyadic grid that
 vanishes whenever a coordinate is zero; a BottomSlab holds the grid points
@@ -22,32 +22,24 @@ here is arithmetic-agnostic.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator
 
 import numpy as np
 
 # lex_to_morton is unused here, but moment-scaling looks it up through this module,
 # the call site bench/tracer.py wraps.
-from .dyadic import Figure, Rectangle, _morton_axes, lex_to_morton, morton_decode  # noqa: F401
+from .dyadic import _morton_axes, lex_to_morton, morton_decode  # noqa: F401
 from .haar import haar_amplitude, haar_matrix
 
 __all__ = [
     "GridSample",
     "BottomSlab",
     "CoefficientTable",
-    "rectangle_increment",
     "increment_levels",
     "cube_increments",
-    "figure_increment",
     "coefficient_table",
-    "save_coefficients",
-    "load_coefficients",
 ]
 
 
@@ -144,24 +136,6 @@ class BottomSlab:
                 f"2^k + 1 points of the last axis, got {vals.shape}"
             )
         object.__setattr__(self, "values", _frozen(vals))
-
-
-def rectangle_increment(f: GridSample, rect: Rectangle):
-    """Alternating corner sum of ``f`` over ``rect``; corners must be grid points."""
-    if rect.dim != f.dim:
-        raise ValueError("dimension mismatch")
-    scale = 1 << f.gen
-    total = None
-    for corner, sign in rect.corners():
-        ij = []
-        for x in corner:
-            j = x * scale
-            if j.denominator != 1:
-                raise ValueError(f"corner coordinate {x} is not on the 2^-{f.gen} grid")
-            ij.append(int(j))
-        term = sign * f.values[tuple(ij)]
-        total = term if total is None else total + term
-    return total
 
 
 def _piece_cells(cap: int, level_cells: int) -> int:
@@ -462,21 +436,6 @@ def cube_increments(f: GridSample, n: int) -> np.ndarray:
     return out
 
 
-def figure_increment(f: GridSample, fig: Figure):
-    """Increment over a figure: sum of the member-cube increments."""
-    if fig.dim != f.dim:
-        raise ValueError("dimension mismatch")
-    if fig.finest_generation() > f.gen:
-        raise ValueError("figure is finer than the sample grid")
-    total = None
-    for cube in fig.cubes:
-        term = rectangle_increment(f, cube.box())
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0) if f.is_exact else 0.0
-    return total
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
     """Per-generation coefficient arrays of the Haar-primitive expansion.
@@ -615,59 +574,3 @@ def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
     for lev in levels:
         lev.flags.writeable = False  # CoefficientTable takes it over without a copy
     return CoefficientTable(f.dim, max_gen, f.corner_value(), tuple(levels))
-
-
-def save_coefficients(tab: CoefficientTable, csv_path, json_path) -> None:
-    """Write the (n, k, r, lambda) CSV and the {d, M, a_minus1} JSON header."""
-    header = {"d": tab.dim, "M": tab.max_gen, "a_minus1": float(tab.a_minus1)}
-    text = json.dumps(header, allow_nan=False)  # before the file is opened: NaN raises here
-    with open(json_path, "w") as fh:
-        fh.write(text + "\n")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "k", "r", "lambda"])
-        for n in range(tab.max_gen + 1):
-            lev = tab.level(n)
-            for k in range(lev.shape[0]):
-                for r in range(1, lev.shape[1] + 1):
-                    writer.writerow([n, k, r, format(float(lev[k, r - 1]), ".17g")])
-
-
-def load_coefficients(csv_path, json_path) -> CoefficientTable:
-    """Read a :func:`save_coefficients` pair.
-
-    Raises ``ValueError`` for a header with d < 1 or M < 0, for an n, k or r
-    out of range, a repeated or missing (n, k, r) row and a non-finite
-    lambda.  The header is checked against the CSV's length before any
-    level is allocated.
-    """
-    with open(json_path) as fh:
-        head = json.load(fh)
-    d, max_gen = head["d"], head["M"]
-    if not all(type(x) is int for x in (d, max_gen)) or not 1 <= d < 63 or max_gen < 0:
-        raise ValueError(f"coefficient header has d={d!r}, M={max_gen!r}")
-    types = (1 << d) - 1
-    size, want = os.path.getsize(csv_path), 0
-    for n in range(max_gen + 1):
-        want += types << (n * d)
-        if want * len("0,0,1,0\n") > size:
-            raise ValueError(
-                f"coefficient header d={d}, M={max_gen} needs more rows than the CSV holds"
-            )
-    # NaN marks an entry not read yet; a row must hold a finite lambda.
-    levels = [np.full((1 << (n * d), types), np.nan) for n in range(max_gen + 1)]
-    with open(csv_path, newline="") as fh:
-        for line, row in enumerate(csv.DictReader(fh), start=2):
-            n, k, r = int(row["n"]), int(row["k"]), int(row["r"])
-            if not (0 <= n <= max_gen and 0 <= k < 1 << (n * d) and 1 <= r <= types):
-                raise ValueError(f"line {line}: (n, k, r) = ({n}, {k}, {r}) out of range")
-            value = float(row["lambda"])
-            if not math.isfinite(value):
-                raise ValueError(f"line {line}: non-finite lambda {row['lambda']!r}")
-            if not np.isnan(levels[n][k, r - 1]):
-                raise ValueError(f"line {line}: repeats (n, k, r) = ({n}, {k}, {r})")
-            levels[n][k, r - 1] = value
-    for n, lev in enumerate(levels):
-        if np.isnan(lev).any():
-            raise ValueError(f"generation {n} is missing {int(np.isnan(lev).sum())} rows")
-    return CoefficientTable(d, max_gen, head["a_minus1"], tuple(levels))

@@ -1,5 +1,5 @@
 """Exact-covariance Gaussian sampling of (fractional) Brownian sheets on
-dyadic grids, plus the closed-form increment covariances.
+dyadic grids, and the grid's binary and CSV files.
 
 The sheet covariance is a tensor product of one-axis kernels, so a sample
 on the grid is a tensor of iid standard normals with the Cholesky factor
@@ -40,7 +40,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .dyadic import Rectangle
 from .haar import haar_amplitude
 from .increments import BottomSlab, GridSample
 
@@ -49,7 +48,6 @@ __all__ = [
     "SamplerError",
     "fbm_kernel",
     "sheet_covariance",
-    "increment_covariance",
     "replicate_rng",
     "sample_sheet",
     "sample_sheet_ensemble",
@@ -119,31 +117,6 @@ def sheet_covariance(H: HurstVector | Sequence[float], s: Sequence[float], t: Se
     out = 1.0
     for h, si, ti in zip(H.components, s, t):
         out *= fbm_kernel(h, float(si), float(ti))
-    return out
-
-
-def increment_covariance(
-    H: HurstVector | Sequence[float], rect_a: Rectangle, rect_b: Rectangle
-) -> float:
-    """Closed-form covariance of the increments over two rectangles.
-
-    Per axis: (|b'-a|^2h + |b-a'|^2h - |a'-a|^2h - |b-b'|^2h) / 2, the
-    four-term expansion of the kernel over corner pairs.
-    """
-    H = HurstVector.of(H)
-    if rect_a.dim != H.dim or rect_b.dim != H.dim:
-        raise ValueError("rectangle dimension does not match the Hurst vector")
-    out = 1.0
-    for h, a, b, ap, bp in zip(
-        H.components, rect_a.lower, rect_a.upper, rect_b.lower, rect_b.upper
-    ):
-        a, b, ap, bp = (float(x) for x in (a, b, ap, bp))
-        out *= 0.5 * (
-            abs(bp - a) ** (2 * h)
-            + abs(b - ap) ** (2 * h)
-            - abs(ap - a) ** (2 * h)
-            - abs(b - bp) ** (2 * h)
-        )
     return out
 
 

@@ -2,7 +2,8 @@
 
 The oracles include the one-statistic-at-a-time criteria, which the
 runners compute in one streamed pass, and the dense axis kernel and its
-LAPACK factor, which the sampler replaces by the Schur recursion.
+LAPACK factor, which the sampler replaces by the Schur recursion.  The
+exact Haar-system, increment and flux oracles are in ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -159,7 +160,8 @@ def grid_from_cell_increments(cells: np.ndarray) -> GridSample:
 def brute_force_faces(fig: Figure) -> set[tuple[int, int, int, tuple[int, ...]]]:
     """Exposed faces by counting: a face kept iff exactly one cell uses it.
 
-    Independent of the production XOR implementation.
+    Independent of the occupancy steps that ``oracles.exposed_faces`` and
+    ``figure_perimeter`` read.
     """
     from collections import Counter
 

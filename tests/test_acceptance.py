@@ -9,22 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sheetcharge.charge import PolynomialField, flux, schauder_partial_apply
 from sheetcharge.criteria import moment_scaling_fit
 from sheetcharge.dyadic import Rectangle
-from sheetcharge.haar import haar_gram_exact, haar_indices_up_to, haar_matrix, haar_primitive_grid
-from sheetcharge.increments import (
-    GridSample,
-    coefficient_table,
-    cube_increments,
-    figure_increment,
-)
-from sheetcharge.sampler import (
-    increment_covariance,
-    sample_sheet_ensemble,
-    sample_standard_sheet,
-    sheet_covariance,
-)
+from sheetcharge.haar import haar_matrix
+from sheetcharge.increments import GridSample, coefficient_table, cube_increments
+from sheetcharge.sampler import sample_sheet_ensemble, sample_standard_sheet, sheet_covariance
 from sheetcharge.experiment import counterexample_figure
 
 from helpers import (
@@ -33,6 +22,16 @@ from helpers import (
     dichotomy_statistics,
     holder_ratio_by_level,
     random_dyadic_figure,
+)
+from oracles import (
+    PolynomialField,
+    figure_increment,
+    flux,
+    haar_gram_exact,
+    haar_indices_up_to,
+    haar_primitive_grid,
+    increment_covariance,
+    schauder_partial_apply,
 )
 
 SEEDS = tuple(range(20))

@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from sheetcharge import experiment
+from sheetcharge import cli, experiment
 from sheetcharge.cli import main
 from sheetcharge.criteria import build_report, moment_scaling_fit
 from sheetcharge.experiment import ExperimentConfig, counterexample_figure
 from sheetcharge.increments import coefficient_table, cube_increments
 from sheetcharge.sampler import (
+    SamplerError,
     load_grid,
     replicate_rng,
     sample_sheet,
@@ -153,6 +154,26 @@ class TestCliContract:
         assert "cannot read config" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, out):
+        cfg = write_config(tmp_path, d=1, N=3, seeds=[0])
+        (tmp_path / "afile").write_text("kept")
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sheetcharge: cannot write output: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    def test_sampler_failure_exits_one_with_a_message(self, tmp_path, monkeypatch, capsys):
+        def singular(cfg):
+            raise SamplerError("kernel not positive definite")
+
+        monkeypatch.setattr(cli, "run", singular)
+        cfg = write_config(tmp_path, d=1, N=3, H=[0.7], seeds=[0])
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err == "sheetcharge: sampler failure: kernel not positive definite\n"
+
     def test_seed_and_out_overrides(self, tmp_path):
         cfg = write_config(tmp_path, d=1, N=3, seeds=[1, 2, 3])
         out = tmp_path / "elsewhere"
@@ -229,6 +250,13 @@ class TestConfigRejectedBeforeWriting:
                 "fractional-criteria", {"d": 1, "N": 17, "H": [0.7]}, id="memory-axis-kernel"
             ),
             pytest.param("simulate", [1, 2], id="top-level-list"),
+            pytest.param("simulate", {"d": 0, "N": 3}, id="d-zero"),
+            pytest.param("simulate", {"d": 1, "N": 0}, id="N-zero"),
+            pytest.param("simulate", {"d": 1, "N": 3, "M": -1}, id="M-negative"),
+            pytest.param(
+                "moment-scaling", {"d": 1, "N": 6, "H": [0.7], "replicates": 0},
+                id="replicates-zero",
+            ),
             pytest.param("simulate", {"d": 1, "N": 3, "seeds": [-1]}, id="seed-negative"),
             pytest.param("simulate", {"d": 1, "N": 3, "out": 5}, id="out-number"),
             pytest.param("counterexample", {"d": 2, "N": 4, "n": -1}, id="n-negative"),

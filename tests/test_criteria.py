@@ -7,7 +7,6 @@ import pytest
 
 from sheetcharge import criteria, increments
 from sheetcharge.criteria import CriterionReport, _streamed_report, build_report, moment_scaling_fit
-from sheetcharge.haar import HaarIndex, haar_primitive_grid
 from sheetcharge.increments import CoefficientTable, GridSample, coefficient_table
 from sheetcharge.sampler import sample_sheet, sample_standard_sheet
 
@@ -23,6 +22,7 @@ from helpers import (
     scattered_grid,
     zero_grid,
 )
+from oracles import HaarIndex, haar_primitive_grid
 
 
 def table_from_levels(d, levels):
@@ -154,6 +154,12 @@ class TestHolderRatio:
         levels = holder_ratio_by_level(f, 1.0, 3)
         assert np.allclose(levels, 1.0)
         assert holder_ratio(f, 1.0, 3) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exact_grid_gives_the_float_ratios(self, d):
+        exact = holder_ratio_by_level(product_grid(d, 4, exact=True), 0.8, 3)
+        assert exact.dtype == float
+        assert np.allclose(exact, holder_ratio_by_level(product_grid(d, 4), 0.8, 3), rtol=1e-14)
 
     def test_zero_function(self):
         assert holder_ratio(zero_grid(2, 3), 0.7, 2) == 0.0

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,31 @@ def test_float_conversion():
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         Rad2(1, 0) + 0.5  # type: ignore[operator]
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        operator.add, lambda x, y: operator.add(y, x),
+        operator.sub, lambda x, y: operator.sub(y, x),
+        operator.mul, lambda x, y: operator.mul(y, x),
+        operator.lt, operator.le,
+    ],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul", "lt", "le"],
+)
+def test_every_operator_rejects_a_float(op):
+    # a float would make the exact branch silently inexact
+    with pytest.raises(TypeError):
+        op(Rad2(1, 1), 0.5)
+
+
+def test_a_float_is_never_equal():
+    assert Rad2(1, 0) != 1.0 and not Rad2(1, 0) == 1.0
+
+
+@given(rad2s)
+def test_repr_round_trips(x):
+    assert eval(repr(x), {"Rad2": Rad2, "Fraction": Fraction}) == x
 
 
 @given(rad2s, st.one_of(rationals, st.integers(-10**30, 10**30)))

@@ -19,7 +19,6 @@ from sheetcharge import criteria, experiment, sampler
 from sheetcharge.dyadic import (
     DyadicCube,
     Figure,
-    exposed_faces,
     figure_perimeter,
     lex_to_morton,
     morton_decode,
@@ -31,10 +30,11 @@ from sheetcharge.experiment import (
     ExperimentConfig,
     counterexample_figure,
 )
-from sheetcharge.increments import GridSample, figure_increment, increment_levels
+from sheetcharge.increments import GridSample, increment_levels
 from sheetcharge.sampler import sample_sheet, sample_sheet_ensemble, sample_standard_sheet
 
 from helpers import grid_from_cell_increments, product_grid, zero_grid
+from oracles import exposed_faces, figure_increment
 
 
 class TestCounterexampleFigure:
@@ -332,6 +332,13 @@ class TestConfig:
     def test_hurst_dimension_checked(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(subcommand="simulate", d=2, H=(0.5,))
+
+    @pytest.mark.parametrize(
+        "obj", [{"d": 1, "N": 3}, {"config": {"N": 3}}], ids=["config", "manifest"]
+    )
+    def test_missing_subcommand_is_a_config_error(self, obj):
+        with pytest.raises(ConfigError, match="subcommand"):
+            ExperimentConfig.from_json_obj(obj)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,23 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sheetcharge.dyadic import DyadicCube
-from sheetcharge.exact import pow2_half
-from sheetcharge.haar import (
-    HaarIndex,
-    StepFunction,
-    haar_child_pattern,
-    haar_child_values,
-    haar_gram_exact,
-    haar_indices_up_to,
-    haar_inner_product,
-    haar_matrix,
-    haar_matrix_entry,
-    haar_primitive_grid,
-    haar_step,
-    indicator_expansion,
-    integrate_haar_step,
-)
+from sheetcharge.exact import Rad2
+from sheetcharge.haar import haar_amplitude, haar_matrix
+
+from oracles import haar_matrix_entry
 
 
 class TestMatrix:
@@ -63,152 +50,16 @@ class TestMatrix:
             haar_matrix(17)
 
 
-class TestChildValues:
-    def test_one_dimensional_case(self):
-        vals = haar_child_values(HaarIndex(1, 0, 0, 1))
-        assert vals == [1.0, -1.0]
+class TestAmplitude:
+    @pytest.mark.parametrize("e", range(8))
+    def test_exact_amplitude_squares_to_power_of_two(self, e):
+        exact = haar_amplitude(e, exact=True)
+        assert type(exact) is (Rad2 if e % 2 else Fraction)
+        assert exact * exact == 1 << e
+        assert float(exact) == pytest.approx(haar_amplitude(e), rel=1e-15)
 
-    def test_average_is_zero(self):
-        for idx in haar_indices_up_to(2, 2)[1:]:
-            row, _ = haar_child_pattern(idx)
-            assert row.sum() == 0
-
-    def test_scaled_row(self):
-        vals = haar_child_values(HaarIndex(2, 1, 0, 3))
-        assert vals == [2.0, -2.0, -2.0, 2.0]
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            HaarIndex(2, 0, 0, 0)  # type 0 duplicates the indicator
-        with pytest.raises(ValueError):
-            HaarIndex(2, 0, 1, 1)  # cube out of range at generation 0
-        with pytest.raises(ValueError):
-            HaarIndex(2, -1, 0, 1)  # exceptional index carries no type
-
-
-class TestIntegration:
-    def test_constant_integrates_to_zero(self):
-        u = StepFunction(2, 2, np.ones(16))
-        assert integrate_haar_step(HaarIndex(2, 0, 0, 1), u) == 0.0
-
-    def test_self_integral_is_one(self):
-        for d in (1, 2):
-            for idx in haar_indices_up_to(d, 1)[1:]:
-                u = haar_step(idx, idx.gen + 1, exact=True)
-                assert integrate_haar_step(idx, u) == 1
-
-    def test_cross_integral_is_zero(self):
-        indices = haar_indices_up_to(2, 1)[1:]
-        for a in indices[:4]:
-            for b in indices:
-                if a == b:
-                    continue
-                gen = max(a.gen, b.gen) + 1
-                u = haar_step(b, gen, exact=True)
-                assert integrate_haar_step(a, u) == 0
-
-    def test_resolution_mismatch_rejected(self):
-        u = StepFunction(2, 1, np.ones(4))
-        with pytest.raises(ValueError):
-            integrate_haar_step(HaarIndex(2, 1, 0, 1), u)
-
-    def test_exceptional_is_the_mean(self):
-        u = StepFunction(1, 2, np.array([1.0, 2.0, 3.0, 4.0]))
-        assert integrate_haar_step(HaarIndex.exceptional(1), u) == pytest.approx(2.5)
-
-
-class TestOrthonormality:
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_gram_is_identity(self, d):
-        gram = haar_gram_exact(d, 3)
-        m = gram.shape[0]
-        for i in range(m):
-            for j in range(m):
-                assert gram[i, j] == (1 if i == j else 0)
-
-    def test_inner_product_matches_gram(self):
-        indices = haar_indices_up_to(2, 1)
-        gram = haar_gram_exact(2, 1)
-        for i in (0, 1, 5):
-            for j in (0, 2, 7):
-                assert haar_inner_product(indices[i], indices[j]) == gram[i, j]
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_exact_norms(self, d):
-        for idx in haar_indices_up_to(d, 2)[1:]:
-            row, e = haar_child_pattern(idx)
-            support_cell = Fraction(1, 1 << ((idx.gen + 1) * d))
-            l1 = pow2_half(e) * int(np.abs(row).sum()) * support_cell
-            assert l1 == pow2_half(-idx.gen * d)
-            assert haar_inner_product(idx, idx) == 1
-
-
-class TestChildRelation:
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_parent_and_haar_rows_from_children(self, d):
-        # stacked (scaled parent indicator; Haar functions) values on child
-        # cells must equal the sign matrix times the child indicators
-        for gen in range(3):
-            for k in range(1 << (gen * d)):
-                scale = pow2_half(gen * d)
-                for l in range(1 << d):
-                    # row 0: scaled parent indicator takes value `scale` on
-                    # every child cell
-                    assert scale * 1 == scale * haar_matrix_entry(d, 0, l)
-                    for r in range(1, 1 << d):
-                        idx = HaarIndex(d, gen, k, r)
-                        row, e = haar_child_pattern(idx)
-                        assert row[l] * pow2_half(e) == scale * haar_matrix_entry(d, r, l)
-
-
-class TestIndicatorExpansion:
-    def test_root_is_exceptional(self):
-        coeffs = indicator_expansion(DyadicCube(2, 0, 0))
-        assert coeffs == {HaarIndex.exceptional(2): 1}
-
-    def test_half_interval(self):
-        coeffs = indicator_expansion(DyadicCube(1, 1, 0))
-        assert coeffs == {
-            HaarIndex.exceptional(1): Fraction(1, 2),
-            HaarIndex(1, 0, 0, 1): Fraction(1, 2),
-        }
-
-    def test_only_ancestors_appear(self):
-        cube = DyadicCube(2, 3, 21)
-        for idx in indicator_expansion(cube):
-            if idx.is_exceptional:
-                continue
-            assert idx.support().contains(cube)
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_pointwise_reconstruction_is_exact(self, d):
-        for gen in range(4 if d == 1 else 3):
-            for k in range(1 << (gen * d)):
-                cube = DyadicCube(d, gen, k)
-                coeffs = indicator_expansion(cube)
-                total = np.zeros(1 << (gen * d), dtype=object)
-                total[...] = Fraction(0)
-                for idx, c in coeffs.items():
-                    total = total + c * haar_step(idx, gen, exact=True).values
-                expected = np.zeros(1 << (gen * d), dtype=object)
-                expected[...] = Fraction(0)
-                expected[k] = Fraction(1)
-                assert all(a == b for a, b in zip(total, expected))
-
-
-class TestPrimitive:
-    def test_exceptional_primitive_is_product(self):
-        grid = haar_primitive_grid(HaarIndex.exceptional(2), 2)
-        xs = np.arange(5) / 4
-        assert np.allclose(grid, np.multiply.outer(xs, xs))
-
-    def test_first_haar_primitive_peaks_at_center(self):
-        grid = haar_primitive_grid(HaarIndex(1, 0, 0, 1), 2, exact=True)
-        assert grid[2] == Fraction(1, 2)  # integral over [0, 1/2]
-        assert grid[4] == 0  # mean zero over the whole interval
-        assert grid[0] == 0
-
-    def test_vanishes_on_zero_facets(self):
-        grid = haar_primitive_grid(HaarIndex(2, 1, 2, 3), 3, exact=True)
-        assert all(v == 0 for v in grid[0, :])
-        assert all(v == 0 for v in grid[:, 0])
+    def test_float_amplitude_is_l2_normalising(self):
+        # a generation-n Haar function is +-2^(nd/2) on a cube of volume 2^(-nd)
+        for d in (1, 2, 3):
+            for n in range(4):
+                assert haar_amplitude(n * d) ** 2 * 2.0 ** (-n * d) == pytest.approx(1.0)

@@ -1,5 +1,4 @@
 import itertools
-import json
 import tracemalloc
 from fractions import Fraction
 
@@ -7,9 +6,9 @@ import numpy as np
 import pytest
 
 from sheetcharge import increments
-from sheetcharge.dyadic import DyadicCube, Figure, Rectangle, lex_to_morton
+from sheetcharge.dyadic import DyadicCube, lex_to_morton
 from sheetcharge.exact import Rad2, pow2_half
-from sheetcharge.haar import haar_indices_up_to, haar_matrix, haar_primitive_grid
+from sheetcharge.haar import haar_matrix
 from sheetcharge.increments import (
     CoefficientTable,
     GridSample,
@@ -19,19 +18,12 @@ from sheetcharge.increments import (
     _tiled_pyramid,
     coefficient_table,
     cube_increments,
-    figure_increment,
     increment_levels,
-    load_coefficients,
-    rectangle_increment,
-    save_coefficients,
 )
 from sheetcharge.sampler import sample_sheet, sample_standard_sheet
 
 from helpers import awkward_grid, product_grid, scattered_grid, whole_grid_cells, zero_grid
-
-
-def frac_rect(lo, hi):
-    return Rectangle(tuple(Fraction(x) for x in lo), tuple(Fraction(x) for x in hi))
+from oracles import haar_indices_up_to, haar_primitive_grid, rectangle_increment
 
 
 def reference_coefficient_levels(f, max_gen):
@@ -107,34 +99,6 @@ class TestGridSample:
         assert GridSample(2, 2, vals).values is vals
 
 
-class TestRectangleIncrement:
-    def test_product_function_factorizes(self):
-        f = product_grid(2, 4)
-        r = frac_rect((Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 4), Fraction(15, 16)))
-        sides = r.side_lengths()
-        assert rectangle_increment(f, r) == pytest.approx(float(sides[0] * sides[1]))
-
-    def test_constant_plateau_gives_zero(self):
-        vals = np.zeros((5, 5))
-        vals[1:, 1:] = 3.0  # constant away from the zero facets
-        f = GridSample(2, 2, vals)
-        r = frac_rect((Fraction(1, 4), Fraction(1, 4)), (1, 1))
-        assert rectangle_increment(f, r) == 0.0
-
-    def test_unit_square_single_corner(self):
-        vals = np.zeros((3, 3))
-        vals[2, 2] = 0.625
-        f = GridSample(2, 1, vals)
-        r = frac_rect((0, 0), (1, 1))
-        assert rectangle_increment(f, r) == 0.625
-
-    def test_off_grid_corner_rejected(self):
-        f = product_grid(2, 2)
-        r = frac_rect((0, 0), (Fraction(1, 8), 1))
-        with pytest.raises(ValueError):
-            rectangle_increment(f, r)
-
-
 class TestCubeIncrements:
     def test_telescopes_to_corner_value(self):
         f = sample_standard_sheet(2, 5, seed=3)
@@ -190,34 +154,6 @@ class TestCubeIncrements:
             cube_increments(zero_grid(2, 2), -1)
 
 
-class TestFigureIncrement:
-    def test_unit_cube_is_corner_value(self):
-        f = sample_standard_sheet(2, 4, seed=5)
-        fig = Figure(2, (DyadicCube(2, 0, 0),))
-        assert figure_increment(f, fig) == pytest.approx(f.corner_value())
-
-    def test_complementary_halves_sum(self):
-        f = sample_standard_sheet(2, 4, seed=6)
-        left = Figure(2, (DyadicCube(2, 1, 0), DyadicCube(2, 1, 2)))
-        right = Figure(2, (DyadicCube(2, 1, 1), DyadicCube(2, 1, 3)))
-        assert figure_increment(f, left) + figure_increment(f, right) == pytest.approx(
-            f.corner_value(), rel=1e-12
-        )
-
-    def test_invariant_under_resplitting(self):
-        f = sample_standard_sheet(2, 5, seed=7)
-        fig = Figure(2, (DyadicCube(2, 1, 0), DyadicCube(2, 2, 12)))
-        split = Figure(2, tuple(DyadicCube(2, 1, 0).children()) + (DyadicCube(2, 2, 12),))
-        assert figure_increment(f, fig) == pytest.approx(
-            figure_increment(f, split), rel=1e-12
-        )
-
-    def test_resolution_mismatch_rejected(self):
-        f = zero_grid(2, 2)
-        with pytest.raises(ValueError):
-            figure_increment(f, Figure(2, (DyadicCube(2, 3, 0),)))
-
-
 class TestCoefficientTable:
     def test_product_function_coefficients_vanish(self):
         f = product_grid(2, 4)
@@ -270,27 +206,21 @@ class TestCoefficientTable:
         with pytest.raises(ValueError, match="generation -1 is below 0"):
             coefficient_table(zero_grid(2, 3), -1)
 
-    def test_csv_json_roundtrip(self, tmp_path):
-        f = sample_standard_sheet(2, 4, seed=4)
-        tab = coefficient_table(f, 2)
-        csv_path = tmp_path / "table.csv"
-        json_path = tmp_path / "table.json"
-        save_coefficients(tab, csv_path, json_path)
-        back = load_coefficients(csv_path, json_path)
-        assert back.dim == tab.dim and back.max_gen == tab.max_gen
-        assert back.a_minus1 == pytest.approx(tab.a_minus1)
-        for n in range(3):
-            assert np.array_equal(back.level(n), tab.level(n))
-
-    def test_nan_constant_term_rejected(self, tmp_path):
-        tab = CoefficientTable(2, 0, float("nan"), (np.zeros((1, 3)),))
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            save_coefficients(tab, tmp_path / "table.csv", tmp_path / "table.json")
-        assert list(tmp_path.iterdir()) == []
-
     def test_shapes_validated(self):
         with pytest.raises(ValueError):
             CoefficientTable(2, 1, 0.0, (np.zeros((1, 3)), np.zeros((4, 2))))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_level_per_generation(self, count):
+        levels = tuple(np.zeros((1 << (2 * n), 3)) for n in range(count))
+        with pytest.raises(ValueError, match="one level array per generation"):
+            CoefficientTable(2, 1, 0.0, levels)
+
+    @pytest.mark.parametrize("n", [-1, 3])
+    def test_level_outside_table_rejected(self, n):
+        tab = coefficient_table(zero_grid(2, 4), 2)
+        with pytest.raises(ValueError, match=f"generation {n} outside table range 0..2"):
+            tab.level(n)
 
     def test_writeable_levels_copied(self):
         levels = (np.ones((1, 3)), np.ones((4, 3)))
@@ -345,77 +275,6 @@ class TestCoefficientTable:
         tab = coefficient_table(f, gen - 1)
         for lev, want in zip(tab.levels, reference_coefficient_levels(f, gen - 1), strict=True):
             assert lev.dtype == object and np.array_equal(lev, want)
-
-
-class TestLoadCoefficients:
-    @staticmethod
-    def saved(tmp_path):
-        """The paths of a saved d=2, M=2 table: its CSV and its JSON header."""
-        csv_path, json_path = tmp_path / "table.csv", tmp_path / "table.json"
-        tab = coefficient_table(sample_standard_sheet(2, 3, seed=4), 2)
-        save_coefficients(tab, csv_path, json_path)
-        return csv_path, json_path
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda h: {**h, "d": 0}, "header has d=0"),
-            (lambda h: {**h, "M": -1}, "M=-1"),
-            (lambda h: {**h, "d": 2.0}, "header has d=2.0"),
-            (lambda h: {**h, "d": 70}, "header has d=70"),
-        ],
-        ids=["zero-d", "negative-M", "float-d", "huge-d"],
-    )
-    def test_rejects_bad_header(self, tmp_path, edit, message):
-        csv_path, json_path = self.saved(tmp_path)
-        json_path.write_text(json.dumps(edit(json.loads(json_path.read_text()))))
-        with pytest.raises(ValueError, match=message):
-            load_coefficients(csv_path, json_path)
-
-    def test_header_checked_before_levels_are_allocated(self, tmp_path):
-        csv_path, json_path = self.saved(tmp_path)
-        json_path.write_text(json.dumps({**json.loads(json_path.read_text()), "M": 8}))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="needs more rows than the CSV holds"):
-                load_coefficients(csv_path, json_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 4**8 * 8 // 4  # a quarter of the generation-8 level
-
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("1,-1,1,0.5", "out of range"),
-            ("1,4,1,0.5", "out of range"),
-            ("3,0,1,0.5", "out of range"),
-            ("-1,0,1,0.5", "out of range"),
-            ("1,0,0,0.5", "out of range"),
-            ("1,0,4,0.5", "out of range"),
-            ("1,2,3,nan", "non-finite"),
-            ("1,2,3,-inf", "non-finite"),
-            ("1,2,3,0.5", "repeats"),
-        ],
-        ids=["k=-1", "k=4^n", "n=M+1", "n=-1", "r=0", "r=2^d", "nan", "inf", "duplicate"],
-    )
-    def test_rejects_bad_row(self, tmp_path, row, message):
-        csv_path, json_path = self.saved(tmp_path)
-        with open(csv_path, "a") as fh:
-            fh.write(row + "\n")
-        if message != "repeats":  # drop the row the bad one stands for, so only it is wrong
-            lines = csv_path.read_text().splitlines(keepends=True)
-            csv_path.write_text("".join(lines[:-2] + lines[-1:]))
-        with pytest.raises(ValueError, match=message):
-            load_coefficients(csv_path, json_path)
-
-    def test_rejects_missing_row(self, tmp_path):
-        csv_path, json_path = self.saved(tmp_path)
-        lines = csv_path.read_text().splitlines(keepends=True)
-        csv_path.write_text("".join(lines[:5] + lines[6:]))
-        with pytest.raises(ValueError, match="generation 1 is missing 1 rows"):
-            load_coefficients(csv_path, json_path)
-
 
 
 def reference_coarsen(cells):

@@ -5,21 +5,18 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheetcharge import sampler
-from sheetcharge.dyadic import Rectangle
 from sheetcharge.increments import BottomSlab, GridSample, cube_increments
 from sheetcharge.sampler import (
     HurstVector,
     axis_cholesky,
     fbm_kernel,
     grid_to_csv,
-    increment_covariance,
     load_grid,
     replicate_rng,
     sample_sheet,
@@ -36,21 +33,6 @@ from helpers import (
     schur_factor,
     whole_factor,
 )
-
-
-def frac_rect(lo, hi):
-    return Rectangle(tuple(Fraction(x) for x in lo), tuple(Fraction(x) for x in hi))
-
-
-def corner_expansion_covariance(H, rect_a, rect_b):
-    """Brute-force oracle: expand both increments over all corner pairs."""
-    total = 0.0
-    for ca, sa in rect_a.corners():
-        for cb, sb in rect_b.corners():
-            total += sa * sb * sheet_covariance(
-                H, [float(x) for x in ca], [float(x) for x in cb]
-            )
-    return total
 
 
 class TestKernel:
@@ -70,6 +52,41 @@ class TestKernel:
         with pytest.raises(ValueError):
             HurstVector((0.5, 0.0))
 
+    @pytest.mark.parametrize("h", [0.0, -0.2, 1.3, float("nan")])
+    def test_exponent_outside_unit_interval_rejected(self, h):
+        with pytest.raises(ValueError, match="must lie in"):
+            fbm_kernel(h, 0.5, 0.5)
+
+    @given(st.floats(0.05, 0.95), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_symmetric(self, h, t, tp):
+        assert fbm_kernel(h, t, tp) == fbm_kernel(h, tp, t)
+
+    def test_arrays_evaluate_pointwise(self):
+        t = np.linspace(0.0, 1.0, 5)
+        out = fbm_kernel(0.7, t[:, None], t[None, :])
+        assert out.shape == (5, 5)
+        for i, a in enumerate(t):
+            for j, b in enumerate(t):
+                assert out[i, j] == fbm_kernel(0.7, a, b)
+
+
+class TestHurstVector:
+    def test_needs_a_component(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            HurstVector(())
+
+    @pytest.mark.parametrize("comps", [(0.5, 1.0), (-0.1,), (0.5, float("nan"))])
+    def test_component_outside_unit_interval_rejected(self, comps):
+        with pytest.raises(ValueError, match="must lie in"):
+            HurstVector(comps)
+
+    def test_dim_hbar_and_of(self):
+        H = HurstVector((0.6, 0.9, 0.3))
+        assert H.dim == 3 and H.hbar == pytest.approx(0.6)
+        assert HurstVector.of(H) is H
+        assert HurstVector.of([0.6, 0.9, 0.3]) == H
+        assert type(HurstVector((np.float32(0.5),)).components[0]) is float
+
 
 class TestSheetCovariance:
     def test_unit_corner(self):
@@ -82,47 +99,17 @@ class TestSheetCovariance:
     def test_zero_coordinate(self):
         assert sheet_covariance((0.7, 0.9), (0.0, 0.5), (0.5, 0.5)) == 0.0
 
-
-class TestIncrementCovariance:
-    def test_cube_variance_is_volume_power(self):
-        r = frac_rect((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 4)))
-        H = HurstVector((0.7, 0.9))
-        vol = float(r.volume())
-        assert increment_covariance(H, r, r) == pytest.approx(vol ** (2 * H.hbar))
-
-    def test_disjoint_brownian_increments_uncorrelated(self):
-        r1 = frac_rect((0,), (Fraction(1, 2),))
-        r2 = frac_rect((Fraction(1, 2),), (1,))
-        assert increment_covariance((0.5,), r1, r2) == pytest.approx(0.0, abs=1e-15)
-
-    def test_adjacent_intervals_normalized(self):
-        r1 = frac_rect((0,), (Fraction(1, 2),))
-        r2 = frac_rect((Fraction(1, 2),), (1,))
-        cov = increment_covariance((0.75,), r1, r2)
-        norm = cov / (0.5**0.75 * 0.5**0.75)
-        assert norm == pytest.approx(2**0.5 - 1, rel=1e-12)
-
     @pytest.mark.parametrize(
-        "d,H", [(1, (0.5,)), (1, (0.8,)), (2, (0.5, 0.5)), (2, (0.8, 0.9))]
+        "s, t", [((0.5,), (0.5, 0.5)), ((0.5, 0.5), (0.5, 0.5, 0.5))], ids=["s-short", "t-long"]
     )
-    def test_matches_corner_expansion(self, d, H):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            denom = 16
-            coords = rng.integers(0, denom, size=(2, 2, d))
-            rects = []
-            for pair in coords:
-                lo = np.minimum(pair[0], pair[1])
-                hi = np.maximum(pair[0], pair[1]) + 1
-                rects.append(
-                    Rectangle(
-                        tuple(Fraction(int(a), denom) for a in lo),
-                        tuple(Fraction(int(b), denom) for b in hi),
-                    )
-                )
-            exact = increment_covariance(H, rects[0], rects[1])
-            brute = corner_expansion_covariance(H, rects[0], rects[1])
-            assert exact == pytest.approx(brute, rel=1e-12, abs=1e-13)
+    def test_point_dimension_must_match(self, s, t):
+        with pytest.raises(ValueError, match="point dimension"):
+            sheet_covariance((0.7, 0.9), s, t)
+
+    @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), *[st.floats(0.0, 1.0)] * 4)
+    def test_product_of_axis_kernels(self, h1, h2, s1, s2, t1, t2):
+        want = fbm_kernel(h1, s1, t1) * fbm_kernel(h2, s2, t2)
+        assert sheet_covariance((h1, h2), (s1, s2), (t1, t2)) == pytest.approx(want, abs=1e-15)
 
 
 class TestSampler:
@@ -359,8 +346,12 @@ class TestSerialization:
             (lambda b: b[:8] + struct.pack("<qq", 0, 3) + b[24:], "header has d=0"),
             (lambda b: b[:-8] + struct.pack("<d", float("nan")), "non-finite"),
             (lambda b: b[:-8] + struct.pack("<d", -float("inf")), "non-finite"),
+            (lambda b: b"SHEETGRX" + b[8:], "not a grid sample file"),
         ],
-        ids=["short", "long", "head-16", "head-24", "huge-d", "huge-N", "zero-d", "nan", "inf"],
+        ids=[
+            "short", "long", "head-16", "head-24", "huge-d", "huge-N", "zero-d", "nan", "inf",
+            "magic",
+        ],
     )
     def test_load_rejects_malformed_file(self, tmp_path, edit, message):
         path, data = self.saved_bytes(tmp_path)
