@@ -5,7 +5,6 @@ diagnostics."""
 __version__ = "0.2.0"
 
 from .dyadic import DyadicCube, Figure, Rectangle, figure_perimeter
-from .exact import Rad2, pow2_half
 from .haar import haar_matrix
 from .increments import CoefficientTable, GridSample, coefficient_table, cube_increments
 from .sampler import (
@@ -24,8 +23,6 @@ __all__ = [
     "Figure",
     "Rectangle",
     "figure_perimeter",
-    "Rad2",
-    "pow2_half",
     "haar_matrix",
     "CoefficientTable",
     "GridSample",

@@ -17,10 +17,10 @@ from .increments import (
     CoefficientTable,
     GridSample,
     _block_rows,
+    _check_horizon,
     _coefficient_bytes,
     _coefficient_levels,
     _levels_bytes,
-    coefficient_table,
     increment_levels,
 )
 
@@ -32,26 +32,13 @@ __all__ = [
 ]
 
 
-def _level_abs(tab: CoefficientTable, n: int) -> np.ndarray:
-    lev = tab.level(n)
-    if lev.dtype == object:
-        lev = lev.astype(float)
-    return np.abs(lev)
-
-
 def _level_max_abs(f: GridSample, max_gen: int) -> list[float]:
     """max_k |increment| over the generation-n cubes, for n = 0..max_gen."""
-    out = []
-    for cells in increment_levels(f, max_gen):
-        flat = cells.reshape(-1)
-        if flat.dtype == object:
-            flat = flat.astype(float)
-        out.append(float(np.abs(flat).max()))
-    return out
+    return [float(np.abs(cells).max()) for cells in increment_levels(f, max_gen)]
 
 
 def _level_max_bytes(d: int, gen: int, max_gen: int) -> int:
-    """Bytes :func:`_level_max_abs` holds beside a float grid, at most: the levels of
+    """Bytes :func:`_level_max_abs` holds beside the grid, at most: the levels of
     :func:`increment_levels` and |cells| of the largest one it returns."""
     return _levels_bytes(d, gen, max_gen) + 8 * (1 << (max_gen * d))
 
@@ -190,12 +177,11 @@ def build_report(tab: CoefficientTable) -> CriterionReport:
     """All per-generation statistics of a coefficient table in one report.
 
     Takes |coeff| once per generation and reduces it by
-    :func:`_level_stats`; the exact-grid fallback and the test oracle of
-    :func:`_streamed_report`.
+    :func:`_level_stats`; the test oracle of :func:`_streamed_report`.
     """
     stats = []
     for n in range(tab.max_gen + 1):
-        lam = _level_abs(tab, n)
+        lam = np.abs(tab.level(n))
         sums, peak, t_sum = lam.sum(axis=0), lam.max(initial=0.0), lam[:, 0].sum()
         stats.append(_level_stats(sums, peak, t_sum, n, tab.dim))
     return _report(tab.dim, tab.max_gen, stats)
@@ -218,7 +204,7 @@ def _add_block_sum(parts: list[tuple[int, np.float64]], rows: int, total: np.flo
 
 
 def _streamed_bytes(d: int, gen: int, max_gen: int) -> int:
-    """Bytes :func:`_streamed_report` holds beside a float grid, at most: the arrays of
+    """Bytes :func:`_streamed_report` holds beside the grid, at most: the arrays of
     :func:`_coefficient_levels` and the buffer of one block's |coefficients|."""
     return _coefficient_bytes(d, gen, max_gen) + 8 * (1 + _block_rows(d, gen, max_gen)) * (
         (1 << d) - 1
@@ -242,11 +228,10 @@ def _streamed_report(f: GridSample, max_gen: int) -> CriterionReport:
     tile beside the grid: under tracemalloc, 0.11 grids at d = 2, N = 11.
     A caller that passes the sheet as a temporary lets its grid go once
     the last tile is differenced (from Python 3.11; a 3.10 caller holds
-    its arguments until the call returns).  Grids that are not float64,
-    and horizons the grid cannot carry, take the table path.
+    its arguments until the call returns).  A horizon the grid cannot
+    carry raises ``ValueError``, as it does for the table.
     """
-    if f.values.dtype != np.float64 or not 0 <= max_gen < f.gen:
-        return build_report(coefficient_table(f, max_gen))
+    _check_horizon(max_gen, f.gen)
     d, rows = f.dim, _block_rows(f.dim, f.gen, max_gen)
     blocks = _coefficient_levels(f, max_gen)
     del f  # a sheet handed over is freed once its last tile is differenced

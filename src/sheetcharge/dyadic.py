@@ -184,6 +184,8 @@ class Figure:
     cubes: tuple[DyadicCube, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
         cubes = tuple(self.cubes)
         object.__setattr__(self, "cubes", cubes)
         seen: set[tuple[int, int]] = set()

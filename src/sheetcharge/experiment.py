@@ -359,8 +359,6 @@ def counterexample_figure(
     coverage = Fraction(0)
     for p in range(n, p_max + 1):
         bottom = bottoms[p]  # cubes touching x_d = 0
-        if bottom.dtype == object:
-            bottom = bottom.astype(float)
         threshold = 2.0 ** (-p * d * exponent)
         for axis in range(d - 1):
             taken = taken.repeat(bottom.shape[axis] // taken.shape[axis], axis=axis)

@@ -16,8 +16,9 @@ flat Morton-order one, chosen by what the caller reads, and both layouts
 hold the same bits.  Equality with the 2^d-corner alternating sum is a
 test, not an assumption.
 
-Arrays may hold float64 or exact objects (Fraction / Rad2); every routine
-here is arithmetic-agnostic.
+Grids are float64 only: a grid of any other dtype is rejected, never
+cast.  The exact coefficient table, in Fraction and a + b*sqrt(2)
+arithmetic, is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 # lex_to_morton is unused here, but moment-scaling looks it up through this module,
 # the call site bench/tracer.py wraps.
 from .dyadic import _morton_axes, lex_to_morton, morton_decode  # noqa: F401
-from .haar import haar_amplitude, haar_matrix
+from .haar import haar_matrix
 
 __all__ = [
     "GridSample",
@@ -60,6 +61,16 @@ _MIN_PIECE = 1 << 12
 _LEAF_BITS = 7
 
 
+def _check_grid(dim: int, gen: int, vals: np.ndarray) -> None:
+    """Reject a dimension below 1, a generation below 0 and values that are not float64."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if gen < 0:
+        raise ValueError(f"gen must be >= 0, got {gen}")
+    if vals.dtype != np.float64:
+        raise ValueError(f"values must be float64, got dtype {vals.dtype}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a`` itself if it is read-only and owns its data, else a read-only copy.
 
@@ -86,6 +97,7 @@ class GridSample:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values)
+        _check_grid(self.dim, self.gen, vals)
         n_pts = (1 << self.gen) + 1
         if vals.shape != (n_pts,) * self.dim:
             raise ValueError(
@@ -101,11 +113,7 @@ class GridSample:
                 raise ValueError(f"hurst must have {self.dim} components, got {len(hurst)}")
             object.__setattr__(self, "hurst", hurst)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.values.dtype == object
-
-    def corner_value(self):
+    def corner_value(self) -> float:
         """Value at (1, ..., 1), the increment over the whole cube."""
         return self.values[(-1,) * self.dim]
 
@@ -125,6 +133,7 @@ class BottomSlab:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values)
+        _check_grid(self.dim, self.gen, vals)
         cells = vals.shape[-1] - 1 if vals.ndim else 0
         if (
             vals.shape[:-1] != ((1 << self.gen) + 1,) * (self.dim - 1)
@@ -198,23 +207,22 @@ def _tile_order(d: int, bits: int) -> tuple[tuple[int, ...], np.ndarray]:
     return shape, order
 
 
-def _box_differ(cells: tuple[int, ...], dtype) -> Callable[[np.ndarray, np.ndarray], None]:
+def _box_differ(cells: tuple[int, ...]) -> Callable[[np.ndarray, np.ndarray], None]:
     """A function ``differ(box, out)`` for boxes of grid points with ``cells`` cells per axis.
 
     It writes the cell increments of ``box`` into ``out`` with the
     subtractions of ``np.diff`` along axis 0, then 1 and so on, through
     intermediate arrays made once, so a stream of boxes allocates nothing.
     """
-    op = np.not_equal if dtype == np.bool_ else np.subtract  # as np.diff picks it
     steps = [
-        np.empty(cells[: axis + 1] + tuple(m + 1 for m in cells[axis + 1 :]), dtype=dtype)
+        np.empty(cells[: axis + 1] + tuple(m + 1 for m in cells[axis + 1 :]))
         for axis in range(len(cells) - 1)
     ]
 
     def differ(box: np.ndarray, out: np.ndarray) -> None:
         for axis, dest in enumerate([*steps, out]):
             head = (slice(None),) * axis
-            op(box[head + (slice(1, None),)], box[head + (slice(None, -1),)], out=dest)
+            np.subtract(box[head + (slice(1, None),)], box[head + (slice(None, -1),)], out=dest)
             box = dest
 
     return differ
@@ -235,8 +243,8 @@ def _morton_tiles(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     gen = (values.shape[0] - 1).bit_length() - 1
     bits = _tile_bits(d, gen)
     shape, order = _tile_order(d, bits)
-    differ = _box_differ(shape, values.dtype)
-    lex, cells = np.empty(shape, dtype=values.dtype), np.empty(1 << bits, dtype=values.dtype)
+    differ = _box_differ(shape)
+    lex, cells = np.empty(shape), np.empty(1 << bits)
     for lo in range(0, 1 << (gen * d), 1 << bits):
         corner = morton_decode(lo, d, gen)
         differ(values[tuple(slice(c, c + m + 1) for c, m in zip(corner, shape))], lex)
@@ -252,10 +260,10 @@ def _difference(values: np.ndarray) -> np.ndarray:
     if a row is more) at a time.
     """
     shape = tuple(x - 1 for x in values.shape)
-    out = np.empty(shape, dtype=values.dtype)
+    out = np.empty(shape)
     slab_cells = _piece_cells(1 << _SLAB_BITS, math.prod(shape))
     rows = min(shape[0], max(1, slab_cells // math.prod(shape[1:])))
-    differ = _box_differ((rows,) + shape[1:], values.dtype)
+    differ = _box_differ((rows,) + shape[1:])
     for lo in range(0, shape[0], rows):
         differ(values[lo : lo + rows + 1], out[lo : lo + rows])
     return out
@@ -294,13 +302,13 @@ def _coarsen(
         kids = kids.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
         parent_shape = kids.shape[:-d]
     if out is None:
-        parent = np.empty(parent_shape, dtype=cells.dtype)
+        parent = np.empty(parent_shape)
         chunk_cells = _piece_cells(_CHUNK_ROWS, cells.size)
         step = max(1, (chunk_cells >> (d - 1)) // math.prod(parent_shape[1:]))
     else:
         parent, step = out, len(out)
     if morton and scratch is None:
-        scratch = [np.empty(min(step, len(parent)), dtype=cells.dtype) for _ in range(2 * d - 2)]
+        scratch = [np.empty(min(step, len(parent))) for _ in range(2 * d - 2)]
     for lo in range(0, len(parent), step):
         dest = parent[lo : lo + step]
         if morton:
@@ -310,9 +318,8 @@ def _coarsen(
             for _ in range(d - 1):
                 part = part[..., 0] + part[..., 1]
             np.add(part[..., 0], part[..., 1], out=dest)
-        if dest.dtype.kind == "f":
-            # A reduce-sum starts from +0.0, so it never returns -0.0; -0.0 + -0.0 does.
-            dest += 0.0
+        # A reduce-sum starts from +0.0, so it never returns -0.0; -0.0 + -0.0 does.
+        dest += 0.0
     return parent
 
 
@@ -382,9 +389,9 @@ def _tiled_pyramid(values: np.ndarray, stop: int) -> Iterator[tuple[int, int, np
     """
     d, gen = values.ndim, (values.shape[0] - 1).bit_length() - 1
     bits, low = _tile_bits(d, gen), max(stop, _tiled_low(d, gen))
-    pieces = [np.empty(1 << (bits - k * d), dtype=values.dtype) for k in range(1, gen - low + 1)]
-    whole = np.empty(1 << ((low - 1) * d), dtype=values.dtype) if stop < low else None
-    scratch = [np.empty(1 << max(0, bits - d), dtype=values.dtype) for _ in range(2 * d - 2)]
+    pieces = [np.empty(1 << (bits - k * d)) for k in range(1, gen - low + 1)]
+    whole = np.empty(1 << ((low - 1) * d)) if stop < low else None
+    scratch = [np.empty(1 << max(0, bits - d)) for _ in range(2 * d - 2)]
     tiles = _morton_tiles(values)
     del values  # the tiles hold the grid until the last one is differenced
     for lo, cells in tiles:
@@ -416,6 +423,14 @@ def _check_generation(n: int, gen: int) -> None:
         raise ValueError(f"generation {n} exceeds grid generation {gen}")
 
 
+def _check_horizon(max_gen: int, gen: int) -> None:
+    """A coefficient horizon needs the generation below it: 0 <= max_gen < gen."""
+    if max_gen < 0:
+        raise ValueError(f"generation {max_gen} is below 0")
+    if max_gen > gen - 1:
+        raise ValueError(f"need grid generation > {max_gen}, got {gen}")
+
+
 def increment_levels(f: GridSample, n_max: int | None = None) -> list[np.ndarray]:
     """Lexicographic cube-increment arrays for generations 0..n_max (default N)."""
     if n_max is None:
@@ -429,7 +444,7 @@ def increment_levels(f: GridSample, n_max: int | None = None) -> list[np.ndarray
 def cube_increments(f: GridSample, n: int) -> np.ndarray:
     """Increments over all generation-``n`` cubes, Morton cube order."""
     _check_generation(n, f.gen)
-    out = np.empty(1 << (n * f.dim), dtype=f.values.dtype)
+    out = np.empty(1 << (n * f.dim))
     for m, lo, cells in _tiled_pyramid(f.values, n):
         if m == n:
             out[lo : lo + len(cells)] = cells
@@ -448,7 +463,7 @@ class CoefficientTable:
 
     dim: int
     max_gen: int
-    a_minus1: float | object
+    a_minus1: float
     levels: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
@@ -473,32 +488,31 @@ def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, int,
     """The sign-matrix products of ``f`` for n = max_gen down to 0, in blocks of rows.
 
     Yields ``(n, lo, full)``: row i of ``full`` is row lo + i of generation
-    n's (2^(nd), 2^d) product, the child block of generation-n cube lo + i
+    n's (2^(nd), 2^d) float64 product, the child block of generation-n cube lo + i
     times ``haar_matrix(d)`` and 2^(nd/2), so ``full[:, 1:]`` holds
     coefficients.  A block is one product of a piece of
     :func:`_tiled_pyramid`, or of at most :func:`_block_rows` rows of a
-    whole level, an exact one by the object matrix and pow2_half(nd), any
-    other as float64, into one buffer that the next block overwrites.  So
+    whole level, into one buffer that the next block overwrites.  So
     the finest generations are products of the pyramid's tiles and their
     shares, generation by generation inside each tile, and never exist
     whole.  Each generation's blocks come in row order and have one size,
     a power of two that is at least 2^_LEAF_BITS rows or all of the
     generation; the blocks of different generations interleave.
     """
-    d, exact = f.dim, f.is_exact
-    mat = haar_matrix(d).astype(object if exact else float)
+    d = f.dim
+    mat = haar_matrix(d).astype(float)
     rows = 1 << (_tile_bits(d, f.gen) - d)  # a tile's parents: no piece is larger
-    full = np.empty((_block_rows(d, f.gen, max_gen), 1 << d), dtype=mat.dtype)
+    full = np.empty((_block_rows(d, f.gen, max_gen), 1 << d))
     pyramid = _tiled_pyramid(f.values, 1)
     del f  # the pyramid holds the grid until its last tile is differenced
     for m, row, cells in pyramid:
         n = m - 1
         if n <= max_gen:
-            kids, amp = cells.reshape(-1, 1 << d), haar_amplitude(n * d, exact)
+            kids, amp = cells.reshape(-1, 1 << d), 2.0 ** (n * d / 2)
             for lo in range(0, len(kids), rows):
                 block = kids[lo : lo + rows]
                 out = full[: len(block)]
-                np.matmul(block if exact else np.asarray(block, dtype=float), mat, out=out)
+                np.matmul(block, mat, out=out)
                 out *= amp
                 yield n, (row >> d) + lo, out
             del kids
@@ -506,7 +520,7 @@ def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, int,
 
 
 def _coefficient_bytes(d: int, gen: int, max_gen: int) -> int:
-    """Bytes :func:`_coefficient_levels` of a float grid holds beside the grid, at most.
+    """Bytes :func:`_coefficient_levels` holds beside the grid, at most.
 
     A tile's box of cells and the d - 1 intermediate arrays of its
     differencing (each at most its box of grid points), its cells in
@@ -535,7 +549,7 @@ def _coefficient_bytes(d: int, gen: int, max_gen: int) -> int:
 
 
 def _levels_bytes(d: int, gen: int, max_gen: int) -> int:
-    """Bytes :func:`increment_levels` of a float grid holds beside the grid, at most.
+    """Bytes :func:`increment_levels` holds beside the grid, at most.
 
     Every level it returns (generations 0..``max_gen``) and the finest
     level, which is alive while its parent is summed; the d - 1
@@ -558,17 +572,8 @@ def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:
     with the sign-matrix rows and the amplitude 2^(nd/2); Morton ordering
     makes the children of cube k the contiguous block [2^d k, 2^d (k+1)).
     """
-    if max_gen < 0:
-        raise ValueError(f"generation {max_gen} is below 0")
-    if max_gen > f.gen - 1:
-        raise ValueError(
-            f"need grid generation > {max_gen}, got {f.gen}"
-        )
-    exact, types = f.is_exact, (1 << f.dim) - 1
-    levels = [
-        np.empty((1 << (n * f.dim), types), dtype=object if exact else float)
-        for n in range(max_gen + 1)
-    ]
+    _check_horizon(max_gen, f.gen)
+    levels = [np.empty((1 << (n * f.dim), (1 << f.dim) - 1)) for n in range(max_gen + 1)]
     for n, lo, full in _coefficient_levels(f, max_gen):
         levels[n][lo : lo + len(full)] = full[:, 1:]
     for lev in levels:

@@ -40,7 +40,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .haar import haar_amplitude
 from .increments import BottomSlab, GridSample
 
 __all__ = [
@@ -558,7 +557,7 @@ def sample_standard_sheet(
             np.cumsum(block, axis=axis, out=block)
 
     rng = replicate_rng(seed, replicate)
-    scale = haar_amplitude(-gen * d)  # sd |cell|^(1/2)
+    scale = 2.0 ** (-gen * d / 2)  # sd |cell|^(1/2)
     _draw_noise(core, rng, scale, then=cumulate, ahead=slab is None)
     full.flags.writeable = False  # GridSample or BottomSlab takes it over without a copy
     if slab is not None:
@@ -644,7 +643,7 @@ def grid_to_csv(f: GridSample, path) -> None:
         raise ValueError("CSV export supports d <= 2")
     denom = 1 << f.gen
     coords = [format(i / denom, ".17g") for i in range(denom + 1)]
-    values = np.asarray(f.values, dtype=float)
+    values = f.values
     with open(path, "w") as fh:
         if f.dim == 1:
             fh.write("i,x,value\n")

@@ -1,9 +1,9 @@
-"""Exact scalars of the form a + b*sqrt(2) over the rationals.
+"""Exact scalars of the form a + b*sqrt(2) over the rationals, for the test oracles.
 
 Haar amplitudes on dyadic grids are powers 2**(e/2), irrational whenever
-the exponent e is odd.  Carrying the sqrt(2) part symbolically keeps
-orthonormality, reconstruction, and norm checks exact instead of
-"equal up to 1e-15".
+the exponent e is odd.  Carrying the sqrt(2) part symbolically keeps the
+oracles' orthonormality, reconstruction, and coefficient tables exact
+instead of "equal up to 1e-15"; the package itself computes in float64.
 """
 
 from __future__ import annotations

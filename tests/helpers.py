@@ -13,13 +13,17 @@ from fractions import Fraction
 import numpy as np
 
 from sheetcharge import sampler
-from sheetcharge.criteria import _holder_ratios, _level_abs, _level_max_abs
+from sheetcharge.criteria import _holder_ratios, _level_max_abs
 from sheetcharge.dyadic import DyadicCube, Figure
 from sheetcharge.increments import CoefficientTable, GridSample
 
 
-def product_grid(d: int, gen: int, exact: bool = False) -> GridSample:
-    """Sample of f(x) = x_1 * ... * x_d, whose cube increments equal volumes."""
+def product_grid(d: int, gen: int, exact: bool = False) -> GridSample | np.ndarray:
+    """Sample of f(x) = x_1 * ... * x_d, whose cube increments equal volumes.
+
+    A float64 GridSample, or with ``exact`` the grid of Fractions for the
+    exact oracles.
+    """
     n_pts = (1 << gen) + 1
     if exact:
         axis = np.array([Fraction(j, 1 << gen) for j in range(n_pts)], dtype=object)
@@ -28,7 +32,22 @@ def product_grid(d: int, gen: int, exact: bool = False) -> GridSample:
     vals = axis
     for _ in range(d - 1):
         vals = np.multiply.outer(vals, axis)
-    return GridSample(d, gen, vals)
+    return vals if exact else GridSample(d, gen, vals)
+
+
+def integer_grid(d: int, gen: int, seed: int, exact: bool = False) -> GridSample | np.ndarray:
+    """Random integer cell increments in [-2^20, 2^20) summed into a grid.
+
+    A float64 GridSample, whose sums are exact (below 2^53 for d * gen <= 32),
+    or with ``exact`` the same grid of Python ints for the exact oracles.
+    """
+    cells = np.random.default_rng(seed).integers(-(1 << 20), 1 << 20, (1 << gen,) * d)
+    core = cells.astype(object) if exact else cells.astype(float)
+    for axis in range(d):
+        core = np.cumsum(core, axis=axis)
+    full = np.zeros(((1 << gen) + 1,) * d, dtype=core.dtype)
+    full[(slice(1, None),) * d] = core
+    return full if exact else GridSample(d, gen, full)
 
 
 def zero_grid(d: int, gen: int) -> GridSample:
@@ -97,7 +116,7 @@ def criterion_a_statistic(tab: CoefficientTable, n: int) -> float:
     Bounded away from zero along a subsequence exactly when the expansion
     cannot converge; reported per generation, constant-free.
     """
-    lam = _level_abs(tab, n)
+    lam = np.abs(tab.level(n))
     return 2.0 ** (-n * (tab.dim / 2.0 + 1.0)) * float(lam.sum(axis=0).max())
 
 
@@ -108,7 +127,7 @@ def dichotomy_statistics(tab: CoefficientTable, n: int) -> tuple[float, float]:
     S = 2^(n(d/2-1)) T.  For the standard sheet T concentrates at
     sqrt(2/pi) ~ 0.7979 as n grows.
     """
-    lam = _level_abs(tab, n)
+    lam = np.abs(tab.level(n))
     t = float(lam[:, 0].sum()) / 2.0 ** (n * tab.dim)
     return t, 2.0 ** (n * (tab.dim / 2.0 - 1.0)) * t
 
@@ -117,7 +136,7 @@ def criterion_b_terms(tab: CoefficientTable) -> np.ndarray:
     """Convergence-side series terms 2^(n(d/2-1)) max_{k,r} |coeff| per level."""
     out = np.empty(tab.max_gen + 1)
     for n in range(tab.max_gen + 1):
-        lam = _level_abs(tab, n)
+        lam = np.abs(tab.level(n))
         out[n] = 2.0 ** (n * (tab.dim / 2.0 - 1.0)) * float(lam.max(initial=0.0))
     return out
 

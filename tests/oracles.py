@@ -5,8 +5,10 @@ increments; the tests check those against independent constructions:
 
 - the Haar system as explicit (generation, cube, type) indices, its exact
   Gram matrix and the exact Haar primitives sampled on the dyadic grid;
-- increments read off the grid corners of rectangles and figures, and the
-  closed-form covariance of two rectangle increments;
+- increments read off the grid corners of rectangles, figures and whole
+  generations, and the closed-form covariance of two rectangle increments;
+- the exact coefficient table of a grid of exact numbers, from the
+  corner sums, the sign-matrix entries and the exact amplitudes alone;
 - the truncated Haar-primitive expansion evaluated on a figure;
 - polynomial vector fields and the midpoint-rule flux through a figure's
   exposed faces, checked against the exact divergence integral.
@@ -14,17 +16,25 @@ increments; the tests check those against independent constructions:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from sheetcharge.dyadic import DyadicCube, Figure, Rectangle, _face_steps, _occupancy
-from sheetcharge.exact import pow2_half
-from sheetcharge.haar import haar_amplitude
-from sheetcharge.increments import CoefficientTable, GridSample
+from sheetcharge.dyadic import (
+    DyadicCube,
+    Figure,
+    Rectangle,
+    _face_steps,
+    _occupancy,
+    lex_to_morton,
+)
+from sheetcharge.increments import CoefficientTable
 from sheetcharge.sampler import HurstVector
+
+from exact import pow2_half
 
 
 def haar_matrix_entry(d: int, r: int, l: int) -> int:
@@ -156,37 +166,94 @@ def haar_primitive_grid(idx: HaarIndex, grid_gen: int, exact: bool = False) -> n
     return total if exact else total.astype(float)
 
 
-def rectangle_increment(f: GridSample, rect: Rectangle):
-    """Alternating corner sum of ``f`` over ``rect``; corners must be grid points."""
-    if rect.dim != f.dim:
+def _grid_gen(values: np.ndarray) -> int:
+    """N of a (2^N+1,)*d grid of points."""
+    return (values.shape[0] - 1).bit_length() - 1
+
+
+def rectangle_increment(values: np.ndarray, rect: Rectangle):
+    """Alternating corner sum of the grid ``values`` over ``rect``; corners must be grid points."""
+    if rect.dim != values.ndim:
         raise ValueError("dimension mismatch")
-    scale = 1 << f.gen
+    gen = _grid_gen(values)
     total = None
     for corner, sign in rect.corners():
         ij = []
         for x in corner:
-            j = x * scale
+            j = x * (1 << gen)
             if j.denominator != 1:
-                raise ValueError(f"corner coordinate {x} is not on the 2^-{f.gen} grid")
+                raise ValueError(f"corner coordinate {x} is not on the 2^-{gen} grid")
             ij.append(int(j))
-        term = sign * f.values[tuple(ij)]
+        term = sign * values[tuple(ij)]
         total = term if total is None else total + term
     return total
 
 
-def figure_increment(f: GridSample, fig: Figure):
-    """Increment over a figure: sum of the member-cube increments."""
-    if fig.dim != f.dim:
+def figure_increment(values: np.ndarray, fig: Figure):
+    """Increment of the grid ``values`` over a figure: sum of the member-cube increments."""
+    if fig.dim != values.ndim:
         raise ValueError("dimension mismatch")
-    if fig.finest_generation() > f.gen:
+    if fig.finest_generation() > _grid_gen(values):
         raise ValueError("figure is finer than the sample grid")
     total = None
     for cube in fig.cubes:
-        term = rectangle_increment(f, cube.box())
+        term = rectangle_increment(values, cube.box())
         total = term if total is None else total + term
     if total is None:
-        return Fraction(0) if f.is_exact else 0.0
+        return Fraction(0) if values.dtype == object else 0.0
     return total
+
+
+def corner_sum_cells(values: np.ndarray, n: int) -> np.ndarray:
+    """Generation-n cube increments of a grid by the 2^d-corner alternating sum, lexicographic."""
+    d = values.ndim
+    step = (values.shape[0] - 1) >> n
+    total = 0
+    for corner in itertools.product((0, 1), repeat=d):
+        term = values[tuple(slice(step, None, step) if c else slice(0, -1, step) for c in corner)]
+        total = total + term if (d - sum(corner)) % 2 == 0 else total - term
+    return total
+
+
+@dataclass(frozen=True)
+class ExactTable:
+    """A coefficient table of exact numbers: ``levels[n]`` as ``CoefficientTable.level(n)``."""
+
+    dim: int
+    max_gen: int
+    a_minus1: object
+    levels: tuple[np.ndarray, ...]
+
+    def level(self, n: int) -> np.ndarray:
+        return self.levels[n]
+
+
+def exact_coefficient_table(values: np.ndarray, max_gen: int) -> ExactTable:
+    """The Haar-primitive coefficients of the exact grid ``values`` up to ``max_gen``.
+
+    ``values`` is an object array of ints or Fractions.  Row k, column
+    r - 1 of level n is 2^(nd/2) * sum_l M[r, l] * (increment of child l
+    of generation-n cube k): the children's increments are the
+    generation-(n+1) corner sums in Morton order, so cube k's children
+    are rows 2^d k .. 2^d k + 2^d - 1, M[r, l] is
+    :func:`haar_matrix_entry` and 2^(nd/2) is ``pow2_half(n d)``, a
+    Fraction or a Rad2.  Nothing of the coefficient engine is used.
+    """
+    if values.dtype != object:
+        raise TypeError(f"need an object array of exact numbers, got dtype {values.dtype}")
+    d, gen = values.ndim, _grid_gen(values)
+    if not 0 <= max_gen < gen:
+        raise ValueError(f"need 0 <= max_gen < {gen}, got {max_gen}")
+    signs = np.array(
+        [[haar_matrix_entry(d, r, l) for r in range(1, 1 << d)] for l in range(1 << d)],
+        dtype=object,
+    )
+    levels = []
+    for n in range(max_gen + 1):
+        kids = lex_to_morton(corner_sum_cells(values, n + 1)).reshape(-1, 1 << d)
+        levels.append(kids.dot(signs) * pow2_half(n * d))
+    whole = corner_sum_cells(values, 0).reshape(-1)[0]  # the increment over [0, 1]^d
+    return ExactTable(d, max_gen, whole, tuple(levels))
 
 
 def increment_covariance(
@@ -223,7 +290,33 @@ def haar_cube_weight(cube: DyadicCube, n: int, r: int, exact: bool = False) -> f
     return sign * (cube.volume() if exact else 2.0 ** (-cube.gen * cube.dim))
 
 
-def schauder_partial_apply(tab: CoefficientTable, max_gen: int, fig: Figure):
+REPORT_STATS = ("criterion_a", "b_terms", "b_partial_sums", "t_stats", "s_stats")
+
+
+def exact_report(tab: ExactTable) -> dict[str, list]:
+    """The statistics of a criterion report of ``tab``, per generation, in exact arithmetic.
+
+    With c the generation-n coefficients: criterion A is
+    2^(-n(d+2)/2) max_r sum_k |c[k, r]|, the b-term 2^(n(d-2)/2) max |c|,
+    T = 2^(-nd) sum_k |c[k, 1]| and S = 2^(n(d-2)/2) T; the b-terms'
+    partial sums complete them.
+    """
+    d, out = tab.dim, {name: [] for name in REPORT_STATS}
+    partial = 0
+    for n in range(tab.max_gen + 1):
+        lam = np.abs(tab.level(n))
+        b = pow2_half(n * (d - 2)) * max(lam.reshape(-1))
+        t = Fraction(1, 1 << (n * d)) * lam[:, 0].sum()
+        partial = partial + b
+        out["criterion_a"].append(pow2_half(-n * (d + 2)) * max(lam.sum(axis=0)))
+        out["b_terms"].append(b)
+        out["b_partial_sums"].append(partial)
+        out["t_stats"].append(t)
+        out["s_stats"].append(pow2_half(n * (d - 2)) * t)
+    return out
+
+
+def schauder_partial_apply(tab: CoefficientTable | ExactTable, max_gen: int, fig: Figure):
     """Truncated Haar-primitive expansion evaluated on a figure.
 
     constant-term * |figure| plus the coefficient-weighted Haar integrals
@@ -245,7 +338,7 @@ def schauder_partial_apply(tab: CoefficientTable, max_gen: int, fig: Figure):
     for cube in fig.cubes:
         for n in range(min(max_gen, cube.gen - 1) + 1):
             lam = tab.level(n)[cube.ancestor(n).index]
-            scale = haar_amplitude(n * d, exact)
+            scale = pow2_half(n * d) if exact else 2.0 ** (n * d / 2)
             for r in range(1, 1 << d):
                 if lam[r - 1]:
                     total = total + lam[r - 1] * scale * haar_cube_weight(cube, n, r, exact)

@@ -22,7 +22,7 @@ from helpers import (
     scattered_grid,
     zero_grid,
 )
-from oracles import HaarIndex, haar_primitive_grid
+from oracles import REPORT_STATS, HaarIndex, haar_primitive_grid
 
 
 def table_from_levels(d, levels):
@@ -155,12 +155,6 @@ class TestHolderRatio:
         assert np.allclose(levels, 1.0)
         assert holder_ratio(f, 1.0, 3) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_exact_grid_gives_the_float_ratios(self, d):
-        exact = holder_ratio_by_level(product_grid(d, 4, exact=True), 0.8, 3)
-        assert exact.dtype == float
-        assert np.allclose(exact, holder_ratio_by_level(product_grid(d, 4), 0.8, 3), rtol=1e-14)
-
     def test_zero_function(self):
         assert holder_ratio(zero_grid(2, 3), 0.7, 2) == 0.0
 
@@ -289,11 +283,10 @@ class TestReport:
             coefficient_table(sample_standard_sheet(2, 6, seed=1), 5),
             coefficient_table(sample_standard_sheet(3, 4, seed=2), 3),
             coefficient_table(sample_sheet((0.6, 0.9), 5, seed=3), 4),
-            coefficient_table(product_grid(2, 4, exact=True), 3),
             table_from_levels(2, zero_levels(2, 3)),
             table_from_levels(1, [np.array([[np.nan]]), np.array([[-0.0], [np.inf]])]),
         ],
-        ids=["d1", "d2", "d3", "fractional", "exact", "zero", "nonfinite"],
+        ids=["d1", "d2", "d3", "fractional", "zero", "nonfinite"],
     )
     def test_bit_identical_to_per_statistic_functions(self, tab):
         rep = build_report(tab)
@@ -303,9 +296,6 @@ class TestReport:
             assert np.array_equal(
                 np.array(got).view(np.int64), np.array(want).view(np.int64)
             ), name
-
-
-REPORT_STATS = ("criterion_a", "b_terms", "b_partial_sums", "t_stats", "s_stats")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -335,14 +325,12 @@ class TestStreamedReport:
             (awkward_grid(1, 17, seed=12), 16),
             (awkward_grid(2, 10, seed=13), 9),
             (awkward_grid(3, 7, seed=14), 6),
-            (product_grid(2, 3, exact=True), 2),
-            (GridSample(2, 2, np.multiply.outer(np.arange(5), np.arange(5))), 1),
         ],
         ids=[
             "d1", "d1-chunked", "d1-one-product", "d2-chunked", "d2-M-below",
             "d2-fractional", "d3-level-0", "d3-chunked", "d3-fractional", "d2-zero",
             "d3-zero", "d1-nonfinite", "d2-nonfinite", "d3-nonfinite", "d1-nonfinite-tiled",
-            "d2-nonfinite-tiled", "d3-nonfinite-tiled", "exact", "int",
+            "d2-nonfinite-tiled", "d3-nonfinite-tiled",
         ],
     )
     def test_bit_identical_to_table_report(self, f, max_gen):
@@ -383,9 +371,13 @@ class TestStreamedReport:
                 a, b = np.array(getattr(got, name)), np.array(getattr(want, name))
                 assert np.array_equal(a.view(np.int64), b.view(np.int64)), (max_gen, name)
 
-    def test_horizon_validated_as_the_table_is(self):
-        with pytest.raises(ValueError, match="need grid generation > 3"):
-            _streamed_report(zero_grid(2, 3), 3)
+    @pytest.mark.parametrize(
+        "max_gen, message", [(3, "need grid generation > 3, got 3"), (-1, "generation -1 is below 0")]
+    )
+    def test_horizon_validated_as_the_table_is(self, max_gen, message):
+        for compute in (_streamed_report, coefficient_table):
+            with pytest.raises(ValueError, match=message):
+                compute(zero_grid(2, 3), max_gen)
 
     def test_peak_at_most_a_quarter_grid_above_the_grid(self):
         # Neither the finest generations nor a whole |type-1| column exists:

@@ -229,6 +229,12 @@ class TestFigure:
         with pytest.raises(ValueError):
             Figure(2, (DyadicCube(1, 1, 0),))
 
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_dimension_below_one_rejected(self, dim):
+        # with no cubes there is nothing else to check the dimension against
+        with pytest.raises(ValueError, match=f"dim must be >= 1, got {dim}"):
+            Figure(dim)
+
     @pytest.mark.parametrize("d,gen,count", [(1, 4, 5), (2, 3, 9), (2, 4, 40), (3, 2, 20)])
     def test_perimeter_counts_exposed_faces(self, d, gen, count):
         rng = np.random.default_rng(100 * d + gen)
@@ -294,8 +300,10 @@ class TestFigure:
             '{"dim": 2, "cubes": [[-1, 0]]}',
             '{"dim": 2, "cubes": [[1, 0], [2, 3]]}',
             '{"dim": 2, "cubes": [[1, 1], [1, 1]]}',
+            '{"dim": 0, "cubes": []}',
+            '{"dim": -2, "cubes": []}',
         ],
-        ids=["index-out-of-range", "gen-negative", "nested", "duplicate"],
+        ids=["index-out-of-range", "gen-negative", "nested", "duplicate", "dim-0", "dim-negative"],
     )
     def test_from_json_validates_like_the_constructor(self, text):
         obj = json.loads(text)

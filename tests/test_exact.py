@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sheetcharge.exact import Rad2, pow2_half
+from exact import Rad2, pow2_half
 
 rationals = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=64
@@ -23,6 +23,15 @@ def test_pow2_half_odd_squares_to_power_of_two():
     assert isinstance(x, Rad2)
     assert x * x == Fraction(8)
     assert pow2_half(-1) * pow2_half(-1) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("e", range(8))
+def test_pow2_half_squares_to_power_of_two(e):
+    # the exact Haar amplitude 2^(e/2): a Fraction at even e, a Rad2 at odd e
+    x = pow2_half(e)
+    assert type(x) is (Rad2 if e % 2 else Fraction)
+    assert x * x == 1 << e
+    assert float(x) == pytest.approx(2.0 ** (e / 2), rel=1e-15)
 
 
 def test_mixed_arithmetic_with_rationals():

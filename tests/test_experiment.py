@@ -78,7 +78,7 @@ class TestCounterexampleFigure:
             assert rep.volume <= 2.0**-n
             assert rep.perimeter <= 4 * rep.coverage + 1e-12
             assert rep.increment == pytest.approx(
-                figure_increment(f, fig), rel=1e-9, abs=1e-12
+                figure_increment(f.values, fig), rel=1e-9, abs=1e-12
             )
 
     def test_maximality_no_selected_cube_inside_another_candidate(self):
@@ -98,7 +98,7 @@ class TestCounterexampleFigure:
         # frozen value from the seeded pipeline (d=2, N=10, seed 1, n=3)
         f = sample_standard_sheet(2, 10, seed=1)
         fig, rep = counterexample_figure(f, 3, 9, 0.5)
-        delta = figure_increment(f, fig)
+        delta = figure_increment(f.values, fig)
         assert delta >= 0.4
         assert delta == pytest.approx(1.1861051575915902, rel=1e-12)
         assert rep.coverage == pytest.approx(0.728515625)
@@ -125,9 +125,7 @@ def reference_counterexample_figure(f, n, p_max, exponent):
     threshold_sum = increment_sum = 0.0
     coverage = Fraction(0)
     for p in range(n, p_max + 1):
-        bottom = np.asarray(levels[p][..., 0])
-        if bottom.dtype == object:
-            bottom = bottom.astype(float)
+        bottom = levels[p][..., 0]
         threshold = 2.0 ** (-p * d * exponent)
         count = 0
         scale = 1 << (p_max - p)
@@ -173,9 +171,7 @@ def full_pyramid_counterexample_figure(f, n, p_max, exponent):
     increment_sum = 0.0
     coverage = Fraction(0)
     for p in range(n, p_max + 1):
-        bottom = np.asarray(levels[p][..., 0])
-        if bottom.dtype == object:
-            bottom = bottom.astype(float)
+        bottom = levels[p][..., 0]
         threshold = 2.0 ** (-p * d * exponent)
         for axis in range(d - 1):
             taken = taken.repeat(bottom.shape[axis] // taken.shape[axis], axis=axis)
@@ -239,14 +235,14 @@ class TestVectorisedScan:
             (sample_standard_sheet(3, 5, seed=4), 1, 4, 0.5),
             (sample_standard_sheet(3, 5, seed=5), 2, 3, 0.2),
             (sample_sheet((0.8, 0.8), 7, seed=6), 2, 6, 0.8),
-            (product_grid(2, 4, exact=True), 1, 3, 0.5),
+            (product_grid(2, 4), 1, 3, 0.5),
             (product_grid(3, 3), 0, 2, 0.5),
             (zero_grid(2, 5), 1, 4, 0.5),
             (with_nan_cells(2, 6, seed=7), 1, 5, 0.5),
             (with_nan_cells(3, 4, seed=8), 0, 3, 0.5),
         ],
         ids=[
-            "d1", "d1-n2", "d2", "d2-n3", "d3", "d3-n2", "fractional", "exact", "product-d3",
+            "d1", "d1-n2", "d2", "d2-n3", "d3", "d3-n2", "fractional", "product-d2", "product-d3",
             "zero", "nan-d2", "nan-d3",
         ],
     )
@@ -261,20 +257,20 @@ class TestVectorisedScan:
         [
             (sample_standard_sheet(1, 7, seed=10), 0.5),
             (sample_sheet((0.8,), 7, seed=11), 0.8),
-            (product_grid(1, 5, exact=True), 1.0),
+            (product_grid(1, 5), 1.0),
             (with_nan_cells(1, 6, seed=12), 0.5),
             (sample_standard_sheet(2, 6, seed=13), 0.5),
             (sample_sheet((0.7, 0.9), 6, seed=14), 0.8),
-            (product_grid(2, 4, exact=True), 1.0),
+            (product_grid(2, 4), 1.0),
             (with_nan_cells(2, 5, seed=15), 0.5),
             (sample_standard_sheet(3, 4, seed=16), 0.5),
             (sample_sheet((0.6, 0.7, 0.8), 4, seed=17), 0.7),
-            (product_grid(3, 3, exact=True), 1.0),
+            (product_grid(3, 3), 1.0),
             (with_nan_cells(3, 4, seed=18), 0.5),
         ],
         ids=[
             f"d{d}-{kind}" for d in (1, 2, 3)
-            for kind in ("standard", "fractional", "exact", "nan")
+            for kind in ("standard", "fractional", "product", "nan")
         ],
     )
     def test_bottom_slab_matches_full_pyramid(self, f, exponent):

@@ -1,10 +1,7 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from sheetcharge.exact import Rad2
-from sheetcharge.haar import haar_amplitude, haar_matrix
+from sheetcharge.haar import haar_matrix
 
 from oracles import haar_matrix_entry
 
@@ -48,18 +45,3 @@ class TestMatrix:
             haar_matrix(0)
         with pytest.raises(ValueError):
             haar_matrix(17)
-
-
-class TestAmplitude:
-    @pytest.mark.parametrize("e", range(8))
-    def test_exact_amplitude_squares_to_power_of_two(self, e):
-        exact = haar_amplitude(e, exact=True)
-        assert type(exact) is (Rad2 if e % 2 else Fraction)
-        assert exact * exact == 1 << e
-        assert float(exact) == pytest.approx(haar_amplitude(e), rel=1e-15)
-
-    def test_float_amplitude_is_l2_normalising(self):
-        # a generation-n Haar function is +-2^(nd/2) on a cube of volume 2^(-nd)
-        for d in (1, 2, 3):
-            for n in range(4):
-                assert haar_amplitude(n * d) ** 2 * 2.0 ** (-n * d) == pytest.approx(1.0)

@@ -6,14 +6,25 @@ import numpy as np
 import pytest
 
 from sheetcharge.dyadic import DyadicCube, Figure, Rectangle
-from sheetcharge.exact import pow2_half
 from sheetcharge.increments import GridSample, coefficient_table
 from sheetcharge.sampler import HurstVector, sample_standard_sheet, sheet_covariance
 
-from helpers import brute_force_faces, product_grid, random_dyadic_figure, zero_grid
+from exact import Rad2, pow2_half
+from helpers import (
+    brute_force_faces,
+    integer_grid,
+    product_grid,
+    random_dyadic_figure,
+    whole_grid_cells,
+    zero_grid,
+)
 from oracles import (
+    REPORT_STATS,
     HaarIndex,
     PolynomialField,
+    corner_sum_cells,
+    exact_coefficient_table,
+    exact_report,
     exposed_faces,
     figure_increment,
     flux,
@@ -98,55 +109,54 @@ class TestRectangleIncrement:
         f = product_grid(2, 4)
         r = frac_rect((Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 4), Fraction(15, 16)))
         sides = r.side_lengths()
-        assert rectangle_increment(f, r) == pytest.approx(float(sides[0] * sides[1]))
+        assert rectangle_increment(f.values, r) == pytest.approx(float(sides[0] * sides[1]))
 
     def test_constant_plateau_gives_zero(self):
         vals = np.zeros((5, 5))
         vals[1:, 1:] = 3.0  # constant away from the zero facets
         f = GridSample(2, 2, vals)
         r = frac_rect((Fraction(1, 4), Fraction(1, 4)), (1, 1))
-        assert rectangle_increment(f, r) == 0.0
+        assert rectangle_increment(f.values, r) == 0.0
 
     def test_unit_square_single_corner(self):
         vals = np.zeros((3, 3))
         vals[2, 2] = 0.625
         f = GridSample(2, 1, vals)
         r = frac_rect((0, 0), (1, 1))
-        assert rectangle_increment(f, r) == 0.625
+        assert rectangle_increment(f.values, r) == 0.625
 
     def test_off_grid_corner_rejected(self):
         f = product_grid(2, 2)
         r = frac_rect((0, 0), (Fraction(1, 8), 1))
         with pytest.raises(ValueError):
-            rectangle_increment(f, r)
+            rectangle_increment(f.values, r)
 
 
 class TestFigureIncrement:
     def test_unit_cube_is_corner_value(self):
         f = sample_standard_sheet(2, 4, seed=5)
         fig = Figure(2, (DyadicCube(2, 0, 0),))
-        assert figure_increment(f, fig) == pytest.approx(f.corner_value())
+        assert figure_increment(f.values, fig) == pytest.approx(f.corner_value())
 
     def test_complementary_halves_sum(self):
         f = sample_standard_sheet(2, 4, seed=6)
         left = Figure(2, (DyadicCube(2, 1, 0), DyadicCube(2, 1, 2)))
         right = Figure(2, (DyadicCube(2, 1, 1), DyadicCube(2, 1, 3)))
-        assert figure_increment(f, left) + figure_increment(f, right) == pytest.approx(
-            f.corner_value(), rel=1e-12
-        )
+        halves = figure_increment(f.values, left) + figure_increment(f.values, right)
+        assert halves == pytest.approx(f.corner_value(), rel=1e-12)
 
     def test_invariant_under_resplitting(self):
         f = sample_standard_sheet(2, 5, seed=7)
         fig = Figure(2, (DyadicCube(2, 1, 0), DyadicCube(2, 2, 12)))
         split = Figure(2, tuple(DyadicCube(2, 1, 0).children()) + (DyadicCube(2, 2, 12),))
-        assert figure_increment(f, fig) == pytest.approx(
-            figure_increment(f, split), rel=1e-12
+        assert figure_increment(f.values, fig) == pytest.approx(
+            figure_increment(f.values, split), rel=1e-12
         )
 
     def test_resolution_mismatch_rejected(self):
         f = zero_grid(2, 2)
         with pytest.raises(ValueError):
-            figure_increment(f, Figure(2, (DyadicCube(2, 3, 0),)))
+            figure_increment(f.values, Figure(2, (DyadicCube(2, 3, 0),)))
 
 
 def corner_expansion_covariance(H, rect_a, rect_b):
@@ -202,6 +212,67 @@ class TestIncrementCovariance:
             assert exact == pytest.approx(brute, rel=1e-12, abs=1e-13)
 
 
+class TestExactCoefficientTable:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_corner_sums_are_the_cell_differences(self, d):
+        f = integer_grid(d, 3, seed=d)
+        for n in range(4):
+            step = 1 << (3 - n)
+            coarse = f.values[(slice(None, None, step),) * d]
+            assert np.array_equal(corner_sum_cells(f.values, n), whole_grid_cells(coarse))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_product_function_coefficients_vanish(self, d):
+        tab = exact_coefficient_table(product_grid(d, 3, exact=True), 2)
+        assert tab.a_minus1 == 1
+        for n in range(3):
+            assert tab.level(n).shape == (1 << (n * d), (1 << d) - 1)
+            assert all(c == 0 for c in tab.level(n).flat)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_biorthogonal_to_haar_primitives(self, d):
+        # the table of a primitive is the unit vector at its own index
+        for idx in haar_indices_up_to(d, 2)[1:]:
+            tab = exact_coefficient_table(haar_primitive_grid(idx, 3, exact=True), 2)
+            assert tab.a_minus1 == 0
+            for n in range(3):
+                lev = tab.level(n)
+                for k in range(lev.shape[0]):
+                    for r in range(1, lev.shape[1] + 1):
+                        expected = 1 if (n, k, r) == (idx.gen, idx.cube, idx.type) else 0
+                        assert lev[k, r - 1] == expected
+
+    def test_odd_amplitude_is_carried_exactly(self):
+        tab = exact_coefficient_table(integer_grid(1, 4, seed=3, exact=True), 3)
+        for n in range(4):
+            kinds = {type(c) for c in tab.level(n).flat}
+            assert kinds == ({Rad2} if n % 2 else {Fraction})
+        assert all(c.a == 0 for c in tab.level(1).flat)
+
+    def test_float_grid_rejected(self):
+        with pytest.raises(TypeError, match="got dtype float64"):
+            exact_coefficient_table(product_grid(2, 3).values, 2)
+
+    @pytest.mark.parametrize("max_gen", [-1, 3])
+    def test_horizon_checked(self, max_gen):
+        with pytest.raises(ValueError, match=f"need 0 <= max_gen < 3, got {max_gen}"):
+            exact_coefficient_table(product_grid(2, 3, exact=True), max_gen)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_report_of_one_primitive(self, d):
+        # one coefficient 1 at (n, k, r) = (1, 1, 1): at generation 1, A and the
+        # b-term are its scale factors, T is 1 over the 2^d cubes, S is T scaled
+        grid = haar_primitive_grid(HaarIndex(d, 1, 1, 1), 3, exact=True)
+        stats = exact_report(exact_coefficient_table(grid, 2))
+        assert sorted(stats) == sorted(REPORT_STATS)
+        scale = pow2_half(d - 2)
+        assert stats["criterion_a"] == [0, pow2_half(-(d + 2)), 0]
+        assert stats["b_terms"] == [0, scale, 0]
+        assert stats["b_partial_sums"] == [0, scale, scale]
+        assert stats["t_stats"] == [0, Fraction(1, 1 << d), 0]
+        assert stats["s_stats"] == [0, scale * Fraction(1, 1 << d), 0]
+
+
 class TestSchauderPartialApply:
     def test_unit_cube_gives_constant_term(self):
         f = haar_primitive_grid(HaarIndex(2, 1, 1, 2), 4)
@@ -219,13 +290,12 @@ class TestSchauderPartialApply:
         for _ in range(5):
             fig = random_dyadic_figure(rng, 2, 3, 5)
             assert schauder_partial_apply(tab, 3, fig) == pytest.approx(
-                figure_increment(f, fig), rel=1e-12, abs=1e-14
+                figure_increment(f.values, fig), rel=1e-12, abs=1e-14
             )
 
     def test_single_primitive_quarter(self):
         grid = haar_primitive_grid(HaarIndex(2, 0, 0, 1), 3, exact=True)
-        f = GridSample(2, 3, grid)
-        tab = coefficient_table(f, 2)
+        tab = exact_coefficient_table(grid, 2)
         fig = Figure(2, (DyadicCube(2, 1, 0),))
         assert schauder_partial_apply(tab, 2, fig) == Fraction(1, 4)
 
@@ -242,11 +312,10 @@ class TestSchauderPartialApply:
         grid[...] = Fraction(0)
         for idx, c in coeffs.items():
             grid = grid + c * haar_primitive_grid(idx, 3, exact=True)
-        f = GridSample(2, 3, grid)
-        tab = coefficient_table(f, 2)
+        tab = exact_coefficient_table(grid, 2)
         for seed in range(6):
             fig = random_dyadic_figure(np.random.default_rng(seed), 2, 3, 7)
-            assert schauder_partial_apply(tab, 2, fig) == figure_increment(f, fig)
+            assert schauder_partial_apply(tab, 2, fig) == figure_increment(grid, fig)
 
     def test_figure_finer_than_horizon_rejected(self):
         f = haar_primitive_grid(HaarIndex(2, 0, 0, 1), 4)

@@ -16,7 +16,8 @@ PACKAGE = Path(sheetcharge.__file__).resolve().parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 # Test oracles, single-caller names and code no subcommand reached, all gone
-# from the public API (the oracles now live in tests/oracles.py).
+# from the public API (the oracles now live in tests/oracles.py, the exact
+# scalars in tests/exact.py).
 GONE = {
     "criterion_a_statistic",
     "dichotomy_statistics",
@@ -58,6 +59,10 @@ GONE = {
     "save_coefficients",
     "load_coefficients",
     "increment_covariance",
+    "Rad2",
+    "pow2_half",
+    "haar_amplitude",
+    "exact_coefficient_table",
 }
 
 
@@ -146,3 +151,41 @@ def test_every_definition_is_reached_from_a_subcommand():
             reached.add(key)
             todo.extend(graph[key])
     assert sorted(definitions - reached) == []
+
+
+# The modules whose exact geometry a subcommand reaches: Figure.volume and
+# figure_perimeter, and counterexample's coverage sum.
+FRACTION_MODULES = {"dyadic.py", "experiment.py"}
+
+
+def test_src_is_float64_only():
+    # No second arithmetic mode: no dtype compared with object, no is_exact, no
+    # exact= option, nothing of the exact scalars, and Fraction only for geometry.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(x, ast.Name) and x.id == "object" for x in operands) and any(
+                    "dtype" in ast.unparse(x) for x in operands
+                ):
+                    found.append(f"{where} compares a dtype with object")
+            elif isinstance(node, (ast.Name, ast.Attribute, ast.FunctionDef)):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+                if name == "is_exact":
+                    found.append(f"{where} names is_exact")
+            elif isinstance(node, ast.arg) and node.arg == "exact":
+                found.append(f"{where} takes a parameter exact")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [
+                    node.module or ""
+                ]
+                names = {a.name for a in node.names}
+                if any(m.rpartition(".")[2] == "exact" for m in modules) or names & {
+                    "exact", "Rad2", "pow2_half"
+                }:
+                    found.append(f"{where} imports the exact scalars")
+                if "fractions" in modules and path.name not in FRACTION_MODULES:
+                    found.append(f"{where} imports fractions")
+    assert found == []

@@ -29,7 +29,6 @@ from sheetcharge.sampler import (
 from helpers import (
     axis_kernel_matrix,
     dense_axis_cholesky,
-    product_grid,
     schur_factor,
     whole_factor,
 )
@@ -230,12 +229,8 @@ class TestSerialization:
         assert back.hurst is None and back.seed is None
         assert np.array_equal(back.values, f.values)
 
-    @pytest.mark.parametrize(
-        "f",
-        [sample_sheet((0.7, 0.9), 3, seed=23), product_grid(2, 2, exact=True)],
-        ids=["float", "exact"],
-    )
-    def test_binary_bytes_match_header_and_tobytes(self, tmp_path, f):
+    def test_binary_bytes_match_header_and_tobytes(self, tmp_path):
+        f = sample_sheet((0.7, 0.9), 3, seed=23)
         save_grid(f, tmp_path / "sample.grid")
         hurst = f.hurst if f.hurst is not None else (float("nan"),) * f.dim
         seed = f.seed if f.seed is not None else -1
@@ -289,7 +284,6 @@ class TestSerialization:
         [
             lambda: sample_sheet((0.6,), 0, seed=1),
             lambda: sample_sheet((0.6, 0.8), 0, seed=1),
-            lambda: product_grid(1, 3, exact=True),
             lambda: sample_standard_sheet(2, 5, seed=2),
             # 2^10 + 1 and 2^11 + 1 points: a full block plus one, and two plus one
             lambda: sample_standard_sheet(1, 10, seed=3),
@@ -298,17 +292,15 @@ class TestSerialization:
             lambda: TestSerialization.with_specials(2, 3, seed=6),
         ],
         ids=[
-            "d1-N0", "d2-N0", "d1-exact", "d2-standard",
+            "d1-N0", "d2-N0", "d2-standard",
             "d1-block-plus-one", "d1-two-blocks-plus-one", "d1-specials", "d2-specials",
         ],
     )
     def test_csv_export_matches_cell_by_cell_bytes(self, tmp_path, make):
         self.assert_reference_bytes(make(), tmp_path)
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_csv_export_matches_reference_bytes(self, tmp_path, exact):
-        f = product_grid(2, 3, exact=True) if exact else sample_sheet((0.6, 0.8), 4, seed=1)
-        self.assert_reference_bytes(f, tmp_path)
+    def test_csv_export_matches_reference_bytes(self, tmp_path):
+        self.assert_reference_bytes(sample_sheet((0.6, 0.8), 4, seed=1), tmp_path)
 
     def assert_reference_bytes(self, f, tmp_path):
         grid_to_csv(f, tmp_path / "fast.csv")
