@@ -13,14 +13,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .increments import (
+# increment_levels is unused here, but bench/tracer.py wraps it through this module.
+from .increments import (  # noqa: F401
     CoefficientTable,
     GridSample,
     _block_rows,
     _check_horizon,
     _coefficient_bytes,
     _coefficient_levels,
-    _levels_bytes,
+    _tiled_pyramid,
     increment_levels,
 )
 
@@ -33,14 +34,17 @@ __all__ = [
 
 
 def _level_max_abs(f: GridSample, max_gen: int) -> list[float]:
-    """max_k |increment| over the generation-n cubes, for n = 0..max_gen."""
-    return [float(np.abs(cells).max()) for cells in increment_levels(f, max_gen)]
+    """max_k |increment| over the generation-n cubes, for n = 0..max_gen.
 
-
-def _level_max_bytes(d: int, gen: int, max_gen: int) -> int:
-    """Bytes :func:`_level_max_abs` holds beside the grid, at most: the levels of
-    :func:`increment_levels` and |cells| of the largest one it returns."""
-    return _levels_bytes(d, gen, max_gen) + 8 * (1 << (max_gen * d))
+    One running ``np.maximum`` per generation over the pieces of
+    :func:`_tiled_pyramid`, which keeps a NaN as ``max`` does; beside the
+    pyramid the pass holds |cells| of one piece.
+    """
+    peaks = [0.0] * (max_gen + 1)
+    for n, _, cells in _tiled_pyramid(f.values, 0):
+        if n <= max_gen:
+            peaks[n] = np.maximum(peaks[n], np.abs(cells).max())
+    return [float(p) for p in peaks]
 
 
 def _holder_ratios(maxima: Sequence[float], dim: int, gamma: float) -> np.ndarray:

@@ -28,14 +28,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__, increments, sampler
-# build_report, coefficient_table and cube_increments are unused here, but
-# bench/tracer.py wraps these module attributes.
+from . import __version__, sampler
+# build_report, coefficient_table, cube_increments and increment_levels are
+# unused here, but bench/tracer.py wraps these module attributes.
 from .criteria import (  # noqa: F401
     _MIN_COUNT,
     _holder_ratios,
     _level_max_abs,
-    _level_max_bytes,
     _streamed_bytes,
     _streamed_report,
     build_report,
@@ -45,6 +44,9 @@ from .dyadic import DyadicCube, Figure, figure_perimeter, morton_encode
 from .increments import (  # noqa: F401
     BottomSlab,
     GridSample,
+    _pyramid_bytes,
+    _put_piece,
+    _tiled_pyramid,
     coefficient_table,
     cube_increments,
     increment_levels,
@@ -84,7 +86,8 @@ _PICKER_STREAM = 10**6  # covariance-check draws its pairs from replicate_rng(se
 _ANALYSIS_BYTES = {
     "brownian-dichotomy": _streamed_bytes,
     "fractional-criteria": _streamed_bytes,
-    "holder-scan": _level_max_bytes,
+    # the pyramid and |cells| of one of its pieces
+    "holder-scan": lambda d, gen, max_gen: _pyramid_bytes(d, gen, readers=1),
 }
 
 
@@ -244,13 +247,14 @@ class ExperimentConfig:
         H, those of ``sample_sheet`` (the leaves of each distinct
         component's factor, and its scratch arrays or, before the grid, a
         factor's build).  Each pooling worker holds its own: for
-        moment-scaling a grid and its scratch arrays, beside the pooled
-        samples; for counterexample without H the bottom slab's grid and
-        the larger of its draw's noise buffer and carry row and its scan's
-        cells.  For a subcommand in _ANALYSIS_BYTES, the larger of that and
-        what its analysis holds after the draw, beside the grid and any
-        cached factor leaves.  N and d are capped at 64 so the integers
-        stay small: any capped estimate is already above 2^64 bytes.
+        moment-scaling a grid, its scratch arrays and its pyramid, beside
+        the pooled samples; for counterexample without H the bottom slab's
+        grid and the larger of its draw's noise buffer and carry row and
+        its scan.  covariance-check holds its pairs beside the draw.  For a
+        subcommand in _ANALYSIS_BYTES, the larger of that and what its
+        analysis holds after the draw, beside the grid and any cached
+        factor leaves.  N and d are capped at 64 so the integers stay
+        small: any capped estimate is already above 2^64 bytes.
         """
         gen, d = min(self.N, 64), min(self.d, 64)
         workers = self._pool_workers()
@@ -269,7 +273,12 @@ class ExperimentConfig:
             grid = 8 * ((1 << gen) + 1) ** d
             need = max(need, leaves + grid + analysis(d, gen, min(self.M, gen - 1)))
         if self.subcommand == "moment-scaling":
+            need += workers * _pyramid_bytes(d, gen)
             need += 8 * self.replicates * sum(1 << min(n * d, 64) for n in self._moment_gens())
+        if self.subcommand == "covariance-check":
+            # per pair, measured with tracemalloc: its list slot, tuple and two tuples of
+            # d Python ints (88 + 80 d bytes, ints above 2^30 included) and two float64 sums
+            need += self.pairs * (104 + 80 * d)
         return min(need, 1 << 64)
 
     def _pool_workers(self) -> int:
@@ -347,10 +356,7 @@ def counterexample_figure(
             f"the slab holds {f.values.shape[-1] - 1} cells of the last axis, "
             f"fewer than the {cells} of the slab x_d <= 2^-{n} the scan reads"
         )
-    # Generation-p bottom cubes lie in the slab x_d <= 2^-p, so the pyramid of
-    # the slab x_d <= 2^-n holds all of them: bottoms[p] is generation p's [..., 0].
-    pyramid = increments._pyramid(f.values[..., : cells + 1], f.gen, n)
-    bottoms = {p: cells[..., 0].copy() for p, cells in pyramid if p <= p_max}
+    bottoms = _bottoms(f.values[..., : cells + 1], n, p_max)
     taken = np.zeros((1,) * (d - 1), dtype=bool)  # bottom-face cells covered so far
     cubes: list[DyadicCube] = []
     per_level = []
@@ -391,17 +397,39 @@ def counterexample_figure(
     return fig, report
 
 
+def _bottoms(values: np.ndarray, n: int, p_max: int) -> dict[int, np.ndarray]:
+    """Increments of the cubes touching x_d = 0, generation n to p_max, from the slab ``values``.
+
+    ``values`` holds the grid points of the slab x_d <= 2^-n, whose
+    generation-n cubes all touch x_d = 0 and hold every finer cube that
+    does.  Each is a cube grid of side 2^(N-n), summed by its own
+    :func:`_tiled_pyramid`, and the bottom cells of each of its pieces
+    are written into ``bottoms[p]``, generation p's lexicographic
+    (2^p,)*(d-1) array, by :func:`_put_piece`.
+    """
+    d, side = values.ndim, values.shape[-1] - 1
+    bottoms = {p: np.empty((1 << p,) * (d - 1)) for p in range(n, p_max + 1)}
+    for corner in np.ndindex(*((1 << n,) * (d - 1))):
+        box = values[tuple(slice(c * side, (c + 1) * side + 1) for c in corner)]
+        # The cube's cells of its generation k are cells of generation n + k,
+        # after the cube's own index; its last-axis coordinate is 0.
+        first = morton_encode(corner + (0,), n)
+        for k, lo, cells in _tiled_pyramid(box, 0):
+            if n + k <= p_max:
+                _put_piece(bottoms[n + k], d, n + k, (first << (k * d)) + lo, cells)
+    return bottoms
+
+
 def _scan_bytes(d: int, gen: int, n: int) -> int:
     """Bytes :func:`counterexample_figure` holds beside the grid it reads, at most.
 
-    The finest cells of the slab x_d <= 2^-n, 2^(N(d-1)) * 2^(N-n) of them,
-    and, while it sums their siblings, the generation above, one chunk's
-    partial sums and numpy's three ufunc buffers for its strided
-    additions; the scan's other arrays are smaller.
+    The pyramid of one generation-n cube of the slab x_d <= 2^-n, the
+    bottom arrays of generations n..N-1 and, while it scans the finest of
+    them, the per-cell arrays of the scan: five of bool, the picked
+    cubes' d - 1 int64 coordinates and their float64 increments.
     """
-    cells = 1 << (gen * d - n)
-    chunk = increments._piece_cells(increments._CHUNK_ROWS, cells)
-    return 8 * (cells + (cells >> d) + chunk + 3 * np.getbufsize())
+    bottoms = sum(1 << (p * (d - 1)) for p in range(n, gen))
+    return _pyramid_bytes(d, gen - n) + 8 * bottoms + (8 * d + 8) * (1 << ((gen - 1) * (d - 1)))
 
 
 def _sample_for(cfg: ExperimentConfig, seed: int) -> GridSample:
@@ -524,6 +552,15 @@ def run_holder_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
+def _pool_levels(values: np.ndarray, samples: dict[int, np.ndarray], r: int) -> None:
+    """Write the Morton cell increments of generation n of the cube grid ``values`` into
+    row ``r`` of ``samples[n]``, for every n in ``samples``, piece by piece as
+    :func:`_tiled_pyramid` yields them: no level exists whole."""
+    for n, lo, cells in _tiled_pyramid(values, min(samples)):
+        if n in samples:
+            samples[n][r, lo : lo + len(cells)] = cells
+
+
 def run_moment_scaling(cfg: ExperimentConfig, out: Path) -> list[Path]:
     gens = cfg._moment_gens()
     seed = cfg.seeds[0]
@@ -532,13 +569,9 @@ def run_moment_scaling(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
     def pool_replicate(r: int) -> None:
         # Each replicate has its own Philox stream and row, so the bits do not
-        # depend on the number of workers; the sheet is freed once its levels are built.
+        # depend on the number of workers.
         sheet = next(iter(sample_sheet_ensemble(cfg.H, cfg.N, seed, range(r, r + 1))))
-        levels = increment_levels(sheet, max(gens))
-        del sheet
-        for n, rows in samples.items():
-            # Looked up on increments, the call site bench/tracer.py wraps.
-            rows[r] = increments.lex_to_morton(levels[n])
+        _pool_levels(sheet.values, samples, r)
 
     for h in set(cfg.H):  # built before the workers: lru_cache lets two build one factor
         sampler._axis_factor(h, cfg.N)

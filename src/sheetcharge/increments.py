@@ -4,17 +4,16 @@ tables in the Haar-primitive (Faber-Schauder) system.
 A GridSample holds values of a function on the (2^N+1)^d dyadic grid that
 vanishes whenever a coordinate is zero; a BottomSlab holds the grid points
 of its bottom slab x_d <= 2^-n only.  Increments over dyadic cubes come
-from one pyramid engine, O(d 2^(Nd)) overall: :func:`_difference` turns
-the grid, or any box of it, into finest-cell increments one axis-0 slab
-at a time, and :func:`_morton_tiles` turns the grid into Morton-order
-ones one Morton-contiguous tile at a time; :func:`_coarsen` sums the 2^d
-siblings of every parent in chunks; :func:`_pyramid` and
-:func:`_tiled_pyramid` yield the levels finest first, the latter each
-Morton tile summed down inside itself through its finest generations, so
-none of those exists whole.  A level is either a lexicographic array or a
-flat Morton-order one, chosen by what the caller reads, and both layouts
-hold the same bits.  Equality with the 2^d-corner alternating sum is a
-test, not an assumption.
+from one pyramid engine, O(d 2^(Nd)) overall: :func:`_morton_tiles` turns
+a cube grid into finest-cell increments one Morton-contiguous tile at a
+time, :func:`_coarsen` sums the 2^d siblings of every parent, and
+:func:`_tiled_pyramid` sums each tile down inside itself through its
+finest generations and yields every level finest first, in Morton order
+and in pieces, so none of the finest levels exists whole.  A reader that
+wants a lexicographic array writes each piece through a Morton-bit view
+of it (:func:`_put_piece`).  Equality with the 2^d-corner alternating sum
+is a test, not an assumption, and a lexicographic pyramid is the tests'
+differential reference (``tests/oracles.py``).
 
 Grids are float64 only: a grid of any other dtype is rejected, never
 cast.  The exact coefficient table, in Fraction and a + b*sqrt(2)
@@ -23,15 +22,16 @@ arithmetic, is a test oracle (``tests/oracles.py``).
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
 
-# lex_to_morton is unused here, but moment-scaling looks it up through this module,
-# the call site bench/tracer.py wraps.
-from .dyadic import _morton_axes, lex_to_morton, morton_decode  # noqa: F401
+# lex_to_morton is unused here, but bench/tracer.py wraps it through this module.
+from .dyadic import _lex_axes, _morton_axes, lex_to_morton, morton_decode  # noqa: F401
 from .haar import haar_matrix
 
 __all__ = [
@@ -44,12 +44,10 @@ __all__ = [
 ]
 
 
-# Sizes of the streamed pieces of one level: cells differenced per lexicographic
-# slab, as a power of two, and Morton rows summed or multiplied per chunk (a
-# Morton tile of the finest level holds the children of one chunk).  A slab or
-# a sibling-sum chunk also holds at most 1/_LEVEL_SHARE of its level and at
-# least _MIN_PIECE cells (see _piece_cells).
-_SLAB_BITS = 15
+# Sizes of the streamed pieces of one level: Morton rows summed or multiplied per
+# chunk, as a power of two (a Morton tile of the finest level holds the children
+# of one chunk).  A sibling-sum chunk of a whole level also holds at most
+# 1/_LEVEL_SHARE of it and at least _MIN_PIECE cells (see _coarsen).
 _CHUNK_BITS = 14
 _CHUNK_ROWS = 1 << _CHUNK_BITS
 _LEVEL_SHARE = 16
@@ -147,16 +145,6 @@ class BottomSlab:
         object.__setattr__(self, "values", _frozen(vals))
 
 
-def _piece_cells(cap: int, level_cells: int) -> int:
-    """Cells in one streamed piece of a level: at most ``cap`` and 1/_LEVEL_SHARE of it.
-
-    numpy gives a strided ufunc call two buffers of up to 8192 values, so a
-    piece can cost about three times its size while it is worked on.  Below
-    _MIN_PIECE cells the calls' own overhead costs more than the memory saved.
-    """
-    return min(cap, max(_MIN_PIECE, level_cells // _LEVEL_SHARE))
-
-
 def _tile_bits(d: int, gen: int) -> int:
     """Morton bits of a tile of :func:`_morton_tiles`: the children of 2^_CHUNK_BITS
     parents (at least 2^_LEAF_BITS), or the whole finest level if that is smaller."""
@@ -191,19 +179,24 @@ def _tile_shape(d: int, bits: int) -> tuple[int, ...]:
     return tuple(1 << (side - (d - 1 - i < top)) for i in range(d))
 
 
+@functools.lru_cache(maxsize=None)
 def _tile_order(d: int, bits: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The box of :func:`_tile_shape`, and its order.
+    """The box of :func:`_tile_shape`, and its order, worked out once per (d, bits).
 
     Returns the box's shape and, for each of its cells in Morton order,
     its flat lexicographic position in the box: :func:`_morton_axes` of
-    the cube without the box's zero top bits.
+    the cube without the box's zero top bits.  The order is shared by
+    every pass and read only.  It lives in an anonymous mapping of its
+    own: on the malloc heap it would outlive the passes' freed buffers
+    below it and keep them resident (fbs-criteria peaked 2 MB higher).
     """
     side = -(-bits // d)
     top = side * d - bits
     axes = [a - top for a in _morton_axes(d, side) if a >= top]
     shape = _tile_shape(d, bits)
     # Writeable: np.take copies an index array that is not, once per call.
-    order = np.arange(1 << bits).reshape((2,) * bits).transpose(np.argsort(axes)).reshape(-1)
+    order = np.frombuffer(mmap.mmap(-1, np.dtype(np.intp).itemsize << bits), dtype=np.intp)
+    order[...] = np.arange(1 << bits).reshape((2,) * bits).transpose(np.argsort(axes)).reshape(-1)
     return shape, order
 
 
@@ -252,72 +245,43 @@ def _morton_tiles(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         yield lo, cells
 
 
-def _difference(values: np.ndarray) -> np.ndarray:
-    """Cell increments of the box of grid points ``values``, a lexicographic array.
-
-    The box is differenced one axis-0 slab of at most
-    ``_piece_cells(2^_SLAB_BITS, cells of the box)`` cells (or of one row,
-    if a row is more) at a time.
-    """
-    shape = tuple(x - 1 for x in values.shape)
-    out = np.empty(shape)
-    slab_cells = _piece_cells(1 << _SLAB_BITS, math.prod(shape))
-    rows = min(shape[0], max(1, slab_cells // math.prod(shape[1:])))
-    differ = _box_differ((rows,) + shape[1:])
-    for lo in range(0, shape[0], rows):
-        differ(values[lo : lo + rows + 1], out[lo : lo + rows])
-    return out
-
-
 def _coarsen(
     cells: np.ndarray,
     d: int,
     out: np.ndarray | None = None,
     scratch: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Sum the 2^d sibling cells of every parent: one generation up along every axis.
+    """Sum the 2^d sibling cells of every parent of the flat Morton-order level ``cells``.
 
-    ``cells`` is a d-dimensional lexicographic level or a flat Morton-order
-    one (the two coincide at d = 1), seen as its parent axes followed by d
-    child axes in lexicographic order.  The halves of the last child axis
-    are added first, then those of the one before and so on, the additions
-    of a reshape-sum over the sibling axes, in chunks of about
-    _CHUNK_ROWS / 2^(d-1) parents, so a first partial sum holds about
-    _CHUNK_ROWS cells and at most 1/_LEVEL_SHARE of a large level.  On a
-    Morton level, child axis i is bit 2^i of a parent's child digit, so
-    each step adds the upper half of the remaining sibling columns of
-    ``cells.reshape(-1, 2^d)`` to the lower half, column by column, as long
-    strided 1-D sums into 2(d - 1) scratch arrays of a chunk's parents
-    (see :func:`_add_siblings`).  The parents go to ``out`` if given;
-    ``cells`` is then a piece of :func:`_tiled_pyramid`, summed in one
-    chunk through the arrays of ``scratch``, each at least as long as
-    ``out``, so a stream of pieces allocates nothing.
+    Child axis i is bit 2^i of a parent's child digit, so the halves of the
+    last child axis are added first, then those of the one before and so
+    on, the additions of a reshape-sum over the sibling axes of the
+    lexicographic level: each step adds the upper half of the remaining
+    sibling columns of ``cells.reshape(-1, 2^d)`` to the lower half, column
+    by column, as long strided 1-D sums into 2(d - 1) scratch arrays of a
+    chunk's parents (see :func:`_add_siblings`).  A whole level is summed
+    in chunks of about _CHUNK_ROWS / 2^(d-1) parents, so a first partial
+    sum holds about _CHUNK_ROWS cells and at most 1/_LEVEL_SHARE of a large
+    level: numpy gives a strided ufunc call two buffers of up to 8192
+    values, so a chunk costs about three times its size while it is summed.
+    Below _MIN_PIECE cells the calls' own overhead costs more than the
+    memory saved.  The parents go to ``out`` if given; ``cells`` is then a
+    piece of :func:`_tiled_pyramid`, summed in one chunk through the arrays
+    of ``scratch``, each at least as long as ``out``, so a stream of pieces
+    allocates nothing.
     """
-    morton = cells.ndim != d
-    if morton:
-        kids = cells.reshape(-1, 1 << d)
-        parent_shape = (len(kids),)
-    else:
-        kids = cells.reshape([x for m in cells.shape for x in (m // 2, 2)])
-        kids = kids.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
-        parent_shape = kids.shape[:-d]
+    kids = cells.reshape(-1, 1 << d)
     if out is None:
-        parent = np.empty(parent_shape)
-        chunk_cells = _piece_cells(_CHUNK_ROWS, cells.size)
-        step = max(1, (chunk_cells >> (d - 1)) // math.prod(parent_shape[1:]))
+        parent = np.empty(len(kids))
+        chunk = min(_CHUNK_ROWS, max(_MIN_PIECE, cells.size // _LEVEL_SHARE))
+        step = max(1, chunk >> (d - 1))
     else:
         parent, step = out, len(out)
-    if morton and scratch is None:
+    if scratch is None:
         scratch = [np.empty(min(step, len(parent))) for _ in range(2 * d - 2)]
     for lo in range(0, len(parent), step):
         dest = parent[lo : lo + step]
-        if morton:
-            _add_siblings(kids[lo : lo + step], dest, [s[: len(dest)] for s in scratch])
-        else:
-            part = kids[lo : lo + step]
-            for _ in range(d - 1):
-                part = part[..., 0] + part[..., 1]
-            np.add(part[..., 0], part[..., 1], out=dest)
+        _add_siblings(kids[lo : lo + step], dest, [s[: len(dest)] for s in scratch])
         # A reduce-sum starts from +0.0, so it never returns -0.0; -0.0 + -0.0 does.
         dest += 0.0
     return parent
@@ -346,30 +310,6 @@ def _add_siblings(
     np.add(left, right, out=out)
 
 
-def _levels(cells: np.ndarray, d: int, gen: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``(n, cells)`` for n = gen down to ``stop``, from the generation-``gen`` level ``cells``.
-
-    Generation n-1 is summed before generation n is yielded, so a consumer
-    may overwrite ``cells``; it should drop ``cells`` before asking for the
-    next level.
-    """
-    for n in range(gen, stop - 1, -1):
-        parent = _coarsen(cells, d) if n > stop else None
-        yield n, cells
-        cells = parent
-
-
-def _pyramid(values: np.ndarray, gen: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Lexicographic cell increments of the box of grid points ``values``, finest first.
-
-    The box's finest cells are of generation ``gen``; yields ``(n, cells)``
-    for n = gen down to ``stop`` as :func:`_levels` does.
-    """
-    levels = _levels(_difference(values), values.ndim, gen, stop)
-    del values  # a grid no caller holds is freed here
-    yield from levels
-
-
 def _tiled_pyramid(values: np.ndarray, stop: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Morton cell increments of the cube grid ``values`` for generations N down to ``stop``.
 
@@ -381,7 +321,7 @@ def _tiled_pyramid(values: np.ndarray, stop: int) -> Iterator[tuple[int, int, np
     its own that the next tile overwrites.  The tile's share of the
     generation below the last of them is written into its slice of a whole
     level, and that generation and every coarser one are yielded whole
-    (lo = 0), as :func:`_levels` yields them.  So a generation comes in
+    (lo = 0), each dropped once the next is asked for.  So a generation comes in
     Morton order, in pieces of one size, and the first one that exists
     whole is generation N-4 at d = 2 (N-3 at d = 3, N-2 at d = 4) on a grid
     of many tiles.  Every piece is summed into the next generation before
@@ -407,13 +347,12 @@ def _tiled_pyramid(values: np.ndarray, stop: int) -> Iterator[tuple[int, int, np
                 _coarsen(cells, d, out=parent, scratch=scratch)
             yield m, lo >> (k * d), cells
             cells = parent
-    del tiles, cells, pieces
-    if whole is not None:
-        levels = _levels(whole, d, low - 1, stop)
-        del whole
-        for n, cells in levels:
-            yield n, 0, cells
-            del cells
+    del tiles, pieces
+    cells, whole = whole, None
+    for n in range(low - 1, stop - 1, -1):  # none if stop >= low
+        parent = _coarsen(cells, d) if n > stop else None
+        yield n, 0, cells
+        cells = parent
 
 
 def _check_generation(n: int, gen: int) -> None:
@@ -431,13 +370,42 @@ def _check_horizon(max_gen: int, gen: int) -> None:
         raise ValueError(f"need grid generation > {max_gen}, got {gen}")
 
 
+def _put_piece(dest: np.ndarray, d: int, n: int, lo: int, cells: np.ndarray) -> None:
+    """Write the Morton cells lo, lo + 1, ... of a d-dimensional generation-n level into ``dest``.
+
+    ``dest`` is a C-contiguous lexicographic array of the level,
+    (2^n,)*d, or of its bottom layer, (2^n,)*(d-1): the cells whose
+    last-axis coordinate is 0, the others dropped.  The piece is written
+    through the view of ``dest`` whose axes are its Morton bits, most
+    significant first (as :func:`lex_to_morton` reads it), indexed by the
+    leading bits of ``lo``.
+    """
+    bits = len(cells).bit_length() - 1
+    # Index bit pos, most significant first, is a bit of axis pos % d.
+    drop = [dest.ndim < d and pos % d == d - 1 for pos in range(n * d - 1, -1, -1)]
+    lead = [(lo >> pos) & 1 for pos in range(n * d - 1, bits - 1, -1)]
+    if any(bit and dropped for bit, dropped in zip(lead, drop)):
+        return  # the piece lies above the bottom layer
+    view = dest.reshape((2,) * (n * dest.ndim)).transpose(_lex_axes(dest.ndim, n))
+    keep = tuple(0 if dropped else slice(None) for dropped in drop[len(lead) :])
+    at = tuple(bit for bit, dropped in zip(lead, drop) if not dropped)
+    view[at] = cells.reshape((2,) * bits)[keep]
+
+
 def increment_levels(f: GridSample, n_max: int | None = None) -> list[np.ndarray]:
-    """Lexicographic cube-increment arrays for generations 0..n_max (default N)."""
+    """Lexicographic cube-increment arrays for generations 0..n_max (default N).
+
+    The pieces of :func:`_tiled_pyramid`, each written into its level by
+    :func:`_put_piece`.  No subcommand reads the levels whole; this is the
+    call site bench/tracer.py wraps.
+    """
     if n_max is None:
         n_max = f.gen
     _check_generation(n_max, f.gen)
-    levels = [cells for n, cells in _pyramid(f.values, f.gen, 0) if n <= n_max]
-    levels.reverse()
+    levels = [np.empty((1 << n,) * f.dim) for n in range(n_max + 1)]
+    for n, lo, cells in _tiled_pyramid(f.values, 0):
+        if n <= n_max:
+            _put_piece(levels[n], f.dim, n, lo, cells)
     return levels
 
 
@@ -519,17 +487,17 @@ def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, int,
         del cells  # not alive while the next level is summed
 
 
-def _coefficient_bytes(d: int, gen: int, max_gen: int) -> int:
-    """Bytes :func:`_coefficient_levels` holds beside the grid, at most.
+def _pyramid_bytes(d: int, gen: int, readers: int = 0) -> int:
+    """Bytes :func:`_tiled_pyramid` of a cube grid of generation ``gen`` holds beside it, at most.
 
     A tile's box of cells and the d - 1 intermediate arrays of its
     differencing (each at most its box of grid points), its cells in
     Morton order and their int64 order; the tile's shares of the
     generations summed inside it (each 1/2^d of the one before) and the
     2(d - 1) scratch arrays of its parents; the whole level below them,
-    with the parent and scratch arrays :func:`_levels` sums it through;
-    the product buffer; and numpy's three ufunc buffers for additions of
-    strided operands.
+    with the parent and scratch arrays it is summed through;
+    numpy's three ufunc buffers for additions of strided operands; and
+    ``readers`` arrays of the reader's, each as large as a piece.
     """
     bits = _tile_bits(d, gen)
     tile, points = 1 << bits, math.prod(m + 1 for m in _tile_shape(d, bits))
@@ -542,27 +510,20 @@ def _coefficient_bytes(d: int, gen: int, max_gen: int) -> int:
         + 2 * (d - 1) * (tile >> d)
         + whole
         + (2 * d - 1) * (whole >> d)
-        + (_block_rows(d, gen, max_gen) << d)
         + 3 * np.getbufsize()
+        + readers * max(tile, whole)
     )
     return 8 * cells
 
 
-def _levels_bytes(d: int, gen: int, max_gen: int) -> int:
-    """Bytes :func:`increment_levels` holds beside the grid, at most.
+def _coefficient_bytes(d: int, gen: int, max_gen: int) -> int:
+    """Bytes :func:`_coefficient_levels` holds beside the grid, at most.
 
-    Every level it returns (generations 0..``max_gen``) and the finest
-    level, which is alive while its parent is summed; the d - 1
-    intermediate arrays of one slab's differencing, each at most the
-    slab's grid points; and a chunk's partial sums with numpy's three
-    ufunc buffers for their strided additions.
+    Its pyramid, the product buffer, and the float64 sign matrix with the
+    int8 one it is cast from (9 * 4^d bytes: at d = 11, N = 1 the matrix
+    is most of the pass).
     """
-    row = 1 << (gen * (d - 1))
-    rows = min(1 << gen, max(1, _piece_cells(1 << _SLAB_BITS, 1 << (gen * d)) // row))
-    slab = (rows + 1) * ((1 << gen) + 1) ** (d - 1)
-    chunk = _piece_cells(_CHUNK_ROWS, 1 << (gen * d))
-    levels = sum(1 << (n * d) for n in range(max_gen + 1))
-    return 8 * (levels + (1 << (gen * d)) + (d - 1) * slab + chunk + 3 * np.getbufsize())
+    return _pyramid_bytes(d, gen) + 8 * (_block_rows(d, gen, max_gen) << d) + (9 << (2 * d))
 
 
 def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:

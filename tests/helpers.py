@@ -156,14 +156,6 @@ def holder_ratio(f: GridSample, gamma: float, max_gen: int) -> float:
     return float(holder_ratio_by_level(f, gamma, max_gen).max())
 
 
-def whole_grid_cells(values: np.ndarray) -> np.ndarray:
-    """Cell increments of a box of grid points: ``np.diff`` of the whole box, axis by axis."""
-    cells = values
-    for axis in range(values.ndim):
-        cells = np.diff(cells, axis=axis)
-    return cells
-
-
 def grid_from_cell_increments(cells: np.ndarray) -> GridSample:
     """Build the grid sample whose finest-cell increments are ``cells``."""
     d = cells.ndim

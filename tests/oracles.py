@@ -7,6 +7,9 @@ increments; the tests check those against independent constructions:
   Gram matrix and the exact Haar primitives sampled on the dyadic grid;
 - increments read off the grid corners of rectangles, figures and whole
   generations, and the closed-form covariance of two rectangle increments;
+- the lexicographic increment pyramid (``np.diff`` of the grid, then
+  reshape-sums of sibling cells), the differential reference of the
+  package's Morton-tile engine and of every reader of it;
 - the exact coefficient table of a grid of exact numbers, from the
   corner sums, the sign-matrix entries and the exact amplitudes alone;
 - the truncated Haar-primitive expansion evaluated on a figure;
@@ -213,6 +216,40 @@ def corner_sum_cells(values: np.ndarray, n: int) -> np.ndarray:
         term = values[tuple(slice(step, None, step) if c else slice(0, -1, step) for c in corner)]
         total = total + term if (d - sum(corner)) % 2 == 0 else total - term
     return total
+
+
+def lex_cells(values: np.ndarray) -> np.ndarray:
+    """Cell increments of a box of grid points: ``np.diff`` of the whole box, axis by axis.
+
+    The subtractions of the package's differencing, in its order, so the
+    bits agree for every float, NaN and infinity included.
+    """
+    cells = values
+    for axis in range(values.ndim):
+        cells = np.diff(cells, axis=axis)
+    return cells
+
+
+def lex_coarsen(cells: np.ndarray) -> np.ndarray:
+    """Sibling sums of a lexicographic level through a (half, 2)-per-axis reshape,
+    the last sibling axis first."""
+    d = cells.ndim
+    half = cells.shape[0] // 2
+    shaped = cells.reshape(tuple(x for _ in range(d) for x in (half, 2)))
+    for axis in reversed(range(1, 2 * d, 2)):
+        shaped = shaped.sum(axis=axis)
+    return shaped
+
+
+def lex_increment_levels(values: np.ndarray, n_max: int | None = None) -> list[np.ndarray]:
+    """Lexicographic cube increments of the cube grid ``values``, generations 0..n_max
+    (default N)."""
+    gen = _grid_gen(values)
+    levels = [lex_cells(values)]
+    while len(levels) <= gen:
+        levels.append(lex_coarsen(levels[-1]))
+    levels.reverse()
+    return levels[: (gen if n_max is None else n_max) + 1]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from sheetcharge import criteria, increments
-from sheetcharge.criteria import CriterionReport, _streamed_report, build_report, moment_scaling_fit
+from sheetcharge.criteria import (
+    CriterionReport,
+    _level_max_abs,
+    _streamed_bytes,
+    _streamed_report,
+    build_report,
+    moment_scaling_fit,
+)
 from sheetcharge.increments import CoefficientTable, GridSample, coefficient_table
 from sheetcharge.sampler import sample_sheet, sample_standard_sheet
 
@@ -22,7 +29,7 @@ from helpers import (
     scattered_grid,
     zero_grid,
 )
-from oracles import REPORT_STATS, HaarIndex, haar_primitive_grid
+from oracles import REPORT_STATS, HaarIndex, haar_primitive_grid, lex_increment_levels
 
 
 def table_from_levels(d, levels):
@@ -177,6 +184,62 @@ class TestHolderRatio:
                     2 * n * d * np.log(2)
                 )
                 assert 0.4 * predicted <= levels[n] <= 2.5 * predicted
+
+
+HOLDER_GRIDS = [
+    pytest.param(sample_standard_sheet(1, 12, seed=30), id="standard-d1"),
+    pytest.param(sample_sheet((0.6, 0.9), 7, seed=31), id="fractional-d2"),
+    pytest.param(sample_standard_sheet(2, 9, seed=32), id="standard-d2"),
+    pytest.param(sample_standard_sheet(3, 5, seed=33), id="standard-d3"),
+] + [pytest.param(scattered_grid(d, gen, seed=d), id=f"nonfinite-d{d}")
+     for d, gen in [(1, 12), (2, 7), (3, 5)]]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestLevelMaxima:
+    """holder-scan's per-generation maxima of |increment|, read off the Morton pieces,
+    against the whole lexicographic levels of the oracle pyramid, bit for bit."""
+
+    @staticmethod
+    def assert_maxima(f, max_gen):
+        want = [float(np.abs(cells).max()) for cells in lex_increment_levels(f.values, max_gen)]
+        got = _level_max_abs(f, max_gen)
+        assert [type(x) for x in got] == [float] * (max_gen + 1)
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+    @pytest.mark.parametrize("f", HOLDER_GRIDS)
+    def test_every_horizon(self, f):
+        for max_gen in range(f.gen):
+            self.assert_maxima(f, max_gen)
+
+    @pytest.mark.parametrize("f", HOLDER_GRIDS)
+    def test_small_tiles(self, f, small_tiles):
+        self.assert_maxima(f, f.gen - 1)
+
+    def test_a_nan_is_kept_whichever_piece_holds_it(self):
+        # the NaN in the first tile, in the last, or in no tile: -0.0 and zeros elsewhere
+        for where in (0, -1, None):
+            cells = np.zeros((1 << 9,) * 2)
+            cells[0, 0] = -0.0
+            if where is not None:
+                cells.reshape(-1)[where] = np.nan
+            values = np.zeros((513, 513))
+            values[1:, 1:] = cells.cumsum(axis=0).cumsum(axis=1)
+            got = _level_max_abs(GridSample(2, 9, values), 8)
+            assert all(np.isnan(got)) if where is not None else got == [0.0] * 9
+
+    def test_pass_holds_at_most_0_15_grid_above_the_grid(self):
+        # The whole pyramid is never built: a tile, its shares, the whole levels
+        # from generation 6 down and |cells| of one piece.
+        f = zero_grid(2, 11)
+        tracemalloc.start()
+        try:
+            _level_max_abs(f, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.15 * f.values.nbytes
 
 
 MOMENT_ORDERS = (0.25, 1 / 3, 0.5, 1, 1.5, 2, 2.5, 3, 7)
@@ -390,6 +453,19 @@ class TestStreamedReport:
         finally:
             tracemalloc.stop()
         assert peak <= 0.25 * f.values.nbytes
+
+    @pytest.mark.parametrize("d", [10, 11])
+    def test_peak_within_the_estimate_where_the_sign_matrix_dominates(self, d):
+        # At N = 1 the float64 sign matrix (8 * 4^d bytes) and the int8 one it is
+        # cast from outweigh the grid and its one small tile.
+        f = zero_grid(d, 1)
+        tracemalloc.start()
+        try:
+            _streamed_report(f, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * 4**d <= peak <= _streamed_bytes(d, 1, 0)
 
     @pytest.mark.skipif(
         sys.version_info < (3, 11),

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import os
 import queue  # noqa: F401  (see test_memory_estimate_covers_the_sampler)
 import re
 import struct
@@ -30,11 +31,11 @@ from sheetcharge.experiment import (
     ExperimentConfig,
     counterexample_figure,
 )
-from sheetcharge.increments import GridSample, increment_levels
+from sheetcharge.increments import GridSample, _pyramid_bytes
 from sheetcharge.sampler import sample_sheet, sample_sheet_ensemble, sample_standard_sheet
 
-from helpers import grid_from_cell_increments, product_grid, zero_grid
-from oracles import exposed_faces, figure_increment
+from helpers import grid_from_cell_increments, product_grid, scattered_grid, zero_grid
+from oracles import exposed_faces, figure_increment, lex_increment_levels
 
 
 class TestCounterexampleFigure:
@@ -119,7 +120,7 @@ class TestCounterexampleFigure:
 def reference_counterexample_figure(f, n, p_max, exponent):
     """The cube-by-cube scan that counterexample_figure vectorises."""
     d = f.dim
-    levels = increment_levels(f, p_max)
+    levels = lex_increment_levels(f.values, p_max)
     covered = np.zeros((1 << p_max,) * (d - 1), dtype=bool)
     cubes, per_level = [], []
     threshold_sum = increment_sum = 0.0
@@ -164,7 +165,7 @@ def full_pyramid_counterexample_figure(f, n, p_max, exponent):
     """counterexample_figure as it was before it differenced only the bottom slab:
     it reads the bottom layer of the whole increment pyramid."""
     d = f.dim
-    levels = increment_levels(f, p_max)
+    levels = lex_increment_levels(f.values, p_max)
     taken = np.zeros((1,) * (d - 1), dtype=bool)
     cubes, per_level = [], []
     threshold_sum = 0.0
@@ -281,6 +282,23 @@ class TestVectorisedScan:
                     full_pyramid_counterexample_figure(f, n, p_max, exponent),
                 )
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("d, N", [(1, 12), (2, 7), (3, 5)])
+    def test_bottoms_match_the_oracle_pyramid(self, d, N, small_tiles):
+        # Every slab x_d <= 2^-n of a grid with NaN, infinities and -0.0, on tiles
+        # of 2^(3+d) to 2^(9+d) cells: one cube per slab at n = 0, many above.
+        f = scattered_grid(d, N, seed=d + 1)
+        levels = lex_increment_levels(f.values)
+        for n in range(N):
+            slab = f.values[..., : (1 << (N - n)) + 1]
+            bottoms = experiment._bottoms(slab, n, N - 1)
+            assert sorted(bottoms) == list(range(n, N))
+            for p, got in bottoms.items():
+                want = levels[p][..., 0]
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, p)
+
     def test_nan_increment_is_selected(self):
         # "value < threshold" is false for NaN, so the scan picks a NaN cube
         f = with_nan_cells(2, 6, seed=7)
@@ -360,15 +378,24 @@ class TestConfig:
         # one per core and block: a whole grid for one leaf, 256 rows of one
         # 1024-column block for more.  Without H, the grid, the noise buffers
         # (two of 2^16 values on two cores, if the draw has two blocks) and the
-        # carry row.  moment-scaling holds a grid and its scratch per worker,
-        # one per core, beside the one factor.
+        # carry row.  moment-scaling holds a grid, its scratch and its pyramid per
+        # worker, one per core, beside the one factor.  At N = 8 the pyramid's one
+        # 256 x 256 tile is the whole finest level: its box and one differencing
+        # array (each at most 257 x 257), its Morton cells and order, its shares
+        # of generations 7, 6 and 5, two scratch arrays of its parents, the whole
+        # generation-4 level with its parent and two scratch arrays, and numpy's
+        # three ufunc buffers.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
         cfg = ExperimentConfig(
             subcommand="moment-scaling", d=2, N=8, H=(0.7, 0.7), replicates=200, q=(1, 2)
         )
         grid, factor, scratch = 8 * 257**2, 8 * 4**8, 8 * 4**8
+        tile, whole = 2**16, 4**4
+        pyramid = 8 * (
+            2 * 257**2 + 2 * tile + tile // 2 + 2 * tile // 4 + whole + 3 * whole // 4 + 3 * 8192
+        )
         samples = 8 * 200 * sum(4**n for n in range(2, 8))
-        assert cfg._memory_estimate() == factor + 2 * (grid + scratch) + samples
+        assert cfg._memory_estimate() == factor + 2 * (grid + scratch + pyramid) + samples
         cfg = ExperimentConfig(subcommand="simulate", d=3, N=5, H=(0.6, 0.8, 0.6))
         assert cfg._memory_estimate() == 2 * 8 * 4**5 + 8 * 33**3 + 8 * 32**3
         cfg = ExperimentConfig(subcommand="fractional-criteria", d=2, N=11, H=(0.9, 0.9))
@@ -380,30 +407,39 @@ class TestConfig:
         # its shares of generations 10, 9 and 8 (at most half a tile), two
         # scratch arrays of its parents, the whole generation-7 level with its
         # parent and two scratch arrays, the 2^14 x 4 product, numpy's three
-        # ufunc buffers and the 2^14 + 1 rows of three |coefficients|
+        # ufunc buffers, the 2^14 + 1 rows of three |coefficients|, and the
+        # 4 x 4 sign matrix in float64 and int8
         tile, whole = 2**16, 4**7
         streamed = (
             2 * 257**2 + 2 * tile + tile // 2 + 2 * tile // 4 + whole + 3 * whole // 4
             + 4 * 2**14 + 3 * 8192 + 3 * (2**14 + 1)
         )
         cfg = ExperimentConfig(subcommand="brownian-dichotomy", d=2, N=11)
-        assert cfg._memory_estimate() == 8 * (2049**2 + streamed)
-        # holder-scan: the grid and its lexicographic pyramid: generations 0..9
-        # and the finest, a 32-row slab's differencing array, a 2^14-cell chunk
-        # and three ufunc buffers, and |cells| of generation 9
-        levels = sum(4**n for n in range(10)) + 4**10
+        assert cfg._memory_estimate() == 8 * (2049**2 + streamed) + 9 * 4**2
+        # holder-scan: the grid and its tiled pyramid (the whole level is
+        # generation 6's) with |cells| of one tile
+        whole = 4**6
         cfg = ExperimentConfig(subcommand="holder-scan", d=2, N=10)
         assert cfg._memory_estimate() == 8 * (
-            1025**2 + levels + 33 * 1025 + 2**14 + 3 * 8192 + 4**9
+            1025**2 + 2 * 257**2 + 3 * tile + tile // 2 + 2 * tile // 4 + whole + 3 * whole // 4
+            + 3 * 8192
         )
         # counterexample without H: per pooling worker (one per core, at most one
         # per seed) the slab x_d <= 2^-n, 129 x 129 x 33 points, and the larger of
         # its draw's one noise buffer, carry row and (from d = 3) numpy's three
-        # ufunc buffers for the additions of strided rows, and its scan's finest
-        # cells, their sibling sums, one 2^14-cell chunk and three ufunc buffers
-        slab, cells = 129**2 * 33, 128**2 * 32
+        # ufunc buffers for the additions of strided rows, and its scan: the
+        # pyramid of one 32^3-cell cube (its one tile's box and two differencing
+        # arrays of at most 33^3 points, its Morton cells and order, its share of
+        # generation 4, four scratch arrays of its parents, the whole generation-3
+        # level with its parent and four scratch arrays, three ufunc buffers), the
+        # bottom arrays of generations 2..6, and 32 bytes per bottom cube of 6
+        slab, tile, whole = 129**2 * 33, 2**15, 8**3
         draw = 8 * (slab + 2**16 + 128 * 32 + 3 * 8192)
-        scan = 8 * (slab + cells + cells // 8 + 2**14 + 3 * 8192)
+        pyramid = (
+            3 * 33**3 + 2 * tile + tile // 4 + 4 * tile // 8 + whole + 5 * whole // 8 + 3 * 8192
+        )
+        bottoms = sum(4**p for p in range(2, 7))
+        scan = 8 * (slab + pyramid + bottoms) + 32 * 4**6
         cfg = ExperimentConfig(subcommand="counterexample", d=3, N=7, n=2, seeds=range(20))
         assert cfg._memory_estimate() == 2 * max(draw, scan) == 2 * scan
         cfg = ExperimentConfig(subcommand="counterexample", d=3, N=7, n=2)  # one seed
@@ -419,7 +455,7 @@ class TestConfig:
         assert cfg._memory_estimate() == 8 * (257**2 + 2**16 + 256)
         monkeypatch.setattr(sampler, "_cores", lambda: 1)
         cfg = ExperimentConfig(subcommand="brownian-dichotomy", d=2, N=11)
-        assert cfg._memory_estimate() == 8 * (2049**2 + streamed)
+        assert cfg._memory_estimate() == 8 * (2049**2 + streamed) + 9 * 4**2
         cfg = ExperimentConfig(subcommand="simulate", d=2, N=11)  # no pass: the draw's
         assert cfg._memory_estimate() == 8 * (2049**2 + 2**16 + 2048)
         # at d = 1 the chunk of 256 summed rows that builds the leaves outweighs the grid
@@ -479,6 +515,43 @@ class TestConfig:
             tracemalloc.stop()
         assert peak <= cfg._memory_estimate()
 
+    def test_sign_matrix_counted(self, monkeypatch):
+        # At N = 1 the dense 2^d x 2^d sign matrix is most of a streamed pass:
+        # 8 GiB in float64 at d = 15, more than a 7.8 GiB machine has.
+        pages = {"SC_PHYS_PAGES": int(7.8 * 2**18), "SC_PAGE_SIZE": 4096}  # 7.8 GiB
+        monkeypatch.setattr(os, "sysconf", pages.get)
+        with pytest.raises(ConfigError, match="more than the 7.8 GiB"):
+            ExperimentConfig(subcommand="brownian-dichotomy", d=15, N=1)
+        ExperimentConfig(subcommand="brownian-dichotomy", d=13, N=1)  # 9 * 4^13 bytes: 0.6 GiB
+
+    def test_covariance_pairs_counted(self, monkeypatch):
+        # A pair of coordinate tuples of Python ints costs 248 bytes at d = 2:
+        # 10^9 of them are far more than a 7.8 GiB machine holds.
+        pages = {"SC_PHYS_PAGES": int(7.8 * 2**18), "SC_PAGE_SIZE": 4096}  # 7.8 GiB
+        monkeypatch.setattr(os, "sysconf", pages.get)
+        with pytest.raises(ConfigError, match="more than the 7.8 GiB"):
+            ExperimentConfig(subcommand="covariance-check", d=2, N=4, H=(0.7, 0.7), pairs=10**9)
+        cfg = ExperimentConfig(subcommand="covariance-check", d=2, N=4, H=(0.7, 0.7), pairs=1000)
+        small = ExperimentConfig(subcommand="covariance-check", d=2, N=4, H=(0.7, 0.7), pairs=1)
+        assert cfg._memory_estimate() - small._memory_estimate() == 999 * (104 + 80 * 2)
+
+    @pytest.mark.parametrize("d, N", [(1, 12), (2, 3), (3, 2)])
+    def test_memory_estimate_covers_the_pairs(self, tmp_path, d, N):
+        # Coordinates above 256 are ints of their own; at d = 3, N = 2 every one
+        # is a cached small int.  A first run imports what any run would.
+        cfg = ExperimentConfig(
+            subcommand="covariance-check", d=d, N=N, H=(0.7,) * d, pairs=3000, replicates=2,
+            out=str(tmp_path),
+        )
+        experiment.run(cfg)
+        tracemalloc.start()
+        try:
+            experiment.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.pairs * (104 + 80 * d) // 2 <= peak <= cfg._memory_estimate()
+
     def test_version_matches_pyproject(self):
         # the manifest records __version__; the package metadata must say the same
         text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
@@ -533,7 +606,7 @@ class TestMomentScalingRunner:
         for n in gens:
             want = np.concatenate(
                 [
-                    np.asarray(lex_to_morton(increment_levels(f, max(gens))[n]), dtype=float)
+                    np.asarray(lex_to_morton(lex_increment_levels(f.values)[n]), dtype=float)
                     for f in sheets
                 ]
             )
@@ -560,15 +633,15 @@ class TestMomentScalingRunner:
         assert len(written) == 1
 
     def test_worker_error_raised_after_every_worker_ends(self, monkeypatch, tmp_path):
-        real = experiment.increment_levels
+        real = experiment.sample_sheet_ensemble
 
-        def failing(f, n):
-            if f.meta["replicate"] == 4:  # pooled by worker 1 of 3, a thread of its own
+        def failing(H, gen, seed, replicates):
+            if 4 in replicates:  # pooled by worker 1 of 3, a thread of its own
                 raise RuntimeError("replicate 4")
-            return real(f, n)
+            return real(H, gen, seed, replicates)
 
         monkeypatch.setattr(sampler, "_cores", lambda: 3)
-        monkeypatch.setattr(experiment, "increment_levels", failing)
+        monkeypatch.setattr(experiment, "sample_sheet_ensemble", failing)
         with pytest.raises(RuntimeError, match="replicate 4"):
             experiment.run(ExperimentConfig(
                 subcommand="moment-scaling", d=2, N=4, H=(0.7, 0.7), replicates=9,
@@ -619,39 +692,55 @@ class TestMomentScalingRunner:
 
     @pytest.mark.parametrize("d, N", [(1, 10), (2, 8), (3, 4)])
     def test_memory_within_samples_and_one_sheet(self, monkeypatch, tmp_path, d, N):
-        # Pooling holds the sample arrays, one sheet and the differencing of one
-        # pyramid (the finest level and the half-differenced grid); the fit then
-        # holds the samples and |x|^q of one block of at most 2^16 values, which
-        # the pooling bound covers at these sizes.
+        # Pooling holds the sample arrays, one sheet and its tiled pyramid, whose
+        # pieces go straight into the samples; the fit then holds the samples
+        # and |x|^q of one block of at most 2^16 values, which the pooling bound
+        # covers at these sizes.
         samples, pooled_peak, peak = self.pooling_peaks(monkeypatch, tmp_path, d, N, 1)
-        sheet, level = 8 * ((1 << N) + 1) ** d, 8 << (N * d)
+        sheet = 8 * ((1 << N) + 1) ** d + _pyramid_bytes(d, N)
         slack = 1 << 18
-        assert pooled_peak <= samples + sheet + 2 * level + slack
-        assert peak <= samples + sheet + 2 * level + slack
+        assert pooled_peak <= samples + sheet + slack
+        assert peak <= samples + sheet + slack
 
     @pytest.mark.parametrize("d, N", [(1, 10), (2, 8), (3, 4)])
     def test_memory_within_samples_and_a_sheet_per_worker(self, monkeypatch, tmp_path, d, N):
-        # Two workers each hold one sheet and the differencing of its pyramid.
+        # Two workers each hold one sheet and its pyramid.
         samples, pooled_peak, peak = self.pooling_peaks(monkeypatch, tmp_path, d, N, 2)
-        sheet, level = 8 * ((1 << N) + 1) ** d, 8 << (N * d)
+        sheet = 8 * ((1 << N) + 1) ** d + _pyramid_bytes(d, N)
         slack = 1 << 18
-        assert pooled_peak <= samples + 2 * (sheet + 2 * level) + slack
-        assert peak <= samples + 2 * (sheet + 2 * level) + slack
+        assert pooled_peak <= samples + 2 * sheet + slack
+        assert peak <= samples + 2 * sheet + slack
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("d, N", [(1, 12), (2, 7), (3, 5)])
+    def test_pooled_rows_match_the_oracle_pyramid(self, d, N, small_tiles):
+        # A grid with NaN, infinities and -0.0, on tiles of 2^(3+d) to 2^(9+d)
+        # cells: every pooled generation, the finest and generation 0 included.
+        f = scattered_grid(d, N, seed=d)
+        want = lex_increment_levels(f.values)
+        gens = (0, 1, N - 3, N)
+        samples = {n: np.full((3, 1 << (n * d)), 7.0) for n in gens}
+        experiment._pool_levels(f.values, samples, 1)
+        for n in gens:
+            got, row = samples[n][1], lex_to_morton(want[n])
+            assert np.array_equal(got.view(np.int64), row.view(np.int64)), n
+            assert (samples[n][[0, 2]] == 7.0).all()
 
 
 class TestHolderScanRunner:
     def test_one_pyramid_per_seed(self, monkeypatch, tmp_path):
         calls = []
-        levels = criteria.increment_levels
+        pyramid = criteria._tiled_pyramid
         monkeypatch.setattr(
-            criteria, "increment_levels", lambda f, n: calls.append(n) or levels(f, n)
+            criteria, "_tiled_pyramid", lambda v, stop: calls.append(stop) or pyramid(v, stop)
         )
         cfg = ExperimentConfig(
             subcommand="holder-scan", d=2, N=4, gamma=(0.5, 0.7, 1), seeds=(1, 2),
             out=str(tmp_path),
         )
         experiment.run(cfg)
-        assert calls == [3, 3]
+        assert calls == [0, 0]
 
 
 def counterexample_outputs(out):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sheetcharge import increments
 from sheetcharge.criteria import _streamed_report
 from sheetcharge.dyadic import DyadicCube, lex_to_morton
 from sheetcharge.haar import haar_matrix
@@ -14,8 +13,10 @@ from sheetcharge.increments import (
     CoefficientTable,
     GridSample,
     _coarsen,
-    _difference,
     _morton_tiles,
+    _pyramid_bytes,
+    _tile_bits,
+    _tile_order,
     _tiled_pyramid,
     coefficient_table,
     cube_increments,
@@ -28,7 +29,6 @@ from helpers import (
     integer_grid,
     product_grid,
     scattered_grid,
-    whole_grid_cells,
     zero_grid,
 )
 from oracles import (
@@ -38,6 +38,9 @@ from oracles import (
     exact_report,
     haar_indices_up_to,
     haar_primitive_grid,
+    lex_cells,
+    lex_coarsen,
+    lex_increment_levels,
     rectangle_increment,
 )
 
@@ -47,7 +50,7 @@ def reference_coefficient_levels(f, max_gen):
     d = f.dim
     mat = haar_matrix(d)
     levels = []
-    by_gen = increment_levels(f, max_gen + 1)
+    by_gen = lex_increment_levels(f.values, max_gen + 1)
     for n in range(max_gen + 1):
         child = lex_to_morton(by_gen[n + 1]).reshape(1 << (n * d), 1 << d)
         full = child @ mat.astype(float)
@@ -276,17 +279,9 @@ class TestCoefficientTable:
             assert lev.dtype == want.dtype and np.array_equal(lev, want)
 
 
-def reference_coarsen(cells):
-    """Sibling sums through a (half, 2)-per-axis reshape, last sibling axis first."""
-    d = cells.ndim
-    half = cells.shape[0] // 2
-    shaped = cells.reshape(tuple(x for _ in range(d) for x in (half, 2)))
-    for axis in reversed(range(1, 2 * d, 2)):
-        shaped = shaped.sum(axis=axis)
-    return shaped
-
-
 class TestCoarsen:
+    """Sibling sums of a Morton level against the reshape-sum of the lexicographic one."""
+
     @pytest.mark.parametrize("d,gen", [(1, 1), (1, 6), (2, 1), (2, 5), (3, 1), (3, 3)])
     def test_float_bit_identical_to_reshape_sum(self, d, gen):
         rng = np.random.default_rng(10 * d + gen)
@@ -299,7 +294,7 @@ class TestCoarsen:
             flat[5:8] = [np.nan, -np.inf, 1e308]
         if flat.size > 16:  # two NaN payloads side by side
             flat[12:14] = np.array([0x7FF8000000000001, 0xFFF8000000000002]).view(float)
-        got, want = _coarsen(cells, d), reference_coarsen(cells)
+        got, want = _coarsen(lex_to_morton(cells), d), lex_to_morton(lex_coarsen(cells))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -307,7 +302,7 @@ class TestCoarsen:
     def test_signed_zeros_bit_identical_to_reshape_sum(self, d, gen):
         signs = np.random.default_rng(d).integers(0, 2, (1 << gen,) * d)
         for cells in (np.full((1 << gen,) * d, -0.0), np.where(signs == 1, -0.0, 0.0)):
-            got, want = _coarsen(cells, d), reference_coarsen(cells)
+            got, want = _coarsen(lex_to_morton(cells), d), lex_to_morton(lex_coarsen(cells))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -321,10 +316,11 @@ class TestIncrementPyramid:
         ],
     )
     def test_one_pyramid_matches_cube_increments(self, f):
-        # moment-scaling reads every generation from one pyramid
-        levels = increment_levels(f, f.gen)
+        # the lexicographic levels, written piece by piece, against the oracle
+        levels, want = increment_levels(f, f.gen), lex_increment_levels(f.values)
         for n in range(f.gen + 1):
             assert np.array_equal(lex_to_morton(levels[n]), cube_increments(f, n))
+            assert np.array_equal(levels[n], want[n])
 
     def test_negative_generation_rejected(self):
         with pytest.raises(ValueError, match="generation -1 is below 0"):
@@ -336,10 +332,8 @@ class TestIncrementPyramid:
 
     @pytest.mark.parametrize("gen", [8, 9])
     def test_peak_memory_stays_near_the_levels(self, gen):
-        # The levels themselves take 4/3 of the finest one; the grid is
-        # differenced one slab at a time, so no whole-grid temporary joins them.
-        # At N=8 (the fbs-moments sheet) a 2^15-cell slab would be half the
-        # finest level; pieces of at most a sixteenth of it keep the bound.
+        # The levels themselves take 4/3 of the finest one; beside them only the
+        # tiled pyramid's arrays, so no whole-grid temporary joins them.
         f = sample_standard_sheet(2, gen, seed=0)
         finest = 8 * 4**gen
         tracemalloc.start()
@@ -349,15 +343,15 @@ class TestIncrementPyramid:
         finally:
             tracemalloc.stop()
         assert levels[-1].nbytes == finest
-        assert peak <= 1.5 * finest
+        assert peak <= finest * 4 // 3 + _pyramid_bytes(2, gen)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestDifference:
-    """The slab-wise differencer and the Morton tiles against np.diff of the box, bit for bit."""
+    """The Morton tiles, and the levels written from them, against np.diff of the box."""
 
-    # 2^15-cell slabs: d1 N16 and d2 N9 span several slabs, d3 N6 eight
+    # d1 N16 is two tiles, d2 N9 four, d3 N6 two
     GRIDS = [
         awkward_grid(d, gen, seed=d * gen) for d, gen in [(1, 0), (1, 16), (2, 1), (2, 9), (3, 6)]
     ]
@@ -370,16 +364,21 @@ class TestDifference:
     @pytest.mark.parametrize("f", GRIDS)
     @pytest.mark.parametrize("morton", [False, True])
     def test_cube_grid(self, f, morton):
-        want = whole_grid_cells(f.values)
-        got = cube_increments(f, f.gen) if morton else _difference(f.values)
+        want = lex_cells(f.values)
+        got = cube_increments(f, f.gen) if morton else increment_levels(f)[-1]
         self.assert_bits(got, lex_to_morton(want) if morton else want)
 
     @pytest.mark.parametrize("f", GRIDS)
     def test_bottom_slab(self, f):
-        # the box x_d <= 2^-n the counterexample scan differences, for every n
+        # the cubes of the slab x_d <= 2^-n the counterexample scan differences, for
+        # every n: the first generation-n cube and the last one that touches x_d = 0
+        d = f.dim
         for n in range(f.gen + 1):
-            box = f.values[..., : (1 << (f.gen - n)) + 1]
-            self.assert_bits(_difference(box), whole_grid_cells(box))
+            side = 1 << (f.gen - n)
+            for c in (0, (1 << n) - 1):
+                box = f.values[(slice(c * side, (c + 1) * side + 1),) * (d - 1)][..., : side + 1]
+                finest = np.concatenate([cells.copy() for *_, cells in _tiled_pyramid(box, f.gen - n)])
+                self.assert_bits(finest, lex_to_morton(lex_cells(box)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -400,7 +399,7 @@ class TestMortonPyramid:
     @pytest.mark.parametrize("d,gen", SIZES)
     def test_finest_level(self, d, gen):
         f = awkward_grid(d, gen, seed=10 * d + gen)
-        self.assert_bits(cube_increments(f, f.gen), lex_to_morton(_difference(f.values)))
+        self.assert_bits(cube_increments(f, f.gen), lex_to_morton(lex_cells(f.values)))
 
     @pytest.mark.parametrize(
         "f",
@@ -410,7 +409,7 @@ class TestMortonPyramid:
         ],
     )
     def test_every_level_survives_an_overwritten_child(self, f):
-        want = [lex_to_morton(level) for level in increment_levels(f)]
+        want = [lex_to_morton(level) for level in lex_increment_levels(f.values)]
         seen = []
         for n, lo, cells in _tiled_pyramid(f.values, 0):
             self.assert_bits(cells, want[n][lo : lo + len(cells)])
@@ -435,7 +434,7 @@ class TestMortonPyramid:
         specials = [-0.0] * 4 + [np.nan, np.inf, -np.inf, 1e308]
         cells.reshape(-1)[: len(specials)] = specials[: cells.size]
         got = _coarsen(lex_to_morton(cells), d)
-        self.assert_bits(got, lex_to_morton(_coarsen(cells, d)))
+        self.assert_bits(got, lex_to_morton(lex_coarsen(cells)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -472,7 +471,7 @@ class TestMortonTiles:
 
     @pytest.mark.parametrize("f", NONFINITE)
     def test_cube_increments_match_lexicographic_pyramid(self, f):
-        levels = increment_levels(f)
+        levels = lex_increment_levels(f.values)
         for n in range(f.gen + 1):
             self.assert_bits(cube_increments(f, n), lex_to_morton(levels[n]))
 
@@ -499,13 +498,23 @@ class TestMortonTiles:
             tracemalloc.stop()
         assert count == 4 and peak < 8 << 16  # the tile's int64 order
 
-
-@pytest.fixture(params=[3, 7, 9])
-def small_tiles(request, monkeypatch):
-    """Tiles of the children of 2^7 or 2^9 parents: 3 is below the 2^7-parent floor."""
-    monkeypatch.setattr(increments, "_CHUNK_BITS", request.param)
-    monkeypatch.setattr(increments, "_CHUNK_ROWS", 1 << request.param)
-    return request.param
+    def test_no_pass_writes_the_shared_tile_order(self):
+        # The order is built once per (d, bits) and read by every later pass;
+        # it stays writeable, or np.take would copy it on every tile.
+        passes = [
+            lambda f: cube_increments(f, 0),
+            lambda f: coefficient_table(f, f.gen - 1),
+            lambda f: _streamed_report(f, f.gen - 1),
+            lambda f: increment_levels(f),
+        ]
+        for d, gen in [(1, 17), (2, 10), (3, 7), (2, 3)]:
+            f = integer_grid(d, gen, seed=d)
+            bits = _tile_bits(d, gen)
+            _, order = _tile_order(d, bits)
+            for run in passes:
+                run(f)
+                assert _tile_order(d, bits)[1] is order and order.flags.writeable
+            assert np.array_equal(order, _tile_order.__wrapped__(d, bits)[1])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -534,9 +543,15 @@ class TestSmallTiles:
 
     @pytest.mark.parametrize("f", GRIDS)
     def test_cube_increments_match_lexicographic_pyramid(self, f, small_tiles):
-        levels = increment_levels(f)
+        levels = lex_increment_levels(f.values)
         for n in range(f.gen + 1):
             self.assert_bits(cube_increments(f, n), lex_to_morton(levels[n]))
+
+    @pytest.mark.parametrize("f", GRIDS)
+    def test_lexicographic_levels_match_the_oracle(self, f, small_tiles):
+        # every piece written through the Morton-bit view of its level
+        for got, want in zip(increment_levels(f), lex_increment_levels(f.values), strict=True):
+            self.assert_bits(got, want)
 
     @pytest.mark.parametrize("f", GRIDS)
     def test_float_table_bit_identical_to_reference(self, f, small_tiles):

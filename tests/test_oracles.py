@@ -15,7 +15,6 @@ from helpers import (
     integer_grid,
     product_grid,
     random_dyadic_figure,
-    whole_grid_cells,
     zero_grid,
 )
 from oracles import (
@@ -34,6 +33,7 @@ from oracles import (
     haar_matrix_entry,
     haar_primitive_grid,
     increment_covariance,
+    lex_cells,
     rectangle_increment,
     schauder_partial_apply,
 )
@@ -219,7 +219,7 @@ class TestExactCoefficientTable:
         for n in range(4):
             step = 1 << (3 - n)
             coarse = f.values[(slice(None, None, step),) * d]
-            assert np.array_equal(corner_sum_cells(f.values, n), whole_grid_cells(coarse))
+            assert np.array_equal(corner_sum_cells(f.values, n), lex_cells(coarse))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_product_function_coefficients_vanish(self, d):
