@@ -2,7 +2,7 @@
 Haar/Faber-Schauder coefficient tables, and numerical chargeability
 diagnostics."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .dyadic import DyadicCube, Figure, Rectangle, figure_perimeter
 from .haar import haar_matrix

@@ -8,7 +8,8 @@ so the files are stable regression artifacts.
 
 moment-scaling pools its replicates, and counterexample its seeds, on
 one worker thread per core (``sampler._pool``, which also runs the
-blocks of each mode product): each sheet has its own Philox stream and
+blocks of each mode product and the noise tiles of each layer of a
+whole sheet): each sheet has its own Philox stream and
 each result its own slot, so the bits do not depend on the number of
 workers.  counterexample draws only the bottom slab of a
 standard sheet, which holds every cube its scan reads.
@@ -243,14 +244,14 @@ class ExperimentConfig:
         """Bytes of the largest arrays one run allocates, capped at 2^64.
 
         The (2^N+1)^d grid and what the sampler holds beside it: without H,
-        the noise buffers and carry row of ``sample_standard_sheet``; with
+        the tile buffers and carry row of ``sample_standard_sheet``; with
         H, those of ``sample_sheet`` (the leaves of each distinct
         component's factor, and its scratch arrays or, before the grid, a
         factor's build).  Each pooling worker holds its own: for
         moment-scaling a grid, its scratch arrays and its pyramid, beside
         the pooled samples; for counterexample without H the bottom slab's
-        grid and the larger of its draw's noise buffer and carry row and
-        its scan.  covariance-check holds its pairs beside the draw.  For a
+        grid and the larger of its draw's one tile buffer and carry row
+        and its scan.  covariance-check holds its pairs beside the draw.  For a
         subcommand in _ANALYSIS_BYTES, the larger of that and what its
         analysis holds after the draw, beside the grid and any cached
         factor leaves.  N and d are capped at 64 so the integers stay

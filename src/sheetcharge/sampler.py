@@ -4,7 +4,7 @@ dyadic grids, and the grid's binary and CSV files.
 The sheet covariance is a tensor product of one-axis kernels, so a sample
 on the grid is a tensor of iid standard normals with the Cholesky factor
 of each per-axis kernel applied as a mode product.  Both paths draw the
-white noise block by block straight into the zero-padded grid and work
+white noise tile by tile straight into the zero-padded grid and work
 there in place, so neither holds a second grid-sized array.  The
 fractional sheet cuts each mode product into blocks along an axis it
 does not contract (1024 sheet rows for the last axis, 1024 indices of
@@ -12,19 +12,21 @@ the last axis for any other), runs the blocks on one worker per core,
 and applies the factor to each block leaf by leaf, from the last leaf
 down, through its worker's leaf buffer; the factor is kept as its leaves
 only.  The standard sheet (H = 1/2 on every axis) has its
-own O(2^Nd) path: each noise block is summed in place along each axis as
-soon as it is in the grid, axis 0 continued from a carry row.  On two or
-more cores, and when the draw has two blocks or more, a producer thread
-draws its next block into the second of two noise buffers while the
-caller sums the last one.  The same path can keep only the bottom slab
-x_d <= 2^-n: every noise block is still drawn whole, but only the first
-2^(N-n) cells of the last axis are copied and summed, into a grid of the
-slab alone, with the whole sheet's bits.  A slab is drawn inline: its
-caller, the counterexample runner, pools its draws on every core.
+own O(2^Nd) path: each layer of noise tiles along axis 0 is summed in
+place along each axis as soon as it is in the grid, axis 0 continued
+from a carry row.  The same path can keep only the bottom slab
+x_d <= 2^-n: only the tiles that reach into it are drawn, and only the
+first 2^(N-n) cells of the last axis are copied and summed, into a grid
+of the slab alone, with the whole sheet's bits.
 
-Randomness comes from counter-based Philox streams keyed on
-(seed, replicate), so replicate ensembles are order-independent and
-reproducible across runs.  A sample's bits depend on neither the core
+The noise is keyed per tile of the increment pyramid (256 x 256 cells at
+d = 2, 64 x 64 x 32 at d = 3): tile t holds the values of the
+counter-based Philox stream of (seed, replicate) jumped t times, so every
+tile has its own substream and a draw of some tiles needs no other.  The
+tiles of a layer go through ``_pool`` to one worker per core; a slab is
+drawn inline, as its caller, the counterexample runner, pools its draws
+on every core.  Replicate ensembles are order-independent and
+reproducible across runs, and a sample's bits depend on neither the core
 count nor the BLAS thread count.
 """
 
@@ -40,7 +42,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .increments import BottomSlab, GridSample
+from .dyadic import morton_decode
+from .increments import BottomSlab, GridSample, _tile_bits, _tile_shape
 
 __all__ = [
     "HurstVector",
@@ -58,7 +61,7 @@ __all__ = [
 
 _GRID_MAGIC = b"SHEETGRD"
 _CSV_BLOCK = 1 << 10  # points per formatted block of a 1-D CSV
-_NOISE_BLOCK = 1 << 16  # white-noise values per draw, unless one axis-0 row is more
+_NOISE_CALL = 1 << 16  # white-noise values per draw call, unless one row of a tile is more
 _LEAF_ROWS = 1 << 8  # factor rows per leaf of a mode product
 _BLOCK = 1 << 10  # sheet rows, or last-axis indices, per block of a mode product
 
@@ -311,125 +314,101 @@ def _axis_factor(h: float, gen: int) -> tuple[np.ndarray, ...]:
     return leaves
 
 
-def _noise_buffers(d: int, gen: int, pipelined: bool) -> tuple[int, int]:
-    """Axis-0 rows of each noise block of a d-dimensional draw, and its noise buffers.
+def _noise_buffers(d: int, gen: int) -> tuple[tuple[int, ...], int]:
+    """The box of a noise tile of a d-dimensional draw, and the values of a worker's tile buffer.
 
-    A block holds at most _NOISE_BLOCK values, or one row if a row is more;
-    both are powers of two, so the blocks share the rows out evenly.  A
-    ``pipelined`` draw, one whose caller works on each block and wants it
-    drawn ahead, of two blocks or more, on two cores or more, has two
-    buffers: one for a producer thread to draw ahead into.  Any other draw
-    has one.
+    The box is the pyramid's tile, ``_tile_shape(d, _tile_bits(d, N))``.
+    A tile is drawn in calls of whole rows of its axis 0, at most
+    _NOISE_CALL values each, or one row if a row is more; both are powers
+    of two, so the calls share the rows out evenly.  The buffer holds one
+    call.
     """
-    n = 1 << gen
-    rows = min(n, max(1, _NOISE_BLOCK // n ** (d - 1)))
-    return rows, 2 if pipelined and rows < n and _cores() >= 2 else 1
+    box = _tile_shape(d, _tile_bits(d, gen))
+    row = math.prod(box[1:])
+    return box, row * min(box[0], max(1, _NOISE_CALL // row))
+
+
+def _noise_workers(d: int, gen: int, slab: int | None = None) -> int:
+    """Workers, and tile buffers, of a standard sheet's noise draw, given its ``slab``.
+
+    One for a slab, whose caller pools draws on every core; else one per
+    core and at most one per tile of a layer along axis 0.
+    """
+    if slab is not None:
+        return 1
+    box, _ = _noise_buffers(d, gen)
+    return min(_cores(), (1 << (gen * (d - 1))) // math.prod(box[1:]))
 
 
 def _draw_noise(
     core: np.ndarray,
-    rng: np.random.Generator,
+    gen: int,
+    seed: int,
+    replicate: int,
+    scratch: Sequence[np.ndarray],
     scale: float | None = None,
-    scratch: np.ndarray | None = None,
     then: Callable[[int, int], None] | None = None,
-    ahead: bool = True,
 ) -> None:
     """Fill ``core`` with iid standard normals, times ``scale`` if given: the values of one draw.
 
-    ``core`` has n = len(core) rows.  From d = 2 its last axis may be cut
-    short, and it then takes the first values along that axis of an
-    (n,)*d draw; at d = 1 a shorter core is a shorter draw, the first
-    values of the stream.  The draw goes in the axis-0 blocks of
-    ``_noise_buffers`` through its noise buffers, views of the flat
-    ``scratch`` if given, so ``core`` may be a view, such as the interior
-    of a padded grid.  Each block is drawn whole
-    and scaled in its buffer (a ufunc writing to a strided view would
-    buffer 64 KB on the way), so the stream keeps its order wherever the
-    last axis is cut; its first ``core.shape[-1]`` values along the last
-    axis are copied into ``core`` and its buffer given back; then
-    ``then(lo, hi)``, if given, runs on the block's rows [lo, hi) of
-    ``core``.  With two buffers a producer thread draws each block into
-    one while the caller takes in and works on the block before it
-    (``Generator.standard_normal`` releases the GIL), and it is joined
-    before the draw returns or raises; an error in either thread ends both
-    and is raised here.  A draw without ``then`` (the fractional sheet's:
-    there is only the copy to overlap), one not drawn ``ahead`` (a bottom
-    slab's, whose caller pools draws on every core), a one-block draw and
-    one on a single core start no thread.  Either way the blocks hold the
-    values of one whole draw, in order.
+    The noise of the (2^N,)*d cells comes in the tiles of the pyramid (the
+    boxes of :func:`_noise_buffers`).  Tile t, its Morton index in the
+    order ``_morton_tiles`` walks, holds in C order over its box the values
+    of its own Philox substream: the bit generator of
+    ``replicate_rng(seed, replicate)`` jumped t times, so tile 0 holds the
+    stream itself and a grid of one tile the values of one draw of it.
+    ``core`` has 2^N rows and its last axis may be cut short (at d = 1 too):
+    only the tiles that reach into it are drawn, and their first values
+    along that axis are kept.  The tiles go one layer along axis 0 at a
+    time through ``_pool``, on one worker per buffer of ``scratch`` (flat,
+    of at least _noise_buffers values each), at most one per tile of the
+    layer.  A worker draws its tile call by call into its buffer, scales
+    it there (a ufunc writing to a strided view would buffer 64 KB on the
+    way) and copies it into ``core``, which may be a view, such as the
+    interior of a padded grid.  Then ``then(lo, hi)``, if given, runs in
+    the caller on the layer's rows [lo, hi) of ``core``.  Split calls draw
+    the values of one call, and a tile's values do not depend on the
+    worker that draws it, so neither do the bits.
     """
-    n = len(core)
-    rows, count = _noise_buffers(core.ndim, n.bit_length() - 1, ahead and then is not None)
-    shape = (rows,) + (n,) * (core.ndim - 1)
-    keep = core.shape[-1]
-    size = math.prod(shape)
-    if scratch is None:
-        scratch = np.empty(count * size)
-    bufs = [scratch[k * size : (k + 1) * size].reshape(shape) for k in range(count)]
-    thread = None
+    d = core.ndim
+    bits = _tile_bits(d, gen)
+    box, size = _noise_buffers(d, gen)
+    rows = size // math.prod(box[1:])
+    bufs = [s[:size].reshape((rows,) + box[1:]) for s in scratch]
+    base = replicate_rng(seed, replicate).bit_generator  # never drawn from: each tile jumps it
+    layers: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for t in range(1 << (gen * d - bits)):
+        corner = morton_decode(t << bits, d, gen)
+        if corner[-1] < core.shape[-1]:
+            layers.setdefault(corner[0], []).append((t, corner))
 
-    def fill(buf: np.ndarray) -> np.ndarray:
-        rng.standard_normal(out=buf)
-        if scale is not None:
-            buf *= scale
-        return buf
+    for lo in sorted(layers):
+        tiles = layers[lo]
 
-    if count == 1:
+        def draw(i: int) -> None:
+            t, corner = tiles[i]
+            buf = bufs[i % len(bufs)]
+            rng = np.random.Generator(base.jumped(t))
+            across = tuple(slice(c, c + m) for c, m in zip(corner[1:], box[1:]))
+            for r in range(corner[0], corner[0] + box[0], rows):
+                rng.standard_normal(out=buf)
+                if scale is not None:
+                    buf *= scale
+                dest = core[(slice(r, r + rows),) + across]
+                dest[...] = buf[tuple(slice(0, m) for m in dest.shape)]
 
-        def drawn() -> np.ndarray:
-            return fill(bufs[0])
-
-        def done(buf: np.ndarray) -> None:
-            pass
-
-    else:
-        import queue  # here, not at import: only a threaded draw uses it
-
-        free: queue.SimpleQueue = queue.SimpleQueue()  # buffers to draw into; None stops
-        full: queue.SimpleQueue = queue.SimpleQueue()  # drawn blocks in order, or an error
-        for buf in bufs:
-            free.put(buf)
-
-        def produce() -> None:
-            try:
-                for _ in range(0, n, rows):
-                    buf = free.get()
-                    if buf is None:  # the caller stopped
-                        return
-                    full.put(fill(buf))
-            except BaseException as exc:  # raised in the caller
-                full.put(exc)
-
-        def drawn() -> np.ndarray:
-            buf = full.get()
-            if isinstance(buf, BaseException):
-                raise buf
-            return buf
-
-        done = free.put
-        thread = threading.Thread(target=produce, name="noise-draw", daemon=True)
-        thread.start()
-    try:
-        for lo in range(0, n, rows):
-            buf = drawn()
-            core[lo : lo + rows] = buf[..., :keep]
-            done(buf)
-            if then is not None:
-                then(lo, lo + rows)
-    finally:
-        if thread is not None:
-            free.put(None)
-            thread.join()
+        _pool("noise-draw", len(tiles), min(len(bufs), len(tiles)), draw)
+        if then is not None:
+            then(lo, min(lo + box[0], len(core)))
 
 
 def _scratch_size(d: int, gen: int) -> int:
-    """Values of each scratch array of a d-dimensional draw: a noise block or a leaf buffer.
+    """Values of each scratch array of a d-dimensional draw: a tile buffer or a leaf buffer.
 
     A leaf buffer holds the widest leaf's rows of one block of a product.
     """
     n = 1 << gen
-    rows = n ** (d - 1)
-    return max(min(n**d, max(rows, _NOISE_BLOCK)), rows // _blocks(d, gen) * min(n, _LEAF_ROWS))
+    return max(_noise_buffers(d, gen)[1], n ** (d - 1) // _blocks(d, gen) * min(n, _LEAF_ROWS))
 
 
 def _sheet_bytes(d: int, gen: int, factors: int, sheets: int = 1) -> int:
@@ -457,17 +436,18 @@ def _leaf_bytes(gen: int, factors: int) -> int:
 def _standard_bytes(d: int, gen: int, slab: int | None = None) -> int:
     """Bytes of the arrays :func:`sample_standard_sheet` holds at most, given its ``slab``.
 
-    The grid, or the slab's grid, the noise buffers (one for a slab, which
-    is not drawn ahead) and the carry row; from d = 3 on, also the three
+    The grid, or the slab's grid, a tile buffer per worker of the noise
+    draw and the carry row; from d = 3 on, also the three
     buffers of ``np.getbufsize()`` values that numpy allocates to add two
     grid rows, which are strided views of two or more axes there.
     """
     n = 1 << gen
     cells = n if slab is None else n >> slab
-    rows, count = _noise_buffers(d, gen, slab is None)
+    workers = _noise_workers(d, gen, slab)
     carry = n ** (d - 2) * cells if d >= 2 else 1
     ufunc = 3 * np.getbufsize() if d >= 3 else 0
-    return 8 * ((n + 1) ** (d - 1) * (cells + 1) + count * rows * n ** (d - 1) + carry + ufunc)
+    noise = workers * _noise_buffers(d, gen)[1]
+    return 8 * ((n + 1) ** (d - 1) * (cells + 1) + noise + carry + ufunc)
 
 
 def sample_sheet(
@@ -478,18 +458,18 @@ def sample_sheet(
     The noise is drawn straight into the interior of the zero-padded grid
     and each axis factor is applied there in place.  Beside the grid and
     the cached leaves of its factors, a draw holds only its scratch arrays,
-    one per worker of a product, which serve as noise block and leaf
+    one per worker of a product, which serve as tile and leaf
     buffers: 256 rows of one block each, 1/16 grid at N = 11 and the whole
-    grid when one leaf spans the axis (N <= 8).  The noise is drawn inline,
-    on no second thread.  Under tracemalloc a d = 2 draw peaks at 1.125
-    grids at N = 11 on two cores and at 1.50 at N = 9.
+    grid when one leaf spans the axis (N <= 8).  The same workers draw the
+    noise tiles, into the same arrays.  Under tracemalloc a d = 2 draw
+    peaks at 1.125 grids at N = 11 on two cores and at 1.50 at N = 9.
     """
     H = HurstVector.of(H)
     factors = [_axis_factor(h, gen) for h in H.components]
     full = np.zeros(((1 << gen) + 1,) * H.dim)  # zero on the 0-facets
     core = full[(slice(1, None),) * H.dim]
     scratch = [np.empty(_scratch_size(H.dim, gen)) for _ in range(_workers(H.dim, gen))]
-    _draw_noise(core, replicate_rng(seed, replicate), scratch=scratch[0])
+    _draw_noise(core, gen, seed, replicate, scratch)
     for axis, leaves in enumerate(factors):
         _mode_product(leaves, core, axis, scratch)  # L_axis x_axis core
     full.flags.writeable = False  # GridSample takes it over without a copy
@@ -519,10 +499,10 @@ def sample_standard_sheet(
 
     O(2^Nd) and exactly the H = (1/2, ..., 1/2) grid law.  The noise is
     drawn straight into the interior of the zero-padded grid by
-    ``_draw_noise``, on a producer thread one block ahead where it starts
-    one, and each axis-0 block is summed in place once it is there.  The
+    ``_draw_noise``, its tiles pooled on one worker per core, and each
+    layer of tiles along axis 0 is summed in place once it is there.  The
     carry row, the axis-0 partial sum of the last row before, is added to
-    the block's first row, the block is summed along axis 0 row by row
+    the layer's first row, the layer is summed along axis 0 row by row
     (by ``np.cumsum`` at d = 1), its last row is kept as the next carry,
     and then one ``np.cumsum`` runs along each further axis.  Every
     element so gets the additions of whole-grid ``np.cumsum`` along each
@@ -530,11 +510,12 @@ def sample_standard_sheet(
 
     With ``slab=n`` (0 <= n <= N) the result is the :class:`BottomSlab`
     x_d <= 2^-n: only the first 2^(N-n) cells of the last axis are kept
-    and summed, in a grid of that slab alone.  Every noise block is still
-    drawn whole, so the kept values get the same additions in the same
-    order and equal ``values[..., :2^(N-n)+1]`` of the whole sheet, bit for
-    bit.  A slab is drawn inline, on no producer thread: its caller pools
-    draws on every core.  The whole sheet is this path with every cell kept.
+    and summed, in a grid of that slab alone, and only the tiles below
+    ceil(2^(N-n) / tile side) along the last axis are drawn, each whole.
+    The kept values so get the same additions in the same order and equal
+    ``values[..., :2^(N-n)+1]`` of the whole sheet, bit for bit.  A slab is
+    drawn inline, with no pool: its caller pools draws on every core.  The
+    whole sheet is this path with every cell kept.
     """
     if slab is not None and not 0 <= slab <= gen:
         raise ValueError(f"need 0 <= slab <= N, got slab={slab}, N={gen}")
@@ -556,9 +537,9 @@ def sample_standard_sheet(
         for axis in range(1, d):
             np.cumsum(block, axis=axis, out=block)
 
-    rng = replicate_rng(seed, replicate)
+    scratch = [np.empty(_noise_buffers(d, gen)[1]) for _ in range(_noise_workers(d, gen, slab))]
     scale = 2.0 ** (-gen * d / 2)  # sd |cell|^(1/2)
-    _draw_noise(core, rng, scale, then=cumulate, ahead=slab is None)
+    _draw_noise(core, gen, seed, replicate, scratch, scale, cumulate)
     full.flags.writeable = False  # GridSample or BottomSlab takes it over without a copy
     if slab is not None:
         return BottomSlab(d, gen, full)

@@ -14,8 +14,30 @@ import numpy as np
 
 from sheetcharge import sampler
 from sheetcharge.criteria import _holder_ratios, _level_max_abs
-from sheetcharge.dyadic import DyadicCube, Figure
-from sheetcharge.increments import CoefficientTable, GridSample
+from sheetcharge.dyadic import DyadicCube, Figure, morton_decode
+from sheetcharge.increments import CoefficientTable, GridSample, _tile_bits, _tile_shape
+
+
+def tile_noise(d: int, gen: int, seed: int, replicate: int = 0) -> np.ndarray:
+    """The (2^N,)*d white noise of a draw, from the 0.3.0 stream rule alone.
+
+    Tile t of the pyramid (its Morton index; the box of ``_tile_shape``)
+    holds, in C order, the normals of Philox(SeedSequence(seed,
+    spawn_key=(replicate,))) jumped t times, and tile 0 those of the
+    unjumped generator.
+    """
+    bits = _tile_bits(d, gen)
+    box = _tile_shape(d, bits)
+
+    def philox():
+        return np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate,)))
+
+    noise = np.empty((1 << gen,) * d)
+    for t in range(1 << (gen * d - bits)):
+        corner = morton_decode(t << bits, d, gen)
+        rng = np.random.Generator(philox().jumped(t) if t else philox())
+        noise[tuple(slice(c, c + m) for c, m in zip(corner, box))] = rng.standard_normal(box)
+    return noise
 
 
 def product_grid(d: int, gen: int, exact: bool = False) -> GridSample | np.ndarray:

@@ -1,7 +1,6 @@
 import importlib.util
 import math
 import os
-import queue  # noqa: F401  (see test_memory_estimate_covers_the_sampler)
 import re
 import struct
 import sys
@@ -96,13 +95,14 @@ class TestCounterexampleFigure:
             seen.append((lo, hi))
 
     def test_regression_seed_one(self):
-        # frozen value from the seeded pipeline (d=2, N=10, seed 1, n=3)
+        # frozen value from the seeded pipeline (d=2, N=10, seed 1, n=3), on the
+        # 0.3.0 noise of sixteen tiles (1.1861051575915902 and 0.728515625 on 0.2.0's)
         f = sample_standard_sheet(2, 10, seed=1)
         fig, rep = counterexample_figure(f, 3, 9, 0.5)
         delta = figure_increment(f.values, fig)
         assert delta >= 0.4
-        assert delta == pytest.approx(1.1861051575915902, rel=1e-12)
-        assert rep.coverage == pytest.approx(0.728515625)
+        assert delta == pytest.approx(0.5628870381898281, rel=1e-12)
+        assert rep.coverage == pytest.approx(0.38671875)
 
     def test_range_validation(self):
         f = zero_grid(2, 4)
@@ -376,10 +376,10 @@ class TestConfig:
         # The packed factor per distinct Hurst component (n^2 below 256 rows,
         # n(n + 256)/2 from there), the grid and one scratch array per worker,
         # one per core and block: a whole grid for one leaf, 256 rows of one
-        # 1024-column block for more.  Without H, the grid, the noise buffers
-        # (two of 2^16 values on two cores, if the draw has two blocks) and the
-        # carry row.  moment-scaling holds a grid, its scratch and its pyramid per
-        # worker, one per core, beside the one factor.  At N = 8 the pyramid's one
+        # 1024-column block for more.  Without H, the grid, the noise draw's tile
+        # buffers (one of 2^16 values per worker, one per core and at most one per
+        # tile of a layer) and the carry row.  moment-scaling holds a grid, its
+        # scratch and its pyramid per worker, one per core, beside the one factor.  At N = 8 the pyramid's one
         # 256 x 256 tile is the whole finest level: its box and one differencing
         # array (each at most 257 x 257), its Morton cells and order, its shares
         # of generations 7, 6 and 5, two scratch arrays of its parents, the whole
@@ -475,8 +475,7 @@ class TestConfig:
     def test_memory_estimate_covers_the_sampler(self, monkeypatch, H, gen, cores):
         # Factors built inside the trace: the estimate covers their build too.
         # It counts arrays only: Python objects come on top, such as the threads
-        # of a product or a noise draw (40 KB).  The module a threaded noise
-        # draw imports once per process (queue, 90 KB) is imported with this file.
+        # of a product or a noise draw (40 KB).
         monkeypatch.setattr(sampler, "_cores", lambda: cores)
         standard = isinstance(H, int)
         if standard:
@@ -805,7 +804,8 @@ class TestCounterexampleRunner:
         assert not (tmp_path / "counterexample.csv").exists()
 
     def test_pooled_run_starts_no_noise_thread(self, monkeypatch, tmp_path):
-        # Four noise blocks per sheet on two cores: a whole draw would start one.
+        # Two noise tiles per layer on two cores: a whole draw would pool them, but
+        # a slab inside a pooled worker draws inline, with no nested pool.
         started = []
         thread = threading.Thread
 

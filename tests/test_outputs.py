@@ -3,17 +3,19 @@
 Each case runs one subcommand in-process and compares the sha256 of every
 file it writes, the manifest aside (it names the output directory), with
 the digests in ``output_digests.json``.  Those are keyed, as the
-benchmark's ``bench/digests.json`` is, by numpy version and OpenBLAS
-runtime configuration (core type included), because BLAS kernels for
-another CPU may round differently; on a platform with no entry the test
-skips and names the platform.
+benchmark's ``bench/digests.json`` is, by the library's ``__version__``
+(a version that changes a random stream says so) and then by numpy
+version and OpenBLAS runtime configuration (core type included), because
+BLAS kernels for another CPU may round differently; on a platform with no
+entry the test skips and names the platform.
 
 Record the digests of the current code with
 
     PYTHONPATH=src python tests/test_outputs.py --record
 
-which adds or replaces this platform's entry.  A change that is meant to
-keep every output byte must pass this test unchanged.
+which adds or replaces this platform's entry under the current version.
+A change that is meant to keep every output byte must pass this test
+unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sheetcharge import experiment
+from sheetcharge import __version__, experiment
+from sheetcharge.increments import _tile_bits
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 
@@ -112,8 +115,16 @@ def output_digests(name: str, out: Path) -> dict[str, str]:
     }
 
 
-def recorded() -> dict:
-    return json.loads(DIGESTS.read_text()).get(numeric_platform(), {}) if DIGESTS.is_file() else {}
+def recorded(version: str = __version__) -> dict:
+    """This platform's digests under ``version``, by case name."""
+    table = json.loads(DIGESTS.read_text()) if DIGESTS.is_file() else {}
+    return table.get(version, {}).get(numeric_platform(), {})
+
+
+def one_tile(name: str) -> bool:
+    """Whether case ``name``'s grid is one tile of the pyramid, so one noise tile."""
+    d, gen = CASES[name]["d"], CASES[name]["N"]
+    return _tile_bits(d, gen) == d * gen
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -124,6 +135,20 @@ def test_outputs_keep_their_bytes(name, tmp_path):
     assert output_digests(name, tmp_path) == want
 
 
+def test_one_tile_outputs_keep_their_0_2_0_bytes():
+    # 0.3.0 keys the noise per Morton tile, and tile 0 is the 0.2.0 stream: a
+    # grid of one tile (d = 1 to N = 15, d = 2 to N = 8, d = 3 to N = 5) keeps
+    # every byte, and every case of more tiles writes other bytes.
+    old, new = recorded("0.2.0"), recorded("0.3.0")
+    if not old or not new:
+        pytest.skip(f"no 0.2.0 and 0.3.0 digests recorded on {numeric_platform()}")
+    assert {"simulate-d1", "moment-scaling-d1", "counterexample-d1", "counterexample-d1-H",
+            "fractional-criteria", "moment-scaling-d2", "counterexample-d2-slab",
+            "moment-scaling-d3"} <= {name for name in CASES if one_tile(name)}
+    for name in sorted(CASES):
+        assert (old[name] == new[name]) == one_tile(name), name
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit(f"usage: {sys.argv[0]} --record")
@@ -131,8 +156,8 @@ if __name__ == "__main__":
 
     table = json.loads(DIGESTS.read_text()) if DIGESTS.is_file() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        table[numeric_platform()] = {
+        table.setdefault(__version__, {})[numeric_platform()] = {
             name: output_digests(name, Path(tmp) / name) for name in sorted(CASES)
         }
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    print(f"{len(CASES)} cases recorded for {numeric_platform()}")
+    print(f"{len(CASES)} cases recorded for {__version__} on {numeric_platform()}")

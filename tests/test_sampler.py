@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import struct
 import subprocess
@@ -5,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from helpers import (
     axis_kernel_matrix,
     dense_axis_cholesky,
     schur_factor,
+    tile_noise,
     whole_factor,
 )
 
@@ -359,8 +363,7 @@ class TestSerialization:
 
 def reference_standard_sheet(d, gen, seed, replicate=0):
     """The standard sheet as np.cumsum along each axis of the scaled noise, embedded."""
-    core = replicate_rng(seed, replicate).standard_normal((1 << gen,) * d)
-    core = core * 2.0 ** (-gen * d / 2.0)
+    core = tile_noise(d, gen, seed, replicate) * 2.0 ** (-gen * d / 2.0)
     for axis in range(d):
         core = np.cumsum(core, axis=axis)
     full = np.zeros(((1 << gen) + 1,) * d)
@@ -369,15 +372,14 @@ def reference_standard_sheet(d, gen, seed, replicate=0):
 
 
 def whole_draw_standard_sheet(d, gen, seed, replicate=0):
-    """The whole noise drawn at once, scaled into the grid and summed in place.
+    """The whole noise scaled into the grid and summed in place.
 
-    Axis by axis over the whole grid, every axis but the last row by row:
-    the loops of the sampler before it summed block by block.
+    Axis by axis over the whole grid, every axis but the last row by row,
+    as the sampler sums each layer of tiles.
     """
     full = np.zeros(((1 << gen) + 1,) * d)
     core = full[(slice(1, None),) * d]
-    noise = replicate_rng(seed, replicate).standard_normal((1 << gen,) * d)
-    np.multiply(noise, 2.0 ** (-gen * d / 2.0), out=core)
+    np.multiply(tile_noise(d, gen, seed, replicate), 2.0 ** (-gen * d / 2.0), out=core)
     for axis in range(d - 1):
         rows = np.moveaxis(core, axis, 0)
         for i in range(1, rows.shape[0]):
@@ -398,23 +400,44 @@ class NamedThreads(threading.Thread):
 
 @pytest.fixture
 def noise_threads(monkeypatch):
-    """Names of the noise-draw threads started while the test runs."""
+    """Names of the noise-draw pool's threads started while the test runs."""
     NamedThreads.names = []
     monkeypatch.setattr(threading, "Thread", NamedThreads)
-    yield lambda: [name for name in NamedThreads.names if name == "noise-draw"]
+    yield lambda: [name for name in NamedThreads.names if name.startswith("noise-draw")]
 
 
-class FailingRng:
-    """A Generator whose ``fail``-th ``standard_normal`` raises; records the drawing threads."""
+class RecordingJumps:
+    """A draw's Philox whose jump to tile ``fail`` raises; records each tile jumped to,
+    and the thread that jumped."""
 
-    def __init__(self, rng, fail):
-        self.rng, self.fail, self.threads = rng, fail, []
+    def __init__(self, bit_generator, fail=None):
+        self.bit_generator, self.fail, self.tiles, self.threads = bit_generator, fail, [], []
 
-    def standard_normal(self, *args, **kwargs):
+    def jumped(self, t):
+        self.tiles.append(t)
         self.threads.append(threading.current_thread().name)
-        if len(self.threads) == self.fail:
+        if t == self.fail:
             raise RuntimeError("draw failed")
-        return self.rng.standard_normal(*args, **kwargs)
+        return self.bit_generator.jumped(t)
+
+
+class Jumps(list):
+    """The RecordingJumps of each draw, in order; tile ``fail`` raises in each."""
+
+    fail = None
+
+
+@pytest.fixture
+def jumps(monkeypatch):
+    """The draws' RecordingJumps while the test runs, in a Jumps list."""
+    made = Jumps()
+
+    def recording(seed, *stream):
+        made.append(RecordingJumps(replicate_rng(seed, *stream).bit_generator, made.fail))
+        return SimpleNamespace(bit_generator=made[-1])
+
+    monkeypatch.setattr(sampler, "replicate_rng", recording)
+    return made
 
 
 class TestStandardSheetInPlace:
@@ -426,19 +449,39 @@ class TestStandardSheetInPlace:
                 want = reference_standard_sheet(d, gen, seed)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_tile_boxes(self):
+        # 2^15 points, 256 x 256 and 64 x 64 x 32 cells, or the whole grid if smaller
+        assert sampler._noise_buffers(1, 20) == ((1 << 15,), 1 << 15)
+        assert sampler._noise_buffers(2, 11) == ((256, 256), 1 << 16)
+        assert sampler._noise_buffers(3, 7) == ((64, 64, 32), 1 << 16)  # two calls a tile
+        assert sampler._noise_buffers(2, 3) == ((8, 8), 64)
+        assert sampler._noise_buffers(3, 5) == ((32, 32, 32), 1 << 15)
+
+    def test_one_tile_keeps_the_stream(self):
+        # d = 1 to N = 15, d = 2 to N = 8 and d = 3 to N = 5: the one tile is the
+        # unjumped stream, one draw of it in C order, the 0.2.0 noise.
+        for d, gen in ((1, 15), (2, 8), (3, 5)):
+            got = sample_standard_sheet(d, gen, 4, replicate=2).values[(slice(1, None),) * d]
+            noise = replicate_rng(4, 2).standard_normal((1 << gen,) * d) * 2.0 ** (-gen * d / 2)
+            for axis in range(d):
+                noise = np.cumsum(noise, axis=axis)
+            assert np.array_equal(got.view(np.int64), noise.view(np.int64)), d
+
     @pytest.mark.parametrize(
-        "d, gen, block",
-        # default blocks: d1 N17 is two, d2 N9 and d3 N6 four, d2 N10 sixteen,
-        # d3 N7 thirty-two, d4 N5 sixteen of two rows; a block smaller than a
-        # row (d2, d3, d4) draws one row at a time
+        "d, gen, call",
+        # default calls: d1 N17 is four tiles of one call, d2 N9 four tiles of
+        # one call in two layers, d3 N6 two tiles of two calls, d2 N10 sixteen
+        # tiles, d3 N7 sixteen in two layers, d4 N5 four tiles of two calls;
+        # a call smaller than a tile row (d2, d3, d4) draws one row at a time
         [(1, 17, None), (2, 9, None), (3, 6, None), (1, 5, 8), (2, 5, 16), (3, 3, 4),
          (2, 10, None), (3, 7, None), (4, 5, None), (4, 3, 4)],
     )
-    def test_block_draw_equals_one_whole_draw(self, monkeypatch, d, gen, block):
-        # Block by block, carry row and all, the bits of whole-grid sums.
-        if block is not None:
-            monkeypatch.setattr(sampler, "_NOISE_BLOCK", block)
-        for cores in (1, 2):  # drawn inline, and one block ahead on a thread
+    def test_block_draw_equals_one_whole_draw(self, monkeypatch, d, gen, call):
+        # Tile by tile, call by call and layer by layer, carry row and all, the
+        # bits of whole-grid sums of the stream rule's noise.
+        if call is not None:
+            monkeypatch.setattr(sampler, "_NOISE_CALL", call)
+        for cores in (1, 2):  # drawn inline, and pooled
             monkeypatch.setattr(sampler, "_cores", lambda: cores)
             for seed in range(3):
                 got = sample_standard_sheet(d, gen, seed).values.view(np.int64)
@@ -446,46 +489,42 @@ class TestStandardSheetInPlace:
                              reference_standard_sheet(d, gen, seed)):
                     assert np.array_equal(got, want.view(np.int64)), (cores, seed)
 
-    def test_pipelined_sheet_under_thread_switches(self, monkeypatch):
-        # Switching every microsecond: a block taken before it was drawn, or a
-        # buffer drawn into before it was taken in, would change the bits.
-        monkeypatch.setattr(sampler, "_cores", lambda: 2)
-        monkeypatch.setattr(sampler, "_NOISE_BLOCK", 256)
-        cases = [(1, 12), (2, 7), (3, 5), (4, 3)]
-        want = [reference_standard_sheet(d, gen, 2) for d, gen in cases]
+    def test_pooled_sheet_under_thread_switches(self, monkeypatch):
+        # Switching every microsecond: two workers on one tile buffer, or a layer
+        # summed before its tiles were in, would change the bits.
+        monkeypatch.setattr(sampler, "_NOISE_CALL", 256)
+        cases = [(2, 10, 4), (3, 7, 3), (4, 5, 8)]
+        want = [reference_standard_sheet(d, gen, 2) for d, gen, _ in cases]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for (d, gen), w in zip(cases, want):
+            for (d, gen, cores), w in zip(cases, want):
+                monkeypatch.setattr(sampler, "_cores", lambda: cores)
                 got = []
                 within_a_minute(lambda: got.append(sample_standard_sheet(d, gen, 2).values))
                 assert np.array_equal(got[0].view(np.int64), w.view(np.int64)), d
         finally:
             sys.setswitchinterval(interval)
 
-    def test_producer_error_reaches_the_caller(self, monkeypatch):
-        # The third block's draw fails on the producer thread; the sample raises it
-        # and leaves no thread behind.
+    def test_tile_error_reaches_the_caller(self, monkeypatch, jumps):
+        # Layers (tiles 0, 2) and (1, 3): tile 3, worker 1's in the second layer,
+        # fails; the sample raises it and leaves no thread behind.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
-        rngs = []
-
-        def failing(seed, *stream):
-            rngs.append(FailingRng(replicate_rng(seed, *stream), fail=3))
-            return rngs[-1]
-
-        monkeypatch.setattr(sampler, "replicate_rng", failing)
+        jumps.fail = 3
         baseline = threading.active_count()
         with pytest.raises(RuntimeError, match="draw failed"):
             within_a_minute(lambda: sample_standard_sheet(2, 9, seed=0))
-        assert rngs[0].threads == ["noise-draw"] * 3
         assert threading.active_count() == baseline
+        tiles = dict(zip(jumps[0].tiles, jumps[0].threads))
+        assert tiles[2] == tiles[3] == "noise-draw-1" and tiles[0] != "noise-draw-1"
+        assert set(tiles) in ({0, 2, 3}, {0, 1, 2, 3})  # worker 0 may stop before tile 1
 
-    def test_caller_error_stops_the_producer(self, monkeypatch):
-        # Work on the second block fails in the caller: the producer stops after at
-        # most the two blocks its buffers hold, and is joined before the error is raised.
+    def test_caller_error_stops_the_draw(self, monkeypatch):
+        # Work on the second layer fails in the caller: no later layer is drawn,
+        # and no thread is left.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
-        rng = FailingRng(replicate_rng(0), fail=0)
-        core = np.zeros((1 << 9, 1 << 9))  # 4 blocks
+        core = np.zeros((1 << 10, 1 << 10))  # four layers of four tiles
+        scratch = [np.empty(1 << 16) for _ in range(2)]
 
         def then(lo, hi):
             if lo:
@@ -493,28 +532,59 @@ class TestStandardSheetInPlace:
 
         baseline = threading.active_count()
         with pytest.raises(KeyError, match="work failed"):
-            within_a_minute(lambda: sampler._draw_noise(core, rng, then=then))
+            within_a_minute(lambda: sampler._draw_noise(core, 10, 0, 0, scratch, then=then))
         assert threading.active_count() == baseline
-        assert rng.threads == ["noise-draw"] * len(rng.threads) and 2 <= len(rng.threads) <= 4
-        assert not core[256:].any()  # the blocks after the failed one are not taken in
+        assert core[:512].all() and not core[512:].any()
+
+    def test_bits_independent_of_cores_and_blas_threads(self):
+        # Whole standard sheets of four and eight tiles per layer, a slab, and a
+        # fractional sheet whose noise goes through its products' workers, at
+        # 1, 2, 4 and 8 workers, in processes with one and two BLAS threads.
+        code = (
+            "import hashlib, json; from sheetcharge import sampler\n"
+            "draws = [lambda: sampler.sample_standard_sheet(2, 10, 1),\n"
+            "         lambda: sampler.sample_standard_sheet(3, 7, 1),\n"
+            "         lambda: sampler.sample_standard_sheet(3, 7, 1, slab=2),\n"
+            "         lambda: sampler.sample_sheet((0.3, 0.9), 11, 1)]\n"
+            "out = []\n"
+            "for cores in (1, 2, 4, 8):\n"
+            "    sampler._cores = lambda: cores\n"
+            "    out.append([hashlib.sha256(f().values.tobytes()).hexdigest() for f in draws])\n"
+            "print(json.dumps(out))"
+        )
+        src = os.path.dirname(os.path.dirname(sampler.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            digests.extend(json.loads(done.stdout))
+        assert all(d == digests[0] for d in digests)
+        want = hashlib.sha256(reference_standard_sheet(2, 10, 1).tobytes()).hexdigest()
+        assert digests[0][0] == want
 
     def test_no_thread_for_one_block(self, monkeypatch, noise_threads):
-        # One block (d2 N8, the fbs-moments size), one core, or a fractional sheet,
-        # whose draw has only the copy to overlap: drawn inline.
+        # One tile (d2 N8, the fbs-moments size), one core, one tile per layer
+        # (d = 1), or a fractional sheet whose mode products run on one worker:
+        # drawn inline.
         monkeypatch.setattr(sampler, "_cores", lambda: 8)
         sample_standard_sheet(2, 8, seed=0)
         sample_standard_sheet(3, 5, seed=0)
+        sample_standard_sheet(1, 17, seed=0)
         sample_sheet((0.7, 0.7), 8, seed=0)
+        sample_sheet((0.6, 0.8), 10, seed=0)
         assert noise_threads() == []
         monkeypatch.setattr(sampler, "_cores", lambda: 1)
         sample_standard_sheet(2, 11, seed=0)
-        sample_sheet((0.6, 0.8), 10, seed=0)
+        sample_sheet((0.6, 0.8), 11, seed=0)
         assert noise_threads() == []
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
-        sample_sheet((0.6, 0.8), 10, seed=0)
-        assert noise_threads() == []
-        sample_standard_sheet(2, 9, seed=0)
-        assert noise_threads() == ["noise-draw"]
+        sample_standard_sheet(2, 9, seed=0)  # two layers of two tiles
+        assert noise_threads() == ["noise-draw-1"] * 2
+        NamedThreads.names.clear()
+        sample_sheet((0.6, 0.8), 11, seed=0)  # eight layers of eight tiles, two workers
+        assert noise_threads() == ["noise-draw-1"] * 8
 
     def test_peak_memory_about_one_grid(self):
         # the noise goes straight into the grid: no whole-grid temporary beside it
@@ -531,6 +601,9 @@ class TestStandardSheetInPlace:
         got = sample_standard_sheet(2, 4, seed=3, replicate=2).values
         want = reference_standard_sheet(2, 4, seed=3, replicate=2)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got = sample_standard_sheet(2, 9, seed=3, replicate=2).values
+        want = reference_standard_sheet(2, 9, seed=3, replicate=2)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize(
         "draw",
@@ -539,42 +612,53 @@ class TestStandardSheetInPlace:
     def test_values_read_only_and_owned(self, draw):
         values = draw().values
         assert not values.flags.writeable and values.base is None
-        with pytest.raises(ValueError):
-            values[1, 1] = 0.0
 
 
 class TestBottomSlab:
     @pytest.mark.parametrize(
-        "d, gen, block",
-        # default blocks: d1 N17 is two, d2 N9 four, d3 N7 thirty-two, d4 N5
-        # sixteen of two rows; blocks of 4 values hold 4 points (d1) or one row
+        "d, gen, call",
+        # default calls: d1 N17 is four tiles, d2 N9 four, d3 N7 sixteen, d4 N5
+        # four; calls of 4 values hold 4 points (d1) or one tile row
         [(1, 17, None), (1, 10, 4), (2, 9, None), (2, 6, 4), (3, 7, None), (3, 4, 4),
          (4, 5, None), (4, 3, 4)],
     )
-    def test_slab_is_the_whole_sheet_cut_bit_for_bit(self, monkeypatch, d, gen, block):
-        # Every noise block is drawn whole, so the kept values get the whole
-        # sheet's additions in the same order.
-        if block is not None:
-            monkeypatch.setattr(sampler, "_NOISE_BLOCK", block)
-        for cores in (1, 2):  # the whole sheet drawn inline, and one block ahead
+    def test_slab_is_the_whole_sheet_cut_bit_for_bit(self, monkeypatch, d, gen, call):
+        # The kept tiles are drawn whole, so the kept values get the whole
+        # sheet's additions in the same order; n = N - 1 is thinner than a tile
+        # layer wherever there is more than one tile.
+        if call is not None:
+            monkeypatch.setattr(sampler, "_NOISE_CALL", call)
+        want = reference_standard_sheet(d, gen, seed=5, replicate=1)
+        for cores in (1, 2):  # the whole sheet drawn inline, and pooled
             monkeypatch.setattr(sampler, "_cores", lambda: cores)
             whole = sample_standard_sheet(d, gen, seed=5, replicate=1).values
-            for n in sorted({0, 1, gen - 1}):
+            assert np.array_equal(whole.view(np.int64), want.view(np.int64))
+            for n in sorted({0, 1, 2, gen - 1}):
                 slab = sample_standard_sheet(d, gen, seed=5, replicate=1, slab=n)
                 cut = (1 << (gen - n)) + 1
                 assert isinstance(slab, BottomSlab) and (slab.dim, slab.gen) == (d, gen)
                 assert slab.values.shape == ((1 << gen) + 1,) * (d - 1) + (cut,)
-                got, want = slab.values.view(np.int64), whole[..., :cut].view(np.int64)
-                assert np.array_equal(got, want), (cores, n)
+                got, want_cut = slab.values.view(np.int64), whole[..., :cut].view(np.int64)
+                assert np.array_equal(got, want_cut), (cores, n)
+
+    def test_slab_draws_only_its_tiles(self, jumps):
+        # d3 N7: sixteen tiles of 64 x 64 x 32 cells, four at the bottom; a slab
+        # of 32 cells of the last axis or fewer draws those four only, layer by
+        # layer along axis 0, and one of 64 cells the eight of two tiles.
+        sample_standard_sheet(3, 7, seed=0, slab=2)
+        sample_standard_sheet(3, 7, seed=0, slab=5)
+        sample_standard_sheet(3, 7, seed=0, slab=1)
+        assert [j.tiles for j in jumps] == [[0, 4, 2, 6], [0, 4, 2, 6], [0, 1, 4, 5, 2, 3, 6, 7]]
 
     def test_slab_draw_starts_no_thread(self, monkeypatch, noise_threads):
-        # Four blocks on two cores: the whole sheet draws ahead, a slab inline.
+        # Two tiles per layer on two cores: the whole sheet pools them, a slab
+        # draws inline.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
         sample_standard_sheet(2, 9, seed=0, slab=1)
         sample_standard_sheet(2, 9, seed=0, slab=0)
         assert noise_threads() == []
         sample_standard_sheet(2, 9, seed=0)
-        assert noise_threads() == ["noise-draw"]
+        assert noise_threads() == ["noise-draw-1"] * 2
 
     def test_slab_values_read_only_and_owned(self):
         values = sample_standard_sheet(3, 4, seed=1, slab=2).values
@@ -611,7 +695,7 @@ class TestAxisFactorCache:
 
     @staticmethod
     def direct_sample(H, gen, seed, replicate):
-        core = replicate_rng(seed, replicate).standard_normal((1 << gen,) * len(H))
+        core = tile_noise(len(H), gen, seed, replicate)
         for axis, h in enumerate(H):  # mode product with each directly built factor
             core = leafwise_tensordot(whole_factor(axis_cholesky(h, gen)), core, axis)
         full = np.zeros(((1 << gen) + 1,) * len(H))
@@ -637,16 +721,17 @@ class TestAxisFactorCache:
             assert np.array_equal(g.values, self.direct_sample(H, gen, seed, 5))
 
     @pytest.mark.parametrize(
-        "H, gen, block",
-        # blocks of one row and less (d2, d3), and the default: one block below
-        # N = 8 at d = 2, 16 at N = 10, and the whole d = 1 sheet
+        "H, gen, call",
+        # calls of one row and less (d2, d3), and the default: one tile to
+        # N = 8 at d = 2 and N = 5 at d = 3, sixteen at d2 N10, two at d3 N6,
+        # and the whole d = 1 sheet
         [((0.6, 0.8), 5, 16), ((0.55, 0.7, 0.9), 3, 4), ((0.7,), 11, None),
-         ((0.6, 0.8), 10, None), ((0.55, 0.7, 0.9), 5, None)],
+         ((0.6, 0.8), 10, None), ((0.55, 0.7, 0.9), 5, None), ((0.6, 0.7, 0.8), 6, None)],
     )
-    def test_block_draw_equals_one_whole_draw(self, monkeypatch, H, gen, block):
-        if block is not None:
-            monkeypatch.setattr(sampler, "_NOISE_BLOCK", block)
-        for cores in (1, 2):  # drawn inline, and one block ahead on a thread
+    def test_block_draw_equals_one_whole_draw(self, monkeypatch, H, gen, call):
+        if call is not None:
+            monkeypatch.setattr(sampler, "_NOISE_CALL", call)
+        for cores in (1, 2):  # one worker: every product here has one block
             monkeypatch.setattr(sampler, "_cores", lambda: cores)
             for seed in (0, 3):
                 got = sample_sheet(H, gen, seed, replicate=1).values
@@ -768,11 +853,12 @@ def pool_workers(d, n, cores, block=1024):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The workers of each ``sampler._pool`` call, in call order."""
+    """The workers of each mode product's ``sampler._pool`` call, in call order."""
     workers, pool = [], sampler._pool
 
     def counting(name, count, k, work):
-        workers.append(k)
+        if name == "mode-product":  # not a noise draw's
+            workers.append(k)
         pool(name, count, k, work)
 
     monkeypatch.setattr(sampler, "_pool", counting)
@@ -956,7 +1042,7 @@ class TestSplitModeProduct:
             assert np.array_equal(draws[0].view(np.int64), draw.view(np.int64))
         blocks = 2048 // (block or 1024)
         assert pools == [min(cores, blocks) for cores in (1, 2, 4, 8) for _ in H]
-        core = replicate_rng(1, 0).standard_normal((1 << 11,) * 2)
+        core = tile_noise(2, 11, 1)
         for axis, h in enumerate(H):
             core = leafwise_tensordot(whole_factor(axis_cholesky(h, 11)), core, axis)
         assert np.array_equal(draws[0][1:, 1:].view(np.int64), core.view(np.int64))
