@@ -19,15 +19,17 @@ x_d <= 2^-n: only the tiles that reach into it are drawn, and only the
 first 2^(N-n) cells of the last axis are copied and summed, into a grid
 of the slab alone, with the whole sheet's bits.
 
-The noise is keyed per tile of the increment pyramid (256 x 256 cells at
-d = 2, 64 x 64 x 32 at d = 3): tile t holds the values of the
-counter-based Philox stream of (seed, replicate) jumped t times, so every
-tile has its own substream and a draw of some tiles needs no other.  The
-tiles of a layer go through ``_pool`` to one worker per core; a slab is
-drawn inline, as its caller, the counterexample runner, pools its draws
-on every core.  Replicate ensembles are order-independent and
-reproducible across runs, and a sample's bits depend on neither the core
-count nor the BLAS thread count.
+The noise is keyed per Morton tile of 2^(14 + d) cells (256 x 256 at
+d = 2, 64 x 64 x 32 at d = 3, the increment pyramid's tile): tile t holds
+the values of the counter-based Philox stream of (seed, replicate)
+jumped t times, so every tile has its own substream and a draw of some
+tiles needs no other.  The tiles of each layer of a whole standard sheet
+go through ``_pool`` to one worker per core.  A slab and a fractional
+sheet draw theirs one after another in the calling thread: the
+counterexample runner pools slab draws on every core, and the
+fractional sheet's mode products are pooled.  Replicate ensembles are
+order-independent and reproducible across runs, and a sample's bits
+depend on neither the core count nor the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .dyadic import morton_decode
-from .increments import BottomSlab, GridSample, _tile_bits, _tile_shape
+from .increments import BottomSlab, GridSample, _tile_shape
 
 __all__ = [
     "HurstVector",
@@ -61,6 +63,7 @@ __all__ = [
 
 _GRID_MAGIC = b"SHEETGRD"
 _CSV_BLOCK = 1 << 10  # points per formatted block of a 1-D CSV
+_NOISE_BITS = 14  # a noise tile holds the cells of 2^14 parents: part of the stream rule
 _NOISE_CALL = 1 << 16  # white-noise values per draw call, unless one row of a tile is more
 _LEAF_ROWS = 1 << 8  # factor rows per leaf of a mode product
 _BLOCK = 1 << 10  # sheet rows, or last-axis indices, per block of a mode product
@@ -314,16 +317,26 @@ def _axis_factor(h: float, gen: int) -> tuple[np.ndarray, ...]:
     return leaves
 
 
+def _noise_bits(d: int, gen: int) -> int:
+    """Morton bits of a noise tile of a d-dimensional draw: the stream rule's tile size.
+
+    A tile holds the 2^(_NOISE_BITS + d) cells of 2^_NOISE_BITS parents,
+    or the whole grid if that is smaller.  That is the increment pyramid's
+    tile at its default chunk size, but it is fixed here: it decides which
+    values each cell gets, so it changes only with ``__version__``.
+    """
+    return min(_NOISE_BITS + d, gen * d)
+
+
 def _noise_buffers(d: int, gen: int) -> tuple[tuple[int, ...], int]:
     """The box of a noise tile of a d-dimensional draw, and the values of a worker's tile buffer.
 
-    The box is the pyramid's tile, ``_tile_shape(d, _tile_bits(d, N))``.
-    A tile is drawn in calls of whole rows of its axis 0, at most
-    _NOISE_CALL values each, or one row if a row is more; both are powers
-    of two, so the calls share the rows out evenly.  The buffer holds one
-    call.
+    The box is ``_tile_shape(d, _noise_bits(d, N))``.  A tile is drawn in
+    calls of whole rows of its axis 0, at most _NOISE_CALL values each, or
+    one row if a row is more; both are powers of two, so the calls share
+    the rows out evenly.  The buffer holds one call.
     """
-    box = _tile_shape(d, _tile_bits(d, gen))
+    box = _tile_shape(d, _noise_bits(d, gen))
     row = math.prod(box[1:])
     return box, row * min(box[0], max(1, _NOISE_CALL // row))
 
@@ -332,7 +345,9 @@ def _noise_workers(d: int, gen: int, slab: int | None = None) -> int:
     """Workers, and tile buffers, of a standard sheet's noise draw, given its ``slab``.
 
     One for a slab, whose caller pools draws on every core; else one per
-    core and at most one per tile of a layer along axis 0.
+    core and at most one per tile of a layer along axis 0: with a second
+    core free, brownian-dichotomy at d = 2, N = 11 runs 12-15% faster
+    this way than with one worker.
     """
     if slab is not None:
         return 1
@@ -351,12 +366,11 @@ def _draw_noise(
 ) -> None:
     """Fill ``core`` with iid standard normals, times ``scale`` if given: the values of one draw.
 
-    The noise of the (2^N,)*d cells comes in the tiles of the pyramid (the
-    boxes of :func:`_noise_buffers`).  Tile t, its Morton index in the
-    order ``_morton_tiles`` walks, holds in C order over its box the values
-    of its own Philox substream: the bit generator of
-    ``replicate_rng(seed, replicate)`` jumped t times, so tile 0 holds the
-    stream itself and a grid of one tile the values of one draw of it.
+    The noise of the (2^N,)*d cells comes in tiles, the boxes of
+    :func:`_noise_buffers`.  Tile t, its Morton index, holds in C order
+    over its box the values of its own Philox substream: the bit generator
+    of ``replicate_rng(seed, replicate)`` jumped t times, so tile 0 holds
+    the stream itself and a grid of one tile the values of one draw of it.
     ``core`` has 2^N rows and its last axis may be cut short (at d = 1 too):
     only the tiles that reach into it are drawn, and their first values
     along that axis are kept.  The tiles go one layer along axis 0 at a
@@ -371,7 +385,7 @@ def _draw_noise(
     worker that draws it, so neither do the bits.
     """
     d = core.ndim
-    bits = _tile_bits(d, gen)
+    bits = _noise_bits(d, gen)
     box, size = _noise_buffers(d, gen)
     rows = size // math.prod(box[1:])
     bufs = [s[:size].reshape((rows,) + box[1:]) for s in scratch]
@@ -458,18 +472,18 @@ def sample_sheet(
     The noise is drawn straight into the interior of the zero-padded grid
     and each axis factor is applied there in place.  Beside the grid and
     the cached leaves of its factors, a draw holds only its scratch arrays,
-    one per worker of a product, which serve as tile and leaf
-    buffers: 256 rows of one block each, 1/16 grid at N = 11 and the whole
-    grid when one leaf spans the axis (N <= 8).  The same workers draw the
-    noise tiles, into the same arrays.  Under tracemalloc a d = 2 draw
-    peaks at 1.125 grids at N = 11 on two cores and at 1.50 at N = 9.
+    one per worker of a product, which serve as leaf buffers: 256 rows of
+    one block each, 1/16 grid at N = 11 and the whole grid when one leaf
+    spans the axis (N <= 8).  The noise tiles are drawn one after another
+    into the first.  Under tracemalloc a d = 2 draw peaks at 1.125 grids
+    at N = 11 on two cores and at 1.50 at N = 9.
     """
     H = HurstVector.of(H)
     factors = [_axis_factor(h, gen) for h in H.components]
     full = np.zeros(((1 << gen) + 1,) * H.dim)  # zero on the 0-facets
     core = full[(slice(1, None),) * H.dim]
     scratch = [np.empty(_scratch_size(H.dim, gen)) for _ in range(_workers(H.dim, gen))]
-    _draw_noise(core, gen, seed, replicate, scratch)
+    _draw_noise(core, gen, seed, replicate, scratch[:1])
     for axis, leaves in enumerate(factors):
         _mode_product(leaves, core, axis, scratch)  # L_axis x_axis core
     full.flags.writeable = False  # GridSample takes it over without a copy

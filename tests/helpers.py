@@ -15,18 +15,24 @@ import numpy as np
 from sheetcharge import sampler
 from sheetcharge.criteria import _holder_ratios, _level_max_abs
 from sheetcharge.dyadic import DyadicCube, Figure, morton_decode
-from sheetcharge.increments import CoefficientTable, GridSample, _tile_bits, _tile_shape
+from sheetcharge.increments import CoefficientTable, GridSample, _tile_shape
+
+
+def noise_tile_bits(d: int, gen: int) -> int:
+    """Morton bits of a noise tile under the 0.3.0 stream rule: 2^(14 + d) cells,
+    the children of 2^14 parents, or the whole grid if that is smaller."""
+    return min(14 + d, gen * d)
 
 
 def tile_noise(d: int, gen: int, seed: int, replicate: int = 0) -> np.ndarray:
     """The (2^N,)*d white noise of a draw, from the 0.3.0 stream rule alone.
 
-    Tile t of the pyramid (its Morton index; the box of ``_tile_shape``)
-    holds, in C order, the normals of Philox(SeedSequence(seed,
-    spawn_key=(replicate,))) jumped t times, and tile 0 those of the
-    unjumped generator.
+    Tile t (its Morton index; the box of ``_tile_shape`` for
+    ``noise_tile_bits``) holds, in C order, the normals of
+    Philox(SeedSequence(seed, spawn_key=(replicate,))) jumped t times, and
+    tile 0 those of the unjumped generator.
     """
-    bits = _tile_bits(d, gen)
+    bits = noise_tile_bits(d, gen)
     box = _tile_shape(d, bits)
 
     def philox():

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from sheetcharge import __version__, experiment
-from sheetcharge.increments import _tile_bits
+from helpers import noise_tile_bits
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 
@@ -122,9 +122,9 @@ def recorded(version: str = __version__) -> dict:
 
 
 def one_tile(name: str) -> bool:
-    """Whether case ``name``'s grid is one tile of the pyramid, so one noise tile."""
+    """Whether case ``name``'s grid is one noise tile."""
     d, gen = CASES[name]["d"], CASES[name]["N"]
-    return _tile_bits(d, gen) == d * gen
+    return noise_tile_bits(d, gen) == d * gen
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sheetcharge import sampler
+from sheetcharge import increments, sampler
 from sheetcharge.increments import BottomSlab, GridSample, cube_increments
 from sheetcharge.sampler import (
     HurstVector,
@@ -451,11 +451,24 @@ class TestStandardSheetInPlace:
 
     def test_tile_boxes(self):
         # 2^15 points, 256 x 256 and 64 x 64 x 32 cells, or the whole grid if smaller
+        assert [sampler._noise_bits(d, 20) for d in (1, 2, 3, 4)] == [15, 16, 17, 18]
         assert sampler._noise_buffers(1, 20) == ((1 << 15,), 1 << 15)
         assert sampler._noise_buffers(2, 11) == ((256, 256), 1 << 16)
         assert sampler._noise_buffers(3, 7) == ((64, 64, 32), 1 << 16)  # two calls a tile
         assert sampler._noise_buffers(2, 3) == ((8, 8), 64)
         assert sampler._noise_buffers(3, 5) == ((32, 32, 32), 1 << 15)
+
+    def test_noise_tile_is_fixed_apart_from_the_pyramid_chunk(self, monkeypatch):
+        # The noise tile is the pyramid's tile at its default chunk size, but a
+        # retuned chunk changes no bit: the stream rule has its own constant.
+        for d in (1, 2, 3, 4):
+            for gen in range(1, 12):
+                assert sampler._noise_bits(d, gen) == increments._tile_bits(d, gen), (d, gen)
+        want = reference_standard_sheet(2, 10, seed=1)
+        for chunk_bits in (3, 9, 16):
+            monkeypatch.setattr(increments, "_CHUNK_BITS", chunk_bits)
+            got = sample_standard_sheet(2, 10, seed=1).values
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), chunk_bits
 
     def test_one_tile_keeps_the_stream(self):
         # d = 1 to N = 15, d = 2 to N = 8 and d = 3 to N = 5: the one tile is the
@@ -538,8 +551,8 @@ class TestStandardSheetInPlace:
 
     def test_bits_independent_of_cores_and_blas_threads(self):
         # Whole standard sheets of four and eight tiles per layer, a slab, and a
-        # fractional sheet whose noise goes through its products' workers, at
-        # 1, 2, 4 and 8 workers, in processes with one and two BLAS threads.
+        # fractional sheet whose products have two blocks, at 1, 2, 4 and 8
+        # cores, in processes with one and two BLAS threads.
         code = (
             "import hashlib, json; from sheetcharge import sampler\n"
             "draws = [lambda: sampler.sample_standard_sheet(2, 10, 1),\n"
@@ -566,8 +579,7 @@ class TestStandardSheetInPlace:
 
     def test_no_thread_for_one_block(self, monkeypatch, noise_threads):
         # One tile (d2 N8, the fbs-moments size), one core, one tile per layer
-        # (d = 1), or a fractional sheet whose mode products run on one worker:
-        # drawn inline.
+        # (d = 1), or a fractional sheet: drawn inline.
         monkeypatch.setattr(sampler, "_cores", lambda: 8)
         sample_standard_sheet(2, 8, seed=0)
         sample_standard_sheet(3, 5, seed=0)
@@ -583,8 +595,8 @@ class TestStandardSheetInPlace:
         sample_standard_sheet(2, 9, seed=0)  # two layers of two tiles
         assert noise_threads() == ["noise-draw-1"] * 2
         NamedThreads.names.clear()
-        sample_sheet((0.6, 0.8), 11, seed=0)  # eight layers of eight tiles, two workers
-        assert noise_threads() == ["noise-draw-1"] * 8
+        sample_sheet((0.6, 0.8), 11, seed=0)  # eight layers of eight tiles, pooled products
+        assert noise_threads() == []
 
     def test_peak_memory_about_one_grid(self):
         # the noise goes straight into the grid: no whole-grid temporary beside it
@@ -612,6 +624,8 @@ class TestStandardSheetInPlace:
     def test_values_read_only_and_owned(self, draw):
         values = draw().values
         assert not values.flags.writeable and values.base is None
+        with pytest.raises(ValueError):
+            values[1, 1] = 0.0
 
 
 class TestBottomSlab:
