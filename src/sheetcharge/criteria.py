@@ -22,6 +22,7 @@ from .increments import (  # noqa: F401
     _coefficient_bytes,
     _coefficient_levels,
     _tiled_pyramid,
+    _Workspace,
     increment_levels,
 )
 
@@ -41,7 +42,7 @@ def _level_max_abs(f: GridSample, max_gen: int) -> list[float]:
     pyramid the pass holds |cells| of one piece.
     """
     peaks = [0.0] * (max_gen + 1)
-    for n, _, cells in _tiled_pyramid(f.values, 0):
+    for n, _, cells in _tiled_pyramid(f.values, 0, _Workspace()):
         if n <= max_gen:
             peaks[n] = np.maximum(peaks[n], np.abs(cells).max())
     return [float(p) for p in peaks]

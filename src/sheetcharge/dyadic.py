@@ -52,6 +52,32 @@ def morton_encode(coords: Sequence[int], gen: int) -> int:
     return k
 
 
+def _morton_encode_rows(coords: np.ndarray, dim: int, gen: int) -> np.ndarray:
+    """:func:`morton_encode` of each row of the integer array ``coords``, as int64.
+
+    Row j holds the coordinates of the first ``coords.shape[1]`` axes of
+    a ``dim``-dimensional generation-``gen`` cube, whose other
+    coordinates are 0.  Bit t of axis i is moved to bit t*dim + i of the
+    index, one (t, i) at a time for every row at once.  An index has
+    gen * dim bits, so gen * dim < 63 keeps it in int64; rows of no
+    coordinate (the bottom cubes at d = 1) are all index 0.
+    """
+    k = np.zeros(len(coords), dtype=np.int64)
+    for i in range(coords.shape[1]):
+        for t in range(gen):
+            k |= ((coords[:, i] >> t) & 1) << (t * dim + i)
+    return k
+
+
+def _morton_decode_rows(k: np.ndarray, dim: int, gen: int) -> np.ndarray:
+    """:func:`morton_decode` of each int64 index of ``k``: an array of shape (len(k), dim)."""
+    coords = np.zeros((len(k), dim), dtype=np.int64)
+    for t in range(gen):
+        for i in range(dim):
+            coords[:, i] |= ((k >> (t * dim + i)) & 1) << t
+    return coords
+
+
 def _morton_axes(dim: int, n: int) -> list[int]:
     """Morton bit axis of each lexicographic bit axis of a (2^n,)*dim cell array.
 
@@ -205,7 +231,10 @@ class Figure:
         return max((c.gen for c in self.cubes), default=0)
 
     def volume(self) -> Fraction:
-        return sum((c.volume() for c in self.cubes), Fraction(0))
+        """Exact: the cubes counted in cells of the finest generation h, over 2^(h d)."""
+        h = self.finest_generation()
+        cells = sum(1 << ((h - c.gen) * self.dim) for c in self.cubes)
+        return Fraction(cells, 1 << (h * self.dim))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -221,13 +250,22 @@ class Figure:
 
 
 def _occupancy(fig: Figure) -> tuple[np.ndarray, int]:
-    """Boolean cell grid at the figure's finest generation, lexicographic axes."""
-    h = fig.finest_generation()
-    occ = np.zeros((1 << h,) * fig.dim, dtype=bool)
+    """Boolean cell grid at the figure's finest generation h, lexicographic axes.
+
+    Filled one generation g at a time: the cubes of generation g are
+    decoded all at once and set in the view of the grid that splits each
+    axis into 2^g cubes of 2^(h-g) cells.  The grid, of 2^(h d) cells, is
+    made first, so every index decoded has h d < 63 bits.
+    """
+    d, h = fig.dim, fig.finest_generation()
+    by_gen: dict[int, list[int]] = {}
     for c in fig.cubes:
-        scale = 1 << (h - c.gen)
-        sl = tuple(slice(m * scale, (m + 1) * scale) for m in c.coords())
-        occ[sl] = True
+        by_gen.setdefault(c.gen, []).append(c.index)
+    occ = np.zeros((1 << h,) * d, dtype=bool)
+    for g, index in by_gen.items():
+        view = occ.reshape((1 << g, 1 << (h - g)) * d)
+        coords = _morton_decode_rows(np.array(index, dtype=np.int64), d, g)
+        view[tuple(x for m in coords.T for x in (m, slice(None)))] = True
     return occ, h
 
 

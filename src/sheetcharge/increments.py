@@ -26,7 +26,7 @@ import functools
 import math
 import mmap
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -200,48 +200,62 @@ def _tile_order(d: int, bits: int) -> tuple[tuple[int, ...], np.ndarray]:
     return shape, order
 
 
-def _box_differ(cells: tuple[int, ...]) -> Callable[[np.ndarray, np.ndarray], None]:
-    """A function ``differ(box, out)`` for boxes of grid points with ``cells`` cells per axis.
+class _Workspace:
+    """The buffers of :func:`_tiled_pyramid` passes run one after another, one buffer per role.
 
-    It writes the cell increments of ``box`` into ``out`` with the
-    subtractions of ``np.diff`` along axis 0, then 1 and so on, through
-    intermediate arrays made once, so a stream of boxes allocates nothing.
+    A pass asks for each buffer by role and shape: the intermediate arrays
+    of its tiles' differencing, a tile's box of cells and its Morton
+    cells, the tile's shares of the generations summed inside it, the
+    scratch arrays of their parents, and the whole level below them.  A
+    buffer is made on the first request and handed out again for every
+    later one of the same shape; one of another shape replaces it.  So
+    passes over grids of one shape allocate their buffers once, and a
+    workspace holds at most one buffer per role.  It lives as long as
+    its maker keeps it, and passes that share it run on one thread, one
+    at a time: each overwrites the buffers of the last.
     """
-    steps = [
-        np.empty(cells[: axis + 1] + tuple(m + 1 for m in cells[axis + 1 :]))
-        for axis in range(len(cells) - 1)
-    ]
 
-    def differ(box: np.ndarray, out: np.ndarray) -> None:
-        for axis, dest in enumerate([*steps, out]):
-            head = (slice(None),) * axis
-            np.subtract(box[head + (slice(1, None),)], box[head + (slice(None, -1),)], out=dest)
-            box = dest
+    def __init__(self) -> None:
+        self._buffers: dict[tuple, np.ndarray] = {}
 
-    return differ
+    def buffer(self, shape: tuple[int, ...], *role) -> np.ndarray:
+        """The float64 buffer of ``role``, of ``shape``, contents undefined."""
+        buf = self._buffers.get(role)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[role] = np.empty(shape)
+        return buf
 
 
-def _morton_tiles(values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def _morton_tiles(values: np.ndarray, ws: _Workspace) -> Iterator[tuple[int, np.ndarray]]:
     """Finest-cell increments of the cube grid ``values``, one Morton-contiguous tile at a time.
 
     A tile is the box of the lowest :func:`_tile_bits` Morton bits (256 x
     256 cells at d = 2, 64 x 64 x 32 at d = 3), the children of
     2^_CHUNK_BITS parents.  Its box of grid points is differenced along
-    every axis and gathered into Morton order, and ``(lo, cells)`` is
-    yielded: the Morton cells lo, lo + 1, ... of the level.  ``cells`` is
-    one buffer, overwritten by the next tile, and a pass allocates nothing
-    once the first tile is yielded.
+    axis 0, then 1 and so on, with the subtractions of ``np.diff``,
+    through intermediate arrays of ``ws``, and gathered into Morton order,
+    and ``(lo, cells)`` is yielded: the Morton cells lo, lo + 1, ... of the
+    level.  ``cells`` is a buffer of ``ws``, overwritten by the next tile,
+    so a pass allocates nothing once its workspace holds its buffers.
     """
     d = values.ndim
     gen = (values.shape[0] - 1).bit_length() - 1
     bits = _tile_bits(d, gen)
     shape, order = _tile_order(d, bits)
-    differ = _box_differ(shape)
-    lex, cells = np.empty(shape), np.empty(1 << bits)
+    steps = [
+        ws.buffer(shape[: axis + 1] + tuple(m + 1 for m in shape[axis + 1 :]), "step", axis)
+        for axis in range(d - 1)
+    ]
+    steps.append(ws.buffer(shape, "box"))
+    cells = ws.buffer((1 << bits,), "cells")
     for lo in range(0, 1 << (gen * d), 1 << bits):
         corner = morton_decode(lo, d, gen)
-        differ(values[tuple(slice(c, c + m + 1) for c, m in zip(corner, shape))], lex)
-        np.take(lex.reshape(-1), order, out=cells, mode="clip")  # every index is in range
+        box = values[tuple(slice(c, c + m + 1) for c, m in zip(corner, shape))]
+        for axis, dest in enumerate(steps):
+            head = (slice(None),) * axis
+            np.subtract(box[head + (slice(1, None),)], box[head + (slice(None, -1),)], out=dest)
+            box = dest
+        np.take(box.reshape(-1), order, out=cells, mode="clip")  # every index is in range
         yield lo, cells
 
 
@@ -310,7 +324,9 @@ def _add_siblings(
     np.add(left, right, out=out)
 
 
-def _tiled_pyramid(values: np.ndarray, stop: int) -> Iterator[tuple[int, int, np.ndarray]]:
+def _tiled_pyramid(
+    values: np.ndarray, stop: int, ws: _Workspace
+) -> Iterator[tuple[int, int, np.ndarray]]:
     """Morton cell increments of the cube grid ``values`` for generations N down to ``stop``.
 
     Yields ``(n, lo, cells)``, the cells lo, lo + 1, ... of generation n.
@@ -321,18 +337,27 @@ def _tiled_pyramid(values: np.ndarray, stop: int) -> Iterator[tuple[int, int, np
     its own that the next tile overwrites.  The tile's share of the
     generation below the last of them is written into its slice of a whole
     level, and that generation and every coarser one are yielded whole
-    (lo = 0), each dropped once the next is asked for.  So a generation comes in
+    (lo = 0); each level coarser than that one is dropped once the next is
+    asked for.  So a generation comes in
     Morton order, in pieces of one size, and the first one that exists
     whole is generation N-4 at d = 2 (N-3 at d = 3, N-2 at d = 4) on a grid
     of many tiles.  Every piece is summed into the next generation before
     it is yielded, so a consumer may overwrite it.
+
+    The workspace ``ws`` owns every buffer but the levels coarser than the
+    first whole one: the tile's differencing arrays, box and Morton cells,
+    the shares, the scratch arrays of their parents and the first whole
+    level.  They live as long as ``ws``, not as long as the pass: a caller
+    that runs one pass passes a fresh workspace, which goes with the
+    pass, and ``counterexample_figure`` shares one among the pyramids of
+    one figure's cubes, which so allocate their buffers once.
     """
     d, gen = values.ndim, (values.shape[0] - 1).bit_length() - 1
     bits, low = _tile_bits(d, gen), max(stop, _tiled_low(d, gen))
-    pieces = [np.empty(1 << (bits - k * d)) for k in range(1, gen - low + 1)]
-    whole = np.empty(1 << ((low - 1) * d)) if stop < low else None
-    scratch = [np.empty(1 << max(0, bits - d)) for _ in range(2 * d - 2)]
-    tiles = _morton_tiles(values)
+    pieces = [ws.buffer((1 << (bits - k * d),), "share", k) for k in range(1, gen - low + 1)]
+    whole = ws.buffer((1 << ((low - 1) * d),), "whole") if stop < low else None
+    scratch = [ws.buffer((1 << max(0, bits - d),), "scratch", i) for i in range(2 * d - 2)]
+    tiles = _morton_tiles(values, ws)
     del values  # the tiles hold the grid until the last one is differenced
     for lo, cells in tiles:
         for k, m in enumerate(range(gen, low - 1, -1)):
@@ -347,7 +372,7 @@ def _tiled_pyramid(values: np.ndarray, stop: int) -> Iterator[tuple[int, int, np
                 _coarsen(cells, d, out=parent, scratch=scratch)
             yield m, lo >> (k * d), cells
             cells = parent
-    del tiles, pieces
+    del tiles
     cells, whole = whole, None
     for n in range(low - 1, stop - 1, -1):  # none if stop >= low
         parent = _coarsen(cells, d) if n > stop else None
@@ -403,7 +428,7 @@ def increment_levels(f: GridSample, n_max: int | None = None) -> list[np.ndarray
         n_max = f.gen
     _check_generation(n_max, f.gen)
     levels = [np.empty((1 << n,) * f.dim) for n in range(n_max + 1)]
-    for n, lo, cells in _tiled_pyramid(f.values, 0):
+    for n, lo, cells in _tiled_pyramid(f.values, 0, _Workspace()):
         if n <= n_max:
             _put_piece(levels[n], f.dim, n, lo, cells)
     return levels
@@ -413,7 +438,7 @@ def cube_increments(f: GridSample, n: int) -> np.ndarray:
     """Increments over all generation-``n`` cubes, Morton cube order."""
     _check_generation(n, f.gen)
     out = np.empty(1 << (n * f.dim))
-    for m, lo, cells in _tiled_pyramid(f.values, n):
+    for m, lo, cells in _tiled_pyramid(f.values, n, _Workspace()):
         if m == n:
             out[lo : lo + len(cells)] = cells
     return out
@@ -471,7 +496,7 @@ def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, int,
     mat = haar_matrix(d).astype(float)
     rows = 1 << (_tile_bits(d, f.gen) - d)  # a tile's parents: no piece is larger
     full = np.empty((_block_rows(d, f.gen, max_gen), 1 << d))
-    pyramid = _tiled_pyramid(f.values, 1)
+    pyramid = _tiled_pyramid(f.values, 1, _Workspace())
     del f  # the pyramid holds the grid until its last tile is differenced
     for m, row, cells in pyramid:
         n = m - 1

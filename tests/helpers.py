@@ -231,3 +231,24 @@ def brute_force_faces(fig: Figure) -> set[tuple[int, int, int, tuple[int, ...]]]
 def random_dyadic_figure(rng: np.random.Generator, d: int, gen: int, count: int) -> Figure:
     picks = rng.choice(1 << (gen * d), size=count, replace=False)
     return Figure(d, tuple(DyadicCube(d, gen, int(k)) for k in sorted(picks)))
+
+
+def random_mixed_figure(rng: np.random.Generator, d: int, gen: int) -> Figure:
+    """A figure of disjoint cubes of generations 0..gen, in shuffled order.
+
+    The unit cube is split into its 2^d children, and from there each cube
+    is split with probability 0.6 (never at generation ``gen``), else kept
+    or dropped at even odds.
+    """
+    cubes = []
+
+    def visit(cube: DyadicCube) -> None:
+        u = rng.random() if cube.gen else 0.0
+        if cube.gen < gen and u < 0.6:
+            for child in cube.children():
+                visit(child)
+        elif u < 0.8:
+            cubes.append(cube)
+
+    visit(DyadicCube(d, 0, 0))
+    return Figure(d, tuple(cubes[i] for i in rng.permutation(len(cubes))))

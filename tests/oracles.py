@@ -13,6 +13,8 @@ increments; the tests check those against independent constructions:
 - the exact coefficient table of a grid of exact numbers, from the
   corner sums, the sign-matrix entries and the exact amplitudes alone;
 - the truncated Haar-primitive expansion evaluated on a figure;
+- a figure's occupancy grid set one cube at a time, and its volume as a
+  sum of Fractions, the references of the package's array geometry;
 - polynomial vector fields and the midpoint-rule flux through a figure's
   exposed faces, checked against the exact divergence integral.
 """
@@ -31,7 +33,6 @@ from sheetcharge.dyadic import (
     Figure,
     Rectangle,
     _face_steps,
-    _occupancy,
     lex_to_morton,
 )
 from sheetcharge.increments import CoefficientTable
@@ -442,6 +443,22 @@ class PolynomialField:
         return sum((self.divergence_integral(c.box()) for c in fig.cubes), Fraction(0))
 
 
+def loop_volume(fig: Figure) -> Fraction:
+    """The figure's volume as the sum of its cubes' exact volumes, one Fraction at a time."""
+    return sum((c.volume() for c in fig.cubes), Fraction(0))
+
+
+def loop_occupancy(fig: Figure) -> tuple[np.ndarray, int]:
+    """Boolean cell grid at the figure's finest generation h, lexicographic axes:
+    each cube's block of cells is set through a slice of its own."""
+    h = fig.finest_generation()
+    occ = np.zeros((1 << h,) * fig.dim, dtype=bool)
+    for c in fig.cubes:
+        scale = 1 << (h - c.gen)
+        occ[tuple(slice(m * scale, (m + 1) * scale) for m in c.coords())] = True
+    return occ, h
+
+
 def exposed_faces(fig: Figure) -> tuple[int, list[tuple[int, int, int, tuple[int, ...]]]]:
     """Boundary faces of the figure at its finest generation.
 
@@ -451,7 +468,7 @@ def exposed_faces(fig: Figure) -> tuple[int, list[tuple[int, int, int, tuple[int
     normal sign * e_axis.  Interior faces shared by two cells never appear.
     Faces come by axis, then plane, normal +e_axis first, then transverse.
     """
-    occ, h = _occupancy(fig)
+    occ, h = loop_occupancy(fig)
     faces: list[tuple[int, int, int, tuple[int, ...]]] = []
     for axis, step in enumerate(_face_steps(occ)):
         step = np.moveaxis(step, axis, 0)

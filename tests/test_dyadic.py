@@ -9,13 +9,16 @@ from sheetcharge.dyadic import (
     DyadicCube,
     Figure,
     Rectangle,
+    _morton_decode_rows,
+    _morton_encode_rows,
+    _occupancy,
     figure_perimeter,
     lex_to_morton,
     morton_decode,
     morton_encode,
 )
-from helpers import random_dyadic_figure
-from oracles import exposed_faces
+from helpers import random_dyadic_figure, random_mixed_figure
+from oracles import exposed_faces, loop_occupancy, loop_volume
 
 
 class TestAddressing:
@@ -316,3 +319,39 @@ class TestFigure:
         assert Figure(2).finest_generation() == 0
         fig = Figure(2, (DyadicCube(2, 1, 0), DyadicCube(2, 3, 63), DyadicCube(2, 2, 4)))
         assert fig.finest_generation() == 3
+
+
+class TestArrayGeometry:
+    """The array forms of the figure geometry against the per-cube loops of ``oracles``."""
+
+    @pytest.mark.parametrize("d, gen", [(1, 10), (2, 6), (3, 4), (4, 3)])
+    def test_occupancy_and_volume_match_the_loops(self, d, gen):
+        rng = np.random.default_rng(d)
+        figs = [Figure(d), Figure(d, (DyadicCube(d, 0, 0),))]
+        figs += [random_mixed_figure(rng, d, gen) for _ in range(12)]
+        assert sum(len({c.gen for c in fig.cubes}) > 2 for fig in figs) >= 6
+        for fig in figs:
+            (got, h), (want, want_h) = _occupancy(fig), loop_occupancy(fig)
+            assert h == want_h and got.dtype == want.dtype and np.array_equal(got, want)
+            volume = fig.volume()
+            assert isinstance(volume, Fraction) and volume == loop_volume(fig)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rows_match_morton_encode_and_decode(self, d):
+        # Up to 62 index bits; the last axis 0, as the counterexample's picked cubes
+        # have, or every axis given.
+        rng = np.random.default_rng(10 + d)
+        for gen in sorted({0, 1, 5, 62 // d}):
+            for axes in (d - 1, d):
+                coords = rng.integers(0, 1 << gen, size=(50, axes))
+                got = _morton_encode_rows(coords, d, gen)
+                full = [tuple(m) + (0,) * (d - axes) for m in coords.tolist()]
+                assert got.dtype == np.int64
+                assert got.tolist() == [morton_encode(m, gen) for m in full], (gen, axes)
+                back = _morton_decode_rows(got, d, gen)
+                assert back.tolist() == [list(morton_decode(k, d, gen)) for k in got.tolist()]
+                assert back.tolist() == [list(m) for m in full]
+
+    def test_rows_of_no_cube(self):
+        assert _morton_encode_rows(np.zeros((0, 2), dtype=np.int64), 3, 4).shape == (0,)
+        assert _morton_decode_rows(np.zeros(0, dtype=np.int64), 3, 4).shape == (0, 3)

@@ -10,6 +10,7 @@ import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from sheetcharge.experiment import (
     ExperimentConfig,
     counterexample_figure,
 )
-from sheetcharge.increments import GridSample, _pyramid_bytes
+from sheetcharge.increments import GridSample, _pyramid_bytes, _Workspace
 from sheetcharge.sampler import sample_sheet, sample_sheet_ensemble, sample_standard_sheet
 
 from helpers import grid_from_cell_increments, product_grid, scattered_grid, zero_grid
@@ -115,6 +116,30 @@ class TestCounterexampleFigure:
     def test_exponent_must_be_finite_and_positive(self, exponent):
         with pytest.raises(ValueError, match="finite exponent > 0"):
             counterexample_figure(zero_grid(2, 4), 0, 3, exponent)
+
+    def test_cube_indices_beyond_int64_rejected(self):
+        # No grid of generation 33 fits in memory; the check comes before any read.
+        huge = SimpleNamespace(dim=2, gen=33, values=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="p_max \\* d < 63"):
+            counterexample_figure(huge, 1, 32, 0.5)
+
+    def test_one_workspace_per_figure(self, monkeypatch):
+        # 16 cubes of the slab x_3 <= 1/4 each run a pyramid; one workspace serves
+        # them all, and the next figure makes its own.
+        made = []
+
+        class Counting(_Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(experiment, "_Workspace", Counting)
+        f = sample_standard_sheet(3, 6, seed=2, slab=2)
+        want = [counterexample_figure(f, 2, p_max, 0.5) for p_max in (2, 5)]
+        assert len(made) == 2 and all(ws._buffers for ws in made)
+        monkeypatch.undo()
+        for got, p_max in zip(want, (2, 5)):
+            assert_same_scan(got, counterexample_figure(f, 2, p_max, 0.5))
 
 
 def reference_counterexample_figure(f, n, p_max, exponent):
@@ -363,6 +388,16 @@ class TestConfig:
             {"config": {"subcommand": "simulate", "d": 1, "N": 3, "seeds": [7]}}
         )
         assert cfg.seeds == (7,)
+
+    def test_counterexample_cube_indices_must_fit_int64(self):
+        # p_max * d < 63 at d >= 2; checked before the memory estimate, which
+        # would refuse such a grid on most machines anyway.
+        with pytest.raises(ConfigError, match="p_max \\* d < 63 for int64 cube indices, got 64"):
+            ExperimentConfig(subcommand="counterexample", d=2, N=33, n=30)
+        with pytest.raises(ConfigError, match="got 63"):
+            ExperimentConfig(subcommand="counterexample", d=3, N=40, n=20, p_max=21)
+        with pytest.raises(ConfigError, match="GiB"):  # 62 bits fit: the memory check refuses it
+            ExperimentConfig(subcommand="counterexample", d=2, N=32, n=30)
 
     def test_moment_generations_checked_without_the_fit(self, monkeypatch):
         # The check reads min_count's default from criteria, not from the fit's
@@ -732,7 +767,8 @@ class TestHolderScanRunner:
         calls = []
         pyramid = criteria._tiled_pyramid
         monkeypatch.setattr(
-            criteria, "_tiled_pyramid", lambda v, stop: calls.append(stop) or pyramid(v, stop)
+            criteria, "_tiled_pyramid",
+            lambda v, stop, ws: calls.append(stop) or pyramid(v, stop, ws),
         )
         cfg = ExperimentConfig(
             subcommand="holder-scan", d=2, N=4, gamma=(0.5, 0.7, 1), seeds=(1, 2),

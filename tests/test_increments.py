@@ -18,6 +18,7 @@ from sheetcharge.increments import (
     _tile_bits,
     _tile_order,
     _tiled_pyramid,
+    _Workspace,
     coefficient_table,
     cube_increments,
     increment_levels,
@@ -377,7 +378,8 @@ class TestDifference:
             side = 1 << (f.gen - n)
             for c in (0, (1 << n) - 1):
                 box = f.values[(slice(c * side, (c + 1) * side + 1),) * (d - 1)][..., : side + 1]
-                finest = np.concatenate([cells.copy() for *_, cells in _tiled_pyramid(box, f.gen - n)])
+                pyramid = _tiled_pyramid(box, f.gen - n, _Workspace())
+                finest = np.concatenate([cells.copy() for *_, cells in pyramid])
                 self.assert_bits(finest, lex_to_morton(lex_cells(box)))
 
 
@@ -411,7 +413,7 @@ class TestMortonPyramid:
     def test_every_level_survives_an_overwritten_child(self, f):
         want = [lex_to_morton(level) for level in lex_increment_levels(f.values)]
         seen = []
-        for n, lo, cells in _tiled_pyramid(f.values, 0):
+        for n, lo, cells in _tiled_pyramid(f.values, 0, _Workspace()):
             self.assert_bits(cells, want[n][lo : lo + len(cells)])
             seen.append((n, lo, len(cells)))
             cells[...] = 7  # the parent level was summed before this one was yielded
@@ -488,7 +490,7 @@ class TestMortonTiles:
     def test_tiles_allocate_no_index_sized_array_after_the_first(self):
         # np.take copies an index array that is not writeable, on every call.
         f = integer_grid(2, 9, seed=3)
-        tiles = _morton_tiles(f.values)
+        tiles = _morton_tiles(f.values, _Workspace())
         next(tiles)
         tracemalloc.start()
         try:
@@ -558,6 +560,42 @@ class TestSmallTiles:
         tab = coefficient_table(f, f.gen - 1)
         for lev, want in zip(tab.levels, reference_coefficient_levels(f, f.gen - 1), strict=True):
             self.assert_bits(lev, want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestWorkspace:
+    """Pyramid passes one after another through one workspace, against fresh buffers."""
+
+    @staticmethod
+    def pieces(values, stop, ws):
+        return [(n, lo, cells.copy()) for n, lo, cells in _tiled_pyramid(values, stop, ws)]
+
+    @pytest.mark.parametrize(
+        "d, gens", [(1, (12, 9, 12, 3)), (2, (7, 5, 7, 1)), (3, (5, 4, 5, 2)), (4, (4, 2, 4))]
+    )
+    def test_reused_workspace_yields_the_pieces_of_fresh_buffers(self, d, gens, small_tiles):
+        # Grids of other generations and stops replace some buffers, and a grid of
+        # the first shape after them gets the replaced ones back, bit for bit.
+        ws = _Workspace()
+        for i, gen in enumerate(gens):
+            values = scattered_grid(d, gen, seed=i).values
+            for stop in sorted({0, gen // 2, gen}):
+                got, want = self.pieces(values, stop, ws), self.pieces(values, stop, _Workspace())
+                assert [p[:2] for p in got] == [p[:2] for p in want], (gen, stop)
+                for (*_, g), (*_, w) in zip(got, want):
+                    assert np.array_equal(g.view(np.int64), w.view(np.int64)), (gen, stop)
+
+    @pytest.mark.parametrize("d, gen", [(2, 9), (3, 5)])
+    def test_passes_over_one_shape_make_their_buffers_once(self, d, gen):
+        ws = _Workspace()
+        for seed in range(3):
+            for _ in _tiled_pyramid(scattered_grid(d, gen, seed=seed).values, 0, ws):
+                pass
+            if not seed:
+                held = dict(ws._buffers)
+            assert ws._buffers.keys() == held.keys()
+            assert all(ws._buffers[role] is buf for role, buf in held.items())
 
 
 def assert_table_matches_exact(tab, oracle):

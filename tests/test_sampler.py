@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -7,7 +8,6 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -406,23 +406,26 @@ def noise_threads(monkeypatch):
     yield lambda: [name for name in NamedThreads.names if name.startswith("noise-draw")]
 
 
-class RecordingJumps:
+class RecordingJumps(np.random.Philox):
     """A draw's Philox whose jump to tile ``fail`` raises; records each tile jumped to,
-    and the thread that jumped."""
+    and the thread that jumped.  A draw jumps its workers' generators to their tiles
+    with ``advance(t << 128)``."""
 
-    def __init__(self, bit_generator, fail=None):
-        self.bit_generator, self.fail, self.tiles, self.threads = bit_generator, fail, [], []
+    def __init__(self, seed_seq, fail=None):
+        super().__init__(seed_seq)
+        self.fail, self.tiles, self.threads = fail, [], []
 
-    def jumped(self, t):
+    def advance(self, delta):
+        t = delta >> 128
         self.tiles.append(t)
         self.threads.append(threading.current_thread().name)
         if t == self.fail:
             raise RuntimeError("draw failed")
-        return self.bit_generator.jumped(t)
+        return super().advance(delta)
 
 
 class Jumps(list):
-    """The RecordingJumps of each draw, in order; tile ``fail`` raises in each."""
+    """The RecordingJumps of each draw's workers, in order; tile ``fail`` raises in each."""
 
     fail = None
 
@@ -433,8 +436,8 @@ def jumps(monkeypatch):
     made = Jumps()
 
     def recording(seed, *stream):
-        made.append(RecordingJumps(replicate_rng(seed, *stream).bit_generator, made.fail))
-        return SimpleNamespace(bit_generator=made[-1])
+        made.append(RecordingJumps(np.random.SeedSequence(seed, spawn_key=stream), made.fail))
+        return np.random.Generator(made[-1])
 
     monkeypatch.setattr(sampler, "replicate_rng", recording)
     return made
@@ -479,6 +482,23 @@ class TestStandardSheetInPlace:
             for axis in range(d):
                 noise = np.cumsum(noise, axis=axis)
             assert np.array_equal(got.view(np.int64), noise.view(np.int64)), d
+
+    def test_reset_and_advanced_philox_draws_the_jumped_tiles(self):
+        # A worker's generator is set back to the stream's state and advanced by
+        # t * 2^128 for tile t, after drawing other tiles: tile 0 and the last of
+        # the 1024 tiles of a d=2, N=13 grid among them.
+        box, size = sampler._noise_buffers(2, 13)
+        last = (1 << (2 * 13 - sampler._noise_bits(2, 13))) - 1
+        assert last == 1023 and size == math.prod(box)
+        rng = replicate_rng(6, 3)
+        state = rng.bit_generator.state
+        for t in (5, 0, last, 1, 77, 0, last - 1):
+            rng.bit_generator.state = state
+            rng.bit_generator.advance(t << 128)
+            got = rng.standard_normal(size)
+            jumped = replicate_rng(6, 3).bit_generator.jumped(t)
+            want = np.random.Generator(jumped).standard_normal(size)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), t
 
     @pytest.mark.parametrize(
         "d, gen, call",
@@ -528,7 +548,7 @@ class TestStandardSheetInPlace:
         with pytest.raises(RuntimeError, match="draw failed"):
             within_a_minute(lambda: sample_standard_sheet(2, 9, seed=0))
         assert threading.active_count() == baseline
-        tiles = dict(zip(jumps[0].tiles, jumps[0].threads))
+        tiles = {t: name for j in jumps for t, name in zip(j.tiles, j.threads)}
         assert tiles[2] == tiles[3] == "noise-draw-1" and tiles[0] != "noise-draw-1"
         assert set(tiles) in ({0, 2, 3}, {0, 1, 2, 3})  # worker 0 may stop before tile 1
 
