@@ -11,8 +11,11 @@ one worker thread per core (``sampler._pool``, which also runs the
 blocks of each mode product and the noise tiles of each layer of a
 whole sheet): each sheet has its own Philox stream and
 each result its own slot, so the bits do not depend on the number of
-workers.  counterexample draws only the bottom slab of a
-standard sheet, which holds every cube its scan reads.  Its scan keeps
+workers.  A moment-scaling worker draws and sums every replicate it
+takes through one workspace of its own (grid, draw scratch and pyramid
+buffers), so no replicate allocates any of them.  counterexample draws
+only the bottom slab of a standard sheet, which holds every cube its
+scan reads.  Its scan keeps
 the interpreter lock little, so pooled seeds run side by side: the
 pyramids of a figure's cubes share one workspace, made and dropped per
 figure, and the figure's cube indices, volume and occupancy are array
@@ -255,8 +258,9 @@ class ExperimentConfig:
         H, those of ``sample_sheet`` (the leaves of each distinct
         component's factor, and its scratch arrays or, before the grid, a
         factor's build).  Each pooling worker holds its own: for
-        moment-scaling a grid, its scratch arrays and its pyramid, beside
-        the pooled samples; for counterexample without H the bottom slab's
+        moment-scaling a grid, its scratch arrays and its pyramid, all in
+        its workspace from its first draw to the pool's end, beside the
+        pooled samples; for counterexample without H the bottom slab's
         grid and the larger of its draw's one tile buffer and carry row
         and its scan.  covariance-check holds its pairs beside the draw.  For a
         subcommand in _ANALYSIS_BYTES, the larger of that and what its
@@ -575,17 +579,22 @@ def run_holder_scan(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def _pool_levels(values: np.ndarray, samples: dict[int, np.ndarray], r: int) -> None:
+def _pool_levels(
+    values: np.ndarray, samples: dict[int, np.ndarray], r: int, ws: _Workspace
+) -> None:
     """Write the Morton cell increments of generation n of the cube grid ``values`` into
     row ``r`` of ``samples[n]``, for every n in ``samples``, piece by piece as
     :func:`_tiled_pyramid` yields them: no level exists whole.
 
-    Each call has a workspace of its own.  One kept per pool worker across
-    its replicates ran 10% faster but peaked 2.3 MB (3%) higher (d=2, N=8,
-    200 replicates, two workers on a 2-vCPU host): the sampler's buffers
-    could no longer reuse the memory the pyramid frees.
+    The pyramid's buffers are those of ``ws``, the workspace of the pool
+    worker that also drew the sheet into it.  So a worker's replicates
+    reuse one grid, one scratch array that is also the pyramid's Morton
+    cells and one set of pyramid buffers, and no replicate allocates or
+    frees any of them: with a workspace per replicate, fbs-moments (d=2,
+    N=8, 200 replicates, two workers) freed and made about 2 MB of them
+    per replicate.
     """
-    for n, lo, cells in _tiled_pyramid(values, min(samples), _Workspace()):
+    for n, lo, cells in _tiled_pyramid(values, min(samples), ws):
         if n in samples:
             samples[n][r, lo : lo + len(cells)] = cells
 
@@ -595,16 +604,22 @@ def run_moment_scaling(cfg: ExperimentConfig, out: Path) -> list[Path]:
     seed = cfg.seeds[0]
     # Replicate r's generation-n increments, in Morton order, are row r of samples[n].
     samples = {n: np.empty((cfg.replicates, 1 << (n * cfg.d))) for n in gens}
+    workers = cfg._pool_workers()
+    # Worker k pools replicates k, k + workers, ... through spaces[k], which holds
+    # nothing until its first draw.
+    spaces = [_Workspace() for _ in range(workers)]
 
     def pool_replicate(r: int) -> None:
         # Each replicate has its own Philox stream and row, so the bits do not
         # depend on the number of workers.
-        sheet = next(iter(sample_sheet_ensemble(cfg.H, cfg.N, seed, range(r, r + 1))))
-        _pool_levels(sheet.values, samples, r)
+        ws = spaces[r % workers]
+        sheet = next(iter(sample_sheet_ensemble(cfg.H, cfg.N, seed, range(r, r + 1), ws=ws)))
+        _pool_levels(sheet.values, samples, r, ws)
 
     for h in set(cfg.H):  # built before the workers: lru_cache lets two build one factor
         sampler._axis_factor(h, cfg.N)
-    _pool("moment-scaling", cfg.replicates, cfg._pool_workers(), pool_replicate)
+    _pool("moment-scaling", cfg.replicates, workers, pool_replicate)
+    spaces.clear()  # not alive while the fit runs
     samples = {n: rows.reshape(-1) for n, rows in samples.items()}
     path = out / "moment_scaling.csv"
     fits = {}

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -200,30 +201,77 @@ def _tile_order(d: int, bits: int) -> tuple[tuple[int, ...], np.ndarray]:
     return shape, order
 
 
+def _references_of_a_local() -> int:
+    """What ``sys.getrefcount`` reads for an object that one local variable alone refers to."""
+    probe = object()
+    return sys.getrefcount(probe)
+
+
+_ONE_REFERENCE = _references_of_a_local()
+
+
 class _Workspace:
-    """The buffers of :func:`_tiled_pyramid` passes run one after another, one buffer per role.
+    """The buffers of draws and :func:`_tiled_pyramid` passes run one after another.
 
     A pass asks for each buffer by role and shape: the intermediate arrays
     of its tiles' differencing, a tile's box of cells and its Morton
     cells, the tile's shares of the generations summed inside it, the
     scratch arrays of their parents, and the whole level below them.  A
-    buffer is made on the first request and handed out again for every
-    later one of the same shape; one of another shape replaces it.  So
-    passes over grids of one shape allocate their buffers once, and a
-    workspace holds at most one buffer per role.  It lives as long as
-    its maker keeps it, and passes that share it run on one thread, one
-    at a time: each overwrites the buffers of the last.
+    draw of ``sampler.sample_sheet`` asks for its grid (:meth:`grid`) and
+    its scratch arrays (:meth:`draw_scratch`).  A buffer is made on the
+    first request and handed out again, as a view of its first values,
+    for every later one it holds; a larger request replaces it.  So draws
+    and passes over grids of one shape allocate their buffers once, and a
+    workspace holds at most one buffer per role and one grid.  It lives
+    as long as its maker keeps it, and the draws and passes that share it
+    run on one thread, one at a time: each overwrites the buffers of the
+    last.
+
+    The grid is the exception: a sample takes it over read-only, so it
+    must not change while the sample is held.  The workspace hands it out
+    again only when it holds the grid's last reference, and otherwise
+    makes a new one.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
+        self._grid: np.ndarray | None = None
 
     def buffer(self, shape: tuple[int, ...], *role) -> np.ndarray:
-        """The float64 buffer of ``role``, of ``shape``, contents undefined."""
+        """The float64 buffer of ``role``, of ``shape``, C-contiguous, contents undefined."""
+        size = math.prod(shape)
         buf = self._buffers.get(role)
-        if buf is None or buf.shape != shape:
-            buf = self._buffers[role] = np.empty(shape)
-        return buf
+        if buf is None or len(buf) < size:
+            buf = self._buffers[role] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def draw_scratch(self, count: int, size: int) -> list[np.ndarray]:
+        """``count`` flat scratch arrays of ``size`` values for a draw, contents undefined.
+
+        The first is the Morton cells buffer of :func:`_morton_tiles`,
+        which no pass uses while a draw runs, so a draw followed by a pass
+        holds one buffer for both; the others have roles of their own.
+        """
+        return [self.buffer((size,), "cells")] + [
+            self.buffer((size,), "draw", k) for k in range(1, count)
+        ]
+
+    def grid(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A writeable float64 grid of ``shape`` that owns its data, zero when it is made.
+
+        The last grid handed out comes back, writeable and holding what
+        was written into it, if it has ``shape`` and nothing but the
+        workspace refers to it: no sample, view or caller holds it any
+        more.  Else a new one is made, and a sample that holds the old
+        one keeps its bytes.
+        """
+        full, self._grid = self._grid, None
+        if full is None or full.shape != shape or sys.getrefcount(full) > _ONE_REFERENCE:
+            full = np.zeros(shape)
+        else:
+            full.flags.writeable = True  # it owns its data, so it may be written again
+        self._grid = full
+        return full
 
 
 def _morton_tiles(values: np.ndarray, ws: _Workspace) -> Iterator[tuple[int, np.ndarray]]:
@@ -349,8 +397,9 @@ def _tiled_pyramid(
     the shares, the scratch arrays of their parents and the first whole
     level.  They live as long as ``ws``, not as long as the pass: a caller
     that runs one pass passes a fresh workspace, which goes with the
-    pass, and ``counterexample_figure`` shares one among the pyramids of
-    one figure's cubes, which so allocate their buffers once.
+    pass, ``counterexample_figure`` shares one among the pyramids of
+    one figure's cubes, which so allocate their buffers once, and each
+    moment-scaling worker draws and sums all its replicates through one.
     """
     d, gen = values.ndim, (values.shape[0] - 1).bit_length() - 1
     bits, low = _tile_bits(d, gen), max(stop, _tiled_low(d, gen))

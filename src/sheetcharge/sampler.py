@@ -35,6 +35,7 @@ depend on neither the core count nor the BLAS thread count.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import struct
@@ -44,8 +45,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .dyadic import morton_decode
-from .increments import BottomSlab, GridSample, _tile_shape
+from .dyadic import morton_encode
+from .increments import BottomSlab, GridSample, _tile_shape, _Workspace
 
 __all__ = [
     "HurstVector",
@@ -355,6 +356,25 @@ def _noise_workers(d: int, gen: int, slab: int | None = None) -> int:
     return min(_cores(), (1 << (gen * (d - 1))) // math.prod(box[1:]))
 
 
+def _noise_layers(d: int, gen: int, cut: int) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """The noise tiles of a d-dimensional draw that reach into the first ``cut`` last-axis cells.
+
+    Each tile is ``(t, corner)``: its Morton index and its box's lowest
+    grid cell.  The tiles come in layers, one per corner along axis 0 in
+    increasing order, and each layer in Morton order.  The corners are
+    the multiples of the box's side along each axis, those of the last
+    axis below ``cut``, so only the tiles kept are enumerated: a slab
+    of one tile at d = 1, N = 60 lists one, not 2^45.
+    """
+    bits = _noise_bits(d, gen)
+    box, n = _tile_shape(d, bits), 1 << gen
+    sides = [range(0, n, m) for m in box[:-1]] + [range(0, min(cut, n), box[-1])]
+    layers: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for t, corner in sorted((morton_encode(c, gen) >> bits, c) for c in itertools.product(*sides)):
+        layers.setdefault(corner[0], []).append((t, corner))
+    return [layers[lo] for lo in sorted(layers)]
+
+
 def _draw_noise(
     core: np.ndarray,
     gen: int,
@@ -373,35 +393,30 @@ def _draw_noise(
     the stream itself and a grid of one tile the values of one draw of it.
     ``core`` has 2^N rows and its last axis may be cut short (at d = 1 too):
     only the tiles that reach into it are drawn, and their first values
-    along that axis are kept.  The tiles go one layer along axis 0 at a
-    time through ``_pool``, on one worker per buffer of ``scratch`` (flat,
-    of at least _noise_buffers values each), at most one per tile of the
-    layer.  Each buffer has its own generator of the stream, whose Philox
-    a worker sets back to the stream's first state and advances by
-    t * 2^128 for tile t, as ``jumped(t)`` does, without the cost of a
-    new bit generator per tile.  A worker draws its tile call by call
-    into its buffer, scales it there (a ufunc writing to a strided view
-    would buffer 64 KB on the way) and copies it into ``core``, which may
-    be a view, such as the interior of a padded grid.  Then ``then(lo, hi)``, if given, runs in
-    the caller on the layer's rows [lo, hi) of ``core``.  Split calls draw
-    the values of one call, and a tile's values do not depend on the
-    worker that draws it, so neither do the bits.
+    along that axis are kept; :func:`_noise_layers` lists those tiles
+    alone, so a thin cut costs its own tiles, not the grid's.  The tiles
+    go one layer along axis 0 at a time through ``_pool``, on one worker
+    per buffer of ``scratch`` (flat, of at least _noise_buffers values
+    each), at most one per tile of the layer.  Each buffer has its own
+    generator of the stream, whose Philox a worker sets back to the
+    stream's first state and advances by t * 2^128 for tile t, as
+    ``jumped(t)`` does, without the cost of a new bit generator per tile.
+    A worker draws its tile call by call into its buffer, scales it there
+    (a ufunc writing to a strided view would buffer 64 KB on the way) and
+    copies it into ``core``, which may be a view, such as the interior of
+    a padded grid.  Then ``then(lo, hi)``, if given, runs in the caller
+    on the layer's rows [lo, hi) of ``core``.  Split calls draw the values
+    of one call, and a tile's values do not depend on the worker that
+    draws it, so neither do the bits.
     """
     d = core.ndim
-    bits = _noise_bits(d, gen)
     box, size = _noise_buffers(d, gen)
     rows = size // math.prod(box[1:])
     bufs = [s[:size].reshape((rows,) + box[1:]) for s in scratch]
     rngs = [replicate_rng(seed, replicate) for _ in bufs]
     state = rngs[0].bit_generator.state
-    layers: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for t in range(1 << (gen * d - bits)):
-        corner = morton_decode(t << bits, d, gen)
-        if corner[-1] < core.shape[-1]:
-            layers.setdefault(corner[0], []).append((t, corner))
-
-    for lo in sorted(layers):
-        tiles = layers[lo]
+    for tiles in _noise_layers(d, gen, core.shape[-1]):
+        lo = tiles[0][1][0]
 
         def draw(i: int) -> None:
             t, corner = tiles[i]
@@ -470,7 +485,12 @@ def _standard_bytes(d: int, gen: int, slab: int | None = None) -> int:
 
 
 def sample_sheet(
-    H: HurstVector | Sequence[float], gen: int, seed: int, replicate: int = 0
+    H: HurstVector | Sequence[float],
+    gen: int,
+    seed: int,
+    replicate: int = 0,
+    *,
+    ws: _Workspace | None = None,
 ) -> GridSample:
     """One sheet sample with exact grid covariance, deterministic in (H, N, seed).
 
@@ -482,18 +502,29 @@ def sample_sheet(
     spans the axis (N <= 8).  The noise tiles are drawn one after another
     into the first.  Under tracemalloc a d = 2 draw peaks at 1.125 grids
     at N = 11 on two cores and at 1.50 at N = 9.
+
+    With a workspace ``ws`` the grid and the scratch arrays are its
+    (``_Workspace.grid`` and ``_Workspace.draw_scratch``), so draws of one
+    shape allocate nothing after the first, and the first scratch array
+    is the Morton cells buffer of a pyramid pass over the sheet.  A
+    reused grid is written anew in its interior; its 0-facets are never
+    written, so they stay zero.  The sample takes the grid over read-only:
+    the workspace draws the next sample into it only once nothing else
+    refers to it.  The bits do not depend on ``ws``.
     """
     H = HurstVector.of(H)
+    d = H.dim
     factors = [_axis_factor(h, gen) for h in H.components]
-    full = np.zeros(((1 << gen) + 1,) * H.dim)  # zero on the 0-facets
-    core = full[(slice(1, None),) * H.dim]
-    scratch = [np.empty(_scratch_size(H.dim, gen)) for _ in range(_workers(H.dim, gen))]
+    ws = _Workspace() if ws is None else ws  # a fresh one allocates what the draw needs
+    full = ws.grid(((1 << gen) + 1,) * d)  # zero on the 0-facets
+    scratch = ws.draw_scratch(_workers(d, gen), _scratch_size(d, gen))
+    core = full[(slice(1, None),) * d]
     _draw_noise(core, gen, seed, replicate, scratch[:1])
     for axis, leaves in enumerate(factors):
         _mode_product(leaves, core, axis, scratch)  # L_axis x_axis core
     full.flags.writeable = False  # GridSample takes it over without a copy
     return GridSample(
-        H.dim,
+        d,
         gen,
         full,
         hurst=H.components,
@@ -503,12 +534,20 @@ def sample_sheet(
 
 
 def sample_sheet_ensemble(
-    H: HurstVector | Sequence[float], gen: int, seed: int, replicates: int | range
+    H: HurstVector | Sequence[float],
+    gen: int,
+    seed: int,
+    replicates: int | range,
+    *,
+    ws: _Workspace | None = None,
 ) -> Iterator[GridSample]:
-    """Replicates 0..replicates-1 of :func:`sample_sheet`, or those in a ``range``, drawn lazily."""
+    """Replicates 0..replicates-1 of :func:`sample_sheet`, or those in a ``range``, drawn lazily.
+
+    Each is drawn through the workspace ``ws``, if given.
+    """
     H = HurstVector.of(H)
     for rep in replicates if isinstance(replicates, range) else range(replicates):
-        yield sample_sheet(H, gen, seed, rep)
+        yield sample_sheet(H, gen, seed, rep, ws=ws)
 
 
 def sample_standard_sheet(

@@ -15,6 +15,8 @@ increments; the tests check those against independent constructions:
 - the truncated Haar-primitive expansion evaluated on a figure;
 - a figure's occupancy grid set one cube at a time, and its volume as a
   sum of Fractions, the references of the package's array geometry;
+- the noise tiles a cut grid reaches, found by decoding every tile of
+  the whole grid, the reference of the sampler's direct enumeration;
 - polynomial vector fields and the midpoint-rule flux through a figure's
   exposed faces, checked against the exact divergence integral.
 """
@@ -34,9 +36,10 @@ from sheetcharge.dyadic import (
     Rectangle,
     _face_steps,
     lex_to_morton,
+    morton_decode,
 )
 from sheetcharge.increments import CoefficientTable
-from sheetcharge.sampler import HurstVector
+from sheetcharge.sampler import HurstVector, _noise_bits
 
 from exact import pow2_half
 
@@ -457,6 +460,19 @@ def loop_occupancy(fig: Figure) -> tuple[np.ndarray, int]:
         scale = 1 << (h - c.gen)
         occ[tuple(slice(m * scale, (m + 1) * scale) for m in c.coords())] = True
     return occ, h
+
+
+def loop_noise_layers(d: int, gen: int, cut: int) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """The noise tiles that reach into the first ``cut`` cells of the last axis, found by
+    decoding every tile of the grid and keeping those whose last-axis corner is below
+    ``cut``: ``(t, corner)`` layers by axis-0 corner, each layer in Morton order."""
+    bits = _noise_bits(d, gen)
+    layers: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for t in range(1 << (gen * d - bits)):
+        corner = morton_decode(t << bits, d, gen)
+        if corner[-1] < cut:
+            layers.setdefault(corner[0], []).append((t, corner))
+    return [layers[lo] for lo in sorted(layers)]
 
 
 def exposed_faces(fig: Figure) -> tuple[int, list[tuple[int, int, int, tuple[int, ...]]]]:

@@ -669,10 +669,10 @@ class TestMomentScalingRunner:
     def test_worker_error_raised_after_every_worker_ends(self, monkeypatch, tmp_path):
         real = experiment.sample_sheet_ensemble
 
-        def failing(H, gen, seed, replicates):
+        def failing(H, gen, seed, replicates, **kwargs):
             if 4 in replicates:  # pooled by worker 1 of 3, a thread of its own
                 raise RuntimeError("replicate 4")
-            return real(H, gen, seed, replicates)
+            return real(H, gen, seed, replicates, **kwargs)
 
         monkeypatch.setattr(sampler, "_cores", lambda: 3)
         monkeypatch.setattr(experiment, "sample_sheet_ensemble", failing)
@@ -682,6 +682,33 @@ class TestMomentScalingRunner:
                 out=str(tmp_path),
             ))
         assert not [t for t in threading.enumerate() if t.name.startswith("moment-scaling")]
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_one_workspace_per_pool_worker(self, monkeypatch, tmp_path, cores):
+        # 7 replicates: worker k draws and sums k, k + cores, ... through its own.
+        made, drawn = [], []
+        real = experiment.sample_sheet_ensemble
+
+        class Counting(_Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        def recording(H, gen, seed, replicates, **kwargs):
+            drawn.append((replicates[0], kwargs["ws"]))
+            return real(H, gen, seed, replicates, **kwargs)
+
+        monkeypatch.setattr(sampler, "_cores", lambda: cores)
+        monkeypatch.setattr(experiment, "_Workspace", Counting)
+        monkeypatch.setattr(experiment, "sample_sheet_ensemble", recording)
+        experiment.run(ExperimentConfig(
+            subcommand="moment-scaling", d=2, N=5, H=(0.6, 0.8), replicates=7, seeds=(4,),
+            out=str(tmp_path),
+        ))
+        assert len(made) == cores
+        assert sorted(r for r, _ in drawn) == list(range(7))
+        assert all(ws is made[r % cores] for r, ws in drawn)
+        assert all(ws._buffers and ws._grid is not None for ws in made)
 
     def test_threaded_run_builds_each_factor_once(self, monkeypatch, tmp_path):
         # A slow build: without the factors built before the workers start,
@@ -755,7 +782,7 @@ class TestMomentScalingRunner:
         want = lex_increment_levels(f.values)
         gens = (0, 1, N - 3, N)
         samples = {n: np.full((3, 1 << (n * d)), 7.0) for n in gens}
-        experiment._pool_levels(f.values, samples, 1)
+        experiment._pool_levels(f.values, samples, 1, _Workspace())
         for n in gens:
             got, row = samples[n][1], lex_to_morton(want[n])
             assert np.array_equal(got.view(np.int64), row.view(np.int64)), n
@@ -856,6 +883,19 @@ class TestCounterexampleRunner:
             subcommand="counterexample", d=2, N=9, n=1, seeds=(0, 1, 2), out=str(tmp_path),
         ))
         assert started == ["counterexample-1"]
+
+    def test_thin_slab_of_a_deep_grid_draws_its_own_tiles(self, tmp_path):
+        # d = 1, N = 60 has 2^45 noise tiles and the slab reaches one: a draw that
+        # looked at every tile would not end.
+        cfg = ExperimentConfig(
+            subcommand="counterexample", d=1, N=60, n=59, seeds=(0, 1), out=str(tmp_path)
+        )
+        runner = threading.Thread(target=experiment.run, args=(cfg,), daemon=True)
+        runner.start()
+        runner.join(60)
+        assert not runner.is_alive(), "the run did not end"
+        rows = (tmp_path / "counterexample.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "1"]
 
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("d, N, n", [(2, 9, 1), (3, 7, 2)])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -36,6 +37,7 @@ from helpers import (
     tile_noise,
     whole_factor,
 )
+from oracles import loop_noise_layers
 
 
 class TestKernel:
@@ -716,6 +718,93 @@ class TestBottomSlab:
         slab = BottomSlab(2, 2, values)
         values[1, 1] = 1.0
         assert not slab.values.any() and not slab.values.flags.writeable
+
+
+class TestNoiseLayers:
+    """The tiles a draw enumerates against every tile of the grid decoded and filtered."""
+
+    @pytest.mark.parametrize(
+        "d, gen, bits",
+        # bits: the stream rule's _NOISE_BITS, or smaller for many tiles per grid
+        [(1, 3, 14), (1, 17, 14), (1, 9, 2), (2, 9, 14), (2, 5, 1), (2, 6, 3),
+         (3, 7, 14), (3, 4, 1), (3, 5, 2)],
+    )
+    def test_whole_and_cut_grids_match_the_filtered_loop(self, monkeypatch, d, gen, bits):
+        monkeypatch.setattr(sampler, "_NOISE_BITS", bits)
+        n = 1 << gen
+        for cut in sorted({n, n >> 1, n >> 3, 3, 2, 1}):
+            got = sampler._noise_layers(d, gen, cut)
+            assert got == loop_noise_layers(d, gen, cut), cut
+            assert all(tiles for tiles in got)
+
+    def test_a_thin_cut_of_a_deep_grid_lists_its_tiles_alone(self):
+        # 2^45 tiles, of which the first two cells reach one, and 2^85 at N = 100
+        assert sampler._noise_layers(1, 60, 2) == [[(0, (0,))]]
+        assert sampler._noise_layers(1, 100, 1 << 16) == [[(0, (0,))], [(1, (1 << 15,))]]
+
+
+def held_grid(ws):
+    """A weak reference to the grid ``ws`` holds, which keeps it no more alive."""
+    return weakref.ref(ws._grid)
+
+
+class TestWorkspaceDraw:
+    """Draws through one workspace, one after another, against draws of their own."""
+
+    @staticmethod
+    def assert_bits(got, want):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "H", [(0.7,), (0.5,), (0.6, 0.8), (0.5, 0.7), (0.5, 0.8, 0.5), (0.55, 0.7, 0.9)]
+    )
+    def test_reused_workspace_draws_the_fresh_bits(self, H):
+        # N = 5, 4, 5: the second shape replaces the grid, the third makes one
+        # again; a pyramid pass runs through the workspace between draws, as
+        # moment-scaling's does, over the Morton cells buffer the draw used.
+        d, ws = len(H), increments._Workspace()
+        for rep, gen in enumerate((5, 4, 5, 5)):
+            before = None if ws._grid is None else held_grid(ws)
+            f = sample_sheet(H, gen, seed=3, replicate=rep, ws=ws)
+            self.assert_bits(f.values, sample_sheet(H, gen, seed=3, replicate=rep).values)
+            assert not f.values.flags.writeable and f.values.base is None
+            for axis in range(d):  # never written, so zero after reuse
+                assert not f.values[(slice(None),) * axis + (0,)].any()
+            if rep == 3:  # the shape of the draw before, whose grid nothing holds
+                assert f.values is before()
+            for _ in increments._tiled_pyramid(f.values, 0, ws):
+                pass
+            del f
+
+    def test_held_sheet_keeps_its_bytes(self):
+        ws = increments._Workspace()
+        first = sample_sheet((0.6, 0.8), 5, seed=1, ws=ws)
+        kept = first.values.copy()
+        view = sample_sheet((0.6, 0.8), 5, seed=1, replicate=1, ws=ws).values[1:]
+        second = sample_sheet((0.6, 0.8), 5, seed=1, replicate=2, ws=ws)
+        self.assert_bits(first.values, kept)
+        assert view.base is not second.values and second.values is not first.values
+        self.assert_bits(view, sample_sheet((0.6, 0.8), 5, seed=1, replicate=1).values[1:])
+        self.assert_bits(second.values, sample_sheet((0.6, 0.8), 5, seed=1, replicate=2).values)
+
+    def test_ensemble_draws_through_the_workspace(self):
+        ws = increments._Workspace()
+        for rep in range(3):
+            (f,) = sample_sheet_ensemble((0.7, 0.7), 4, 2, range(rep, rep + 1), ws=ws)
+            assert f.values is ws._grid
+            self.assert_bits(f.values, sample_sheet((0.7, 0.7), 4, 2, replicate=rep).values)
+
+    def test_split_products_share_the_workspace_scratch(self, monkeypatch):
+        # Blocks of 8 indices on two cores: two leaf buffers, the first of them
+        # the Morton cells buffer.
+        monkeypatch.setattr(sampler, "_BLOCK", 8)
+        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+        ws = increments._Workspace()
+        for rep in range(3):
+            f = sample_sheet((0.6, 0.9), 6, seed=0, replicate=rep, ws=ws)
+            self.assert_bits(f.values, sample_sheet((0.6, 0.9), 6, seed=0, replicate=rep).values)
+            del f
+        assert set(ws._buffers) == {("cells",), ("draw", 1)}
 
 
 class TestAxisFactorCache:
