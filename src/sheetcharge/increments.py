@@ -285,13 +285,19 @@ def _morton_tiles(values: np.ndarray, ws: _Workspace) -> Iterator[tuple[int, np.
     and ``(lo, cells)`` is yielded: the Morton cells lo, lo + 1, ... of the
     level.  ``cells`` is a buffer of ``ws``, overwritten by the next tile,
     so a pass allocates nothing once its workspace holds its buffers.
+    From d = 2 on, ``cells`` shares the buffer of the first intermediate
+    array, which holds more values and is dead by the time the cells are
+    gathered.
     """
     d = values.ndim
     gen = (values.shape[0] - 1).bit_length() - 1
     bits = _tile_bits(d, gen)
     shape, order = _tile_order(d, bits)
     steps = [
-        ws.buffer(shape[: axis + 1] + tuple(m + 1 for m in shape[axis + 1 :]), "step", axis)
+        ws.buffer(
+            shape[: axis + 1] + tuple(m + 1 for m in shape[axis + 1 :]),
+            *(("step", axis) if axis else ("cells",)),
+        )
         for axis in range(d - 1)
     ]
     steps.append(ws.buffer(shape, "box"))
@@ -571,7 +577,9 @@ def _pyramid_bytes(d: int, gen: int, readers: int = 0) -> int:
     2(d - 1) scratch arrays of its parents; the whole level below them,
     with the parent and scratch arrays it is summed through;
     numpy's three ufunc buffers for additions of strided operands; and
-    ``readers`` arrays of the reader's, each as large as a piece.
+    ``readers`` arrays of the reader's, each as large as a piece.  From
+    d = 2 on the cells share the first intermediate array's buffer, so
+    this counts one tile more than a pass holds.
     """
     bits = _tile_bits(d, gen)
     tile, points = 1 << bits, math.prod(m + 1 for m in _tile_shape(d, bits))
