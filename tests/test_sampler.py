@@ -743,11 +743,6 @@ class TestNoiseLayers:
         assert sampler._noise_layers(1, 100, 1 << 16) == [[(0, (0,))], [(1, (1 << 15,))]]
 
 
-def held_grid(ws):
-    """A weak reference to the grid ``ws`` holds, which keeps it no more alive."""
-    return weakref.ref(ws._grid)
-
-
 class TestWorkspaceDraw:
     """Draws through one workspace, one after another, against draws of their own."""
 
@@ -764,7 +759,7 @@ class TestWorkspaceDraw:
         # moment-scaling's does, over the Morton cells buffer the draw used.
         d, ws = len(H), increments._Workspace()
         for rep, gen in enumerate((5, 4, 5, 5)):
-            before = None if ws._grid is None else held_grid(ws)
+            before = None if ws._grid is None else weakref.ref(ws._grid)  # keeps it no more alive
             f = sample_sheet(H, gen, seed=3, replicate=rep, ws=ws)
             self.assert_bits(f.values, sample_sheet(H, gen, seed=3, replicate=rep).values)
             assert not f.values.flags.writeable and f.values.base is None
