@@ -4,7 +4,7 @@ tables in the Haar-primitive (Faber-Schauder) system.
 A GridSample holds values of a function on the (2^N+1)^d dyadic grid that
 vanishes whenever a coordinate is zero; a BottomSlab holds the grid points
 of its bottom slab x_d <= 2^-n only.  Increments over dyadic cubes come
-from one pyramid engine, O(d 2^(Nd)) overall: :func:`_morton_tiles` turns
+from one pyramid engine, O(d 2^(Nd)) overall: :func:`_morton_tile` turns
 a cube grid into finest-cell increments one Morton-contiguous tile at a
 time, :func:`_coarsen` sums the 2^d siblings of every parent, and
 :func:`_tiled_pyramid` sums each tile down inside itself through its
@@ -147,7 +147,7 @@ class BottomSlab:
 
 
 def _tile_bits(d: int, gen: int) -> int:
-    """Morton bits of a tile of :func:`_morton_tiles`: the children of 2^_CHUNK_BITS
+    """Morton bits of a tile of :func:`_morton_tile`: the children of 2^_CHUNK_BITS
     parents (at least 2^_LEAF_BITS), or the whole finest level if that is smaller."""
     return min(max(_CHUNK_BITS, _LEAF_BITS) + d, gen * d)
 
@@ -185,19 +185,22 @@ def _tile_order(d: int, bits: int) -> tuple[tuple[int, ...], np.ndarray]:
     """The box of :func:`_tile_shape`, and its order, worked out once per (d, bits).
 
     Returns the box's shape and, for each of its cells in Morton order,
-    its flat lexicographic position in the box: :func:`_morton_axes` of
-    the cube without the box's zero top bits.  The order is shared by
-    every pass and read only.  It lives in an anonymous mapping of its
-    own: on the malloc heap it would outlive the passes' freed buffers
-    below it and keep them resident (fbs-criteria peaked 2 MB higher).
+    its flat position in the box's grid points, one more along each axis
+    (:func:`_morton_tile` differences the points in place of the cells):
+    :func:`_morton_axes` of the cube without the box's zero top bits.  The
+    order is shared by every pass and read only.  It lives in an anonymous
+    mapping of its own: on the malloc heap it would outlive the passes'
+    freed buffers below it and keep them resident (fbs-criteria peaked
+    2 MB higher).
     """
     side = -(-bits // d)
     top = side * d - bits
     axes = [a - top for a in _morton_axes(d, side) if a >= top]
     shape = _tile_shape(d, bits)
+    lex = np.arange(1 << bits).reshape((2,) * bits).transpose(np.argsort(axes)).reshape(-1)
     # Writeable: np.take copies an index array that is not, once per call.
     order = np.frombuffer(mmap.mmap(-1, np.dtype(np.intp).itemsize << bits), dtype=np.intp)
-    order[...] = np.arange(1 << bits).reshape((2,) * bits).transpose(np.argsort(axes)).reshape(-1)
+    order[...] = np.ravel_multi_index(np.unravel_index(lex, shape), tuple(m + 1 for m in shape))
     return shape, order
 
 
@@ -213,10 +216,11 @@ _ONE_REFERENCE = _references_of_a_local()
 class _Workspace:
     """The buffers of draws and :func:`_tiled_pyramid` passes run one after another.
 
-    A pass asks for each buffer by role and shape: the intermediate arrays
-    of its tiles' differencing, a tile's box of cells and its Morton
-    cells, the tile's shares of the generations summed inside it, the
-    scratch arrays of their parents, and the whole level below them.  A
+    A pass asks for each buffer by role and shape: the two runs of its
+    tiles' differencing (the box's grid points and their differences),
+    a tile's Morton cells, the tile's shares of the generations summed
+    inside it, the scratch arrays of their parents, and the whole level
+    below them.  A
     draw of ``sampler.sample_sheet`` asks for its grid (:meth:`grid`) and
     its scratch arrays (:meth:`draw_scratch`).  A buffer is made on the
     first request and handed out again, as a view of its first values,
@@ -235,20 +239,30 @@ class _Workspace:
 
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}
         self._grid: np.ndarray | None = None
 
     def buffer(self, shape: tuple[int, ...], *role) -> np.ndarray:
-        """The float64 buffer of ``role``, of ``shape``, C-contiguous, contents undefined."""
-        size = math.prod(shape)
-        buf = self._buffers.get(role)
-        if buf is None or len(buf) < size:
-            buf = self._buffers[role] = np.empty(size)
-        return buf[:size].reshape(shape)
+        """The float64 buffer of ``role``, of ``shape``, C-contiguous, contents undefined.
+
+        The view of each (role, shape) is made once and handed out again,
+        so a pass that asks for its buffers tile after tile pays one
+        dictionary lookup each time.
+        """
+        view = self._views.get((role, shape))
+        if view is None:
+            size = math.prod(shape)
+            buf = self._buffers.get(role)
+            if buf is None or len(buf) < size:
+                buf = self._buffers[role] = np.empty(size)
+                self._views = {k: v for k, v in self._views.items() if k[0] != role}
+            view = self._views[role, shape] = buf[:size].reshape(shape)
+        return view
 
     def draw_scratch(self, count: int, size: int) -> list[np.ndarray]:
         """``count`` flat scratch arrays of ``size`` values for a draw, contents undefined.
 
-        The first is the Morton cells buffer of :func:`_morton_tiles`,
+        The first is the Morton cells buffer of :func:`_morton_tile`,
         which no pass uses while a draw runs, so a draw followed by a pass
         holds one buffer for both; the others have roles of their own.
         """
@@ -274,43 +288,57 @@ class _Workspace:
         return full
 
 
-def _morton_tiles(values: np.ndarray, ws: _Workspace) -> Iterator[tuple[int, np.ndarray]]:
-    """Finest-cell increments of the cube grid ``values``, one Morton-contiguous tile at a time.
+def _morton_tile(values: np.ndarray, lo: int, ws: _Workspace) -> np.ndarray:
+    """The finest-cell increments lo, lo + 1, ... of the cube grid ``values``: one Morton tile.
 
     A tile is the box of the lowest :func:`_tile_bits` Morton bits (256 x
     256 cells at d = 2, 64 x 64 x 32 at d = 3), the children of
-    2^_CHUNK_BITS parents.  Its box of grid points is differenced along
-    axis 0, then 1 and so on, with the subtractions of ``np.diff``,
-    through intermediate arrays of ``ws``, and gathered into Morton order,
-    and ``(lo, cells)`` is yielded: the Morton cells lo, lo + 1, ... of the
-    level.  ``cells`` is a buffer of ``ws``, overwritten by the next tile,
-    so a pass allocates nothing once its workspace holds its buffers.
-    From d = 2 on, ``cells`` shares the buffer of the first intermediate
-    array, which holds more values and is dead by the time the cells are
-    gathered.
+    2^_CHUNK_BITS parents; ``lo`` is a multiple of its size.  Its box of
+    grid points is copied into a flat buffer of ``ws`` (unless it is one
+    run of ``values`` already) and differenced along axis 0, then 1 and
+    so on, with the subtractions of ``np.diff``: along axis i as one flat
+    run, each point minus the point one step of axis i before it, a 1-D
+    subtraction, which numpy does without the buffers of a strided one.
+    The differences that straddle the box's edge are junk, which the
+    gather into Morton order skips (:func:`_tile_order`).  The runs
+    alternate between two buffers of ``ws``, the last one in the box's,
+    and the cells are gathered into the other, dead by then.  So the cells
+    are overwritten by the next tile, and a pass allocates nothing once
+    its workspace holds its buffers.  The box's buffer is dead once the
+    cells are gathered, and a caller may use it (:func:`_tile_box`).
     """
     d = values.ndim
     gen = (values.shape[0] - 1).bit_length() - 1
     bits = _tile_bits(d, gen)
     shape, order = _tile_order(d, bits)
-    steps = [
-        ws.buffer(
-            shape[: axis + 1] + tuple(m + 1 for m in shape[axis + 1 :]),
-            *(("step", axis) if axis else ("cells",)),
-        )
-        for axis in range(d - 1)
-    ]
-    steps.append(ws.buffer(shape, "box"))
+    corner = morton_decode(lo, d, gen)
+    box = values[tuple(slice(c, c + m + 1) for c, m in zip(corner, shape))]
+    roles = ("cells", "box") if d % 2 else ("box", "cells")  # the last run goes to "box"
+    size = box.size
+    if box.flags.c_contiguous:
+        run = box.reshape(-1)
+    else:
+        run = ws.buffer((size,), roles[0])
+        np.copyto(run.reshape(box.shape), box)
+    for axis in range(d):
+        step = math.prod(box.shape[axis + 1 :])
+        size -= step
+        dest = ws.buffer((size,), roles[(axis + 1) % 2])
+        np.subtract(run[step:], run[:size], out=dest)
+        run = dest
     cells = ws.buffer((1 << bits,), "cells")
-    for lo in range(0, 1 << (gen * d), 1 << bits):
-        corner = morton_decode(lo, d, gen)
-        box = values[tuple(slice(c, c + m + 1) for c, m in zip(corner, shape))]
-        for axis, dest in enumerate(steps):
-            head = (slice(None),) * axis
-            np.subtract(box[head + (slice(1, None),)], box[head + (slice(None, -1),)], out=dest)
-            box = dest
-        np.take(box.reshape(-1), order, out=cells, mode="clip")  # every index is in range
-        yield lo, cells
+    np.take(run, order, out=cells, mode="clip")  # every index is in range
+    return cells
+
+
+def _tile_box(ws: _Workspace, shape: tuple[int, ...]) -> np.ndarray:
+    """The buffer of the box of :func:`_morton_tile` in ``ws``, as an array of ``shape``.
+
+    It holds at least a tile's 2^bits values and is dead once the tile's
+    cells are gathered, until the next tile is differenced: room for the
+    product of a tile's parents with the 2^d x 2^d sign matrix.
+    """
+    return ws.buffer(shape, "box")
 
 
 def _coarsen(
@@ -383,25 +411,20 @@ def _tiled_pyramid(
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Morton cell increments of the cube grid ``values`` for generations N down to ``stop``.
 
-    Yields ``(n, lo, cells)``, the cells lo, lo + 1, ... of generation n.
-    Each tile of :func:`_morton_tiles` is summed down inside itself, one
-    generation at a time, as long as its share of the next generation
-    holds the children of 2^_LEAF_BITS parents or more: the tile, then its
-    share of each such generation, is yielded, each share in a buffer of
-    its own that the next tile overwrites.  The tile's share of the
-    generation below the last of them is written into its slice of a whole
-    level, and that generation and every coarser one are yielded whole
-    (lo = 0); each level coarser than that one is dropped once the next is
-    asked for.  So a generation comes in
-    Morton order, in pieces of one size, and the first one that exists
-    whole is generation N-4 at d = 2 (N-3 at d = 3, N-2 at d = 4) on a grid
-    of many tiles.  Every piece is summed into the next generation before
-    it is yielded, so a consumer may overwrite it.
+    Yields ``(n, lo, cells)``, the cells lo, lo + 1, ... of generation n:
+    the pieces of :func:`_tile_pieces` for each tile in turn, then
+    :func:`_whole_levels`.  So a generation comes in Morton order, in
+    pieces of one size, and the first one that exists whole is generation
+    N-4 at d = 2 (N-3 at d = 3, N-2 at d = 4) on a grid of many tiles.
+    Every piece is summed into the next generation before it is yielded,
+    so a consumer may overwrite it.  A pass that runs its tiles on several
+    workers (``criteria._streamed_report``) calls the same per-tile step,
+    one workspace per worker.
 
     The workspace ``ws`` owns every buffer but the levels coarser than the
-    first whole one: the tile's differencing arrays, box and Morton cells,
-    the shares, the scratch arrays of their parents and the first whole
-    level.  They live as long as ``ws``, not as long as the pass: a caller
+    first whole one: the runs of the tile's differencing, its Morton
+    cells, the shares, the scratch arrays of their parents and the first
+    whole level.  They live as long as ``ws``, not as long as the pass: a caller
     that runs one pass passes a fresh workspace, which goes with the
     pass, ``counterexample_figure`` shares one among the pyramids of
     one figure's cubes, which so allocate their buffers once, and each
@@ -409,27 +432,60 @@ def _tiled_pyramid(
     """
     d, gen = values.ndim, (values.shape[0] - 1).bit_length() - 1
     bits, low = _tile_bits(d, gen), max(stop, _tiled_low(d, gen))
-    pieces = [ws.buffer((1 << (bits - k * d),), "share", k) for k in range(1, gen - low + 1)]
     whole = ws.buffer((1 << ((low - 1) * d),), "whole") if stop < low else None
-    scratch = [ws.buffer((1 << max(0, bits - d),), "scratch", i) for i in range(2 * d - 2)]
-    tiles = _morton_tiles(values, ws)
-    del values  # the tiles hold the grid until the last one is differenced
-    for lo, cells in tiles:
-        for k, m in enumerate(range(gen, low - 1, -1)):
-            if m > low:
-                parent = pieces[k]
-            elif whole is not None:
-                start = lo >> ((k + 1) * d)
-                parent = whole[start : start + (len(cells) >> d)]
-            else:
-                parent = None
-            if parent is not None:
-                _coarsen(cells, d, out=parent, scratch=scratch)
-            yield m, lo >> (k * d), cells
-            cells = parent
-    del tiles
+    for lo in range(0, 1 << (gen * d), 1 << bits):
+        yield from _tile_pieces(values, lo, low, whole, ws)
+    del values  # a grid handed over goes once its last tile is summed
+    yield from _whole_levels(whole, d, low, stop)
+
+
+def _tile_pieces(
+    values: np.ndarray, lo: int, low: int, whole: np.ndarray | None, ws: _Workspace
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The pieces of the tile of :func:`_morton_tile` at Morton cell ``lo``, generation N first.
+
+    Yields ``(n, start, cells)`` for n = N down to ``low``: the tile, then
+    its share of each coarser generation, each summed from the one before
+    while that share holds the children of 2^_LEAF_BITS parents or more
+    (``low`` >= :func:`_tiled_low`).  Each share is in a buffer of ``ws``
+    of its own, which the next tile overwrites.  The tile's share of
+    generation ``low`` - 1 is written into its slice of the whole level
+    ``whole``, unless that is None.  Each piece is summed into the next
+    generation before it is yielded, so a consumer may overwrite it.
+    Tiles write disjoint slices of ``whole``, so workers with workspaces
+    of their own may sum different tiles at once.
+    """
+    d, gen = values.ndim, (values.shape[0] - 1).bit_length() - 1
+    scratch = [
+        ws.buffer((1 << max(0, _tile_bits(d, gen) - d),), "scratch", i) for i in range(2 * d - 2)
+    ]
+    cells = _morton_tile(values, lo, ws)
+    del values
+    for k, m in enumerate(range(gen, low - 1, -1)):
+        if m > low:
+            parent = ws.buffer((len(cells) >> d,), "share", k + 1)
+        elif whole is not None:
+            start = lo >> ((k + 1) * d)
+            parent = whole[start : start + (len(cells) >> d)]
+        else:
+            parent = None
+        if parent is not None:
+            _coarsen(cells, d, out=parent, scratch=scratch)
+        yield m, lo >> (k * d), cells
+        cells = parent
+
+
+def _whole_levels(
+    whole: np.ndarray | None, d: int, low: int, stop: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(n, 0, level)`` for n = ``low`` - 1 down to ``stop``: ``whole``, then coarser.
+
+    Each level is summed from the one before it (:func:`_coarsen`) before
+    that one is yielded, and dropped once the next is asked for.  None if
+    ``stop`` >= ``low``.
+    """
     cells, whole = whole, None
-    for n in range(low - 1, stop - 1, -1):  # none if stop >= low
+    for n in range(low - 1, stop - 1, -1):
         parent = _coarsen(cells, d) if n > stop else None
         yield n, 0, cells
         cells = parent
@@ -549,51 +605,68 @@ def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, int,
     """
     d = f.dim
     mat = haar_matrix(d).astype(float)
-    rows = 1 << (_tile_bits(d, f.gen) - d)  # a tile's parents: no piece is larger
     full = np.empty((_block_rows(d, f.gen, max_gen), 1 << d))
     pyramid = _tiled_pyramid(f.values, 1, _Workspace())
     del f  # the pyramid holds the grid until its last tile is differenced
     for m, row, cells in pyramid:
-        n = m - 1
-        if n <= max_gen:
-            kids, amp = cells.reshape(-1, 1 << d), 2.0 ** (n * d / 2)
-            for lo in range(0, len(kids), rows):
-                block = kids[lo : lo + rows]
-                out = full[: len(block)]
-                np.matmul(block, mat, out=out)
-                out *= amp
-                yield n, (row >> d) + lo, out
-            del kids
+        if m - 1 <= max_gen:
+            for lo, out in _products(m - 1, row, cells, mat, full):
+                yield m - 1, lo, out
         del cells  # not alive while the next level is summed
 
 
-def _pyramid_bytes(d: int, gen: int, readers: int = 0) -> int:
+def _products(
+    n: int, row: int, cells: np.ndarray, mat: np.ndarray, full: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Generation n's sign-matrix products of the generation-(n+1) cells row, row + 1, ...
+
+    Yields ``(lo, out)``, ``out`` the first rows of ``full``: row i is the
+    child block of generation-n cube lo + i times ``mat`` (``haar_matrix``
+    in float64) and 2^(nd/2).  Each block has len(full) rows, or all the
+    piece has if fewer; a piece of :func:`_tiled_pyramid` has no more
+    than a tile's parents.
+    """
+    d = len(mat).bit_length() - 1
+    kids, amp = cells.reshape(-1, len(mat)), 2.0 ** (n * d / 2)
+    for lo in range(0, len(kids), len(full)):
+        block = kids[lo : lo + len(full)]
+        out = full[: len(block)]
+        np.matmul(block, mat, out=out)
+        out *= amp
+        yield (row >> d) + lo, out
+
+
+def _pyramid_bytes(d: int, gen: int) -> int:
     """Bytes :func:`_tiled_pyramid` of a cube grid of generation ``gen`` holds beside it, at most.
 
-    A tile's box of cells and the d - 1 intermediate arrays of its
-    differencing (each at most its box of grid points), its cells in
-    Morton order and their int64 order; the tile's shares of the
-    generations summed inside it (each 1/2^d of the one before) and the
-    2(d - 1) scratch arrays of its parents; the whole level below them,
-    with the parent and scratch arrays it is summed through;
-    numpy's three ufunc buffers for additions of strided operands; and
-    ``readers`` arrays of the reader's, each as large as a piece.  From
-    d = 2 on the cells share the first intermediate array's buffer, so
-    this counts one tile more than a pass holds.
+    The buffers of one tile (:func:`_tile_bytes`), the tile's int64 order,
+    and the whole level below the shares, with the parent and scratch
+    arrays it is summed through.
+    """
+    tile, low = 1 << _tile_bits(d, gen), _tiled_low(d, gen)
+    whole = 1 << ((low - 1) * d) if low > 1 else 0
+    return _tile_bytes(d, gen) + 8 * (tile + whole + (2 * d - 1) * (whole >> d))
+
+
+def _tile_bytes(d: int, gen: int) -> int:
+    """Bytes of the tile buffers of a workspace that sums tiles of :func:`_tile_pieces`.
+
+    The runs of a tile's differencing, counted as d arrays of its box of
+    grid points (a workspace holds two at most), its cells in Morton
+    order, its shares of the generations summed inside it (each 1/2^d of
+    the one before) and the 2(d - 1) scratch arrays of their parents, and
+    numpy's three ufunc buffers for additions of strided operands.  From
+    d = 2 on the cells share a run's buffer, so this counts one tile more
+    than a workspace holds, and from d = 3 on a box more still.
     """
     bits = _tile_bits(d, gen)
     tile, points = 1 << bits, math.prod(m + 1 for m in _tile_shape(d, bits))
-    low = _tiled_low(d, gen)
-    whole = 1 << ((low - 1) * d) if low > 1 else 0
     cells = (
         d * points
-        + 2 * tile
+        + tile
         + (tile >> (d - 1))  # the shares: 1/2^d + 1/4^d + ... of a tile
         + 2 * (d - 1) * (tile >> d)
-        + whole
-        + (2 * d - 1) * (whole >> d)
         + 3 * np.getbufsize()
-        + readers * max(tile, whole)
     )
     return 8 * cells
 

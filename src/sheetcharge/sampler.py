@@ -41,7 +41,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -236,6 +236,47 @@ def _pool(name: str, count: int, workers: int, work: Callable[[int], None]) -> N
         thread.join()
     if errors:
         raise errors[0]
+
+
+T = TypeVar("T")
+
+
+def _pool_in_order(
+    name: str, count: int, workers: int, make: Callable[[int], T], take: Callable[[T], None]
+) -> None:
+    """``take(make(i))`` for i = 0..count-1 through :func:`_pool`, each ``take`` in the order of i.
+
+    The worker that makes item i waits until items 0..i-1 are taken, takes
+    i itself and hands the turn on, so ``take`` runs one call at a time,
+    in order, and no thread waits to consume.  A worker holds one made
+    item at most.  A worker that raises wakes every waiting worker, which
+    then stops, as every worker does at its next item; ``_pool`` raises
+    the first error once every worker has ended.
+    """
+    turn = threading.Condition()
+    taken, failed = 0, False
+
+    def work(i: int) -> None:
+        nonlocal taken, failed
+        try:
+            if failed:
+                return
+            item = make(i)
+            with turn:
+                turn.wait_for(lambda: taken == i or failed)
+                if failed:
+                    return
+            take(item)
+            with turn:
+                taken += 1
+                turn.notify_all()
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
+
+    _pool(name, count, workers, work)
 
 
 def _blocks(d: int, gen: int) -> int:

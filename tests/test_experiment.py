@@ -433,9 +433,6 @@ class TestConfig:
         assert cfg._memory_estimate() == factor + 2 * (grid + scratch + pyramid) + samples
         cfg = ExperimentConfig(subcommand="simulate", d=3, N=5, H=(0.6, 0.8, 0.6))
         assert cfg._memory_estimate() == 2 * 8 * 4**5 + 8 * 33**3 + 8 * 32**3
-        cfg = ExperimentConfig(subcommand="fractional-criteria", d=2, N=11, H=(0.9, 0.9))
-        factor, scratch = 8 * 2048 * (2048 + 256) // 2, 8 * 1024 * 256
-        assert cfg._memory_estimate() == factor + 8 * 2049**2 + 2 * scratch
         # brownian-dichotomy: the grid and the criteria pass beside it, which
         # outweighs the draw's noise buffers: a 256 x 256 tile's box and one
         # differencing array (each at most 257 x 257), its Morton cells and order,
@@ -443,20 +440,33 @@ class TestConfig:
         # scratch arrays of its parents, the whole generation-7 level with its
         # parent and two scratch arrays, the 2^14 x 4 product, numpy's three
         # ufunc buffers, the 2^14 + 1 rows of three |coefficients|, and the
-        # 4 x 4 sign matrix in float64 and int8
+        # 4 x 4 sign matrix in float64 and int8.  The pass's second worker (one
+        # per core and tile) holds a tile's buffers and ufunc buffers, and the
+        # |coefficients| of the tile's four products, 2^14, 2^12, 2^10 and 2^8
+        # rows of three, each after a carry column.
         tile, whole = 2**16, 4**7
         streamed = (
             2 * 257**2 + 2 * tile + tile // 2 + 2 * tile // 4 + whole + 3 * whole // 4
             + 4 * 2**14 + 3 * 8192 + 3 * (2**14 + 1)
         )
+        worker = (
+            2 * 257**2 + tile + tile // 2 + 2 * tile // 4 + 3 * 8192
+            + 3 * (4 + 2**14 + 2**12 + 2**10 + 2**8)
+        )
         cfg = ExperimentConfig(subcommand="brownian-dichotomy", d=2, N=11)
-        assert cfg._memory_estimate() == 8 * (2049**2 + streamed) + 9 * 4**2
+        assert cfg._memory_estimate() == 8 * (2049**2 + streamed + worker) + 9 * 4**2
+        # fractional-criteria: the same pass beside the grid and the cached
+        # factor outweighs the draw's two leaf buffers
+        cfg = ExperimentConfig(subcommand="fractional-criteria", d=2, N=11, H=(0.9, 0.9))
+        factor, scratch = 8 * 2048 * (2048 + 256) // 2, 8 * 1024 * 256
+        assert 2 * scratch < 8 * (streamed + worker) + 9 * 4**2
+        assert cfg._memory_estimate() == factor + 8 * (2049**2 + streamed + worker) + 9 * 4**2
         # holder-scan: the grid and its tiled pyramid (the whole level is
-        # generation 6's) with |cells| of one tile
+        # generation 6's), whose pieces its |cells| overwrite
         whole = 4**6
         cfg = ExperimentConfig(subcommand="holder-scan", d=2, N=10)
         assert cfg._memory_estimate() == 8 * (
-            1025**2 + 2 * 257**2 + 3 * tile + tile // 2 + 2 * tile // 4 + whole + 3 * whole // 4
+            1025**2 + 2 * 257**2 + 2 * tile + tile // 2 + 2 * tile // 4 + whole + 3 * whole // 4
             + 3 * 8192
         )
         # counterexample without H: per pooling worker (one per core, at most one

@@ -13,7 +13,7 @@ from sheetcharge.increments import (
     CoefficientTable,
     GridSample,
     _coarsen,
-    _morton_tiles,
+    _morton_tile,
     _pyramid_bytes,
     _tile_bits,
     _tile_order,
@@ -490,15 +490,16 @@ class TestMortonTiles:
     def test_tiles_allocate_no_index_sized_array_after_the_first(self):
         # np.take copies an index array that is not writeable, on every call.
         f = integer_grid(2, 9, seed=3)
-        tiles = _morton_tiles(f.values, _Workspace())
-        next(tiles)
+        ws = _Workspace()
+        _morton_tile(f.values, 0, ws)
         tracemalloc.start()
         try:
-            count = 1 + sum(1 for _ in tiles)
+            for lo in range(1 << 16, 1 << 18, 1 << 16):  # the grid's other three tiles
+                _morton_tile(f.values, lo, ws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert count == 4 and peak < 8 << 16  # the tile's int64 order
+        assert peak < 8 << 16  # the tile's int64 order
 
     def test_no_pass_writes_the_shared_tile_order(self):
         # The order is built once per (d, bits) and read by every later pass;
@@ -596,6 +597,20 @@ class TestWorkspace:
                 held = dict(ws._buffers)
             assert ws._buffers.keys() == held.keys()
             assert all(ws._buffers[role] is buf for role, buf in held.items())
+
+    def test_a_view_is_made_once_and_replaced_with_its_buffer(self):
+        # A request of a (role, shape) asked for before hands out the same
+        # view; a larger request of the role replaces the buffer, and every
+        # view of the role, old shapes included, is then one of the new buffer.
+        ws = _Workspace()
+        small, flat = ws.buffer((2, 3), "r"), ws.buffer((4,), "r")
+        assert ws.buffer((2, 3), "r") is small and np.shares_memory(small, flat)
+        large = ws.buffer((8,), "r")
+        assert not np.shares_memory(large, small)
+        again = ws.buffer((2, 3), "r")
+        assert again.shape == (2, 3) and np.shares_memory(again, large)
+        assert ws.buffer((4,), "r").base is again.base is large.base
+        assert ws.buffer((4,), "other").base is not large.base
 
 
 def assert_table_matches_exact(tab, oracle):
