@@ -256,24 +256,25 @@ def _streamed_report(f: GridSample, max_gen: int) -> CriterionReport:
     in the tile's box, and writes the block's |coefficients| transposed,
     one row per type, into a buffer of each piece's own, right of a
     column for the carry; of each block it takes the max and the pairwise
-    sum of the |type-1| row.  The folds run one tile at a time in Morton
-    order: the column sums by ``np.add.accumulate`` along the rows from
-    the carry of the generation's sums so far (the additions of
-    ``sum(axis=0)`` in its order), the max by ``np.maximum``, which keeps
-    a NaN as ``max`` does, and the type-1 block sums of a generation added
-    as numpy's pairwise sum of the whole column adds them
-    (:func:`_add_block_sum`).  After the last tile the caller sums the
-    whole levels (:func:`_whole_levels`) and folds their blocks.  So every
-    statistic has the bits of the whole-level reduction at any worker
-    count, neither the table, nor the finest generations, nor a whole
-    column of any generation exists, and each worker holds one tile's
-    buffers and |coefficients| (:func:`_streamed_bytes`): under
-    tracemalloc, 0.07 grids at d = 2, N = 11 on one worker and 0.13 on
-    two.  A
-    caller that passes the sheet as a temporary lets its grid go once the
-    last tile is folded (from Python 3.11; a 3.10 caller holds its
-    arguments until the call returns).  A horizon the grid cannot carry
-    raises ``ValueError``, as it does for the table.
+    sum of the |type-1| row.  The tiles are folded one at a time in
+    Morton order, each by the worker that finds it next (the one that
+    made it, or the one that folded the tile before it): the column sums
+    by ``np.add.accumulate`` along the rows from the carry of the
+    generation's sums so far (the additions of ``sum(axis=0)`` in its
+    order), the max by ``np.maximum``, which keeps a NaN as ``max`` does,
+    and the type-1 block sums of a generation added as numpy's pairwise
+    sum of the whole column adds them (:func:`_add_block_sum`).  After the
+    last tile the caller sums the whole levels (:func:`_whole_levels`) and
+    folds their blocks.  So every statistic has the bits of the
+    whole-level reduction at any worker count, neither the table, nor the
+    finest generations, nor a whole column of any generation exists, and
+    each worker holds one tile's buffers and |coefficients|
+    (:func:`_streamed_bytes`): under tracemalloc, 0.07 grids at d = 2,
+    N = 11 on one worker and 0.13 on two.  A caller that passes the sheet
+    as a temporary lets its grid go once the last tile is folded (from
+    Python 3.11; a 3.10 caller holds its arguments until the call
+    returns).  A horizon the grid cannot carry raises ``ValueError``, as
+    it does for the table.
     """
     _check_horizon(max_gen, f.gen)
     d, gen, values = f.dim, f.gen, f.values

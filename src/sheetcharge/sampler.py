@@ -246,30 +246,41 @@ def _pool_in_order(
 ) -> None:
     """``take(make(i))`` for i = 0..count-1 through :func:`_pool`, each ``take`` in the order of i.
 
-    The worker that makes item i waits until items 0..i-1 are taken, takes
-    i itself and hands the turn on, so ``take`` runs one call at a time,
-    in order, and no thread waits to consume.  A worker holds one made
-    item at most.  A worker that raises wakes every waiting worker, which
-    then stops, as every worker does at its next item; ``_pool`` raises
-    the first error once every worker has ended.
+    Worker k makes items k, k + workers, ... as ``_pool`` hands them out.
+    The items are taken one at a time, in order, by whichever worker finds
+    the next one made and no take running: the worker that makes the next
+    item takes it, then every item after it that is already made.  A
+    worker whose item is not next leaves it and waits until it is taken,
+    so it holds one made item at most, and no take waits for a sleeping
+    worker to wake.  A worker that raises wakes every waiting worker,
+    which then stops, as every worker does at its next item; ``_pool``
+    raises the first error once every worker has ended.
     """
     turn = threading.Condition()
-    taken, failed = 0, False
+    made: dict[int, T] = {}
+    taken, taking, failed = 0, False, False
 
     def work(i: int) -> None:
-        nonlocal taken, failed
+        nonlocal taken, taking, failed
         try:
             if failed:
                 return
             item = make(i)
             with turn:
-                turn.wait_for(lambda: taken == i or failed)
-                if failed:
+                made[i] = item
+                if taking or taken != i:  # the worker taking, or the one of item taken, takes it
+                    turn.wait_for(lambda: taken > i or failed)
                     return
-            take(item)
-            with turn:
-                taken += 1
-                turn.notify_all()
+                taking = True
+            while True:
+                take(made[taken])
+                with turn:
+                    del made[taken]
+                    taken += 1
+                    turn.notify_all()
+                    if taken not in made or failed:
+                        taking = False
+                        return
         except BaseException:
             with turn:
                 failed = True

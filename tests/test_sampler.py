@@ -1193,22 +1193,26 @@ class TestPoolInOrder:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_takes_in_order_whoever_makes_first(self, workers):
-        # Later items are made faster, so a worker often waits for its turn.
-        taken, makers = [], {}
+        # Later items are made faster, so items are often made out of turn and
+        # taken by the worker that takes the one before them.  One take at a time.
+        taken, makers, running = [], {}, []
 
         def make(i):
             time.sleep(0.002 * ((7 * i) % 5))
-            makers[i] = threading.current_thread()
+            makers[i] = threading.current_thread().name
             return i
 
         def take(i):
-            assert threading.current_thread() is makers[i]  # by the worker that made it
+            running.append(i)
+            assert len(running) == 1
+            time.sleep(0.0005)
             taken.append(i)
+            running.remove(i)
 
         within_a_minute(lambda: sampler._pool_in_order("ordered", 20, workers, make, take))
         assert taken == list(range(20))
-        for i, thread in makers.items():
-            assert (thread.name == f"ordered-{i % workers}") == (i % workers > 0)
+        for i, name in makers.items():
+            assert (name == f"ordered-{i % workers}") == (i % workers > 0)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     @pytest.mark.parametrize("where", ["make", "take"])
