@@ -336,7 +336,8 @@ def _tile_box(ws: _Workspace, shape: tuple[int, ...]) -> np.ndarray:
 
     It holds at least a tile's 2^bits values and is dead once the tile's
     cells are gathered, until the next tile is differenced: room for the
-    product of a tile's parents with the 2^d x 2^d sign matrix.
+    scratch arrays of :func:`_tile_pieces` while it sums a piece, and for
+    the product of a piece with the 2^d x 2^d sign matrix between sums.
     """
     return ws.buffer(shape, "box")
 
@@ -451,16 +452,17 @@ def _tile_pieces(
     of its own, which the next tile overwrites.  The tile's share of
     generation ``low`` - 1 is written into its slice of the whole level
     ``whole``, unless that is None.  Each piece is summed into the next
-    generation before it is yielded, so a consumer may overwrite it.
-    Tiles write disjoint slices of ``whole``, so workers with workspaces
-    of their own may sum different tiles at once.
+    generation before it is yielded, so a consumer may overwrite it.  The
+    sums' scratch arrays are in the tile's box (:func:`_tile_box`), which
+    a consumer may use too while it holds a piece.  Tiles write disjoint
+    slices of ``whole``, so workers with workspaces of their own may sum
+    different tiles at once.
     """
     d, gen = values.ndim, (values.shape[0] - 1).bit_length() - 1
-    scratch = [
-        ws.buffer((1 << max(0, _tile_bits(d, gen) - d),), "scratch", i) for i in range(2 * d - 2)
-    ]
     cells = _morton_tile(values, lo, ws)
     del values
+    # (2d - 2) / 2^d of a tile: the box is dead once the cells are gathered
+    scratch = list(_tile_box(ws, (2 * d - 2, 1 << max(0, _tile_bits(d, gen) - d))))
     for k, m in enumerate(range(gen, low - 1, -1)):
         if m > low:
             parent = ws.buffer((len(cells) >> d,), "share", k + 1)
@@ -655,9 +657,10 @@ def _tile_bytes(d: int, gen: int) -> int:
     grid points (a workspace holds two at most), its cells in Morton
     order, its shares of the generations summed inside it (each 1/2^d of
     the one before) and the 2(d - 1) scratch arrays of their parents, and
-    numpy's three ufunc buffers for additions of strided operands.  From
-    d = 2 on the cells share a run's buffer, so this counts one tile more
-    than a workspace holds, and from d = 3 on a box more still.
+    numpy's three ufunc buffers for additions of strided operands.  It is
+    an upper bound: the scratch arrays lie in the box's buffer, from d = 2
+    on the cells share a run's buffer, and from d = 3 on a workspace holds
+    two runs, not d.
     """
     bits = _tile_bits(d, gen)
     tile, points = 1 << bits, math.prod(m + 1 for m in _tile_shape(d, bits))

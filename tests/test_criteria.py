@@ -469,6 +469,27 @@ class TestStreamedReport:
                 a, b = np.array(getattr(got, name)), np.array(getattr(want, name))
                 assert np.array_equal(a.view(np.int64), b.view(np.int64)), (max_gen, name)
 
+    def test_bits_under_thread_switches(self, monkeypatch):
+        # Four workers on fewer cores, switching every microsecond, over 32
+        # tiles: a fold out of Morton order, two folds at once or a buffer
+        # overwritten before its tile is folded would change the bits.
+        monkeypatch.setattr(increments, "_CHUNK_BITS", 7)
+        monkeypatch.setattr(increments, "_CHUNK_ROWS", 1 << 7)
+        monkeypatch.setattr(sampler, "_cores", lambda: 4)
+        f = sample_standard_sheet(3, 5, seed=36)
+        want = build_report(coefficient_table(f, 4))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = []
+                within_a_minute(lambda: got.append(_streamed_report(f, 4)))
+                for name in REPORT_STATS:
+                    a, b = np.array(getattr(got[0], name)), np.array(getattr(want, name))
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("cores", [1, 2, 3, 4])
     @pytest.mark.parametrize("bad", [0, 3, 7])
     def test_failing_tile_is_raised_without_a_hang(self, monkeypatch, cores, bad):
