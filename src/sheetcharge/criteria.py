@@ -269,8 +269,8 @@ def _streamed_report(f: GridSample, max_gen: int) -> CriterionReport:
     whole-level reduction at any worker count, neither the table, nor the
     finest generations, nor a whole column of any generation exists, and
     each worker holds one tile's buffers and |coefficients|
-    (:func:`_streamed_bytes`): under tracemalloc, 0.07 grids at d = 2,
-    N = 11 on one worker and 0.13 on two.  A caller that passes the sheet
+    (:func:`_streamed_bytes`): under tracemalloc, 0.06 grids at d = 2,
+    N = 11 on one worker and 0.11 on two.  A caller that passes the sheet
     as a temporary lets its grid go once the last tile is folded (from
     Python 3.11; a 3.10 caller holds its arguments until the call
     returns).  A horizon the grid cannot carry raises ``ValueError``, as

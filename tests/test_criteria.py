@@ -523,8 +523,8 @@ class TestStreamedReport:
 
     def test_peak_at_most_a_quarter_grid_above_the_grid(self, monkeypatch):
         # Neither the finest generations nor a whole |type-1| column exists:
-        # each worker holds about a tile's arrays, 0.07 grids on one worker
-        # and 0.13 on two.
+        # each worker holds about a tile's arrays, 0.06 grids on one worker
+        # and 0.11 on two.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
         f = sample_standard_sheet(2, 11, seed=0)
         tracemalloc.start()
@@ -573,7 +573,7 @@ class TestStreamedReport:
     )
     def test_white_noise_sheet_handed_over_peaks_below_1_2_grids(self, monkeypatch):
         # The draw holds one grid; the pass on two workers adds about a
-        # tile's arrays per worker (1.13 grids in all) while the grid is
+        # tile's arrays per worker (1.11 grids in all) while the grid is
         # alive, and the grid goes after the last tile.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
         grid = 8 * ((1 << 11) + 1) ** 2
