@@ -9,12 +9,10 @@ meaningful, not absolute constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import sampler
-from .haar import haar_matrix
 # increment_levels is unused here, but bench/tracer.py wraps it through this module.
 from .increments import (  # noqa: F401
     CoefficientTable,
@@ -22,14 +20,8 @@ from .increments import (  # noqa: F401
     _block_rows,
     _check_horizon,
     _coefficient_bytes,
-    _products,
-    _tile_bits,
-    _tile_box,
-    _tile_bytes,
-    _tile_pieces,
-    _tiled_low,
+    _coefficient_levels,
     _tiled_pyramid,
-    _whole_levels,
     _Workspace,
     increment_levels,
 )
@@ -217,118 +209,55 @@ def _add_block_sum(parts: list[tuple[int, np.float64]], rows: int, total: np.flo
     parts.append((rows, total))
 
 
-def _pass_workers(d: int, gen: int) -> int:
-    """Workers of :func:`_streamed_report`, the caller's included: one per core and tile."""
-    return min(sampler._cores(), 1 << (gen * d - _tile_bits(d, gen)))
-
-
-def _tile_coefficient_bytes(d: int, gen: int, max_gen: int) -> int:
-    """Bytes of the |coefficients| of one tile's products, each block below a carry column."""
-    bits, low = _tile_bits(d, gen), max(1, _tiled_low(d, gen))
-    rows = [1 << (bits - k * d) for k in range(1, gen - low + 2) if gen - k <= max_gen]
-    return 8 * ((1 << d) - 1) * sum(1 + r for r in rows)
-
-
 def _streamed_bytes(d: int, gen: int, max_gen: int) -> int:
-    """Bytes :func:`_streamed_report` holds beside the grid, at most.
-
-    The caller's: the arrays of ``coefficient_table``'s pass (a pyramid,
-    a product buffer and the sign matrix) and the |coefficients| of one
-    block; these bound its tile's |coefficients| with the product in the
-    tile's box.  Each other worker's: its tile buffers and the
-    |coefficients| of its tile.
-    """
-    caller = _coefficient_bytes(d, gen, max_gen) + 8 * (1 + _block_rows(d, gen, max_gen)) * (
-        (1 << d) - 1
-    )
-    worker = _tile_bytes(d, gen) + _tile_coefficient_bytes(d, gen, max_gen)
-    return caller + (_pass_workers(d, gen) - 1) * worker
+    """Bytes :func:`_streamed_report` holds beside the grid, at most: the arrays of
+    :func:`_coefficient_levels` and the buffer of one block's |coefficients|."""
+    return _coefficient_bytes(d, gen) + 8 * (1 + _block_rows(d, gen, max_gen)) * ((1 << d) - 1)
 
 
 def _streamed_report(f: GridSample, max_gen: int) -> CriterionReport:
     """``build_report(coefficient_table(f, max_gen))`` without the table.
 
-    The tiles of the grid go through ``sampler._pool_in_order`` to
-    :func:`_pass_workers` workers; worker k takes tiles k, k + w, ...,
-    through a workspace of its own.  For each tile it sums the tile down
-    inside itself (:func:`_tile_pieces`, writing its share of the first
-    whole level), multiplies each piece by the sign matrix and amplitude
-    in the tile's box, and writes the block's |coefficients| transposed,
-    one row per type, into a buffer of each piece's own, right of a
-    column for the carry; of each block it takes the max and the pairwise
-    sum of the |type-1| row.  The tiles are folded one at a time in
-    Morton order, each by the worker that finds it next (the one that
-    made it, or the one that folded the tile before it): the column sums
-    by ``np.add.accumulate`` along the rows from the carry of the
-    generation's sums so far (the additions of ``sum(axis=0)`` in its
-    order), the max by ``np.maximum``, which keeps a NaN as ``max`` does,
-    and the type-1 block sums of a generation added as numpy's pairwise
-    sum of the whole column adds them (:func:`_add_block_sum`).  After the
-    last tile the caller sums the whole levels (:func:`_whole_levels`) and
-    folds their blocks.  So every statistic has the bits of the
-    whole-level reduction at any worker count, neither the table, nor the
-    finest generations, nor a whole column of any generation exists, and
-    each worker holds one tile's buffers and |coefficients|
-    (:func:`_streamed_bytes`): under tracemalloc, 0.06 grids at d = 2,
-    N = 11 on one worker and 0.11 on two.  A caller that passes the sheet
-    as a temporary lets its grid go once the last tile is folded (from
-    Python 3.11; a 3.10 caller holds its arguments until the call
-    returns).  A horizon the grid cannot carry raises ``ValueError``, as
-    it does for the table.
+    One pass over the blocks of :func:`_coefficient_levels`, which come
+    tile by tile, so neither the table, nor the finest generations, nor a
+    whole column of any generation exists.  Each block's |coefficients|
+    go into one buffer, transposed: one row per type, right of a column
+    that holds its generation's column sums so far.  They are reduced
+    there: the column sums by ``np.add.accumulate`` along the rows, the
+    additions of ``sum(axis=0)`` in its order, and the max by
+    ``np.maximum``, which keeps a NaN as ``max`` does.  The |type-1| row
+    of each block is summed, and the block sums of a generation are added
+    as numpy's pairwise sum of the whole column adds them
+    (:func:`_add_block_sum`).  So every statistic has the bits of the
+    whole-level reduction, and the pass holds about a tile beside the
+    grid: under tracemalloc, 0.06 grids at d = 2, N = 11.  A caller that
+    passes the sheet as a temporary lets its grid go once the last tile
+    is differenced (from Python 3.11; a 3.10 caller holds its arguments
+    until the call returns).  A horizon the grid cannot carry raises
+    ``ValueError``, as it does for the table.
     """
     _check_horizon(max_gen, f.gen)
-    d, gen, values = f.dim, f.gen, f.values
-    del f  # a sheet handed over is freed once its last tile is folded
-    bits, low = _tile_bits(d, gen), max(1, _tiled_low(d, gen))
-    workers = _pass_workers(d, gen)
-    spaces = [_Workspace() for _ in range(workers)]
-    whole = spaces[0].buffer((1 << ((low - 1) * d),), "whole") if low > 1 else None
-    mat = haar_matrix(d).astype(float)
+    d, rows = f.dim, _block_rows(f.dim, f.gen, max_gen)
+    blocks = _coefficient_levels(f, max_gen)
+    del f  # a sheet handed over is freed once its last tile is differenced
     # Per generation: the column sums so far, the max and the type-1 block sums.
     sums = np.empty((max_gen + 1, (1 << d) - 1))
     peaks, t_parts = [0.0] * (max_gen + 1), [[] for _ in range(max_gen + 1)]
     stats = [None] * (max_gen + 1)
-
-    def blocks(n: int, row: int, cells: np.ndarray, ws: _Workspace, key: int) -> Iterator[tuple]:
-        full = _tile_box(ws, (1 << (bits - d), 1 << d))
-        for lo, out in _products(n, row, cells, mat, full):
-            lam = ws.buffer(((1 << d) - 1, 1 + len(out)), "abs", key)
-            np.abs(out[:, 1:].T, out=lam[:, 1:])
-            yield n, lo, lam, lam[:, 1:].max(initial=0.0), lam[0, 1:].sum()
-
-    def fold(n: int, lo: int, lam: np.ndarray, peak, t_sum) -> None:
-        rows = lam.shape[1] - 1
-        peaks[n] = np.maximum(peaks[n], peak)
-        _add_block_sum(t_parts[n], rows, t_sum)
+    stack = np.empty(((1 << d) - 1, 1 + rows))  # column 0: a generation's column sums so far
+    for n, lo, full in blocks:
+        lam = stack[:, : 1 + len(full)]
+        np.abs(full[:, 1:].T, out=lam[:, 1:])
+        peaks[n] = np.maximum(peaks[n], lam[:, 1:].max(initial=0.0))
+        _add_block_sum(t_parts[n], len(full), lam[0, 1:].sum())
         if d > 1:  # sum(axis=0) adds the rows of two or more columns in order
             if lo:
                 lam[:, 0] = sums[n]
             acc = lam if lo else lam[:, 1:]
             np.add.accumulate(acc, axis=1, out=acc)
             sums[n] = acc[:, -1]
-        if lo + rows == 1 << (n * d):
-            [(_, total)] = t_parts[n]
+        if lo + len(full) == 1 << (n * d):
+            [(_, t_sum)] = t_parts[n]
             # one column (d = 1) is summed pairwise, as the type-1 column is
-            stats[n] = _level_stats(total if d == 1 else sums[n], peaks[n], total, n, d)
-
-    def tile(i: int) -> list[tuple]:
-        ws = spaces[i % workers]
-        # A piece has no more rows than a tile's parents: one block, in a buffer of its own.
-        return [
-            block
-            for k, (m, row, cells) in enumerate(_tile_pieces(values, i << bits, low, whole, ws))
-            if m - 1 <= max_gen
-            for block in blocks(m - 1, row, cells, ws, k)
-        ]
-
-    def take(tile_blocks: list[tuple]) -> None:
-        for block in tile_blocks:
-            fold(*block)
-
-    sampler._pool_in_order("criteria-tile", 1 << (gen * d - bits), workers, tile, take)
-    del values, spaces[1:]
-    for m, row, cells in _whole_levels(whole, d, low, 1):
-        if m - 1 <= max_gen:
-            for block in blocks(m - 1, row, cells, spaces[0], 0):
-                fold(*block)
+            stats[n] = _level_stats(t_sum if d == 1 else sums[n], peaks[n], t_sum, n, d)
     return _report(d, max_gen, stats)

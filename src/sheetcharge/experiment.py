@@ -11,11 +11,7 @@ one worker thread per core (``sampler._pool``, which also runs the
 blocks of each mode product and the noise tiles of each layer of a
 whole sheet): each sheet has its own Philox stream and
 each result its own slot, so the bits do not depend on the number of
-workers.  brownian-dichotomy and fractional-criteria pool the Morton
-tiles of each sheet's criteria pass the same way, one workspace per
-worker, and fold each tile's reductions in Morton order
-(``criteria._streamed_report``), so their bits do not depend on it
-either.  A moment-scaling worker draws and sums every replicate it
+workers.  A moment-scaling worker draws and sums every replicate it
 takes through one workspace of its own (grid, draw scratch and pyramid
 buffers), so no replicate allocates any of them.  counterexample draws
 only the bottom slab of a standard sheet, which holds every cube its
@@ -269,12 +265,8 @@ class ExperimentConfig:
         and its scan.  covariance-check holds its pairs beside the draw.  For a
         subcommand in _ANALYSIS_BYTES, the larger of that and what its
         analysis holds after the draw, beside the grid and any cached
-        factor leaves: for brownian-dichotomy and fractional-criteria the
-        criteria pass, whose tiles are pooled on one worker per core and
-        tile, each worker beyond the caller with its own tile buffers and
-        |coefficients| (``criteria._streamed_bytes``).  N and d are capped
-        at 64 so the integers stay small: any capped estimate is already
-        above 2^64 bytes.
+        factor leaves.  N and d are capped at 64 so the integers stay
+        small: any capped estimate is already above 2^64 bytes.
         """
         gen, d = min(self.N, 64), min(self.d, 64)
         workers = self._pool_workers()
@@ -307,10 +299,7 @@ class ExperimentConfig:
         One per core and at most one per sheet: moment-scaling's replicates
         when a sheet's own mode products run on one thread, and
         counterexample's seeds when it draws the standard sheet's bottom
-        slab.  Every other run draws its sheets on the calling thread;
-        brownian-dichotomy and fractional-criteria then pool the tiles of
-        each sheet's criteria pass (``criteria._pass_workers``), not its
-        sheets.
+        slab.  Every other run draws its sheets on the calling thread.
         """
         if self.subcommand == "moment-scaling" and _workers(self.d, min(self.N, 64)) == 1:
             return min(sampler._cores(), self.replicates)

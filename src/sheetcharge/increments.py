@@ -200,7 +200,16 @@ def _tile_order(d: int, bits: int) -> tuple[tuple[int, ...], np.ndarray]:
     lex = np.arange(1 << bits).reshape((2,) * bits).transpose(np.argsort(axes)).reshape(-1)
     # Writeable: np.take copies an index array that is not, once per call.
     order = np.frombuffer(mmap.mmap(-1, np.dtype(np.intp).itemsize << bits), dtype=np.intp)
-    order[...] = np.ravel_multi_index(np.unravel_index(lex, shape), tuple(m + 1 for m in shape))
+    coord, shift, stride = np.empty_like(lex), 0, 1
+    for m in reversed(shape):  # each axis's coordinate, a power-of-two field of lex
+        np.right_shift(lex, shift, out=coord)
+        coord &= m - 1
+        coord *= stride
+        if stride == 1:
+            order[...] = coord
+        else:
+            order += coord
+        shift, stride = shift + m.bit_length() - 1, stride * (m + 1)
     return shape, order
 
 
@@ -219,9 +228,9 @@ class _Workspace:
     A pass asks for each buffer by role and shape: the two runs of its
     tiles' differencing (the box's grid points and their differences),
     a tile's Morton cells, the tile's shares of the generations summed
-    inside it, the scratch arrays of their parents, and the whole level
-    below them.  A
-    draw of ``sampler.sample_sheet`` asks for its grid (:meth:`grid`) and
+    inside it and the whole level below them; the box's buffer also
+    holds the scratch arrays of the shares' parents (:func:`_tile_box`).
+    A draw of ``sampler.sample_sheet`` asks for its grid (:meth:`grid`) and
     its scratch arrays (:meth:`draw_scratch`).  A buffer is made on the
     first request and handed out again, as a view of its first values,
     for every later one it holds; a larger request replaces it.  So draws
@@ -239,25 +248,15 @@ class _Workspace:
 
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
-        self._views: dict[tuple, np.ndarray] = {}
         self._grid: np.ndarray | None = None
 
     def buffer(self, shape: tuple[int, ...], *role) -> np.ndarray:
-        """The float64 buffer of ``role``, of ``shape``, C-contiguous, contents undefined.
-
-        The view of each (role, shape) is made once and handed out again,
-        so a pass that asks for its buffers tile after tile pays one
-        dictionary lookup each time.
-        """
-        view = self._views.get((role, shape))
-        if view is None:
-            size = math.prod(shape)
-            buf = self._buffers.get(role)
-            if buf is None or len(buf) < size:
-                buf = self._buffers[role] = np.empty(size)
-                self._views = {k: v for k, v in self._views.items() if k[0] != role}
-            view = self._views[role, shape] = buf[:size].reshape(shape)
-        return view
+        """The float64 buffer of ``role``, of ``shape``, C-contiguous, contents undefined."""
+        size = math.prod(shape)
+        buf = self._buffers.get(role)
+        if buf is None or len(buf) < size:
+            buf = self._buffers[role] = np.empty(size)
+        return buf[:size].reshape(shape)
 
     def draw_scratch(self, count: int, size: int) -> list[np.ndarray]:
         """``count`` flat scratch arrays of ``size`` values for a draw, contents undefined.
@@ -336,8 +335,8 @@ def _tile_box(ws: _Workspace, shape: tuple[int, ...]) -> np.ndarray:
 
     It holds at least a tile's 2^bits values and is dead once the tile's
     cells are gathered, until the next tile is differenced: room for the
-    scratch arrays of :func:`_tile_pieces` while it sums a piece, and for
-    the product of a piece with the 2^d x 2^d sign matrix between sums.
+    scratch arrays of :func:`_tiled_pyramid` while it sums a tile, and for
+    a consumer's products of a piece with the 2^d x 2^d sign matrix.
     """
     return ws.buffer(shape, "box")
 
@@ -412,20 +411,26 @@ def _tiled_pyramid(
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Morton cell increments of the cube grid ``values`` for generations N down to ``stop``.
 
-    Yields ``(n, lo, cells)``, the cells lo, lo + 1, ... of generation n:
-    the pieces of :func:`_tile_pieces` for each tile in turn, then
-    :func:`_whole_levels`.  So a generation comes in Morton order, in
-    pieces of one size, and the first one that exists whole is generation
-    N-4 at d = 2 (N-3 at d = 3, N-2 at d = 4) on a grid of many tiles.
-    Every piece is summed into the next generation before it is yielded,
-    so a consumer may overwrite it.  A pass that runs its tiles on several
-    workers (``criteria._streamed_report``) calls the same per-tile step,
-    one workspace per worker.
+    Yields ``(n, lo, cells)``, the cells lo, lo + 1, ... of generation n.
+    Each tile of :func:`_morton_tile` is summed down inside itself, one
+    generation at a time, as long as its share of the next generation
+    holds the children of 2^_LEAF_BITS parents or more: the tile, then its
+    share of each such generation, is yielded, each share in a buffer of
+    its own that the next tile overwrites.  The sums' scratch arrays lie
+    in the tile's box (:func:`_tile_box`).  The tile's share of the
+    generation below the last of them is written into its slice of a whole
+    level, and that generation and every coarser one are yielded whole
+    (lo = 0); each level coarser than that one is dropped once the next is
+    asked for.  So a generation comes in Morton order, in pieces of one
+    size, and the first one that exists whole is generation N-4 at d = 2
+    (N-3 at d = 3, N-2 at d = 4) on a grid of many tiles.  Every piece is
+    summed into the next generation before it is yielded, so a consumer
+    may overwrite it, and may use the tile's box while it holds a piece.
 
     The workspace ``ws`` owns every buffer but the levels coarser than the
     first whole one: the runs of the tile's differencing, its Morton
-    cells, the shares, the scratch arrays of their parents and the first
-    whole level.  They live as long as ``ws``, not as long as the pass: a caller
+    cells, the shares and the first whole level.  They live as long as
+    ``ws``, not as long as the pass: a caller
     that runs one pass passes a fresh workspace, which goes with the
     pass, ``counterexample_figure`` shares one among the pyramids of
     one figure's cubes, which so allocate their buffers once, and each
@@ -433,61 +438,27 @@ def _tiled_pyramid(
     """
     d, gen = values.ndim, (values.shape[0] - 1).bit_length() - 1
     bits, low = _tile_bits(d, gen), max(stop, _tiled_low(d, gen))
+    pieces = [ws.buffer((1 << (bits - k * d),), "share", k) for k in range(1, gen - low + 1)]
     whole = ws.buffer((1 << ((low - 1) * d),), "whole") if stop < low else None
     for lo in range(0, 1 << (gen * d), 1 << bits):
-        yield from _tile_pieces(values, lo, low, whole, ws)
-    del values  # a grid handed over goes once its last tile is summed
-    yield from _whole_levels(whole, d, low, stop)
-
-
-def _tile_pieces(
-    values: np.ndarray, lo: int, low: int, whole: np.ndarray | None, ws: _Workspace
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The pieces of the tile of :func:`_morton_tile` at Morton cell ``lo``, generation N first.
-
-    Yields ``(n, start, cells)`` for n = N down to ``low``: the tile, then
-    its share of each coarser generation, each summed from the one before
-    while that share holds the children of 2^_LEAF_BITS parents or more
-    (``low`` >= :func:`_tiled_low`).  Each share is in a buffer of ``ws``
-    of its own, which the next tile overwrites.  The tile's share of
-    generation ``low`` - 1 is written into its slice of the whole level
-    ``whole``, unless that is None.  Each piece is summed into the next
-    generation before it is yielded, so a consumer may overwrite it.  The
-    sums' scratch arrays are in the tile's box (:func:`_tile_box`), which
-    a consumer may use too while it holds a piece.  Tiles write disjoint
-    slices of ``whole``, so workers with workspaces of their own may sum
-    different tiles at once.
-    """
-    d, gen = values.ndim, (values.shape[0] - 1).bit_length() - 1
-    cells = _morton_tile(values, lo, ws)
-    del values
-    # (2d - 2) / 2^d of a tile: the box is dead once the cells are gathered
-    scratch = list(_tile_box(ws, (2 * d - 2, 1 << max(0, _tile_bits(d, gen) - d))))
-    for k, m in enumerate(range(gen, low - 1, -1)):
-        if m > low:
-            parent = ws.buffer((len(cells) >> d,), "share", k + 1)
-        elif whole is not None:
-            start = lo >> ((k + 1) * d)
-            parent = whole[start : start + (len(cells) >> d)]
-        else:
-            parent = None
-        if parent is not None:
-            _coarsen(cells, d, out=parent, scratch=scratch)
-        yield m, lo >> (k * d), cells
-        cells = parent
-
-
-def _whole_levels(
-    whole: np.ndarray | None, d: int, low: int, stop: int
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield ``(n, 0, level)`` for n = ``low`` - 1 down to ``stop``: ``whole``, then coarser.
-
-    Each level is summed from the one before it (:func:`_coarsen`) before
-    that one is yielded, and dropped once the next is asked for.  None if
-    ``stop`` >= ``low``.
-    """
+        cells = _morton_tile(values, lo, ws)
+        # (2d - 2) / 2^d of a tile: the box is dead once the cells are gathered
+        scratch = list(_tile_box(ws, (2 * d - 2, 1 << max(0, bits - d))))
+        for k, m in enumerate(range(gen, low - 1, -1)):
+            if m > low:
+                parent = pieces[k]
+            elif whole is not None:
+                start = lo >> ((k + 1) * d)
+                parent = whole[start : start + (len(cells) >> d)]
+            else:
+                parent = None
+            if parent is not None:
+                _coarsen(cells, d, out=parent, scratch=scratch)
+            yield m, lo >> (k * d), cells
+            cells = parent
+    del values  # a grid handed over goes once its last tile is differenced
     cells, whole = whole, None
-    for n in range(low - 1, stop - 1, -1):
+    for n in range(low - 1, stop - 1, -1):  # none if stop >= low
         parent = _coarsen(cells, d) if n > stop else None
         yield n, 0, cells
         cells = parent
@@ -597,91 +568,64 @@ def _coefficient_levels(f: GridSample, max_gen: int) -> Iterator[tuple[int, int,
     n's (2^(nd), 2^d) float64 product, the child block of generation-n cube lo + i
     times ``haar_matrix(d)`` and 2^(nd/2), so ``full[:, 1:]`` holds
     coefficients.  A block is one product of a piece of
-    :func:`_tiled_pyramid`, or of at most :func:`_block_rows` rows of a
-    whole level, into one buffer that the next block overwrites.  So
-    the finest generations are products of the pyramid's tiles and their
-    shares, generation by generation inside each tile, and never exist
-    whole.  Each generation's blocks come in row order and have one size,
-    a power of two that is at least 2^_LEAF_BITS rows or all of the
-    generation; the blocks of different generations interleave.
+    :func:`_tiled_pyramid`, or of at most a tile's parents of a whole
+    level, in the tile's box (:func:`_tile_box`), which the next block or
+    the pyramid's next sum overwrites.  So the finest generations are
+    products of the pyramid's tiles and their shares, generation by
+    generation inside each tile, and never exist whole.  Each
+    generation's blocks come in row order and have one size, a power of
+    two that is at least 2^_LEAF_BITS rows or all of the generation; the
+    blocks of different generations interleave.
     """
     d = f.dim
     mat = haar_matrix(d).astype(float)
-    full = np.empty((_block_rows(d, f.gen, max_gen), 1 << d))
-    pyramid = _tiled_pyramid(f.values, 1, _Workspace())
+    rows = 1 << (_tile_bits(d, f.gen) - d)  # a tile's parents: no piece is larger
+    ws = _Workspace()
+    pyramid = _tiled_pyramid(f.values, 1, ws)
     del f  # the pyramid holds the grid until its last tile is differenced
     for m, row, cells in pyramid:
-        if m - 1 <= max_gen:
-            for lo, out in _products(m - 1, row, cells, mat, full):
-                yield m - 1, lo, out
+        n = m - 1
+        if n <= max_gen:
+            kids, amp = cells.reshape(-1, 1 << d), 2.0 ** (n * d / 2)
+            full = _tile_box(ws, (rows, 1 << d))
+            for lo in range(0, len(kids), rows):
+                block = kids[lo : lo + rows]
+                out = full[: len(block)]
+                np.matmul(block, mat, out=out)
+                out *= amp
+                yield n, (row >> d) + lo, out
+            del kids
         del cells  # not alive while the next level is summed
-
-
-def _products(
-    n: int, row: int, cells: np.ndarray, mat: np.ndarray, full: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Generation n's sign-matrix products of the generation-(n+1) cells row, row + 1, ...
-
-    Yields ``(lo, out)``, ``out`` the first rows of ``full``: row i is the
-    child block of generation-n cube lo + i times ``mat`` (``haar_matrix``
-    in float64) and 2^(nd/2).  Each block has len(full) rows, or all the
-    piece has if fewer; a piece of :func:`_tiled_pyramid` has no more
-    than a tile's parents.
-    """
-    d = len(mat).bit_length() - 1
-    kids, amp = cells.reshape(-1, len(mat)), 2.0 ** (n * d / 2)
-    for lo in range(0, len(kids), len(full)):
-        block = kids[lo : lo + len(full)]
-        out = full[: len(block)]
-        np.matmul(block, mat, out=out)
-        out *= amp
-        yield (row >> d) + lo, out
 
 
 def _pyramid_bytes(d: int, gen: int) -> int:
     """Bytes :func:`_tiled_pyramid` of a cube grid of generation ``gen`` holds beside it, at most.
 
-    The buffers of one tile (:func:`_tile_bytes`), the tile's int64 order,
-    and the whole level below the shares, with the parent and scratch
-    arrays it is summed through.
+    The two runs of a tile's differencing, each at most its box of grid
+    points: the box's buffer also holds the scratch arrays of the tile's
+    sums and a consumer's products, the other the tile's Morton cells.
+    The tile's int64 order, its shares of the generations summed inside
+    it, the whole level below them with the parent and 2(d - 1) scratch
+    arrays it is summed through, and numpy's three ufunc buffers for
+    additions of strided operands.
     """
-    tile, low = 1 << _tile_bits(d, gen), _tiled_low(d, gen)
-    whole = 1 << ((low - 1) * d) if low > 1 else 0
-    return _tile_bytes(d, gen) + 8 * (tile + whole + (2 * d - 1) * (whole >> d))
-
-
-def _tile_bytes(d: int, gen: int) -> int:
-    """Bytes of the tile buffers of a workspace that sums tiles of :func:`_tile_pieces`.
-
-    The runs of a tile's differencing, counted as d arrays of its box of
-    grid points (a workspace holds two at most), its cells in Morton
-    order, its shares of the generations summed inside it (each 1/2^d of
-    the one before) and the 2(d - 1) scratch arrays of their parents, and
-    numpy's three ufunc buffers for additions of strided operands.  It is
-    an upper bound: the scratch arrays lie in the box's buffer, from d = 2
-    on the cells share a run's buffer, and from d = 3 on a workspace holds
-    two runs, not d.
-    """
-    bits = _tile_bits(d, gen)
+    bits, low = _tile_bits(d, gen), _tiled_low(d, gen)
     tile, points = 1 << bits, math.prod(m + 1 for m in _tile_shape(d, bits))
-    cells = (
-        d * points
-        + tile
-        + (tile >> (d - 1))  # the shares: 1/2^d + 1/4^d + ... of a tile
-        + 2 * (d - 1) * (tile >> d)
-        + 3 * np.getbufsize()
+    shares = sum(tile >> (k * d) for k in range(1, gen - low + 1))
+    whole = 1 << ((low - 1) * d) if low > 1 else 0
+    return 8 * (
+        2 * points + tile + shares + whole + (2 * d - 1) * (whole >> d) + 3 * np.getbufsize()
     )
-    return 8 * cells
 
 
-def _coefficient_bytes(d: int, gen: int, max_gen: int) -> int:
+def _coefficient_bytes(d: int, gen: int) -> int:
     """Bytes :func:`_coefficient_levels` holds beside the grid, at most.
 
-    Its pyramid, the product buffer, and the float64 sign matrix with the
-    int8 one it is cast from (9 * 4^d bytes: at d = 11, N = 1 the matrix
-    is most of the pass).
+    Its pyramid, whose box holds the products, and the float64 sign
+    matrix with the int8 one it is cast from (9 * 4^d bytes: at d = 11,
+    N = 1 the matrix is most of the pass).
     """
-    return _pyramid_bytes(d, gen) + 8 * (_block_rows(d, gen, max_gen) << d) + (9 << (2 * d))
+    return _pyramid_bytes(d, gen) + (9 << (2 * d))
 
 
 def coefficient_table(f: GridSample, max_gen: int) -> CoefficientTable:

@@ -41,7 +41,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -236,58 +236,6 @@ def _pool(name: str, count: int, workers: int, work: Callable[[int], None]) -> N
         thread.join()
     if errors:
         raise errors[0]
-
-
-T = TypeVar("T")
-
-
-def _pool_in_order(
-    name: str, count: int, workers: int, make: Callable[[int], T], take: Callable[[T], None]
-) -> None:
-    """``take(make(i))`` for i = 0..count-1 through :func:`_pool`, each ``take`` in the order of i.
-
-    Worker k makes items k, k + workers, ... as ``_pool`` hands them out.
-    The items are taken one at a time, in order, by whichever worker finds
-    the next one made and no take running: the worker that makes the next
-    item takes it, then every item after it that is already made.  A
-    worker whose item is not next leaves it and waits until it is taken,
-    so it holds one made item at most, and no take waits for a sleeping
-    worker to wake.  A worker that raises wakes every waiting worker,
-    which then stops, as every worker does at its next item; ``_pool``
-    raises the first error once every worker has ended.
-    """
-    turn = threading.Condition()
-    made: dict[int, T] = {}
-    taken, taking, failed = 0, False, False
-
-    def work(i: int) -> None:
-        nonlocal taken, taking, failed
-        try:
-            if failed:
-                return
-            item = make(i)
-            with turn:
-                made[i] = item
-                if taking or taken != i:  # the worker taking, or the one of item taken, takes it
-                    turn.wait_for(lambda: taken > i or failed)
-                    return
-                taking = True
-            while True:
-                take(made[taken])
-                with turn:
-                    del made[taken]
-                    taken += 1
-                    turn.notify_all()
-                    if taken not in made or failed:
-                        taking = False
-                        return
-        except BaseException:
-            with turn:
-                failed = True
-                turn.notify_all()
-            raise
-
-    _pool(name, count, workers, work)
 
 
 def _blocks(d: int, gen: int) -> int:

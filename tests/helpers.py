@@ -8,7 +8,6 @@ exact Haar-system, increment and flux oracles are in ``oracles.py``.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -253,21 +252,3 @@ def random_mixed_figure(rng: np.random.Generator, d: int, gen: int) -> Figure:
 
     visit(DyadicCube(d, 0, 0))
     return Figure(d, tuple(cubes[i] for i in rng.permutation(len(cubes))))
-
-
-def within_a_minute(work):
-    """Run ``work`` on a thread and fail, instead of hanging, if it has not ended in 60 s."""
-    raised = []
-
-    def target():
-        try:
-            work()
-        except BaseException as exc:  # handed to the test thread below
-            raised.append(exc)
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(60)
-    assert not thread.is_alive(), "the call did not end"
-    if raised:
-        raise raised[0]

@@ -1,12 +1,11 @@
 import sys
-import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from sheetcharge import criteria, increments, sampler
+from sheetcharge import criteria, increments
 from sheetcharge.criteria import (
     CriterionReport,
     _level_max_abs,
@@ -28,7 +27,6 @@ from helpers import (
     holder_ratio_by_level,
     product_grid,
     scattered_grid,
-    within_a_minute,
     zero_grid,
 )
 from oracles import REPORT_STATS, HaarIndex, haar_primitive_grid, lex_increment_levels
@@ -436,83 +434,6 @@ class TestStreamedReport:
                 a, b = np.array(getattr(got, name)), np.array(getattr(want, name))
                 assert np.array_equal(a.view(np.int64), b.view(np.int64)), (max_gen, name)
 
-    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
-    @pytest.mark.parametrize(
-        "f",
-        [
-            pytest.param(sample_standard_sheet(1, 12, seed=30), id="standard-d1"),
-            pytest.param(sample_sheet((0.7,), 12, seed=31), id="fractional-d1"),
-            pytest.param(sample_standard_sheet(2, 7, seed=32), id="standard-d2"),
-            pytest.param(sample_sheet((0.6, 0.9), 7, seed=33), id="fractional-d2"),
-            pytest.param(sample_standard_sheet(3, 5, seed=34), id="standard-d3"),
-            pytest.param(sample_sheet((0.7, 0.8, 0.9), 5, seed=35), id="fractional-d3"),
-        ],
-    )
-    def test_bits_do_not_depend_on_the_workers(self, monkeypatch, f, cores, small_tiles):
-        # 8 to 32 tiles on one to four workers, one per core and tile; three
-        # workers take unequal shares.  Every horizon, against the table.
-        monkeypatch.setattr(sampler, "_cores", lambda: cores)
-        pools, pool = [], sampler._pool
-
-        def counting(name, count, workers, work):
-            pools.append((name, count, workers))
-            pool(name, count, workers, work)
-
-        monkeypatch.setattr(sampler, "_pool", counting)
-        tiles = 1 << (f.gen * f.dim - increments._tile_bits(f.dim, f.gen))
-        for max_gen in range(f.gen):
-            pools.clear()
-            got = _streamed_report(f, max_gen)
-            assert pools == [("criteria-tile", tiles, min(cores, tiles))]
-            want = build_report(coefficient_table(f, max_gen))
-            for name in REPORT_STATS:
-                a, b = np.array(getattr(got, name)), np.array(getattr(want, name))
-                assert np.array_equal(a.view(np.int64), b.view(np.int64)), (max_gen, name)
-
-    def test_bits_under_thread_switches(self, monkeypatch):
-        # Four workers on fewer cores, switching every microsecond, over 32
-        # tiles: a fold out of Morton order, two folds at once or a buffer
-        # overwritten before its tile is folded would change the bits.
-        monkeypatch.setattr(increments, "_CHUNK_BITS", 7)
-        monkeypatch.setattr(increments, "_CHUNK_ROWS", 1 << 7)
-        monkeypatch.setattr(sampler, "_cores", lambda: 4)
-        f = sample_standard_sheet(3, 5, seed=36)
-        want = build_report(coefficient_table(f, 4))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                got = []
-                within_a_minute(lambda: got.append(_streamed_report(f, 4)))
-                for name in REPORT_STATS:
-                    a, b = np.array(getattr(got[0], name)), np.array(getattr(want, name))
-                    assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
-    @pytest.mark.parametrize("bad", [0, 3, 7])
-    def test_failing_tile_is_raised_without_a_hang(self, monkeypatch, cores, bad):
-        # Eight tiles of 2^9 cells at d = 2, N = 6.  The tile that fails ends
-        # its worker, the workers waiting for their turn wake and stop, and the
-        # error reaches the caller once every worker has ended.
-        monkeypatch.setattr(increments, "_CHUNK_BITS", 7)
-        monkeypatch.setattr(increments, "_CHUNK_ROWS", 1 << 7)
-        monkeypatch.setattr(sampler, "_cores", lambda: cores)
-        pieces = criteria._tile_pieces
-
-        def failing(values, lo, *args):
-            if lo == bad << 9:
-                raise RuntimeError(f"tile {bad}")
-            return pieces(values, lo, *args)
-
-        monkeypatch.setattr(criteria, "_tile_pieces", failing)
-        f = sample_standard_sheet(2, 6, seed=0)
-        baseline = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"tile {bad}"):
-            within_a_minute(lambda: _streamed_report(f, 5))
-        assert threading.active_count() == baseline
-
     @pytest.mark.parametrize(
         "max_gen, message", [(3, "need grid generation > 3, got 3"), (-1, "generation -1 is below 0")]
     )
@@ -521,11 +442,9 @@ class TestStreamedReport:
             with pytest.raises(ValueError, match=message):
                 compute(zero_grid(2, 3), max_gen)
 
-    def test_peak_at_most_a_quarter_grid_above_the_grid(self, monkeypatch):
+    def test_peak_at_most_a_quarter_grid_above_the_grid(self):
         # Neither the finest generations nor a whole |type-1| column exists:
-        # each worker holds about a tile's arrays, 0.06 grids on one worker
-        # and 0.11 on two.
-        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+        # the pass holds about a tile's arrays, 0.06 grids.
         f = sample_standard_sheet(2, 11, seed=0)
         tracemalloc.start()
         try:
@@ -552,11 +471,9 @@ class TestStreamedReport:
         sys.version_info < (3, 11),
         reason="before 3.11 the caller holds a temporary argument until the call returns",
     )
-    def test_sheet_handed_over_is_freed_after_its_finest_level(self, monkeypatch):
+    def test_sheet_handed_over_is_freed_after_its_finest_level(self):
         # Draw and pass together hold at most about two grids: the grid goes
-        # once its last tile is folded, before any whole level is summed.  The
-        # pass runs on two workers.
-        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+        # once its last tile is differenced, before any whole level is summed.
         grid = 8 * ((1 << 11) + 1) ** 2
         sample_sheet((0.9, 0.9), 11, seed=0)  # factors the kernel outside the trace
         tracemalloc.start()
@@ -571,11 +488,9 @@ class TestStreamedReport:
         sys.version_info < (3, 11),
         reason="before 3.11 the caller holds a temporary argument until the call returns",
     )
-    def test_white_noise_sheet_handed_over_peaks_below_1_2_grids(self, monkeypatch):
-        # The draw holds one grid; the pass on two workers adds about a
-        # tile's arrays per worker (1.11 grids in all) while the grid is
-        # alive, and the grid goes after the last tile.
-        monkeypatch.setattr(sampler, "_cores", lambda: 2)
+    def test_white_noise_sheet_handed_over_peaks_below_1_2_grids(self):
+        # The draw holds one grid; the pass adds about a tile's arrays (0.06
+        # grids) while the grid is alive, and the grid goes after the last tile.
         grid = 8 * ((1 << 11) + 1) ** 2
         tracemalloc.start()
         try:

@@ -415,74 +415,62 @@ class TestConfig:
         # buffers (one of 2^16 values per worker, one per core and at most one per
         # tile of a layer) and the carry row.  moment-scaling holds a grid, its
         # scratch and its pyramid per worker, one per core, beside the one factor.  At N = 8 the pyramid's one
-        # 256 x 256 tile is the whole finest level: its box and one differencing
-        # array (each at most 257 x 257), its Morton cells and order, its shares
-        # of generations 7, 6 and 5, two scratch arrays of its parents, the whole
-        # generation-4 level with its parent and two scratch arrays, and numpy's
-        # three ufunc buffers.
+        # 256 x 256 tile is the whole finest level: the two runs of its
+        # differencing (each at most 257 x 257 points; the box's also holds the
+        # scratch arrays of the tile's sums, the other its Morton cells), its
+        # order, its shares of generations 7, 6 and 5, the whole generation-4
+        # level with its parent and two scratch arrays, and numpy's three ufunc
+        # buffers.
         monkeypatch.setattr(sampler, "_cores", lambda: 2)
         cfg = ExperimentConfig(
             subcommand="moment-scaling", d=2, N=8, H=(0.7, 0.7), replicates=200, q=(1, 2)
         )
         grid, factor, scratch = 8 * 257**2, 8 * 4**8, 8 * 4**8
         tile, whole = 2**16, 4**4
-        pyramid = 8 * (
-            2 * 257**2 + 2 * tile + tile // 2 + 2 * tile // 4 + whole + 3 * whole // 4 + 3 * 8192
-        )
+        shares = tile // 4 + tile // 16 + tile // 64
+        pyramid = 8 * (2 * 257**2 + tile + shares + whole + 3 * whole // 4 + 3 * 8192)
         samples = 8 * 200 * sum(4**n for n in range(2, 8))
         assert cfg._memory_estimate() == factor + 2 * (grid + scratch + pyramid) + samples
         cfg = ExperimentConfig(subcommand="simulate", d=3, N=5, H=(0.6, 0.8, 0.6))
         assert cfg._memory_estimate() == 2 * 8 * 4**5 + 8 * 33**3 + 8 * 32**3
         # brownian-dichotomy: the grid and the criteria pass beside it, which
-        # outweighs the draw's noise buffers: a 256 x 256 tile's box and one
-        # differencing array (each at most 257 x 257), its Morton cells and order,
-        # its shares of generations 10, 9 and 8 (at most half a tile), two
-        # scratch arrays of its parents, the whole generation-7 level with its
-        # parent and two scratch arrays, the 2^14 x 4 product, numpy's three
-        # ufunc buffers, the 2^14 + 1 rows of three |coefficients|, and the
-        # 4 x 4 sign matrix in float64 and int8.  The pass's second worker (one
-        # per core and tile) holds a tile's buffers and ufunc buffers, and the
-        # |coefficients| of the tile's four products, 2^14, 2^12, 2^10 and 2^8
-        # rows of three, each after a carry column.
+        # outweighs the draw's noise buffers: the two runs of a 256 x 256 tile's
+        # differencing (each at most 257 x 257 points; the box's also holds the
+        # scratch arrays of the tile's sums and the 2^14 x 4 product, the other
+        # its Morton cells), its order, its shares of generations 10, 9 and 8,
+        # the whole generation-7 level with its parent and two scratch arrays,
+        # numpy's three ufunc buffers, the 2^14 + 1 columns of three
+        # |coefficients|, and the 4 x 4 sign matrix in float64 and int8
         tile, whole = 2**16, 4**7
         streamed = (
-            2 * 257**2 + 2 * tile + tile // 2 + 2 * tile // 4 + whole + 3 * whole // 4
-            + 4 * 2**14 + 3 * 8192 + 3 * (2**14 + 1)
-        )
-        worker = (
-            2 * 257**2 + tile + tile // 2 + 2 * tile // 4 + 3 * 8192
-            + 3 * (4 + 2**14 + 2**12 + 2**10 + 2**8)
+            2 * 257**2 + tile + shares + whole + 3 * whole // 4 + 3 * 8192 + 3 * (2**14 + 1)
         )
         cfg = ExperimentConfig(subcommand="brownian-dichotomy", d=2, N=11)
-        assert cfg._memory_estimate() == 8 * (2049**2 + streamed + worker) + 9 * 4**2
-        # fractional-criteria: the same pass beside the grid and the cached
-        # factor outweighs the draw's two leaf buffers
+        assert cfg._memory_estimate() == 8 * (2049**2 + streamed) + 9 * 4**2
+        # fractional-criteria: the draw's two leaf buffers outweigh that pass
         cfg = ExperimentConfig(subcommand="fractional-criteria", d=2, N=11, H=(0.9, 0.9))
         factor, scratch = 8 * 2048 * (2048 + 256) // 2, 8 * 1024 * 256
-        assert 2 * scratch < 8 * (streamed + worker) + 9 * 4**2
-        assert cfg._memory_estimate() == factor + 8 * (2049**2 + streamed + worker) + 9 * 4**2
+        assert 2 * scratch > 8 * streamed + 9 * 4**2
+        assert cfg._memory_estimate() == factor + 8 * 2049**2 + 2 * scratch
         # holder-scan: the grid and its tiled pyramid (the whole level is
         # generation 6's), whose pieces its |cells| overwrite
         whole = 4**6
         cfg = ExperimentConfig(subcommand="holder-scan", d=2, N=10)
         assert cfg._memory_estimate() == 8 * (
-            1025**2 + 2 * 257**2 + 2 * tile + tile // 2 + 2 * tile // 4 + whole + 3 * whole // 4
-            + 3 * 8192
+            1025**2 + 2 * 257**2 + tile + shares + whole + 3 * whole // 4 + 3 * 8192
         )
         # counterexample without H: per pooling worker (one per core, at most one
         # per seed) the slab x_d <= 2^-n, 129 x 129 x 33 points, and the larger of
         # its draw's one noise buffer, carry row and (from d = 3) numpy's three
         # ufunc buffers for the additions of strided rows, and its scan: the
-        # pyramid of one 32^3-cell cube (its one tile's box and two differencing
-        # arrays of at most 33^3 points, its Morton cells and order, its share of
-        # generation 4, four scratch arrays of its parents, the whole generation-3
-        # level with its parent and four scratch arrays, three ufunc buffers), the
+        # pyramid of one 32^3-cell cube (the two runs of its one tile's
+        # differencing, each at most 33^3 points, its order, its share of
+        # generation 4, the whole generation-3 level with its parent and four
+        # scratch arrays, three ufunc buffers), the
         # bottom arrays of generations 2..6, and 32 bytes per bottom cube of 6
         slab, tile, whole = 129**2 * 33, 2**15, 8**3
         draw = 8 * (slab + 2**16 + 128 * 32 + 3 * 8192)
-        pyramid = (
-            3 * 33**3 + 2 * tile + tile // 4 + 4 * tile // 8 + whole + 5 * whole // 8 + 3 * 8192
-        )
+        pyramid = 2 * 33**3 + tile + tile // 8 + whole + 5 * whole // 8 + 3 * 8192
         bottoms = sum(4**p for p in range(2, 7))
         scan = 8 * (slab + pyramid + bottoms) + 32 * 4**6
         cfg = ExperimentConfig(subcommand="counterexample", d=3, N=7, n=2, seeds=range(20))

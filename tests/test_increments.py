@@ -598,20 +598,6 @@ class TestWorkspace:
             assert ws._buffers.keys() == held.keys()
             assert all(ws._buffers[role] is buf for role, buf in held.items())
 
-    def test_a_view_is_made_once_and_replaced_with_its_buffer(self):
-        # A request of a (role, shape) asked for before hands out the same
-        # view; a larger request of the role replaces the buffer, and every
-        # view of the role, old shapes included, is then one of the new buffer.
-        ws = _Workspace()
-        small, flat = ws.buffer((2, 3), "r"), ws.buffer((4,), "r")
-        assert ws.buffer((2, 3), "r") is small and np.shares_memory(small, flat)
-        large = ws.buffer((8,), "r")
-        assert not np.shares_memory(large, small)
-        again = ws.buffer((2, 3), "r")
-        assert again.shape == (2, 3) and np.shares_memory(again, large)
-        assert ws.buffer((4,), "r").base is again.base is large.base
-        assert ws.buffer((4,), "other").base is not large.base
-
 
 def assert_table_matches_exact(tab, oracle):
     """The float table equals the exact one bit for bit where n*d is even, and is

@@ -6,7 +6,6 @@ import struct
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import weakref
 from collections import Counter
@@ -37,7 +36,6 @@ from helpers import (
     schur_factor,
     tile_noise,
     whole_factor,
-    within_a_minute,
 )
 from oracles import loop_noise_layers
 
@@ -994,6 +992,24 @@ def in_place(leaves, core, axis, workers=None):
     sampler._mode_product(leaves, core, axis, [np.empty(size) for _ in range(workers)])
 
 
+def within_a_minute(work):
+    """Run ``work`` on a thread and fail, instead of hanging, if it has not ended in 60 s."""
+    raised = []
+
+    def target():
+        try:
+            work()
+        except BaseException as exc:  # handed to the test thread below
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive(), "the product did not end"
+    if raised:
+        raise raised[0]
+
+
 def padded(core, fill=np.nan):
     """``core`` copied into the interior of a grid padded by ``fill``, and that interior view."""
     full = np.full(tuple(k + 1 for k in core.shape), fill)
@@ -1186,58 +1202,3 @@ class TestSplitModeProduct:
         sample_sheet((0.6, 0.8), 10, seed=0)
         sample_sheet((0.7,), 12, seed=0)
         assert pools == [1] * 5
-
-
-class TestPoolInOrder:
-    """``sampler._pool_in_order``: items made on every worker, taken one at a time in order."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_takes_in_order_whoever_makes_first(self, workers):
-        # Later items are made faster, so items are often made out of turn and
-        # taken by the worker that takes the one before them.  One take at a time.
-        taken, makers, running = [], {}, []
-
-        def make(i):
-            time.sleep(0.002 * ((7 * i) % 5))
-            makers[i] = threading.current_thread().name
-            return i
-
-        def take(i):
-            running.append(i)
-            assert len(running) == 1
-            time.sleep(0.0005)
-            taken.append(i)
-            running.remove(i)
-
-        within_a_minute(lambda: sampler._pool_in_order("ordered", 20, workers, make, take))
-        assert taken == list(range(20))
-        for i, name in makers.items():
-            assert (name == f"ordered-{i % workers}") == (i % workers > 0)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    @pytest.mark.parametrize("where", ["make", "take"])
-    @pytest.mark.parametrize("bad", [0, 3, 7])
-    def test_error_is_raised_without_a_hang(self, workers, where, bad):
-        # A failing item ends its worker and wakes the workers waiting for
-        # their turn; every worker ends and the error reaches the caller.
-        # The items taken are the first ones, none from the failing one on,
-        # and every one before it when its take fails.
-        taken = []
-
-        def make(i):
-            if where == "make" and i == bad:
-                raise KeyError(i)
-            time.sleep(0.001 * (i % 3))
-            return i
-
-        def take(i):
-            if where == "take" and i == bad:
-                raise KeyError(i)
-            taken.append(i)
-
-        baseline = threading.active_count()
-        with pytest.raises(KeyError, match=str(bad)):
-            within_a_minute(lambda: sampler._pool_in_order("ordered", 8, workers, make, take))
-        assert taken == list(range(bad if where == "take" else len(taken)))
-        assert len(taken) <= bad
-        assert threading.active_count() == baseline
