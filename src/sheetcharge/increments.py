@@ -438,7 +438,6 @@ def _tiled_pyramid(
     """
     d, gen = values.ndim, (values.shape[0] - 1).bit_length() - 1
     bits, low = _tile_bits(d, gen), max(stop, _tiled_low(d, gen))
-    pieces = [ws.buffer((1 << (bits - k * d),), "share", k) for k in range(1, gen - low + 1)]
     whole = ws.buffer((1 << ((low - 1) * d),), "whole") if stop < low else None
     for lo in range(0, 1 << (gen * d), 1 << bits):
         cells = _morton_tile(values, lo, ws)
@@ -446,7 +445,9 @@ def _tiled_pyramid(
         scratch = list(_tile_box(ws, (2 * d - 2, 1 << max(0, bits - d))))
         for k, m in enumerate(range(gen, low - 1, -1)):
             if m > low:
-                parent = pieces[k]
+                # asked for after the tile's runs: made before them, the shares
+                # kept more of the heap resident (fbs-moments peaked 0.3 MB higher)
+                parent = ws.buffer((len(cells) >> d,), "share", k + 1)
             elif whole is not None:
                 start = lo >> ((k + 1) * d)
                 parent = whole[start : start + (len(cells) >> d)]
